@@ -27,12 +27,10 @@ from .corpus import (
 from .harmonize import (
     Arrangement,
     Harmonization,
-    HarmonizeConfig,
     InfeasibleHarmonizationError,
     chain_arrangements,
     enumerate_arrangements,
     harmonize_melody,
-    score_penalties,
 )
 from .hmm import (
     HmmModel,

@@ -13,9 +13,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .core import MODES, MusicError
 from .corpus import (
+    GENRES,
     CorpusError,
     parse_corpus,
     parse_melody_file,
@@ -24,12 +26,12 @@ from .corpus import (
     Corpus,
 )
 from .harmonize import (
-    HarmonizeConfig,
     InfeasibleHarmonizationError,
     harmonize_melody,
     to_score_document,
 )
 from .hmm import (
+    METHODS,
     DecodeInfeasibleError,
     HmmError,
     ModelBundle,
@@ -43,7 +45,7 @@ from .hmm import (
 )
 from .midiout import export_functional_summary, export_matrices, write_midi
 from .ornament import OrnamentConfig, estimate_ornament_rates, insert_ornaments
-from .rock import harmonize_rock, render_accompaniment, to_progression_document
+from .rock import PATTERNS, harmonize_rock, render_accompaniment, to_progression_document
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,7 +57,6 @@ EXIT_IO = 4
 class RunConfig:
     """Validated run options, merged from defaults, --config file and flags."""
 
-    genre: str = "chorale"
     method: str = "viterbi"
     ornaments: bool = False
     p_passing: float | None = None
@@ -64,16 +65,16 @@ class RunConfig:
     rng_seed: int = 0
     max_seeds: int | None = None
     tempo_bpm: int | None = None
-    mask_enabled: bool | None = None
     pattern: str = "arpeggio"
     drums: bool = True
 
     def __post_init__(self):
-        if self.genre not in ("chorale", "rock"):
-            raise MusicError(f"unknown genre: {self.genre!r}")
-        if self.method not in ("viterbi", "posterior"):
+        for name, hint in _RUN_CONFIG_TYPES.items():
+            if not _type_ok(getattr(self, name), hint):
+                raise MusicError(f"{name} has the wrong type: {getattr(self, name)!r}")
+        if self.method not in METHODS:
             raise MusicError(f"unknown method: {self.method!r}")
-        if self.pattern not in ("arpeggio", "block"):
+        if self.pattern not in PATTERNS:
             raise MusicError(f"unknown pattern: {self.pattern!r}")
         if self.max_seeds is not None and self.max_seeds < 1:
             raise MusicError(f"max_seeds must be positive: {self.max_seeds}")
@@ -81,14 +82,34 @@ class RunConfig:
             raise MusicError(f"tempo out of range: {self.tempo_bpm}")
 
 
-def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
-    """Flags win over config-file values, which win over defaults."""
+_RUN_CONFIG_TYPES = get_type_hints(RunConfig)
+
+
+def _type_ok(value, hint) -> bool:
+    """isinstance against a field annotation; bool never counts as a
+    number and an int is accepted where a float is."""
+    allowed = get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Flags win over config-file values, which win over defaults. The
+    config file is a JSON object whose keys are RunConfig fields."""
+    names = list(_RUN_CONFIG_TYPES)
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = json.loads(Path(config_path).read_text())
+        if not isinstance(file_values, dict):
+            raise MusicError(f"{config_path}: config must be a JSON object")
+        unknown = sorted(file_values.keys() - set(names))
+        if unknown:
+            raise MusicError(f"{config_path}: unknown config keys {unknown};"
+                             f" accepted: {names}")
     values = {}
-    for name in fields:
+    for name in names:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -143,16 +164,19 @@ def _ornament_config(cfg: RunConfig, bundle: ModelBundle) -> OrnamentConfig:
         rng_seed=cfg.rng_seed)
 
 
+def _rock_progression(bundle: ModelBundle, melody_path: str, method: str):
+    """(melody pitch classes, decoded progression) for a rock melody file."""
+    degrees = parse_rock_melody_file(melody_path)
+    return degrees, harmonize_rock(bundle.key_model, bundle.chord_model,
+                                   degrees, method)
+
+
 def cmd_harmonize(args) -> int:
-    cfg = _merge_config(args, ["method", "ornaments", "p_passing", "p_auxiliary",
-                               "p_appoggiatura", "rng_seed", "max_seeds",
-                               "tempo_bpm", "pattern", "drums"])
+    cfg = _merge_config(args)
     bundle = load_bundle(args.model)
     started = time.perf_counter()
     if bundle.genre == "rock":
-        degrees = parse_rock_melody_file(args.melody)
-        progression = harmonize_rock(bundle.key_model, bundle.chord_model,
-                                     degrees, cfg.method)
+        degrees, progression = _rock_progression(bundle, args.melody, cfg.method)
         score = render_accompaniment(progression, pattern=cfg.pattern,
                                      drums=cfg.drums, melody_degree_pcs=degrees)
         if args.out_midi:
@@ -165,8 +189,7 @@ def cmd_harmonize(args) -> int:
         return EXIT_OK
     melody = parse_melody_file(args.melody)
     harmonization = harmonize_melody(bundle.key_model, bundle.chord_model, melody,
-                                     cfg.method,
-                                     HarmonizeConfig(max_seeds=cfg.max_seeds))
+                                     cfg.method, max_seeds=cfg.max_seeds)
     if cfg.ornaments:
         harmonization = insert_ornaments(harmonization,
                                          _ornament_config(cfg, bundle))
@@ -190,9 +213,7 @@ def cmd_analyze(args) -> int:
     bundle = load_bundle(args.model)
     method = args.method or "viterbi"
     if bundle.genre == "rock":
-        degrees = parse_rock_melody_file(args.melody)
-        progression = harmonize_rock(bundle.key_model, bundle.chord_model,
-                                     degrees, method)
+        _, progression = _rock_progression(bundle, args.melody, method)
         for i, (key_pc, numeral) in enumerate(progression):
             print(f"{i} | key_pc={key_pc} | roman={numeral}")
         return EXIT_OK
@@ -242,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="estimate models from an annotated corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--genre", choices=("chorale", "rock"), default="chorale")
+    p.add_argument("--genre", choices=GENRES, default="chorale")
     p.add_argument("--mode", choices=MODES, default="major")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--alpha", type=float, default=None, help="smoothing strength")
@@ -253,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harmonize", help="harmonize a melody file")
     p.add_argument("--model", required=True)
     p.add_argument("--melody", required=True)
-    p.add_argument("--method", choices=("viterbi", "posterior"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--ornaments", type=_on_off, default=None, metavar="on|off")
     p.add_argument("--p-passing", dest="p_passing", type=float, default=None)
     p.add_argument("--p-auxiliary", dest="p_auxiliary", type=float, default=None)
@@ -261,17 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", dest="rng_seed", type=int, default=None)
     p.add_argument("--max-seeds", dest="max_seeds", type=int, default=None)
     p.add_argument("--tempo", dest="tempo_bpm", type=int, default=None)
-    p.add_argument("--pattern", choices=("arpeggio", "block"), default=None)
+    p.add_argument("--pattern", choices=PATTERNS, default=None)
     p.add_argument("--drums", type=_on_off, default=None, metavar="on|off")
     p.add_argument("--out-midi", default=None)
     p.add_argument("--out-score", default=None)
-    p.add_argument("--config", default=None, help="JSON config file, same keys as flags")
+    p.add_argument("--config", default=None,
+                   help="JSON object of run options (see README); flags win")
     p.set_defaults(func=cmd_harmonize)
 
     p = sub.add_parser("analyze", help="print the decoded key/chord progression")
     p.add_argument("--model", required=True)
     p.add_argument("--melody", required=True)
-    p.add_argument("--method", choices=("viterbi", "posterior"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export", help="export transition/emission matrices")

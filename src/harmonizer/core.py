@@ -27,8 +27,6 @@ MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 NATURAL_MINOR_SCALE = (0, 2, 3, 5, 7, 8, 10)
 HARMONIC_MINOR_SCALE = (0, 2, 3, 5, 7, 8, 11)
 
-DURATION_TOLERANCE = 1e-9
-
 _NUMERALS = ("I", "II", "III", "IV", "V", "VI", "VII")
 
 _ROMAN_RE = re.compile(
@@ -208,7 +206,6 @@ class MelodyLine:
     """A beat-quantized melody; beat indices are contiguous from 0."""
 
     events: tuple[BeatEvent, ...]
-    meter: int = 4
 
     def __post_init__(self):
         if not self.events:
@@ -229,7 +226,7 @@ class MelodyLine:
             BeatEvent(ev.beat_index,
                       tuple((p.transpose(semitones), d) for p, d in ev.notes))
             for ev in self.events)
-        return MelodyLine(events, self.meter)
+        return MelodyLine(events)
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,3 @@ def triadic_numeral_for_root(rel_root_pc: int) -> RomanChord:
         raise MusicError(f"relative root out of range: {rel_root_pc}")
     return RomanChord.from_string(_TRIADIC_BY_REL_ROOT[rel_root_pc])
 
-
-def relative_root_pc(chord: RomanChord, mode: str = MAJOR) -> int:
-    """Chord root as semitones above the tonic of a key in the given mode."""
-    return chord_root_pc(chord, KeyLabel(0, mode))

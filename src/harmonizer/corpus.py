@@ -105,6 +105,16 @@ def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[Pitch, fl
     return tuple(notes)
 
 
+def _format_duration(d: float) -> str:
+    text = f"{d:.6f}".rstrip("0").rstrip(".")
+    return text or "0"
+
+
+def _format_note_list(notes) -> str:
+    """Inverse of _parse_note_list: "pitch:duration" entries, comma-joined."""
+    return ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in notes)
+
+
 def _split_record(raw: str, source: str, line: int) -> tuple[int, dict[str, str]]:
     parts = [p.strip() for p in raw.split("|")]
     try:
@@ -293,25 +303,11 @@ def parse_rock_melody_file(path: str | Path) -> list[int]:
     return parse_rock_melody_text(p.read_text(), source=str(p))
 
 
-def _format_duration(d: float) -> str:
-    text = f"{d:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
-
-
 def serialize_chorale(chorale: AnnotatedChorale) -> str:
     lines = [f"id: {chorale.id}", f"mode: {chorale.mode}"]
     for beat, key, chord in chorale.events:
-        notes = ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in beat.notes)
-        lines.append(f"{beat.beat_index} | notes={notes} | key={key.to_string()}"
-                     f" | roman={chord.to_string()}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_melody(melody: MelodyLine, melody_id: str = "melody") -> str:
-    lines = [f"id: {melody_id}"]
-    for ev in melody.events:
-        notes = ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in ev.notes)
-        lines.append(f"{ev.beat_index} | notes={notes}")
+        lines.append(f"{beat.beat_index} | notes={_format_note_list(beat.notes)}"
+                     f" | key={key.to_string()} | roman={chord.to_string()}")
     return "\n".join(lines) + "\n"
 
 

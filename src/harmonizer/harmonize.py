@@ -24,6 +24,7 @@ from .core import (
     chord_tone_pcs,
     leading_tone_pc,
 )
+from .corpus import _format_duration, _format_note_list
 from .hmm import HmmModel, decode_key_chord
 
 ALTO_RANGE = (53, 74)    # F3-D5
@@ -65,7 +66,6 @@ class Arrangement:
     alto: Pitch
     tenor: Pitch
     bass: Pitch
-    beat_index: int = 0
 
     def triple(self) -> tuple[int, int, int]:
         return (self.alto.midi, self.tenor.midi, self.bass.midi)
@@ -108,17 +108,12 @@ class Harmonization:
                 "tenor": self.tenor_line, "bass": self.bass_line}
 
 
-@dataclass(frozen=True)
-class HarmonizeConfig:
-    max_seeds: int | None = None
-
-
 def _pitches_in_range(pc: int, lo: int, hi: int) -> list[int]:
     return [m for m in range(lo, hi + 1) if m % 12 == pc]
 
 
 def _upper_spellings(chord: RomanChord, key: KeyLabel,
-                     soprano_pc: int) -> list[tuple[tuple[int, int], ...]]:
+                     soprano_pc: int) -> list[tuple[int, int]]:
     """Pitch-class pairs available to (alto, tenor) above the fixed bass.
 
     Triads prefer complete spelling; when that is infeasible the caller
@@ -129,8 +124,8 @@ def _upper_spellings(chord: RomanChord, key: KeyLabel,
     root, fifth that is not the leading tone, so the leading tone is never
     doubled.
 
-    Returns a list of spelling stages; each stage is a tuple of unordered
-    (pc, pc) pairs to try for the upper voices.
+    Returns the spelling stages in order of preference; each stage is one
+    unordered (pc, pc) pair for the upper voices.
     """
     tones = chord_tone_pcs(chord, key)
     bass_pc = chord_bass_pc(chord, key)
@@ -157,51 +152,46 @@ def _upper_spellings(chord: RomanChord, key: KeyLabel,
             if tone != bass_pc and len(uppers) < 2:
                 uppers.append(tone)
         uppers = substitute_lt(uppers)
-        return [(tuple(sorted(uppers)),)]
+        return [tuple(sorted(uppers))]
 
     complete = substitute_lt(drop_one([root, third, fifth], bass_pc))
     doubled = root if root != lt else third
     fallback_set = [doubled, doubled, third if doubled == root else root]
     # the fallback omits the fifth; unavailable when the fifth is the bass
-    stages = [(tuple(sorted(complete)),)]
+    stages = [tuple(sorted(complete))]
     if bass_pc != fifth:
         fallback = substitute_lt(drop_one(fallback_set, bass_pc))
-        stages.append((tuple(sorted(fallback)),))
+        stages.append(tuple(sorted(fallback)))
     return stages
 
 
-def enumerate_arrangements(key: KeyLabel, chord: RomanChord, soprano: Pitch,
-                           beat_index: int = 0) -> list[Arrangement]:
+def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
+                           soprano: Pitch) -> list[Arrangement]:
     """Every arrangement satisfying the vertical constraints, sorted
     lexicographically by (bass, tenor, alto). May be empty."""
     bass_pc = chord_bass_pc(chord, key)
     lt = leading_tone_pc(key)
     soprano_pc = soprano.pitch_class
-    stages = _upper_spellings(chord, key, soprano_pc)
-    for stage in stages:
+    for first, second in _upper_spellings(chord, key, soprano_pc):
         found = []
-        for uppers in stage:
-            assignments = {(uppers[0], uppers[1])}
-            assignments.add((uppers[1], uppers[0]))
-            for alto_pc, tenor_pc in assignments:
-                lt_count = sum(pc == lt for pc in (soprano_pc, alto_pc, tenor_pc, bass_pc))
-                if lt_count > 1:
+        for alto_pc, tenor_pc in {(first, second), (second, first)}:
+            lt_count = sum(pc == lt for pc in (soprano_pc, alto_pc, tenor_pc, bass_pc))
+            if lt_count > 1:
+                continue
+            for bass in _pitches_in_range(bass_pc, *BASS_RANGE):
+                if bass > soprano.midi:
                     continue
-                for bass in _pitches_in_range(bass_pc, *BASS_RANGE):
-                    if bass > soprano.midi:
+                for tenor in _pitches_in_range(tenor_pc, *TENOR_RANGE):
+                    if tenor < bass:
                         continue
-                    for tenor in _pitches_in_range(tenor_pc, *TENOR_RANGE):
-                        if tenor < bass:
+                    for alto in _pitches_in_range(alto_pc, *ALTO_RANGE):
+                        if alto < tenor or alto > soprano.midi:
                             continue
-                        for alto in _pitches_in_range(alto_pc, *ALTO_RANGE):
-                            if alto < tenor or alto > soprano.midi:
-                                continue
-                            if alto - tenor > MAX_SPACING:
-                                continue
-                            if soprano.midi - alto > MAX_SPACING:
-                                continue
-                            found.append(Arrangement(Pitch(alto), Pitch(tenor),
-                                                     Pitch(bass), beat_index))
+                        if alto - tenor > MAX_SPACING:
+                            continue
+                        if soprano.midi - alto > MAX_SPACING:
+                            continue
+                        found.append(Arrangement(Pitch(alto), Pitch(tenor), Pitch(bass)))
         if found:
             return sorted(found, key=Arrangement.sort_key)
     return []
@@ -285,38 +275,30 @@ def score_arrangements(melody: MelodyLine,
     return sum(v.weight for v in log), log
 
 
-def score_penalties(h: Harmonization) -> tuple[float, list[Violation]]:
-    return score_arrangements(h.soprano, h.arrangements)
-
-
 def harmonize_melody(key_model: HmmModel, chord_model: HmmModel,
                      melody: MelodyLine, method: str = "viterbi",
-                     config: HarmonizeConfig | None = None) -> Harmonization:
+                     max_seeds: int | None = None) -> Harmonization:
     """Decode keys and chords, then voice the progression. Every feasible
-    first-beat arrangement seeds one greedy chain; the lowest-penalty
-    chain wins, earlier seeds winning ties."""
-    config = config or HarmonizeConfig()
+    first-beat arrangement, or the first max_seeds of them, seeds one
+    greedy chain; the lowest-penalty chain wins, earlier seeds winning
+    ties."""
     annotation = decode_key_chord(key_model, chord_model, melody, method)
-    return voice_progression(melody, annotation, config)
+    return voice_progression(melody, annotation, max_seeds)
 
 
 def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
-                      config: HarmonizeConfig | None = None) -> Harmonization:
-    config = config or HarmonizeConfig()
+                      max_seeds: int | None = None) -> Harmonization:
     if len(annotation) != len(melody):
         raise MusicError("annotation length does not match melody length")
     candidates_per_beat = []
     for t, ev in enumerate(melody.events):
         key, chord = annotation.keys[t], annotation.chords[t]
-        candidates = enumerate_arrangements(key, chord, ev.representative, t)
+        candidates = enumerate_arrangements(key, chord, ev.representative)
         if not candidates:
             raise InfeasibleHarmonizationError(t, chord.to_string())
         candidates_per_beat.append(candidates)
-    seeds = candidates_per_beat[0]
-    if config.max_seeds is not None:
-        seeds = seeds[:config.max_seeds]
     best = None
-    for index, seed in enumerate(seeds):
+    for index, seed in enumerate(candidates_per_beat[0][:max_seeds]):
         chain = chain_arrangements(candidates_per_beat, seed)
         penalty, log = score_arrangements(melody, chain)
         if best is None or (penalty, index) < (best[0], best[1]):
@@ -325,15 +307,6 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
     return Harmonization(soprano=melody, arrangements=chain,
                          annotation=annotation, penalty=penalty,
                          violation_log=log)
-
-
-def _format_duration(d: float) -> str:
-    text = f"{d:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
-
-
-def _format_line(notes) -> str:
-    return ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in notes)
 
 
 def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
@@ -347,7 +320,7 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     for t in range(len(h.soprano)):
         parts = [str(t)]
         for name in ("soprano", "alto", "tenor", "bass"):
-            parts.append(f"{name}={_format_line(voices[name][t])}")
+            parts.append(f"{name}={_format_note_list(voices[name][t])}")
         parts.append(f"key={h.annotation.keys[t].to_string()}")
         parts.append(f"roman={h.annotation.chords[t].to_string()}")
         if t in by_beat:

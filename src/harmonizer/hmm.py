@@ -2,7 +2,8 @@
 
 Provides masked maximum-likelihood estimation from fully annotated
 sequences, Viterbi decoding in log space, posterior decoding via the
-scaled forward-backward algorithm, transition-matrix overrides, and the
+scaled forward-backward algorithm, the labeled-CSV matrix format read by
+transition-matrix overrides and written by the matrix export, and the
 two-stage key-then-chord decode used for harmonization.
 """
 
@@ -265,8 +266,6 @@ def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
                      melody: MelodyLine, method: str = "viterbi") -> ProgressionAnnotation:
     """Two-stage decode: keys from the melody pitch classes, then chords
     from the melody transposed against the decoded keys."""
-    if method not in METHODS:
-        raise HmmError(f"unknown decode method: {method!r}")
     melody_pcs = [p.pitch_class for p in melody.representatives()]
     key_labels = decode(key_model, melody_pcs, method)
     keys = tuple(KeyLabel.from_string(k) for k in key_labels)
@@ -367,16 +366,29 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
 
 def load_bundle(path: str | Path) -> ModelBundle:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "key-chord-models":
+    if not isinstance(doc, dict) or doc.get("format") != "key-chord-models":
         raise HmmError(f"{path}: not a model file")
-    return ModelBundle(
-        genre=doc["genre"],
-        mode=doc["mode"],
-        key_model=_model_from_dict(doc["key_model"]),
-        chord_model=_model_from_dict(doc["chord_model"]),
-        chord_counts=dict(doc["chord_counts"]),
-        ornament_rates=doc.get("ornament_rates"),
-    )
+    try:
+        return ModelBundle(
+            genre=doc["genre"],
+            mode=doc["mode"],
+            key_model=_model_from_dict(doc["key_model"]),
+            chord_model=_model_from_dict(doc["chord_model"]),
+            chord_counts=dict(doc["chord_counts"]),
+            ornament_rates=doc.get("ornament_rates"),
+        )
+    except KeyError as exc:
+        raise HmmError(f"{path}: model file lacks field {exc.args[0]!r}")
+
+
+def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray):
+    """Labeled matrix as CSV: a header row of column labels, then one row
+    per label with full-precision decimal values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + [str(c) for c in col_labels])
+        for label, row in zip(row_labels, matrix):
+            writer.writerow([str(label)] + [repr(float(v)) for v in row])
 
 
 def read_transition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -394,7 +406,10 @@ def read_transition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         if len(row) - 1 != len(labels):
             raise HmmError(f"{path}: row {row[0]!r} has {len(row) - 1} cells,"
                            f" expected {len(labels)}")
-        matrix[i] = [float(cell) for cell in row[1:]]
+        try:
+            matrix[i] = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise HmmError(f"{path}: row {row[0]!r} has a non-numeric cell: {exc}")
     if row_labels != labels:
         raise HmmError(f"{path}: row and column labels disagree")
     return labels, matrix

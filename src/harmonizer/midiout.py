@@ -8,7 +8,6 @@ the identical event list.
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .core import RomanChord, functional_group
 from .harmonize import Harmonization
-from .hmm import HmmModel
-from .rock import AccompanimentScore
+from .hmm import HmmModel, _write_labeled_matrix
+from .rock import BEATS_PER_MEASURE, AccompanimentScore
 
 PPQ = 480
 VELOCITY = 80
@@ -100,7 +99,7 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
 
 def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int, list]]:
     """(name, channel, notes) per instrument track, melody first."""
-    measure_ticks = score.beats_per_measure * PPQ
+    measure_ticks = BEATS_PER_MEASURE * PPQ
     tracks = []
     layout = [("melody", 0, score.melody_track), ("bass", 1, score.bass_track),
               ("keys", 2, score.keys_track), ("drums", DRUM_CHANNEL, score.drum_track)]
@@ -138,14 +137,6 @@ def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
     out = Path(path)
     out.write_bytes(header + b"".join(chunks))
     return out
-
-
-def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + [str(c) for c in col_labels])
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([str(label)] + [repr(float(v)) for v in row])
 
 
 def export_matrices(model: HmmModel, out_dir: str | Path, prefix: str = "") -> list[Path]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .core import KeyLabel, MusicError, Pitch, diatonic_pcs
 from .harmonize import ALTO_RANGE, BASS_RANGE, TENOR_RANGE, Harmonization
 
+# chorales are read in 4/4; strong beats are positions 0 and 2 of the bar
+BEATS_PER_BAR = 4
 STRONG_BEAT_POSITIONS = (0, 2)
 
 
@@ -81,7 +83,7 @@ def estimate_ornament_rates(corpus) -> OrnamentConfig:
                     eligible["auxiliary"] += 1
                     if any(m != reps[t] and abs(m - reps[t]) <= 2 for m in extra):
                         exhibited["auxiliary"] += 1
-            if t % 4 in STRONG_BEAT_POSITIONS:
+            if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 eligible["appoggiatura"] += 1
                 first = beats[t].notes[0][0].midi
                 if len(beats[t].notes) >= 2:
@@ -102,14 +104,13 @@ _VOICES = (
 )
 
 
-def insert_ornaments(h: Harmonization, cfg: OrnamentConfig,
-                     key_at_beat=None) -> Harmonization:
+def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     """Return a new harmonization with ornaments inserted into the alto,
     tenor and bass lines. Sites whose inserted pitch would leave the voice
     range or break the vertical order against neighbouring voices are
     skipped silently.
     """
-    keys = list(key_at_beat) if key_at_beat is not None else list(h.annotation.keys)
+    keys = h.annotation.keys
     rng = random.Random(cfg.rng_seed)
     n = len(h.soprano)
     soprano = [ev.representative.midi for ev in h.soprano.events]
@@ -124,7 +125,6 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig,
         "tenor": [list(beat) for beat in h.tenor_line],
         "bass": [list(beat) for beat in h.bass_line],
     }
-    meter = h.soprano.meter
 
     def fits(voice, t, pitch) -> bool:
         lo, hi = dict(_VOICES)[voice]
@@ -158,7 +158,7 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig,
                         line[t] = [(Pitch(cur), 0.5), (Pitch(neighbor), 0.5)]
                         continue
             # appoggiatura leaning onto a strong beat
-            if t % meter in STRONG_BEAT_POSITIONS:
+            if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 neighbor = diatonic_upper_neighbor(cur, keys[t])
                 if neighbor is not None and fits(voice, t, neighbor):
                     if rng.random() < cfg.p_appoggiatura:

@@ -59,7 +59,6 @@ class AccompanimentScore:
     keys_track: list[list[NoteEvent]]
     drum_track: list[list[NoteEvent]]
     melody_track: list[list[NoteEvent]] = field(default_factory=list)
-    beats_per_measure: int = BEATS_PER_MEASURE
 
 
 def harmonize_rock(key_model: HmmModel, chord_model: HmmModel,

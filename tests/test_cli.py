@@ -208,6 +208,56 @@ def test_invalid_run_config_exits_2(tmp_path, trained_model, data_dir):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("document", [
+    {"max_seeds": "3"},          # wrong type
+    {"max_seeds": True},         # a bool is not an int
+    {"rng_seed": 1.5},
+    {"ornaments": "on"},
+    {"p_passing": "0.5"},
+    {"method": 1},
+    {"seed": 5},                 # the flag name, not the field name
+    {"genre": "rock"},           # not a run option
+    [{"rng_seed": 5}],           # not a JSON object
+    "viterbi",
+], ids=["max_seeds-str", "max_seeds-bool", "rng_seed-float", "ornaments-str",
+        "p_passing-str", "method-int", "unknown-seed", "unknown-genre", "list",
+        "string"])
+def test_invalid_config_file_exits_2(capsys, tmp_path, trained_model, data_dir,
+                                     document):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    code = main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(data_dir / "melodies" / "m01.txt"),
+                 "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_file_accepts_int_probability(tmp_path, trained_model, data_dir):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"ornaments": True, "p_passing": 1,
+                                  "p_auxiliary": 0, "p_appoggiatura": 0.0}))
+    assert main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(data_dir / "melodies" / "m04.txt"),
+                 "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("damage", ["drop-emission", "format-only"])
+def test_model_missing_field_exits_2(capsys, tmp_path, trained_model, data_dir,
+                                     damage):
+    doc = json.loads(trained_model.read_text())
+    if damage == "drop-emission":
+        del doc["chord_model"]["emission"]
+    else:
+        doc = {"format": "key-chord-models"}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["harmonize", "--model", str(broken),
+                 "--melody", str(data_dir / "melodies" / "m01.txt")])
+    assert code == 2
+    assert "lacks field" in capsys.readouterr().err
+
 def test_alpha_flag_changes_model(tmp_path, data_dir):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["train", "--corpus", str(data_dir / "chorales"),

@@ -1,0 +1,101 @@
+"""Golden output test: every file and stdout the CLI produces for a fixed
+set of commands, hashed and compared with the digests in golden.json.
+
+The commands train the three fixture models, harmonize and analyze the 20
+fixture melodies with both decoders (ornaments on, seed 7), run the rock
+demo tune through harmonize and analyze, export the major model and
+override its chord layer with the exported CSV. Stdout is hashed with the
+wall-clock `time:` lines removed and the scratch directory replaced by a
+placeholder. There is no update switch: an intended output change edits
+golden.json by hand and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from harmonizer.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+
+# the rock demo tune of scripts/harmonize_fixtures.py
+ROCK_DEMO = [0, 4, 7, 4, 5, 9, 0, 7, 7, 5, 4, 0]
+METHODS = ("viterbi", "posterior")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def compute_digests(tmp_path: Path, data_dir: Path, capsys) -> dict[str, str]:
+    out = tmp_path / "out"
+    models = out / "models"
+    models.mkdir(parents=True)
+    digests = {}
+
+    def run(name: str, argv: list[str]) -> None:
+        capsys.readouterr()
+        code = main(argv)
+        assert code == 0, f"{name}: exit {code}"
+        text = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        kept = [line for line in text.splitlines() if "time:" not in line]
+        digests[f"{name}.stdout"] = _sha("\n".join(kept).encode())
+
+    for name, extra in (("chorale-major", ["--genre", "chorale", "--mode", "major"]),
+                        ("chorale-minor", ["--genre", "chorale", "--mode", "minor"]),
+                        ("rock", ["--genre", "rock"])):
+        corpus = data_dir / ("rock" if name == "rock" else "chorales")
+        run(f"train/{name}", ["train", "--corpus", str(corpus), *extra,
+                              "--out", str(models / f"{name}.json")])
+
+    major = str(models / "chorale-major.json")
+    harmonized = out / "harmonize"
+    harmonized.mkdir()
+    for melody in sorted((data_dir / "melodies").iterdir()):
+        for method in METHODS:
+            stem = f"{melody.stem}-{method}"
+            run(f"harmonize/{stem}",
+                ["harmonize", "--model", major, "--melody", str(melody),
+                 "--method", method, "--ornaments", "on", "--seed", "7",
+                 "--out-midi", str(harmonized / f"{stem}.mid"),
+                 "--out-score", str(harmonized / f"{stem}.score")])
+            run(f"analyze/{stem}", ["analyze", "--model", major,
+                                    "--melody", str(melody), "--method", method])
+
+    tune = tmp_path / "rock-demo-melody.txt"
+    tune.write_text("id: rock-demo\n" + "\n".join(
+        f"{i} | melody_degree_pc={pc}" for i, pc in enumerate(ROCK_DEMO)) + "\n")
+    rock = str(models / "rock.json")
+    for method in METHODS:
+        stem = f"rock-demo-{method}"
+        run(f"harmonize/{stem}",
+            ["harmonize", "--model", rock, "--melody", str(tune),
+             "--method", method, "--pattern", "arpeggio",
+             "--out-midi", str(harmonized / f"{stem}.mid"),
+             "--out-score", str(harmonized / f"{stem}.prog")])
+        run(f"analyze/{stem}", ["analyze", "--model", rock,
+                                "--melody", str(tune), "--method", method])
+
+    matrices = out / "export"
+    run("export/chorale-major", ["export", "--model", major,
+                                 "--out-dir", str(matrices)])
+    run("override/chorale-major-chord",
+        ["override", "--model", major,
+         "--transitions", str(matrices / "chord_transition.csv"),
+         "--layer", "chord", "--out", str(models / "override.json")])
+
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            digests[path.relative_to(out).as_posix()] = _sha(path.read_bytes())
+    return digests
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, data_dir, capsys):
+    expected = json.loads(GOLDEN.read_text())
+    got = compute_digests(tmp_path, data_dir, capsys)
+    changed = sorted(n for n in expected.keys() & got.keys() if expected[n] != got[n])
+    missing = sorted(expected.keys() - got.keys())
+    unexpected = sorted(got.keys() - expected.keys())
+    assert not (changed or missing or unexpected), (
+        f"outputs differ from golden.json: changed {changed},"
+        f" missing {missing}, not in golden.json {unexpected}")

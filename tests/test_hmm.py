@@ -356,6 +356,20 @@ def test_override_rejects_negative_and_wild_rows(tmp_path, major_bundle):
         apply_override(model, wild)
 
 
+
+def test_override_rejects_non_numeric_cell(tmp_path, major_bundle):
+    model = major_bundle.chord_model
+    paths = export_matrices(model, tmp_path, prefix="z_")
+    lines = paths[0].read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = "abc"
+    bad = tmp_path / "text.csv"
+    bad.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+    with pytest.raises(HmmError) as err:
+        apply_override(model, bad)
+    assert str(bad) in str(err.value)
+    assert repr(cells[0]) in str(err.value)
+
 def test_override_renormalizes_rows_off_by_less_than_half(tmp_path, major_bundle):
     model = major_bundle.chord_model
     paths = export_matrices(model, tmp_path, prefix="y_")

@@ -32,8 +32,8 @@ def melody_from_midi(pitches) -> MelodyLine:
 
 def tiny_harmonization(n=1) -> Harmonization:
     melody = melody_from_midi([72] * n)
-    arrangements = [Arrangement(Pitch(64), Pitch(55), Pitch(48), i)
-                    for i in range(n)]
+    arrangements = [Arrangement(Pitch(64), Pitch(55), Pitch(48))
+                    for _ in range(n)]
     keys = tuple([KeyLabel(0, MAJOR)] * n)
     chords = tuple([RomanChord.from_string("I")] * n)
     return Harmonization(soprano=melody, arrangements=arrangements,
@@ -110,7 +110,7 @@ def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
 def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
     h.alto_line = [[(Pitch(64), 1.0)]]
-    h.arrangements[0] = Arrangement(Pitch(64), Pitch(55), Pitch(48), 0)
+    h.arrangements[0] = Arrangement(Pitch(64), Pitch(55), Pitch(48))
     score = render_accompaniment([(0, "I")])
     score.bass_track[0] = [(0.0, 1.0, 400)]
     with pytest.raises(ValueError):

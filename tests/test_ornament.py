@@ -32,8 +32,8 @@ def melody_from_midi(pitches) -> MelodyLine:
 
 def plain_harmonization(soprano, triples) -> Harmonization:
     melody = melody_from_midi(soprano)
-    arrangements = [Arrangement(Pitch(a), Pitch(t), Pitch(b), i)
-                    for i, (a, t, b) in enumerate(triples)]
+    arrangements = [Arrangement(Pitch(a), Pitch(t), Pitch(b))
+                    for a, t, b in triples]
     keys = tuple([C] * len(soprano))
     chords = tuple([RomanChord.from_string("I")] * len(soprano))
     return Harmonization(soprano=melody, arrangements=arrangements,
