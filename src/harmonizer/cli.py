@@ -318,7 +318,8 @@ def main(argv=None) -> int:
     except (InfeasibleHarmonizationError, DecodeInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CorpusError, MusicError, HmmError, json.JSONDecodeError) as exc:
+    except (CorpusError, MusicError, HmmError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

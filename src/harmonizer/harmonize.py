@@ -244,17 +244,22 @@ def chain_arrangements(candidates_per_beat, seed: Arrangement) -> list[Arrangeme
     """Greedy left-to-right chaining from a first-beat arrangement: each
     step takes the candidate nearest in Euclidean distance, breaking ties
     by fewest horizontal-rule violations against the predecessor, then by
-    lexicographic order."""
+    lexicographic order. Violations are counted only for the candidates
+    tied at the least distance."""
     chain = [seed]
     prev = seed
     for t in range(1, len(candidates_per_beat)):
         candidates = candidates_per_beat[t]
         if not candidates:
             raise InfeasibleHarmonizationError(t)
-        best = min(candidates,
-                   key=lambda c: (_squared_distance(prev, c),
-                                  _atb_violation_count(prev, c),
-                                  c.sort_key()))
+        distances = [_squared_distance(prev, c) for c in candidates]
+        nearest = min(distances)
+        tied = [c for c, d in zip(candidates, distances) if d == nearest]
+        if len(tied) == 1:
+            best = tied[0]
+        else:
+            best = min(tied, key=lambda c: (_atb_violation_count(prev, c),
+                                            c.sort_key()))
         chain.append(best)
         prev = best
     return chain
@@ -290,10 +295,18 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
                       max_seeds: int | None = None) -> Harmonization:
     if len(annotation) != len(melody):
         raise MusicError("annotation length does not match melody length")
+    if max_seeds is not None and max_seeds < 1:
+        raise MusicError(f"max_seeds must be positive: {max_seeds}")
+    # enumeration depends only on (key, chord, soprano); the candidate
+    # lists are never mutated, so equal inputs share one list
+    enumerated = {}
     candidates_per_beat = []
     for t, ev in enumerate(melody.events):
-        key, chord = annotation.keys[t], annotation.chords[t]
-        candidates = enumerate_arrangements(key, chord, ev.representative)
+        chord = annotation.chords[t]
+        inputs = (annotation.keys[t], chord, ev.representative)
+        candidates = enumerated.get(inputs)
+        if candidates is None:
+            candidates = enumerated[inputs] = enumerate_arrangements(*inputs)
         if not candidates:
             raise InfeasibleHarmonizationError(t, chord.to_string())
         candidates_per_beat.append(candidates)

@@ -335,16 +335,59 @@ def _model_to_dict(model: HmmModel) -> dict:
     }
 
 
-def _model_from_dict(doc: dict) -> HmmModel:
+def _checked_array(doc: dict, layer: str, name: str, shape: tuple,
+                   dtype=float) -> np.ndarray:
+    try:
+        value = np.asarray(doc[name], dtype=dtype)
+    except (TypeError, ValueError):
+        raise HmmError(f"{layer}.{name} is not a numeric array")
+    if value.shape != shape:
+        raise HmmError(f"{layer}.{name} has shape {value.shape}, expected {shape}")
+    return value
+
+
+def _stochastic(doc: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
+    """A probability vector or row-stochastic matrix of the given shape:
+    finite, non-negative cells, each row summing to 1 within 1e-6."""
+    value = _checked_array(doc, layer, name, shape)
+    if not np.all(np.isfinite(value)) or np.any(value < 0):
+        raise HmmError(f"{layer}.{name} has a negative or non-finite cell")
+    if np.any(np.abs(value.sum(axis=-1) - 1.0) > 1e-6):
+        raise HmmError(f"{layer}.{name} has a row that does not sum to 1")
+    return value
+
+
+def _alphabet(doc: dict, layer: str, name: str) -> tuple:
+    labels = doc[name]
+    if (not isinstance(labels, list) or not labels
+            or not all(isinstance(x, (str, int)) for x in labels)):
+        raise HmmError(f"{layer}.{name} is not a non-empty list of labels")
+    if len(set(labels)) != len(labels):
+        raise HmmError(f"{layer}.{name} has duplicate labels")
+    return tuple(labels)
+
+
+def _model_from_dict(doc, layer: str) -> HmmModel:
+    """The saved form of one model layer, checked here so that a malformed
+    file fails at load time, naming the field, not inside a decode."""
+    if not isinstance(doc, dict):
+        raise HmmError(f"{layer} is not an object")
+    states = _alphabet(doc, layer, "states")
+    observations = _alphabet(doc, layer, "observations")
+    S, O = len(states), len(observations)
     mask = doc.get("mask")
+    alpha = doc["smoothing_alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise HmmError(f"{layer}.smoothing_alpha is not a number")
     return HmmModel(
-        states=tuple(doc["states"]),
-        observations=tuple(doc["observations"]),
-        transition=np.asarray(doc["transition"], dtype=float),
-        emission=np.asarray(doc["emission"], dtype=float),
-        initial=np.asarray(doc["initial"], dtype=float),
-        mask=None if mask is None else np.asarray(mask, dtype=bool),
-        smoothing_alpha=float(doc["smoothing_alpha"]),
+        states=states,
+        observations=observations,
+        transition=_stochastic(doc, layer, "transition", (S, S)),
+        emission=_stochastic(doc, layer, "emission", (S, O)),
+        initial=_stochastic(doc, layer, "initial", (S,)),
+        mask=None if mask is None else _checked_array(doc, layer, "mask",
+                                                      (S, S), bool),
+        smoothing_alpha=float(alpha),
     )
 
 
@@ -372,13 +415,15 @@ def load_bundle(path: str | Path) -> ModelBundle:
         return ModelBundle(
             genre=doc["genre"],
             mode=doc["mode"],
-            key_model=_model_from_dict(doc["key_model"]),
-            chord_model=_model_from_dict(doc["chord_model"]),
+            key_model=_model_from_dict(doc["key_model"], "key_model"),
+            chord_model=_model_from_dict(doc["chord_model"], "chord_model"),
             chord_counts=dict(doc["chord_counts"]),
             ornament_rates=doc.get("ornament_rates"),
         )
     except KeyError as exc:
         raise HmmError(f"{path}: model file lacks field {exc.args[0]!r}")
+    except HmmError as exc:
+        raise HmmError(f"{path}: {exc}")
 
 
 def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray):

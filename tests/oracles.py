@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here trades speed for obviousness: exhaustive enumeration over
-hidden sequences, and a full lattice filter for chord voicings.
+hidden sequences, a full lattice filter for chord voicings, and the greedy
+voicing search as a literal loop with every tie-break key computed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from harmonizer.core import (
     chord_bass_pc,
     chord_tone_pcs,
     leading_tone_pc,
+)
+from harmonizer.harmonize import (
+    INNER_LEAP_LIMIT,
+    OCTAVE_LEAP_LIMIT,
+    PENALTY_WEIGHTS,
 )
 from harmonizer.hmm import HmmModel
 
@@ -153,3 +159,60 @@ def lattice_arrangements(key: KeyLabel, chord: RomanChord,
         if found:
             return sorted(found, key=lambda x: (x[2], x[1], x[0]))
     return []
+
+
+def _rule_weights(prev, cur, audited) -> list[float]:
+    """Weights of the horizontal rules broken between two voice stacks
+    ordered high to low. audited[v] says how voice v's own motion is
+    judged: None (the given soprano), "inner" (alto, tenor) or "outer"
+    (bass)."""
+    weights = []
+    for hi, lo in itertools.combinations(range(len(cur)), 2):
+        both_move = prev[hi] != cur[hi] and prev[lo] != cur[lo]
+        intervals = {(prev[hi] - prev[lo]) % 12, (cur[hi] - cur[lo]) % 12}
+        if both_move and intervals == {7}:
+            weights.append(PENALTY_WEIGHTS["parallel_fifths"])
+        if both_move and intervals == {0}:
+            weights.append(PENALTY_WEIGHTS["parallel_octaves"])
+        adjacent = lo == hi + 1
+        if adjacent and (cur[lo] > prev[hi] or cur[hi] < prev[lo]):
+            weights.append(PENALTY_WEIGHTS["voice_overlap"])
+    for v, kind in enumerate(audited):
+        leap = abs(cur[v] - prev[v])
+        if kind is not None and leap > OCTAVE_LEAP_LIMIT:
+            weights.append(PENALTY_WEIGHTS["leap_over_octave"])
+        elif kind == "inner" and leap > INNER_LEAP_LIMIT:
+            weights.append(PENALTY_WEIGHTS["inner_voice_leap"])
+    return weights
+
+
+def greedy_voicing(candidates_per_beat, soprano_midis, max_seeds=None):
+    """The greedy voicing search with nothing skipped. Each first-beat
+    candidate (or the first max_seeds) seeds a chain; each step scores
+    every candidate by (squared distance, rule hits among alto, tenor and
+    bass, (bass, tenor, alto)) and keeps the least. The chain with the
+    lowest four-voice penalty wins, the earlier seed on equal penalty.
+    Returns (arrangements, penalty)."""
+    beats = [[c.triple() for c in cands] for cands in candidates_per_beat]
+    seeds = beats[0] if max_seeds is None else beats[0][:max_seeds]
+    best = None
+    for index, seed in enumerate(seeds):
+        chain = [index]
+        for t in range(1, len(beats)):
+            prev = beats[t - 1][chain[-1]]
+            keys = []
+            for alto, tenor, bass in beats[t]:
+                distance = ((alto - prev[0]) ** 2 + (tenor - prev[1]) ** 2
+                            + (bass - prev[2]) ** 2)
+                hits = len(_rule_weights(prev, (alto, tenor, bass),
+                                         ("inner", "inner", "outer")))
+                keys.append((distance, hits, (bass, tenor, alto)))
+            chain.append(keys.index(min(keys)))
+        stacks = [(s,) + beats[t][j]
+                  for t, (s, j) in enumerate(zip(soprano_midis, chain))]
+        penalty = sum(sum(_rule_weights(a, b, (None, "inner", "inner", "outer")))
+                      for a, b in zip(stacks, stacks[1:]))
+        if best is None or (penalty, index) < best[:2]:
+            best = (penalty, index, chain)
+    penalty, _, chain = best
+    return [candidates_per_beat[t][j] for t, j in enumerate(chain)], penalty

@@ -258,6 +258,94 @@ def test_model_missing_field_exits_2(capsys, tmp_path, trained_model, data_dir,
     assert code == 2
     assert "lacks field" in capsys.readouterr().err
 
+def _cut_last_row(layer, name):
+    def damage(doc):
+        del doc[layer][name][-1]
+    return damage
+
+
+def _set_cell(layer, name, row, col, value):
+    def damage(doc):
+        doc[layer][name][row][col] = value
+    return damage
+
+
+def _ragged_row(doc):
+    del doc["chord_model"]["transition"][0][-1]
+
+
+def _drop_last_column(doc):
+    for row in doc["chord_model"]["emission"]:
+        del row[-1]
+
+
+def _negative_cell(doc):
+    row = doc["chord_model"]["transition"][0]
+    row[1] += row[0] + 0.5
+    row[0] = -0.5
+
+
+def _duplicate_state(doc):
+    states = doc["key_model"]["states"]
+    states[1] = states[0]
+
+
+@pytest.mark.parametrize("damage,field", [
+    (lambda doc: doc.update(key_model=None), "key_model is not an object"),
+    (lambda doc: doc.update(chord_model=[1, 2]), "chord_model is not an object"),
+    (_cut_last_row("chord_model", "transition"), "chord_model.transition"),
+    (_ragged_row, "chord_model.transition"),
+    (_drop_last_column, "chord_model.emission"),
+    (_cut_last_row("key_model", "initial"), "key_model.initial"),
+    (_cut_last_row("key_model", "states"), "key_model.transition"),
+    (_set_cell("chord_model", "transition", 2, 3, float("nan")),
+     "chord_model.transition"),
+    (_set_cell("key_model", "emission", 0, 0, float("inf")),
+     "key_model.emission"),
+    (_negative_cell, "chord_model.transition"),
+    (_set_cell("key_model", "emission", 4, 0, 0.5), "key_model.emission"),
+    (_set_cell("chord_model", "transition", 0, 0, "x"),
+     "chord_model.transition"),
+    (_cut_last_row("chord_model", "mask"), "chord_model.mask"),
+    (_duplicate_state, "key_model.states"),
+    (lambda doc: doc["chord_model"].update(states=[]), "chord_model.states"),
+    (lambda doc: doc["key_model"].update(smoothing_alpha=None),
+     "key_model.smoothing_alpha"),
+], ids=["key-layer-null", "chord-layer-list", "transition-row-cut",
+        "transition-ragged", "emission-column-cut", "initial-short",
+        "states-short", "transition-nan", "emission-inf", "transition-negative",
+        "emission-row-sum", "transition-string-cell", "mask-row-cut",
+        "duplicate-state", "no-states", "alpha-null"])
+def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
+                                 damage, field):
+    doc = json.loads(trained_model.read_text())
+    damage(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["harmonize", "--model", str(broken),
+                 "--melody", str(data_dir / "melodies" / "m01.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and field in err
+
+
+@pytest.mark.parametrize("target", ["melody", "config"])
+def test_undecodable_text_file_exits_2(capsys, tmp_path, trained_model,
+                                       data_dir, target):
+    melody = data_dir / "melodies" / "m01.txt"
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    damaged = melody if target == "melody" else config
+    bad = tmp_path / f"bad-{target}"
+    bad.write_bytes(b"\xff\xfe" + damaged.read_bytes())
+    paths = {"melody": melody, "config": config, target: bad}
+    code = main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(paths["melody"]),
+                 "--config", str(paths["config"])])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_alpha_flag_changes_model(tmp_path, data_dir):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["train", "--corpus", str(data_dir / "chorales"),

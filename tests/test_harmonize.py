@@ -9,11 +9,13 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
+    MusicError,
     Pitch,
     ProgressionAnnotation,
     RomanChord,
     is_retrogressive,
 )
+from harmonizer import harmonize
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -30,8 +32,9 @@ from harmonizer.harmonize import (
     to_score_document,
     voice_progression,
 )
+from harmonizer.hmm import METHODS, decode_key_chord
 
-from oracles import lattice_arrangements
+from oracles import greedy_voicing, lattice_arrangements
 
 C_MAJOR = KeyLabel(0, MAJOR)
 
@@ -278,11 +281,82 @@ def test_harmonize_penalty_is_minimum_over_seeds(major_bundle, fixture_melodies)
             if len(ties) == 1:
                 chain.append(ties[0])
             else:
-                chain.append(chain_arrangements([[prev], ties], prev)[1])
+                sopranos = [ev.representative.midi
+                            for ev in melody.events[t - 1:t + 1]]
+                chain.append(greedy_voicing([[prev], ties], sopranos)[0][1])
         penalty, _ = score_arrangements(melody, chain)
         if best is None or penalty < best:
             best = penalty
     assert h.penalty == best
+
+
+def _concatenated(fixture_melodies) -> MelodyLine:
+    notes = [ev.notes for _, melody in fixture_melodies for ev in melody.events]
+    return MelodyLine(tuple(BeatEvent(i, n) for i, n in enumerate(notes)))
+
+
+def _assert_matches_greedy_oracle(melody, annotation):
+    h = voice_progression(melody, annotation)
+    candidates = [enumerate_arrangements(key, chord, soprano)
+                  for key, chord, soprano in zip(annotation.keys,
+                                                 annotation.chords,
+                                                 melody.representatives())]
+    arrangements, penalty = greedy_voicing(
+        candidates, [p.midi for p in melody.representatives()])
+    assert h.arrangements == arrangements
+    assert h.penalty == penalty
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_voicing_matches_greedy_oracle(major_bundle, fixture_melodies, method):
+    for _, melody in fixture_melodies:
+        annotation = decode_key_chord(major_bundle.key_model,
+                                      major_bundle.chord_model, melody, method)
+        _assert_matches_greedy_oracle(melody, annotation)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_voicing_matches_greedy_oracle_concatenated(major_bundle,
+                                                    fixture_melodies, method):
+    # all 20 melodies as one line: enumeration inputs repeat, the same
+    # chord and soprano come under different keys, and distances tie
+    melody = _concatenated(fixture_melodies)
+    annotation = decode_key_chord(major_bundle.key_model,
+                                  major_bundle.chord_model, melody, method)
+    _assert_matches_greedy_oracle(melody, annotation)
+
+
+def test_enumeration_runs_once_per_distinct_input_per_call(
+        monkeypatch, major_bundle, fixture_melodies):
+    calls = []
+
+    def counting(key, chord, soprano):
+        calls.append((key, chord, soprano))
+        return enumerate_arrangements(key, chord, soprano)
+
+    monkeypatch.setattr(harmonize, "enumerate_arrangements", counting)
+    melody = _concatenated(fixture_melodies)
+    annotation = decode_key_chord(major_bundle.key_model,
+                                  major_bundle.chord_model, melody)
+    distinct = set(zip(annotation.keys, annotation.chords,
+                       melody.representatives()))
+    assert len(distinct) < len(melody)
+    first = voice_progression(melody, annotation)
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    second = voice_progression(melody, annotation)
+    assert sorted(calls) == sorted(distinct)
+    assert second.arrangements == first.arrangements
+
+
+@pytest.mark.parametrize("max_seeds", [0, -1])
+def test_max_seeds_below_one_is_rejected(max_seeds):
+    melody = melody_from_midi([72, 74])
+    ann = ProgressionAnnotation(
+        (C_MAJOR, C_MAJOR),
+        tuple(RomanChord.from_string(r) for r in ("I", "V")))
+    with pytest.raises(MusicError, match="max_seeds"):
+        voice_progression(melody, ann, max_seeds=max_seeds)
 
 
 def test_harmonize_is_deterministic(major_bundle, fixture_melodies):
