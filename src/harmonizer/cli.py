@@ -24,6 +24,7 @@ from .corpus import (
     parse_rock_melody_file,
     transpose_to_reference,
     Corpus,
+    _format_records,
 )
 from .harmonize import (
     InfeasibleHarmonizationError,
@@ -214,15 +215,16 @@ def cmd_analyze(args) -> int:
     method = args.method or "viterbi"
     if bundle.genre == "rock":
         _, progression = _rock_progression(bundle, args.melody, method)
-        for i, (key_pc, numeral) in enumerate(progression):
-            print(f"{i} | key_pc={key_pc} | roman={numeral}")
+        records = [(("key_pc", str(key_pc)), ("roman", numeral))
+                   for key_pc, numeral in progression]
+        print(_format_records((), records), end="")
         return EXIT_OK
     melody = parse_melody_file(args.melody)
     annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
                                   melody, method)
-    for t in range(len(annotation)):
-        print(f"{t} | key={annotation.keys[t].to_string()}"
-              f" | roman={annotation.chords[t].to_string()}")
+    records = [(("key", key.to_string()), ("roman", chord.to_string()))
+               for key, chord in zip(annotation.keys, annotation.chords)]
+    print(_format_records((), records), end="")
     flagged = masked_pairs(bundle.chord_model,
                            [c.to_string() for c in annotation.chords])
     for t, a, b in flagged:

@@ -9,6 +9,7 @@ standard inversion figures ("I", "ii6", "V65", "viio").
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -83,6 +84,8 @@ class KeyLabel:
 
     @classmethod
     def from_string(cls, text: str) -> "KeyLabel":
+        if not isinstance(text, str) or not text.strip():
+            raise MusicError(f"unknown key label: {text!r}")
         text = text.strip()
         mode = MAJOR if text[:1].isupper() else MINOR
         pc = _NAME_TO_PC.get(text[0].upper() + text[1:])
@@ -147,7 +150,7 @@ class RomanChord:
 
     @classmethod
     def from_string(cls, text: str) -> "RomanChord":
-        m = _ROMAN_RE.match(text.strip())
+        m = _ROMAN_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise MusicError(f"unparseable Roman numeral: {text!r}")
         numeral = m.group("numeral")
@@ -193,8 +196,9 @@ class BeatEvent:
         if abs(total - 1.0) > 1e-9:
             raise MusicError(
                 f"beat {self.beat_index} durations sum to {total}, expected 1.0")
-        if any(d <= 0 for _, d in self.notes):
-            raise MusicError(f"beat {self.beat_index} has a non-positive duration")
+        if not all(0 < d < math.inf for _, d in self.notes):
+            raise MusicError(
+                f"beat {self.beat_index} has a non-positive or non-finite duration")
 
     @property
     def representative(self) -> Pitch:

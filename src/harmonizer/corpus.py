@@ -15,7 +15,9 @@ Rock files carry one record per measure, all fields integer pitch classes:
     0 | key_pc=0 | roman_root_pc=0 | melody_degree_pc=4
 
 Melody files reuse the chorale record grammar with the key/roman columns
-absent.
+absent. All of these, and the score, progression and analysis documents
+the other modules write, share one grammar, read by `_records` and
+written by `_format_records`.
 """
 
 from __future__ import annotations
@@ -115,62 +117,74 @@ def _format_note_list(notes) -> str:
     return ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in notes)
 
 
-def _split_record(raw: str, source: str, line: int) -> tuple[int, dict[str, str]]:
-    parts = [p.strip() for p in raw.split("|")]
-    try:
-        index = int(parts[0])
-    except ValueError:
-        raise CorpusError(f"record must start with an integer index: {parts[0]!r}",
-                          source, line)
-    fields = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise CorpusError(f"expected field=value, got {part!r}", source, line)
-        name, value = part.split("=", 1)
-        fields[name.strip()] = value.strip()
-    return index, fields
-
-
-def _iter_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
-
-
-def _parse_header(lines, source: str) -> tuple[dict[str, str], list[tuple[int, str]]]:
+def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
+             ) -> tuple[dict[str, str], list[tuple[int, int, dict[str, str]]]]:
+    """Read the record grammar shared by every text file: `name: value`
+    header lines, then `index | name=value | ...` records whose indices
+    run 0, 1, 2, ...; blank and `#` lines are skipped anywhere. Returns the
+    header and one (line, index, fields) triple per record, each record
+    holding every field named in `required`."""
     header = {}
     records = []
-    for lineno, stripped in lines:
-        if records:
-            records.append((lineno, stripped))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if ":" in stripped and "|" not in stripped:
-            name, value = stripped.split(":", 1)
+        if not records and ":" in line and "|" not in line:
+            name, value = line.split(":", 1)
             header[name.strip()] = value.strip()
-        else:
-            records.append((lineno, stripped))
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        try:
+            index = int(parts[0])
+        except ValueError:
+            raise CorpusError(f"record must start with an integer index: {parts[0]!r}",
+                              source, lineno)
+        if index != len(records):
+            raise CorpusError(f"{unit} index {index} out of order,"
+                              f" expected {len(records)}", source, lineno)
+        fields = {}
+        for part in parts[1:]:
+            if "=" not in part:
+                raise CorpusError(f"expected field=value, got {part!r}", source, lineno)
+            name, value = part.split("=", 1)
+            fields[name.strip()] = value.strip()
+        missing = [name for name in required if name not in fields]
+        if missing:
+            raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
+        records.append((lineno, index, fields))
     if not records:
         raise CorpusError("file has no records", source)
     return header, records
 
 
+def _format_records(header, records) -> str:
+    """Inverse of _records: `header` is (name, value) pairs and each record
+    a sequence of (name, value) string pairs; records are numbered from 0."""
+    lines = [f"{name}: {value}" for name, value in header]
+    lines += [" | ".join([str(index), *map("=".join, fields)])
+              for index, fields in enumerate(records)]
+    return "\n".join(lines) + "\n"
+
+
+def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> int:
+    """An integer field holding a pitch class, 0-11."""
+    try:
+        value = int(fields[name])
+    except ValueError:
+        raise CorpusError(f"{name} must be an integer: {fields[name]!r}", source, line)
+    if not 0 <= value <= 11:
+        raise CorpusError(f"{name} out of range 0-11: {value}", source, line)
+    return value
+
+
 def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
-    header, records = _parse_header(_iter_lines(text), source)
+    header, records = _records(text, source, "beat", ("notes", "key", "roman"))
     mode = header.get("mode", "")
     if mode not in MODES:
         raise CorpusError(f"missing or invalid mode header: {mode!r}", source)
-    chorale_id = header.get("id", source)
     events = []
-    for expected, (lineno, raw) in enumerate(records):
-        index, fields = _split_record(raw, source, lineno)
-        if index != expected:
-            raise CorpusError(f"beat index {index} out of order, expected {expected}",
-                              source, lineno)
-        missing = {"notes", "key", "roman"} - fields.keys()
-        if missing:
-            raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
+    for lineno, index, fields in records:
         notes = _parse_note_list(fields["notes"], source, lineno)
         try:
             beat = BeatEvent(index, notes)
@@ -180,7 +194,7 @@ def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
             raise CorpusError(str(exc), source, lineno)
         events.append((beat, key, chord))
     try:
-        return AnnotatedChorale(chorale_id, mode, tuple(events))
+        return AnnotatedChorale(header.get("id", source), mode, tuple(events))
     except MusicError as exc:
         raise CorpusError(str(exc), source)
 
@@ -189,34 +203,17 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     """Measure-level rock analyses, converted to the same event structure:
     keys become major KeyLabels, chord roots become root-position triads, and
     the melody pitch class is placed in octave 4."""
-    header, records = _parse_header(_iter_lines(text), source)
-    chorale_id = header.get("id", source)
+    names = ("key_pc", "roman_root_pc", "melody_degree_pc")
+    header, records = _records(text, source, "measure", names)
     events = []
-    for expected, (lineno, raw) in enumerate(records):
-        index, fields = _split_record(raw, source, lineno)
-        if index != expected:
-            raise CorpusError(f"measure index {index} out of order, expected {expected}",
-                              source, lineno)
-        missing = {"key_pc", "roman_root_pc", "melody_degree_pc"} - fields.keys()
-        if missing:
-            raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
-        values = {}
-        for name in ("key_pc", "roman_root_pc", "melody_degree_pc"):
-            try:
-                value = int(fields[name])
-            except ValueError:
-                raise CorpusError(f"{name} must be an integer: {fields[name]!r}",
-                                  source, lineno)
-            if not 0 <= value <= 11:
-                raise CorpusError(f"{name} out of range 0-11: {value}", source, lineno)
-            values[name] = value
-        key = KeyLabel(values["key_pc"], MAJOR)
-        rel_root = (values["roman_root_pc"] - values["key_pc"]) % 12
-        chord = triadic_numeral_for_root(rel_root)
-        beat = BeatEvent(index, ((Pitch(60 + values["melody_degree_pc"]), 1.0),))
-        events.append((beat, key, chord))
+    for lineno, index, fields in records:
+        key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
+                                      for name in names)
+        chord = triadic_numeral_for_root((root_pc - key_pc) % 12)
+        beat = BeatEvent(index, ((Pitch(60 + melody_pc), 1.0),))
+        events.append((beat, KeyLabel(key_pc, MAJOR), chord))
     try:
-        return AnnotatedChorale(chorale_id, "major", tuple(events))
+        return AnnotatedChorale(header.get("id", source), "major", tuple(events))
     except MusicError as exc:
         raise CorpusError(str(exc), source)
 
@@ -251,15 +248,9 @@ def parse_corpus(path: str | Path, genre: str = "chorale") -> Corpus:
 def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """Melody-only schema: the chorale record grammar without key/roman.
     Extra annotation columns are tolerated and ignored."""
-    _, records = _parse_header(_iter_lines(text), source)
+    _, records = _records(text, source, "beat", ("notes",))
     events = []
-    for expected, (lineno, raw) in enumerate(records):
-        index, fields = _split_record(raw, source, lineno)
-        if index != expected:
-            raise CorpusError(f"beat index {index} out of order, expected {expected}",
-                              source, lineno)
-        if "notes" not in fields:
-            raise CorpusError("missing notes field", source, lineno)
+    for lineno, index, fields in records:
         notes = _parse_note_list(fields["notes"], source, lineno)
         try:
             events.append(BeatEvent(index, notes))
@@ -278,24 +269,9 @@ def parse_melody_file(path: str | Path) -> MelodyLine:
 
 def parse_rock_melody_text(text: str, source: str = "<text>") -> list[int]:
     """Measure-level melody pitch classes for rock harmonization."""
-    _, records = _parse_header(_iter_lines(text), source)
-    degrees = []
-    for expected, (lineno, raw) in enumerate(records):
-        index, fields = _split_record(raw, source, lineno)
-        if index != expected:
-            raise CorpusError(f"measure index {index} out of order, expected {expected}",
-                              source, lineno)
-        if "melody_degree_pc" not in fields:
-            raise CorpusError("missing melody_degree_pc field", source, lineno)
-        try:
-            value = int(fields["melody_degree_pc"])
-        except ValueError:
-            raise CorpusError(f"melody_degree_pc must be an integer", source, lineno)
-        if not 0 <= value <= 11:
-            raise CorpusError(f"melody_degree_pc out of range 0-11: {value}",
-                              source, lineno)
-        degrees.append(value)
-    return degrees
+    _, records = _records(text, source, "measure", ("melody_degree_pc",))
+    return [_pitch_class(fields, "melody_degree_pc", source, lineno)
+            for lineno, _, fields in records]
 
 
 def parse_rock_melody_file(path: str | Path) -> list[int]:
@@ -304,11 +280,11 @@ def parse_rock_melody_file(path: str | Path) -> list[int]:
 
 
 def serialize_chorale(chorale: AnnotatedChorale) -> str:
-    lines = [f"id: {chorale.id}", f"mode: {chorale.mode}"]
-    for beat, key, chord in chorale.events:
-        lines.append(f"{beat.beat_index} | notes={_format_note_list(beat.notes)}"
-                     f" | key={key.to_string()} | roman={chord.to_string()}")
-    return "\n".join(lines) + "\n"
+    return _format_records(
+        (("id", chorale.id), ("mode", chorale.mode)),
+        ((("notes", _format_note_list(beat.notes)), ("key", key.to_string()),
+          ("roman", chord.to_string()))
+         for beat, key, chord in chorale.events))
 
 
 def quantize_beats(raw_notes: list[tuple[float, float, int]]) -> list[BeatEvent]:

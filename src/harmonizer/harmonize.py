@@ -24,7 +24,7 @@ from .core import (
     chord_tone_pcs,
     leading_tone_pc,
 )
-from .corpus import _format_duration, _format_note_list
+from .corpus import _format_duration, _format_note_list, _format_records
 from .hmm import HmmModel, decode_key_chord
 
 ALTO_RANGE = (53, 74)    # F3-D5
@@ -325,20 +325,21 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
 def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     """Structured-text score: per beat, the four voices, the decoded key and
     numeral, and any violations charged at that beat."""
-    lines = [f"id: {title}", f"penalty: {_format_duration(h.penalty)}"]
     by_beat: dict[int, list[Violation]] = {}
     for v in h.violation_log:
         by_beat.setdefault(v.beat_index, []).append(v)
     voices = h.voice_lines()
+    records = []
     for t in range(len(h.soprano)):
-        parts = [str(t)]
-        for name in ("soprano", "alto", "tenor", "bass"):
-            parts.append(f"{name}={_format_note_list(voices[name][t])}")
-        parts.append(f"key={h.annotation.keys[t].to_string()}")
-        parts.append(f"roman={h.annotation.chords[t].to_string()}")
+        fields = [("soprano", _format_note_list(voices["soprano"][t])),
+                  ("alto", _format_note_list(voices["alto"][t])),
+                  ("tenor", _format_note_list(voices["tenor"][t])),
+                  ("bass", _format_note_list(voices["bass"][t])),
+                  ("key", h.annotation.keys[t].to_string()),
+                  ("roman", h.annotation.chords[t].to_string())]
         if t in by_beat:
-            entries = ";".join(f"{v.rule}:{_format_duration(v.weight)}"
-                               for v in by_beat[t])
-            parts.append(f"violations={entries}")
-        lines.append(" | ".join(parts))
-    return "\n".join(lines) + "\n"
+            fields.append(("violations", ";".join(
+                f"{v.rule}:{_format_duration(v.weight)}" for v in by_beat[t])))
+        records.append(fields)
+    return _format_records(
+        (("id", title), ("penalty", _format_duration(h.penalty))), records)

@@ -18,14 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MODES,
     KeyLabel,
     MelodyLine,
+    MusicError,
     ProgressionAnnotation,
     RomanChord,
     all_keys,
     is_retrogressive,
     transposed_degree,
 )
+from .corpus import GENRES, chord_observation_sequences, key_observation_sequences
 
 MASK_EPSILON = 1e-6
 DEFAULT_ALPHA = 0.01
@@ -290,8 +293,6 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     rock. Key states are the full 24-key alphabet; chord states are the
     labels observed in the corpus, sorted.
     """
-    from .corpus import chord_observation_sequences, key_observation_sequences
-
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
     key_states = tuple(k.to_string() for k in all_keys())
@@ -367,12 +368,18 @@ def _alphabet(doc: dict, layer: str, name: str) -> tuple:
     return tuple(labels)
 
 
-def _model_from_dict(doc, layer: str) -> HmmModel:
+def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     """The saved form of one model layer, checked here so that a malformed
-    file fails at load time, naming the field, not inside a decode."""
+    file fails at load time, naming the field, not inside a decode. Every
+    state must parse with `state_label`."""
     if not isinstance(doc, dict):
         raise HmmError(f"{layer} is not an object")
     states = _alphabet(doc, layer, "states")
+    for label in states:
+        try:
+            state_label(label)
+        except MusicError as exc:
+            raise HmmError(f"{layer}.states: {exc}")
     observations = _alphabet(doc, layer, "observations")
     S, O = len(states), len(observations)
     mask = doc.get("mask")
@@ -407,16 +414,36 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
     return out
 
 
+def _check_bundle_fields(doc: dict):
+    """The bundle fields beside the two layers, checked like the layers."""
+    if doc["genre"] not in GENRES:
+        raise HmmError(f"genre is not one of {list(GENRES)}: {doc['genre']!r}")
+    modes = MODES + ("mixed",)
+    if doc["mode"] not in modes:
+        raise HmmError(f"mode is not one of {list(modes)}: {doc['mode']!r}")
+    counts = doc["chord_counts"]
+    if not isinstance(counts, dict) or not all(
+            type(n) is int and n >= 0 for n in counts.values()):
+        raise HmmError("chord_counts is not an object of non-negative integer counts")
+    rates = doc.get("ornament_rates")
+    if rates is not None and (not isinstance(rates, dict) or not all(
+            type(p) in (int, float) and 0 <= p <= 1 for p in rates.values())):
+        raise HmmError("ornament_rates is not an object of probabilities in [0, 1]")
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != "key-chord-models":
         raise HmmError(f"{path}: not a model file")
     try:
+        _check_bundle_fields(doc)
         return ModelBundle(
             genre=doc["genre"],
             mode=doc["mode"],
-            key_model=_model_from_dict(doc["key_model"], "key_model"),
-            chord_model=_model_from_dict(doc["chord_model"], "chord_model"),
+            key_model=_model_from_dict(doc["key_model"], "key_model",
+                                       KeyLabel.from_string),
+            chord_model=_model_from_dict(doc["chord_model"], "chord_model",
+                                         RomanChord.from_string),
             chord_counts=dict(doc["chord_counts"]),
             ornament_rates=doc.get("ornament_rates"),
         )

@@ -20,6 +20,7 @@ from .core import (
     RomanChord,
     chord_tone_pcs,
 )
+from .corpus import _format_records
 from .hmm import HmmModel, decode_key_chord
 
 BEATS_PER_MEASURE = 4
@@ -32,22 +33,6 @@ PATTERNS = ("arpeggio", "block")
 
 # (onset_in_beats, duration_in_beats, midi)
 NoteEvent = tuple[float, float, int]
-
-
-@dataclass(frozen=True)
-class RockMeasure:
-    """One measure of a rock analysis: absolute key, chord root and melody
-    pitch classes."""
-
-    key_pc: int
-    numeral_root_pc: int
-    melody_degree_pc: int
-
-    def __post_init__(self):
-        for name in ("key_pc", "numeral_root_pc", "melody_degree_pc"):
-            value = getattr(self, name)
-            if not 0 <= value <= 11:
-                raise MusicError(f"{name} out of range 0-11: {value}")
 
 
 @dataclass
@@ -63,12 +48,10 @@ class AccompanimentScore:
 
 def harmonize_rock(key_model: HmmModel, chord_model: HmmModel,
                    melody_measures, method: str = "viterbi") -> list[tuple[int, str]]:
-    """Decode one (key pitch class, numeral) pair per measure. Measures may
-    be given as melody pitch classes or as RockMeasure records."""
-    degrees = [m.melody_degree_pc if isinstance(m, RockMeasure) else int(m)
-               for m in melody_measures]
-    events = tuple(BeatEvent(i, ((Pitch(60 + pc), 1.0),))
-                   for i, pc in enumerate(degrees))
+    """Decode one (key pitch class, numeral) pair per measure from the
+    melody pitch class of each measure."""
+    events = tuple(BeatEvent(i, ((Pitch(60 + int(pc)), 1.0),))
+                   for i, pc in enumerate(melody_measures))
     melody = MelodyLine(events)
     annotation = decode_key_chord(key_model, chord_model, melody, method)
     return [(k.tonic_pc, c.to_string())
@@ -132,7 +115,6 @@ def render_accompaniment(progression: list[tuple[int, str]],
 
 def to_progression_document(progression: list[tuple[int, str]],
                             title: str = "rock-harmonization") -> str:
-    lines = [f"id: {title}"]
-    for i, (key_pc, numeral) in enumerate(progression):
-        lines.append(f"{i} | key_pc={key_pc} | roman={numeral}")
-    return "\n".join(lines) + "\n"
+    return _format_records((("id", title),),
+                           ((("key_pc", str(key_pc)), ("roman", numeral))
+                            for key_pc, numeral in progression))

@@ -285,6 +285,12 @@ def _negative_cell(doc):
     row[0] = -0.5
 
 
+def _set_state(layer, label):
+    def damage(doc):
+        doc[layer]["states"][0] = label
+    return damage
+
+
 def _duplicate_state(doc):
     states = doc["key_model"]["states"]
     states[1] = states[0]
@@ -311,11 +317,21 @@ def _duplicate_state(doc):
     (lambda doc: doc["chord_model"].update(states=[]), "chord_model.states"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=None),
      "key_model.smoothing_alpha"),
+    (lambda doc: doc.update(chord_counts=5), "chord_counts"),
+    (lambda doc: doc.update(ornament_rates=5), "ornament_rates"),
+    (lambda doc: doc.update(ornament_rates={"p_passing": "x"}), "ornament_rates"),
+    (lambda doc: doc.update(genre=5), "genre"),
+    (lambda doc: doc.update(mode="dorian"), "mode"),
+    (_set_state("key_model", ""), "key_model.states"),
+    (_set_state("key_model", 5), "key_model.states"),
+    (_set_state("chord_model", "X"), "chord_model.states"),
 ], ids=["key-layer-null", "chord-layer-list", "transition-row-cut",
         "transition-ragged", "emission-column-cut", "initial-short",
         "states-short", "transition-nan", "emission-inf", "transition-negative",
         "emission-row-sum", "transition-string-cell", "mask-row-cut",
-        "duplicate-state", "no-states", "alpha-null"])
+        "duplicate-state", "no-states", "alpha-null", "chord-counts-int",
+        "ornament-rates-int", "ornament-rate-str", "genre-int", "mode-unknown",
+        "key-state-empty", "key-state-int", "chord-state-not-roman"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
                                  damage, field):
     doc = json.loads(trained_model.read_text())
@@ -344,6 +360,53 @@ def test_undecodable_text_file_exits_2(capsys, tmp_path, trained_model,
                  "--config", str(paths["config"])])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _assert_input_error(capsys, code, where):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+
+def test_non_finite_duration_exits_2(capsys, tmp_path, trained_model):
+    melody = tmp_path / "nan.txt"
+    melody.write_text("0 | notes=72:1\n1 | notes=72:nan\n2 | notes=72:1\n")
+    _assert_input_error(capsys, main(["harmonize", "--model", str(trained_model),
+                                      "--melody", str(melody),
+                                      "--out-midi", str(tmp_path / "nan.mid")]),
+                        f"{melody}:2")
+    _assert_input_error(capsys, main(["analyze", "--model", str(trained_model),
+                                      "--melody", str(melody)]),
+                        f"{melody}:2")
+
+
+def test_empty_key_in_corpus_exits_2(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    piece = corpus / "piece.txt"
+    piece.write_text("id: tiny\nmode: major\n0 | notes=72:1 | key=C | roman=I\n"
+                     "1 | notes=74:1 | key= | roman=V\n"
+                     "2 | notes=72:1 | key=C | roman=I\n")
+    _assert_input_error(capsys, main(["train", "--corpus", str(corpus),
+                                      "--out", str(tmp_path / "m.json")]),
+                        f"{piece}:4: unknown key label")
+
+
+@pytest.mark.parametrize("record,message", [
+    ("1 | melody_degree_pc=12", "melody_degree_pc out of range 0-11: 12"),
+    ("1 | melody_degree_pc=-1", "melody_degree_pc out of range 0-11: -1"),
+    ("1 | melody_degree_pc=E", "melody_degree_pc must be an integer: 'E'"),
+    ("2 | melody_degree_pc=4", "measure index 2 out of order, expected 1"),
+    ("1 | key_pc=4", "missing fields: ['melody_degree_pc']"),
+], ids=["above-11", "negative", "not-integer", "out-of-order", "missing"])
+def test_bad_rock_melody_exits_2(capsys, tmp_path, trained_rock_model,
+                                 record, message):
+    melody = tmp_path / "tune.txt"
+    melody.write_text(f"id: tune\n0 | melody_degree_pc=0\n{record}\n"
+                      "2 | melody_degree_pc=7\n")
+    _assert_input_error(capsys, main(["harmonize", "--model", str(trained_rock_model),
+                                      "--melody", str(melody)]),
+                        f"{melody}:3: {message}")
 
 
 def test_alpha_flag_changes_model(tmp_path, data_dir):

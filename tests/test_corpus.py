@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from harmonizer.corpus import (
     quantize_beats,
     serialize_chorale,
     transpose_to_reference,
+    _format_records,
+    _records,
 )
 
 VALID_CHORALE = """\
@@ -96,6 +100,23 @@ def test_parse_serialize_parse_fixed_point(chorale_corpus):
         again = parse_chorale_text(text, ch.id)
         assert again == ch
         assert serialize_chorale(again) == text
+
+
+_NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
+# values may hold ":", "=" and "#", but not "|" or a line break; the reader
+# strips the spaces around them
+_VALUES = st.text(string.ascii_letters + string.digits + " #:=.,;-",
+                  max_size=12).map(str.strip)
+
+
+@given(header=st.dictionaries(_NAMES, _VALUES, max_size=3),
+       records=st.lists(st.dictionaries(_NAMES, _VALUES, max_size=4),
+                        min_size=1, max_size=5))
+def test_written_records_read_back(header, records):
+    text = _format_records(header.items(), [fields.items() for fields in records])
+    got_header, got = _records(text, "t.txt", "beat")
+    assert got_header == header
+    assert [(index, fields) for _, index, fields in got] == list(enumerate(records))
 
 
 def test_melody_schema_ignores_annotation_columns():

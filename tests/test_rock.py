@@ -1,9 +1,9 @@
 import pytest
 
 from harmonizer.core import MusicError
+from harmonizer.corpus import CorpusError, parse_rock_melody_text, parse_rock_text
 from harmonizer.rock import (
     AccompanimentScore,
-    RockMeasure,
     harmonize_rock,
     render_accompaniment,
     to_progression_document,
@@ -13,19 +13,17 @@ from oracles import brute_force_viterbi
 
 
 def test_rock_measure_range_validation():
-    RockMeasure(0, 7, 11)
-    with pytest.raises(MusicError):
-        RockMeasure(12, 0, 0)
-    with pytest.raises(MusicError):
-        RockMeasure(0, -1, 0)
-
-
-def test_harmonize_accepts_measure_records(rock_bundle):
-    pcs = [0, 4, 7, 0]
-    records = [RockMeasure(0, 0, pc) for pc in pcs]
-    assert harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                          records) == \
-        harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model, pcs)
+    def measures(key_pc, root_pc, melody_pc):
+        return ("0 | key_pc=0 | roman_root_pc=0 | melody_degree_pc=0\n"
+                f"1 | key_pc={key_pc} | roman_root_pc={root_pc}"
+                f" | melody_degree_pc={melody_pc}\n")
+    assert len(parse_rock_text(measures(0, 7, 11)).events) == 2
+    assert parse_rock_melody_text(measures(0, 7, 11)) == [0, 11]
+    for bad in ((12, 0, 0), (0, -1, 0), (0, 0, 12)):
+        with pytest.raises(CorpusError, match="out of range 0-11"):
+            parse_rock_text(measures(*bad), "r.txt")
+    with pytest.raises(CorpusError, match="r.txt:2: melody_degree_pc out of range"):
+        parse_rock_melody_text(measures(0, 0, -1), "r.txt")
 
 
 def test_rock_vocabulary_is_corpus_derived(rock_bundle):
