@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -125,6 +126,17 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
+def _smoothing_alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def cmd_train(args) -> int:
     started = time.perf_counter()
     corpus = parse_corpus(args.corpus, args.genre)
@@ -172,6 +184,14 @@ def _rock_progression(bundle: ModelBundle, melody_path: str, method: str):
                                    degrees, method)
 
 
+def _warn_masked_transitions(chord_model, chords) -> None:
+    """One warning line per decoded chord pair that crosses a masked
+    transition; posterior decoding can produce them."""
+    names = {chord: chord.to_string() for chord in set(chords)}
+    for t, a, b in masked_pairs(chord_model, [names[c] for c in chords]):
+        print(f"# warning: masked transition {a} -> {b} at beat {t}")
+
+
 def cmd_harmonize(args) -> int:
     cfg = _merge_config(args)
     bundle = load_bundle(args.model)
@@ -206,6 +226,7 @@ def cmd_harmonize(args) -> int:
             print(f"  beat {v.beat_index}: {v.rule} (weight {v.weight:g})")
     else:
         print("  no violations")
+    _warn_masked_transitions(bundle.chord_model, harmonization.annotation.chords)
     print(f"harmonization time: {elapsed:.3f}s")
     return EXIT_OK
 
@@ -225,10 +246,7 @@ def cmd_analyze(args) -> int:
     records = [(("key", key.to_string()), ("roman", chord.to_string()))
                for key, chord in zip(annotation.keys, annotation.chords)]
     print(_format_records((), records), end="")
-    flagged = masked_pairs(bundle.chord_model,
-                           [c.to_string() for c in annotation.chords])
-    for t, a, b in flagged:
-        print(f"# warning: masked transition {a} -> {b} at beat {t}")
+    _warn_masked_transitions(bundle.chord_model, annotation.chords)
     return EXIT_OK
 
 
@@ -268,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genre", choices=GENRES, default="chorale")
     p.add_argument("--mode", choices=MODES, default="major")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--alpha", type=float, default=None, help="smoothing strength")
+    p.add_argument("--alpha", type=_smoothing_alpha, default=None,
+                   help="smoothing strength")
     p.add_argument("--no-mask", action="store_true",
                    help="disable the retrogression mask")
     p.set_defaults(func=cmd_train)

@@ -47,6 +47,20 @@ class MusicError(ValueError):
     """Invalid musical value or label."""
 
 
+# MIDI ticks per beat; every note duration is a whole number of ticks
+PPQ = 480
+
+
+def beats_to_ticks(value: float) -> int:
+    """value beats as a whole number of ticks; MusicError when it falls
+    between ticks."""
+    ticks = round(value * PPQ)
+    if abs(value * PPQ - ticks) > 1e-6:
+        raise MusicError(f"duration {value} beats is not a whole number of"
+                         f" 1/{PPQ}-beat ticks")
+    return int(ticks)
+
+
 @dataclass(frozen=True, order=True)
 class Pitch:
     """MIDI pitch, integer semitones with middle C = 60."""

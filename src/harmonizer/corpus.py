@@ -29,12 +29,14 @@ from pathlib import Path
 from .core import (
     MAJOR,
     MODES,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
     MusicError,
     Pitch,
     RomanChord,
+    beats_to_ticks,
     transposed_degree,
     triadic_numeral_for_root,
 )
@@ -99,9 +101,15 @@ def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[Pitch, fl
             continue
         try:
             pitch_s, dur_s = item.split(":")
-            notes.append((Pitch(int(pitch_s)), float(dur_s)))
+            pitch, duration = Pitch(int(pitch_s)), float(dur_s)
+            # durations outside (0, 1] are left to BeatEvent, which rejects
+            # them as non-positive, non-finite or overfilling the beat
+            if 0 < duration <= 1 and beats_to_ticks(duration) < 1:
+                raise MusicError(f"duration {duration} beats is shorter than"
+                                 f" one 1/{PPQ}-beat tick")
         except (ValueError, MusicError) as exc:
             raise CorpusError(f"bad note entry {item!r}: {exc}", source, line)
+        notes.append((pitch, duration))
     if not notes:
         raise CorpusError("empty note list", source, line)
     return tuple(notes)

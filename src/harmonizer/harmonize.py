@@ -240,29 +240,72 @@ def _atb_violation_count(prev: Arrangement, cur: Arrangement) -> int:
     return len(hits)
 
 
-def chain_arrangements(candidates_per_beat, seed: Arrangement) -> list[Arrangement]:
-    """Greedy left-to-right chaining from a first-beat arrangement: each
-    step takes the candidate nearest in Euclidean distance, breaking ties
-    by fewest horizontal-rule violations against the predecessor, then by
+def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
+    """Position of the candidate nearest prev in Euclidean distance, ties
+    broken by fewest horizontal-rule violations against prev, then by
     lexicographic order. Violations are counted only for the candidates
     tied at the least distance."""
-    chain = [seed]
-    prev = seed
+    distances = [_squared_distance(prev, c) for c in candidates]
+    nearest = min(distances)
+    tied = [i for i, d in enumerate(distances) if d == nearest]
+    if len(tied) == 1:
+        return tied[0]
+    return min(tied, key=lambda i: (_atb_violation_count(prev, candidates[i]),
+                                    candidates[i].sort_key()))
+
+
+def chain_arrangements(candidates_per_beat,
+                       seeds: list[Arrangement]) -> list[list[Arrangement]]:
+    """Greedy left-to-right chaining from each first-beat arrangement in
+    seeds, one chain per seed, each step taking `_greedy_step` from the
+    previous arrangement.
+
+    A step depends only on the previous arrangement, so chains that reach
+    the same arrangement at some beat coincide from there on. The chains
+    grow together: for distinct seeds, the step from each distinct previous
+    arrangement at each beat is taken once, and a chain that meets an
+    earlier one takes that chain's remainder."""
+    grown = [[seed] for seed in seeds]
+    heads = [(seed, index) for index, seed in enumerate(seeds)]
+    joins = {}          # chain index -> (beat, index of the chain it joins)
     for t in range(1, len(candidates_per_beat)):
         candidates = candidates_per_beat[t]
         if not candidates:
             raise InfeasibleHarmonizationError(t)
-        distances = [_squared_distance(prev, c) for c in candidates]
-        nearest = min(distances)
-        tied = [c for c, d in zip(candidates, distances) if d == nearest]
-        if len(tied) == 1:
-            best = tied[0]
+        taken = {}      # candidate position -> index of the first chain there
+        for prev, index in heads:
+            position = _greedy_step(prev, candidates)
+            if position in taken:
+                joins[index] = (t, taken[position])
+            else:
+                taken[position] = index
+                grown[index].append(candidates[position])
+        heads = [(candidates[position], index) for position, index in taken.items()]
+    chains = []
+    for index, chain in enumerate(grown):
+        if index in joins:
+            t, earlier = joins[index]
+            chain = chain[:t] + chains[earlier][t:]
+        chains.append(chain)
+    return chains
+
+
+def _first_shared_beat(chain: list[Arrangement],
+                       earlier: list[Arrangement]) -> int | None:
+    """The first beat from which two greedy chains over the same candidates
+    coincide, or None. Chains equal at one beat are equal at every later
+    beat, so the beats where they agree form a suffix and a binary search
+    finds its start."""
+    if chain[-1] != earlier[-1]:
+        return None
+    lo, hi = 0, len(chain) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if chain[mid] == earlier[mid]:
+            hi = mid
         else:
-            best = min(tied, key=lambda c: (_atb_violation_count(prev, c),
-                                            c.sort_key()))
-        chain.append(best)
-        prev = best
-    return chain
+            lo = mid + 1
+    return lo
 
 
 def score_arrangements(melody: MelodyLine,
@@ -310,13 +353,28 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
         if not candidates:
             raise InfeasibleHarmonizationError(t, chord.to_string())
         candidates_per_beat.append(candidates)
+    chains = chain_arrangements(candidates_per_beat,
+                                candidates_per_beat[0][:max_seeds])
+    # a chain that meets an earlier one is scored only up to the meeting
+    # beat; violations after it are the earlier chain's, and the weights
+    # are integers, so the penalty stays exact in any summation order
+    logs = []
     best = None
-    for index, seed in enumerate(candidates_per_beat[0][:max_seeds]):
-        chain = chain_arrangements(candidates_per_beat, seed)
-        penalty, log = score_arrangements(melody, chain)
-        if best is None or (penalty, index) < (best[0], best[1]):
-            best = (penalty, index, chain, log)
-    penalty, _, chain, log = best
+    for index, chain in enumerate(chains):
+        meets = [(beat, j) for j in range(index)
+                 if (beat := _first_shared_beat(chain, chains[j])) is not None]
+        if meets:
+            beat, j = min(meets)
+            penalty, log = score_arrangements(melody, chain[:beat + 1])
+            shared = [v for v in logs[j] if v.beat_index > beat]
+            log += shared
+            penalty += sum(v.weight for v in shared)
+        else:
+            penalty, log = score_arrangements(melody, chain)
+        logs.append(log)
+        if best is None or penalty < best[0]:
+            best = (penalty, chain, log)
+    penalty, chain, log = best
     return Harmonization(soprano=melody, arrangements=chain,
                          annotation=annotation, penalty=penalty,
                          violation_log=log)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,8 +104,8 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
     observations = tuple(observations)
     if not sequences:
         raise HmmError("empty training set")
-    if alpha < 0:
-        raise HmmError(f"smoothing alpha must be non-negative: {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise HmmError(f"smoothing alpha must be finite and non-negative: {alpha}")
     s_index = {s: i for i, s in enumerate(states)}
     o_index = {o: i for i, o in enumerate(observations)}
     S, O = len(states), len(observations)
@@ -270,8 +271,8 @@ def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
     """Two-stage decode: keys from the melody pitch classes, then chords
     from the melody transposed against the decoded keys."""
     melody_pcs = [p.pitch_class for p in melody.representatives()]
-    key_labels = decode(key_model, melody_pcs, method)
-    keys = tuple(KeyLabel.from_string(k) for k in key_labels)
+    keys = tuple(_parse_each(decode(key_model, melody_pcs, method),
+                             KeyLabel.from_string))
     chords = decode_chords_given_keys(chord_model, melody, keys, method)
     return ProgressionAnnotation(keys, tuple(chords))
 
@@ -281,8 +282,15 @@ def decode_chords_given_keys(chord_model: HmmModel, melody: MelodyLine,
     """Chord stage alone, with the key sequence supplied by the caller."""
     deltas = [transposed_degree(p, k)
               for p, k in zip(melody.representatives(), keys)]
-    chord_labels = decode(chord_model, deltas, method)
-    return [RomanChord.from_string(c) for c in chord_labels]
+    return _parse_each(decode(chord_model, deltas, method),
+                       RomanChord.from_string)
+
+
+def _parse_each(labels, parse) -> list:
+    """parse applied to every decoded label, each distinct label parsed
+    once; equal labels share one parsed object."""
+    parsed = {label: parse(label) for label in dict.fromkeys(labels)}
+    return [parsed[label] for label in labels]
 
 
 def train_key_chord_models(corpus, mask_enabled: bool | None = None,

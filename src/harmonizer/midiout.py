@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RomanChord, functional_group
+from .core import PPQ, RomanChord, beats_to_ticks, functional_group
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
 from .rock import BEATS_PER_MEASURE, AccompanimentScore
 
-PPQ = 480
 VELOCITY = 80
 CHORALE_TEMPO = 80
 ROCK_TEMPO = 120
@@ -74,13 +73,6 @@ def _meta_track(tempo_bpm: int) -> list[tuple[int, int, bytes]]:
     ]
 
 
-def _beats_to_ticks(value: float) -> int:
-    ticks = round(value * PPQ)
-    if abs(value * PPQ - ticks) > 1e-6:
-        raise ValueError(f"duration {value} beats is not tick-exact")
-    return int(ticks)
-
-
 def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int]]]:
     """SATB note lists as (onset_tick, duration_tick, pitch)."""
     voices = h.voice_lines()
@@ -90,7 +82,7 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
         for beat_index, beat in enumerate(voices[name]):
             cursor = beat_index * PPQ
             for pitch, fraction in beat:
-                duration = _beats_to_ticks(fraction)
+                duration = beats_to_ticks(fraction)
                 notes.append((cursor, duration, pitch.midi))
                 cursor += duration
         out.append(notes)
@@ -110,8 +102,8 @@ def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int,
         for i, measure in enumerate(measures):
             base = i * measure_ticks
             for onset, duration, pitch in measure:
-                notes.append((base + _beats_to_ticks(onset),
-                              _beats_to_ticks(duration), pitch))
+                notes.append((base + beats_to_ticks(onset),
+                              beats_to_ticks(duration), pitch))
         tracks.append((name, channel, notes))
     return tracks
 

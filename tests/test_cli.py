@@ -3,8 +3,10 @@ import json
 import pytest
 
 from harmonizer.cli import main
+from harmonizer.corpus import _format_note_list, _format_records
 
 from smf_reader import read_midi
+from test_harmonize import _concatenated
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +382,35 @@ def test_non_finite_duration_exits_2(capsys, tmp_path, trained_model):
                         f"{melody}:2")
 
 
+@pytest.mark.parametrize("notes,message", [
+    ("72:0.001,74:0.999", "not a whole number of 1/480-beat ticks"),
+    ("72:1e-300,74:1", "shorter than one 1/480-beat tick"),
+    ("72:0.333333,74:0.333333,76:0.333334", "not a whole number of 1/480-beat ticks"),
+], ids=["between-ticks", "below-one-tick", "rounded-triplet"])
+def test_off_grid_duration_exits_2(capsys, tmp_path, trained_model, notes,
+                                   message):
+    melody = tmp_path / "grid.txt"
+    melody.write_text(f"0 | notes=72:1\n1 | notes={notes}\n2 | notes=72:1\n")
+    _assert_input_error(capsys, main(["harmonize", "--model", str(trained_model),
+                                      "--melody", str(melody),
+                                      "--out-midi", str(tmp_path / "grid.mid")]),
+                        f"{melody}:2: bad note entry")
+    _assert_input_error(capsys, main(["analyze", "--model", str(trained_model),
+                                      "--melody", str(melody)]), message)
+
+
+def test_one_tick_duration_is_written(tmp_path, trained_model):
+    melody = tmp_path / "tick.txt"
+    melody.write_text(f"0 | notes=72:1\n1 | notes=72:{1 / 480!r},74:{479 / 480!r}\n"
+                      "2 | notes=72:1\n")
+    out = tmp_path / "tick.mid"
+    assert main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(melody), "--out-midi", str(out)]) == 0
+    soprano = read_midi(out).tracks[1].notes
+    assert [(pitch, onset, duration) for pitch, onset, duration, _ in soprano] == [
+        (72, 0, 480), (72, 480, 1), (74, 481, 479), (72, 960, 480)]
+
+
 def test_empty_key_in_corpus_exits_2(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -416,6 +447,36 @@ def test_alpha_flag_changes_model(tmp_path, data_dir):
     assert main(["train", "--corpus", str(data_dir / "chorales"),
                  "--mode", "major", "--out", str(b), "--alpha", "1.0"]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "x"])
+def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
+    out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(data_dir / "chorales"), "--out", str(out),
+              "--alpha", alpha])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected a finite non-negative number" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_harmonize_warns_on_masked_transitions_like_analyze(
+        capsys, tmp_path, trained_model, fixture_melodies):
+    # no posterior decode of a single fixture melody crosses the mask; the
+    # 20 melodies as one line do
+    melody = tmp_path / "all.txt"
+    melody.write_text(_format_records((), [
+        (("notes", _format_note_list(ev.notes)),)
+        for ev in _concatenated(fixture_melodies).events]))
+    warnings = []
+    for command in ("analyze", "harmonize"):
+        assert main([command, "--model", str(trained_model), "--melody",
+                     str(melody), "--method", "posterior"]) == 0
+        warnings.append([line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("# warning")])
+    assert "# warning: masked transition IV -> I6 at beat 74" in warnings[0]
+    assert warnings[1] == warnings[0]
 
 
 def test_no_mask_flag_drops_mask(tmp_path, data_dir):

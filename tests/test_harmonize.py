@@ -151,7 +151,7 @@ def test_chain_picks_zero_distance_candidate():
     seed = arr(64, 55, 48)
     same = arr(64, 55, 48)
     other = arr(72, 64, 55)
-    chain = chain_arrangements([[seed], [other, same]], seed)
+    [chain] = chain_arrangements([[seed], [other, same]], [seed])
     assert chain == [seed, same]
 
 
@@ -159,7 +159,7 @@ def test_chain_hand_computed_distances():
     seed = arr(64, 55, 48)
     near = arr(65, 57, 50)   # squared distance 1+4+4 = 9
     far = arr(60, 52, 43)    # squared distance 16+9+25 = 50
-    chain = chain_arrangements([[seed], [far, near]], seed)
+    [chain] = chain_arrangements([[seed], [far, near]], [seed])
     assert chain[1] == near
 
 
@@ -170,7 +170,7 @@ def test_chain_tie_broken_by_horizontal_violations():
     seed = arr(60, 55, 48)
     parallel = arr(58, 55, 46)   # squared distance 8, parallel octaves
     clean = arr(62, 57, 48)      # squared distance 8, no violations
-    chain = chain_arrangements([[seed], [parallel, clean]], seed)
+    [chain] = chain_arrangements([[seed], [parallel, clean]], [seed])
     assert chain[1] == clean
     # sanity: the violating candidate would win a pure lexicographic tie
     assert parallel.sort_key() < clean.sort_key()
@@ -179,7 +179,7 @@ def test_chain_tie_broken_by_horizontal_violations():
 def test_chain_raises_on_empty_beat():
     seed = arr(64, 55, 48)
     with pytest.raises(InfeasibleHarmonizationError):
-        chain_arrangements([[seed], []], seed)
+        chain_arrangements([[seed], []], [seed])
 
 
 # --- penalties ----------------------------------------------------------------
@@ -295,16 +295,17 @@ def _concatenated(fixture_melodies) -> MelodyLine:
     return MelodyLine(tuple(BeatEvent(i, n) for i, n in enumerate(notes)))
 
 
-def _assert_matches_greedy_oracle(melody, annotation):
-    h = voice_progression(melody, annotation)
+def _assert_matches_greedy_oracle(melody, annotation, max_seeds=None):
+    h = voice_progression(melody, annotation, max_seeds)
     candidates = [enumerate_arrangements(key, chord, soprano)
                   for key, chord, soprano in zip(annotation.keys,
                                                  annotation.chords,
                                                  melody.representatives())]
     arrangements, penalty = greedy_voicing(
-        candidates, [p.midi for p in melody.representatives()])
+        candidates, [p.midi for p in melody.representatives()], max_seeds)
     assert h.arrangements == arrangements
     assert h.penalty == penalty
+    assert h.violation_log == score_arrangements(h.soprano, h.arrangements)[1]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -347,6 +348,106 @@ def test_enumeration_runs_once_per_distinct_input_per_call(
     second = voice_progression(melody, annotation)
     assert sorted(calls) == sorted(distinct)
     assert second.arrangements == first.arrangements
+
+
+# --- chains grown together ----------------------------------------------------
+
+ORACLE_KEYS = (C_MAJOR, KeyLabel(7, MAJOR), KeyLabel(9, MINOR))
+
+
+@pytest.fixture(scope="module")
+def feasible_beats():
+    """Every (key, chord, soprano) with at least one arrangement, over a few
+    keys, the oracle chords and sopranos C4-G5."""
+    beats = []
+    for key in ORACLE_KEYS:
+        for roman in ORACLE_CHORDS:
+            chord = RomanChord.from_string(roman)
+            for soprano in range(60, 80):
+                if enumerate_arrangements(key, chord, Pitch(soprano)):
+                    beats.append((key, chord, Pitch(soprano)))
+    return beats
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shared_chains_match_greedy_oracle(data, feasible_beats):
+    beats = data.draw(st.lists(st.sampled_from(feasible_beats),
+                               min_size=1, max_size=30))
+    max_seeds = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+    keys, chords, sopranos = zip(*beats)
+    melody = MelodyLine(tuple(BeatEvent(i, ((p, 1.0),))
+                              for i, p in enumerate(sopranos)))
+    _assert_matches_greedy_oracle(melody, ProgressionAnnotation(keys, chords),
+                                  max_seeds)
+
+
+def _voice_lattice(monkeypatch, lattice, soprano=76) -> Harmonization:
+    """voice_progression over a hand-built lattice, one candidate list per
+    beat, checked against the greedy oracle."""
+    beats = iter(lattice)
+    monkeypatch.setattr(harmonize, "enumerate_arrangements",
+                        lambda key, chord, soprano: next(beats))
+    n = len(lattice)
+    melody = melody_from_midi([soprano] * n)
+    h = voice_progression(melody, ProgressionAnnotation(
+        (C_MAJOR,) * n, tuple(RomanChord(t + 1, "major") for t in range(n))))
+    assert (h.arrangements, h.penalty) == greedy_voicing(lattice, [soprano] * n)
+    assert h.violation_log == score_arrangements(melody, h.arrangements)[1]
+    return h
+
+
+def test_chains_that_never_meet(monkeypatch):
+    low, high = arr(64, 55, 48), arr(67, 60, 52)
+    low_step, high_step = arr(65, 57, 50), arr(69, 62, 53)
+    lattice = [[low, high], [low_step, high_step], [low, high],
+               [low_step, high_step]]
+    assert chain_arrangements(lattice, lattice[0]) == [
+        [low, low_step, low, low_step], [high, high_step, high, high_step]]
+    _voice_lattice(monkeypatch, lattice)
+
+
+def test_chains_that_meet_at_beat_1(monkeypatch):
+    # both seeds step to the same arrangement, the first with an alto leap
+    # of a minor sixth, so the second chain wins and takes its violations
+    # after beat 1 (an overlap and a leap in the bass) from the first
+    leaping, smooth = arr(72, 57, 48), arr(64, 55, 48)
+    meet, far = arr(64, 55, 43), arr(72, 64, 55)
+    lattice = [[leaping, smooth], [meet, far], [arr(62, 55, 43), far],
+               [arr(60, 52, 56)]]
+    chains = chain_arrangements(lattice, lattice[0])
+    assert chains[0][1] is meet and chains[1][1] is meet
+    assert chains[0][1:] == chains[1][1:]
+    h = _voice_lattice(monkeypatch, lattice)
+    assert h.arrangements[0] is smooth
+    assert {v.rule for v in h.violation_log if v.beat_index == 3} == {
+        "voice_overlap", "leap_over_octave"}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_distinct_chain_step_runs_once_per_call(
+        monkeypatch, major_bundle, fixture_melodies, method):
+    steps = []
+    greedy_step = harmonize._greedy_step
+
+    def counting(prev, candidates):
+        steps.append((id(candidates), prev))
+        return greedy_step(prev, candidates)
+
+    monkeypatch.setattr(harmonize, "_greedy_step", counting)
+    melody = _concatenated(fixture_melodies)
+    annotation = decode_key_chord(major_bundle.key_model,
+                                  major_bundle.chord_model, melody, method)
+    candidates_per_beat = [
+        enumerate_arrangements(key, chord, soprano)
+        for key, chord, soprano in zip(annotation.keys, annotation.chords,
+                                       melody.representatives())]
+    chains = chain_arrangements(candidates_per_beat, candidates_per_beat[0])
+    distinct = {(t, chain[t - 1]) for chain in chains
+                for t in range(1, len(chain))}
+    assert len(chains) > 1 and len(distinct) < len(chains) * (len(melody) - 1)
+    assert sorted(steps, key=repr) == sorted(
+        ((id(candidates_per_beat[t]), prev) for t, prev in distinct), key=repr)
 
 
 @pytest.mark.parametrize("max_seeds", [0, -1])

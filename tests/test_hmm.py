@@ -10,6 +10,7 @@ from harmonizer.core import (
     MelodyLine,
     Pitch,
     RomanChord,
+    transposed_degree,
 )
 from harmonizer.hmm import (
     MASK_EPSILON,
@@ -17,8 +18,10 @@ from harmonizer.hmm import (
     DecodeInfeasibleError,
     HmmError,
     HmmModel,
+    METHODS,
     apply_override,
     build_phrase_mask,
+    decode,
     decode_chords_given_keys,
     decode_key_chord,
     estimate,
@@ -83,6 +86,12 @@ def test_estimate_unseen_label_errors():
         estimate(["A"], [0], [(["A"], [5])])
     with pytest.raises(HmmError):
         estimate(["A"], [0], [])
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_estimate_rejects_non_finite_or_negative_alpha(alpha):
+    with pytest.raises(HmmError, match="smoothing alpha"):
+        estimate(["A"], [0], [(["A", "A"], [0, 0])], alpha=alpha)
 
 
 def test_estimate_is_deterministic():
@@ -271,6 +280,34 @@ def test_chord_stage_shift_invariance(major_bundle, fixture_melodies):
         chords = decode_chords_given_keys(major_bundle.chord_model,
                                           shifted_melody, shifted_keys, "viterbi")
         assert chords == list(ann.chords)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_decode_parses_each_distinct_label_once(monkeypatch, major_bundle,
+                                                fixture_melodies, method):
+    parsed = {KeyLabel: [], RomanChord: []}
+    for cls, calls in parsed.items():
+        def counting(text, parse=cls.from_string, calls=calls):
+            calls.append(text)
+            return parse(text)
+        monkeypatch.setattr(cls, "from_string", staticmethod(counting))
+    repeated = 0
+    for _, melody in fixture_melodies:
+        ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
+                               melody, method)
+        key_labels = decode(major_bundle.key_model,
+                            [p.pitch_class for p in melody.representatives()],
+                            method)
+        deltas = [transposed_degree(p, k)
+                  for p, k in zip(melody.representatives(), ann.keys)]
+        chord_labels = decode(major_bundle.chord_model, deltas, method)
+        repeated += len(set(chord_labels)) < len(melody)
+        assert sorted(parsed[KeyLabel]) == sorted(set(key_labels))
+        assert sorted(parsed[RomanChord]) == sorted(set(chord_labels))
+        assert [c.to_string() for c in ann.chords] == chord_labels
+        for calls in parsed.values():
+            calls.clear()
+    assert repeated > len(fixture_melodies) // 2
 
 
 def test_posterior_method_runs_both_stages(major_bundle, fixture_melodies):
