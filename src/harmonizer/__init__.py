@@ -21,7 +21,6 @@ from .corpus import (
     CorpusError,
     parse_corpus,
     parse_melody_file,
-    quantize_beats,
     transpose_to_reference,
 )
 from .harmonize import (

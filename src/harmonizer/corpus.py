@@ -22,7 +22,6 @@ written by `_format_records`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,9 +41,6 @@ from .core import (
 )
 
 GENRES = ("chorale", "rock")
-
-# finest representable subdivision of a beat
-GRID = 8
 
 
 class CorpusError(ValueError):
@@ -293,42 +289,6 @@ def serialize_chorale(chorale: AnnotatedChorale) -> str:
         ((("notes", _format_note_list(beat.notes)), ("key", key.to_string()),
           ("roman", chord.to_string()))
          for beat, key, chord in chorale.events))
-
-
-def quantize_beats(raw_notes: list[tuple[float, float, int]]) -> list[BeatEvent]:
-    """Group raw (onset, duration, midi) notes, in quarter-note units, into
-    per-beat events. Notes longer than a beat repeat on each beat they span;
-    notes shorter than a beat are grouped within their beat. Onsets and
-    durations must sit on the 1/8-beat grid.
-    """
-    if not raw_notes:
-        raise MusicError("no notes to quantize")
-    for onset, duration, midi in raw_notes:
-        for value, what in ((onset, "onset"), (duration, "duration")):
-            if abs(value * GRID - round(value * GRID)) > 1e-6:
-                raise MusicError(
-                    f"{what} {value} of note {midi} is finer than 1/{GRID} beat")
-        if duration <= 0:
-            raise MusicError(f"non-positive duration for note {midi}")
-    total_end = max(onset + duration for onset, duration, _ in raw_notes)
-    n_beats = math.ceil(round(total_end * GRID) / GRID)
-    events = []
-    for beat in range(int(n_beats)):
-        lo, hi = float(beat), float(beat + 1)
-        pieces = []
-        for onset, duration, midi in sorted(raw_notes):
-            start = max(onset, lo)
-            end = min(onset + duration, hi)
-            if end - start > 1e-9:
-                pieces.append((start, Pitch(midi), end - start))
-        if not pieces:
-            raise MusicError(f"beat {beat} has no sounding note")
-        covered = sum(length for _, _, length in pieces)
-        if abs(covered - 1.0) > 1e-9:
-            raise MusicError(
-                f"beat {beat} is not fully covered: durations sum to {covered}")
-        events.append(BeatEvent(beat, tuple((p, length) for _, p, length in pieces)))
-    return events
 
 
 def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:

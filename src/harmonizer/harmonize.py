@@ -387,14 +387,27 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     for v in h.violation_log:
         by_beat.setdefault(v.beat_index, []).append(v)
     voices = h.voice_lines()
+    # each distinct key, chord and single-note beat is formatted once
+    labels = {value: value.to_string()
+              for value in {*h.annotation.keys, *h.annotation.chords}}
+    note_texts: dict[tuple[int, float], str] = {}
+
+    def notes(beat) -> str:
+        if len(beat) != 1:
+            return _format_note_list(beat)
+        entry = (beat[0][0].midi, beat[0][1])
+        if entry not in note_texts:
+            note_texts[entry] = _format_note_list(beat)
+        return note_texts[entry]
+
     records = []
     for t in range(len(h.soprano)):
-        fields = [("soprano", _format_note_list(voices["soprano"][t])),
-                  ("alto", _format_note_list(voices["alto"][t])),
-                  ("tenor", _format_note_list(voices["tenor"][t])),
-                  ("bass", _format_note_list(voices["bass"][t])),
-                  ("key", h.annotation.keys[t].to_string()),
-                  ("roman", h.annotation.chords[t].to_string())]
+        fields = [("soprano", notes(voices["soprano"][t])),
+                  ("alto", notes(voices["alto"][t])),
+                  ("tenor", notes(voices["tenor"][t])),
+                  ("bass", notes(voices["bass"][t])),
+                  ("key", labels[h.annotation.keys[t]]),
+                  ("roman", labels[h.annotation.chords[t]])]
         if t in by_beat:
             fields.append(("violations", ";".join(
                 f"{v.rule}:{_format_duration(v.weight)}" for v in by_beat[t])))

@@ -478,6 +478,9 @@ def read_transition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         rows = list(csv.reader(fh))
     if not rows:
         raise HmmError(f"{path}: empty matrix file")
+    for line, row in enumerate(rows, start=1):
+        if not row:
+            raise HmmError(f"{path}: line {line}: blank row")
     labels = [cell.strip() for cell in rows[0][1:]]
     matrix = np.zeros((len(rows) - 1, len(labels)))
     row_labels = []

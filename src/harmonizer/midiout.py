@@ -9,6 +9,7 @@ the identical event list.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ DRUM_CHANNEL = 9
 GROUP_ORDER = ("tonic", "predominant", "dominant")
 GROUP_SHORT = {"tonic": "T", "predominant": "PD", "dominant": "D"}
 
+END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])   # zero delta, then the meta event
+
 
 def _var_len(value: int) -> bytes:
     """MIDI variable-length quantity encoding."""
@@ -42,25 +45,36 @@ def _var_len(value: int) -> bytes:
 def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
     """Serialize (tick, order, payload) events into an MTrk chunk with an
     end-of-track marker. Events are sorted by tick, then by the order key
-    so note-offs precede note-ons at the same tick."""
-    body = bytearray()
+    so note-offs precede note-ons at the same tick; the sort is stable, so
+    events with equal (tick, order) keep their list order."""
+    deltas = {}             # one encoding per distinct delta
+    parts = []
     last_tick = 0
-    for tick, _, payload in sorted(events, key=lambda e: (e[0], e[1])):
-        body += _var_len(tick - last_tick)
-        body += payload
+    for tick, _, payload in sorted(events, key=itemgetter(0, 1)):
+        delta = tick - last_tick
+        encoded = deltas.get(delta)
+        if encoded is None:
+            encoded = deltas[delta] = _var_len(delta)
+        parts += (encoded, payload)
         last_tick = tick
-    body += _var_len(0) + bytes([0xFF, 0x2F, 0x00])
-    return b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+    parts.append(END_OF_TRACK)
+    body = b"".join(parts)
+    return b"MTrk" + struct.pack(">I", len(body)) + body
 
 
 def _note_events(notes: list[tuple[int, int, int]], channel: int):
     """(onset_tick, duration_tick, pitch) triples to on/off event tuples."""
+    payloads = {}           # one (on, off) pair per distinct pitch
     events = []
     for onset, duration, pitch in notes:
-        if not 0 <= pitch <= 127:
-            raise ValueError(f"pitch out of MIDI range: {pitch}")
-        events.append((onset, 1, bytes([0x90 | channel, pitch, VELOCITY])))
-        events.append((onset + duration, 0, bytes([0x80 | channel, pitch, 0])))
+        pair = payloads.get(pitch)
+        if pair is None:
+            if not 0 <= pitch <= 127:
+                raise ValueError(f"pitch out of MIDI range: {pitch}")
+            pair = payloads[pitch] = (bytes([0x90 | channel, pitch, VELOCITY]),
+                                      bytes([0x80 | channel, pitch, 0]))
+        events.append((onset, 1, pair[0]))
+        events.append((onset + duration, 0, pair[1]))
     return events
 
 
@@ -73,16 +87,25 @@ def _meta_track(tempo_bpm: int) -> list[tuple[int, int, bytes]]:
     ]
 
 
+def _ticks(value: float, memo: dict[float, int]) -> int:
+    """beats_to_ticks, computed (and checked) once per distinct value."""
+    ticks = memo.get(value)
+    if ticks is None:
+        ticks = memo[value] = beats_to_ticks(value)
+    return ticks
+
+
 def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int]]]:
     """SATB note lists as (onset_tick, duration_tick, pitch)."""
     voices = h.voice_lines()
+    memo = {}
     out = []
     for name in ("soprano", "alto", "tenor", "bass"):
         notes = []
         for beat_index, beat in enumerate(voices[name]):
             cursor = beat_index * PPQ
             for pitch, fraction in beat:
-                duration = beats_to_ticks(fraction)
+                duration = _ticks(fraction, memo)
                 notes.append((cursor, duration, pitch.midi))
                 cursor += duration
         out.append(notes)
@@ -92,6 +115,7 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
 def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int, list]]:
     """(name, channel, notes) per instrument track, melody first."""
     measure_ticks = BEATS_PER_MEASURE * PPQ
+    memo = {}
     tracks = []
     layout = [("melody", 0, score.melody_track), ("bass", 1, score.bass_track),
               ("keys", 2, score.keys_track), ("drums", DRUM_CHANNEL, score.drum_track)]
@@ -102,8 +126,8 @@ def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int,
         for i, measure in enumerate(measures):
             base = i * measure_ticks
             for onset, duration, pitch in measure:
-                notes.append((base + beats_to_ticks(onset),
-                              beats_to_ticks(duration), pitch))
+                notes.append((base + _ticks(onset, memo),
+                              _ticks(duration, memo), pitch))
         tracks.append((name, channel, notes))
     return tracks
 

@@ -43,9 +43,16 @@ def diatonic_between(low: int, high: int, key: KeyLabel) -> int | None:
     """The scale tone strictly between two pitches, preferring the one
     nearest the midpoint (lower on ties); None when the gap has no scale
     tone."""
+    return _scale_tone_between(low, high, diatonic_pcs(key))
+
+
+def diatonic_upper_neighbor(pitch: int, key: KeyLabel) -> int | None:
+    return _upper_scale_tone(pitch, diatonic_pcs(key))
+
+
+def _scale_tone_between(low: int, high: int, pcs: frozenset[int]) -> int | None:
     if low > high:
         low, high = high, low
-    pcs = diatonic_pcs(key)
     inside = [m for m in range(low + 1, high) if m % 12 in pcs]
     if not inside:
         return None
@@ -53,8 +60,7 @@ def diatonic_between(low: int, high: int, key: KeyLabel) -> int | None:
     return min(inside, key=lambda m: (abs(m - midpoint), m))
 
 
-def diatonic_upper_neighbor(pitch: int, key: KeyLabel) -> int | None:
-    pcs = diatonic_pcs(key)
+def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int | None:
     for m in range(pitch + 1, pitch + 4):
         if m % 12 in pcs:
             return m
@@ -110,57 +116,57 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     range or break the vertical order against neighbouring voices are
     skipped silently.
     """
-    keys = h.annotation.keys
     rng = random.Random(cfg.rng_seed)
     n = len(h.soprano)
+    # one scale per distinct key, then per beat
+    scale_of = {key: diatonic_pcs(key) for key in set(h.annotation.keys)}
+    scales = [scale_of[key] for key in h.annotation.keys]
+    passing_tones = {}      # one search per distinct (pitch, next pitch, scale)
     soprano = [ev.representative.midi for ev in h.soprano.events]
     skeleton = {
         "alto": [a.alto.midi for a in h.arrangements],
         "tenor": [a.tenor.midi for a in h.arrangements],
         "bass": [a.bass.midi for a in h.arrangements],
     }
+    # an inserted pitch stays in its voice range, at or below the voice
+    # above and at or above the voice below (the bass has none below)
     above = {"alto": soprano, "tenor": skeleton["alto"], "bass": skeleton["tenor"]}
+    below = {"alto": skeleton["tenor"], "tenor": skeleton["bass"], "bass": [0] * n}
     new_lines = {
         "alto": [list(beat) for beat in h.alto_line],
         "tenor": [list(beat) for beat in h.tenor_line],
         "bass": [list(beat) for beat in h.bass_line],
     }
 
-    def fits(voice, t, pitch) -> bool:
-        lo, hi = dict(_VOICES)[voice]
-        if not lo <= pitch <= hi:
-            return False
-        if pitch > above[voice][t]:
-            return False
-        below = {"alto": skeleton["tenor"], "tenor": skeleton["bass"]}.get(voice)
-        if below is not None and pitch < below[t]:
-            return False
-        return True
-
-    for voice, _ in _VOICES:
+    for voice, (lo, hi) in _VOICES:
         line = new_lines[voice]
         skel = skeleton[voice]
+        ceiling = [min(hi, pitch) for pitch in above[voice]]
+        floor = [max(lo, pitch) for pitch in below[voice]]
         for t in range(n):
             cur = skel[t]
             nxt = skel[t + 1] if t + 1 < n else None
             # passing tone filling a third on the way to the next beat
             if nxt is not None and abs(nxt - cur) in (3, 4):
-                mid = diatonic_between(cur, nxt, keys[t])
-                if mid is not None and fits(voice, t, mid):
+                step = (cur, nxt, scales[t])
+                if step not in passing_tones:
+                    passing_tones[step] = _scale_tone_between(*step)
+                mid = passing_tones[step]
+                if mid is not None and floor[t] <= mid <= ceiling[t]:
                     if rng.random() < cfg.p_passing:
                         line[t] = [(Pitch(cur), 0.5), (Pitch(mid), 0.5)]
                         continue
             # auxiliary tone decorating a repeated pitch
             if nxt is not None and nxt == cur:
-                neighbor = diatonic_upper_neighbor(cur, keys[t])
-                if neighbor is not None and fits(voice, t, neighbor):
+                neighbor = _upper_scale_tone(cur, scales[t])
+                if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
                     if rng.random() < cfg.p_auxiliary:
                         line[t] = [(Pitch(cur), 0.5), (Pitch(neighbor), 0.5)]
                         continue
             # appoggiatura leaning onto a strong beat
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
-                neighbor = diatonic_upper_neighbor(cur, keys[t])
-                if neighbor is not None and fits(voice, t, neighbor):
+                neighbor = _upper_scale_tone(cur, scales[t])
+                if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
                     if rng.random() < cfg.p_appoggiatura:
                         line[t] = [(Pitch(neighbor), 0.5), (Pitch(cur), 0.5)]
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here trades speed for obviousness: exhaustive enumeration over
-hidden sequences, a full lattice filter for chord voicings, and the greedy
-voicing search as a literal loop with every tie-break key computed.
+hidden sequences, a full lattice filter for chord voicings, the greedy
+voicing search as a literal loop with every tie-break key computed, and an
+SMF track encoder that spells out every event.
 """
 
 from __future__ import annotations
@@ -216,3 +217,34 @@ def greedy_voicing(candidates_per_beat, soprano_midis, max_seeds=None):
             best = (penalty, index, chain)
     penalty, _, chain = best
     return [candidates_per_beat[t][j] for t, j in enumerate(chain)], penalty
+
+
+def _variable_length(value: int) -> list[int]:
+    """Base-128 digits of value, most significant first, with bit 7 set on
+    every digit but the last."""
+    digits = [value % 128]
+    while value >= 128:
+        value //= 128
+        digits.insert(0, value % 128)
+    return [d | 0x80 for d in digits[:-1]] + digits[-1:]
+
+
+def smf_note_track(notes, channel: int, velocity: int = 80) -> bytes:
+    """An SMF MTrk chunk for (onset_tick, duration_tick, pitch) notes, one
+    event at a time. Each note becomes a note-on and a note-off. Events go
+    in tick order, a note-off before a note-on at the same tick, and
+    otherwise in the order the notes were given; each is preceded by its
+    delta time from the event before. An end-of-track event closes it."""
+    events = []
+    for index, (onset, duration, pitch) in enumerate(notes):
+        events.append(((onset, 1, 2 * index), [0x90 + channel, pitch, velocity]))
+        events.append(((onset + duration, 0, 2 * index + 1),
+                       [0x80 + channel, pitch, 0]))
+    events.sort(key=lambda event: event[0])
+    body = []
+    now = 0
+    for (tick, _, _), payload in events:
+        body += _variable_length(tick - now) + payload
+        now = tick
+    body += _variable_length(0) + [0xFF, 0x2F, 0x00]
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)

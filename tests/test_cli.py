@@ -179,6 +179,24 @@ def test_override_dimension_mismatch_exits_2(tmp_path, trained_model):
     assert code == 2
 
 
+def test_override_with_blank_row_exits_2(capsys, tmp_path, trained_model):
+    out_dir = tmp_path / "m"
+    assert main(["export", "--model", str(trained_model),
+                 "--out-dir", str(out_dir)]) == 0
+    csv_path = out_dir / "chord_transition.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    capsys.readouterr()
+    code = main(["override", "--model", str(trained_model),
+                 "--transitions", str(csv_path), "--layer", "chord",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{csv_path}: line 4: blank row" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_harmonize_missing_model_exits_4(tmp_path, data_dir):
     code = main(["harmonize", "--model", str(tmp_path / "nope.json"),
                  "--melody", str(data_dir / "melodies" / "m01.txt")])

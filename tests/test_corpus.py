@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from harmonizer.core import (
     MAJOR,
     KeyLabel,
-    MusicError,
-    Pitch,
     transposed_degree,
 )
 from harmonizer.corpus import (
@@ -17,7 +15,6 @@ from harmonizer.corpus import (
     parse_corpus,
     parse_melody_text,
     parse_rock_text,
-    quantize_beats,
     serialize_chorale,
     transpose_to_reference,
     _format_records,
@@ -143,42 +140,6 @@ mode: major
         parse_rock_text(text.replace("melody_degree_pc=9", "melody_degree_pc=12"),
                         "r.txt")
     assert "r.txt:3" in str(err.value)
-
-
-# --- beat quantization ---------------------------------------------------
-
-def test_quantize_whole_note_splits_per_beat():
-    events = quantize_beats([(0.0, 4.0, 60)])
-    assert len(events) == 4
-    for ev in events:
-        assert [p.midi for p, _ in ev.notes] == [60]
-        assert ev.notes[0][1] == pytest.approx(1.0)
-
-
-def test_quantize_groups_sub_beat_notes():
-    events = quantize_beats([(0.0, 0.5, 62), (0.5, 0.5, 64)])
-    assert len(events) == 1
-    assert [(p.midi, d) for p, d in events[0].notes] == [(62, 0.5), (64, 0.5)]
-    assert events[0].representative.midi == 62
-
-
-def test_quantize_rejects_empty_and_fine_grids():
-    with pytest.raises(MusicError):
-        quantize_beats([])
-    with pytest.raises(MusicError):
-        quantize_beats([(0.0, 1.0 / 3.0, 60), (1.0 / 3.0, 2.0 / 3.0, 62)])
-
-
-def test_quantize_rejects_gaps():
-    with pytest.raises(MusicError):
-        quantize_beats([(0.0, 0.5, 60), (0.75, 0.25, 62)])
-
-
-def test_quantize_spanning_note():
-    # one and a half beats then a half: the long note appears on both beats
-    events = quantize_beats([(0.0, 1.5, 60), (1.5, 0.5, 62)])
-    assert len(events) == 2
-    assert [(p.midi, d) for p, d in events[1].notes] == [(60, 0.5), (62, 0.5)]
 
 
 # --- transposition -------------------------------------------------------

@@ -2,12 +2,13 @@
 set of commands, hashed and compared with the digests in golden.json.
 
 The commands train the three fixture models, harmonize and analyze the 20
-fixture melodies with both decoders (ornaments on, seed 7), run the rock
-demo tune through harmonize and analyze, export the major model and
-override its chord layer with the exported CSV. Stdout is hashed with the
-wall-clock `time:` lines removed and the scratch directory replaced by a
-placeholder. There is no update switch: an intended output change edits
-golden.json by hand and says why.
+fixture melodies with both decoders (ornaments on, seed 7), harmonize
+their 191-beat concatenation with both decoders (ornaments on, seeds 7
+and 11), run the rock demo tune through harmonize and analyze, export the
+major model and override its chord layer with the exported CSV. Stdout is
+hashed with the wall-clock `time:` lines removed and the scratch directory
+replaced by a placeholder. There is no update switch: an intended output
+change edits golden.json by hand and says why.
 """
 
 import hashlib
@@ -61,6 +62,24 @@ def compute_digests(tmp_path: Path, data_dir: Path, capsys) -> dict[str, str]:
                  "--out-score", str(harmonized / f"{stem}.score")])
             run(f"analyze/{stem}", ["analyze", "--model", major,
                                     "--melody", str(melody), "--method", method])
+
+    # the 20 fixture melodies as one 191-beat line, ornamented at two seeds:
+    # long output where most ornament sites and writer memo entries repeat
+    records = [line.split(" | ", 1)[1]
+               for melody in sorted((data_dir / "melodies").iterdir())
+               for line in melody.read_text().splitlines()
+               if line[:1].isdigit()]
+    long_melody = tmp_path / "all-melodies.txt"
+    long_melody.write_text("id: all-melodies\n" + "".join(
+        f"{i} | {fields}\n" for i, fields in enumerate(records)))
+    for method in METHODS:
+        for seed in ("7", "11"):
+            stem = f"all-melodies-{method}-seed{seed}"
+            run(f"harmonize/{stem}",
+                ["harmonize", "--model", major, "--melody", str(long_melody),
+                 "--method", method, "--ornaments", "on", "--seed", seed,
+                 "--out-midi", str(harmonized / f"{stem}.mid"),
+                 "--out-score", str(harmonized / f"{stem}.score")])
 
     tune = tmp_path / "rock-demo-melody.txt"
     tune.write_text("id: rock-demo\n" + "\n".join(

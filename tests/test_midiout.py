@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from harmonizer.core import (
     MAJOR,
     BeatEvent,
     KeyLabel,
     MelodyLine,
+    MusicError,
     Pitch,
     ProgressionAnnotation,
     RomanChord,
@@ -14,6 +17,8 @@ from harmonizer.harmonize import Arrangement, Harmonization, harmonize_melody
 from harmonizer.hmm import read_transition_csv
 from harmonizer.midiout import (
     PPQ,
+    _note_events,
+    _track_chunk,
     export_functional_summary,
     export_matrices,
     functional_summary,
@@ -22,6 +27,7 @@ from harmonizer.midiout import (
 from harmonizer.ornament import OrnamentConfig, insert_ornaments
 from harmonizer.rock import render_accompaniment
 
+from oracles import _variable_length, smf_note_track
 from smf_reader import read_midi
 
 
@@ -115,6 +121,86 @@ def test_write_rejects_bad_pitch(tmp_path):
     score.bass_track[0] = [(0.0, 1.0, 400)]
     with pytest.raises(ValueError):
         write_midi(score, tmp_path / "bad.mid")
+
+
+# --- the track encoder against the literal one in tests/oracles.py -------------
+
+def _chunks(data: bytes) -> list[bytes]:
+    """The MTrk chunks of an SMF file, each with its 8-byte chunk header."""
+    chunks, at = [], 14
+    while at < len(data):
+        length = int.from_bytes(data[at + 4:at + 8], "big")
+        chunks.append(data[at:at + 8 + length])
+        at += 8 + length
+    return chunks
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, [0x00]), (0x40, [0x40]), (0x7F, [0x7F]), (0x80, [0x81, 0x00]),
+    (0x2000, [0xC0, 0x00]), (0x3FFF, [0xFF, 0x7F]), (0x4000, [0x81, 0x80, 0x00]),
+    (0x0FFFFFFF, [0xFF, 0xFF, 0xFF, 0x7F])])
+def test_oracle_variable_length_matches_smf_spec(value, expected):
+    assert _variable_length(value) == expected
+
+
+# onsets and durations mix a few common values, which give ties, zero deltas
+# and overlapping notes, with wide ones, which give deltas of 2^14 and more
+_TICKS = st.one_of(st.sampled_from([0, 240, 480, 960]), st.integers(0, 2 ** 22))
+_DURATIONS = st.one_of(st.sampled_from([240, 480]), st.integers(1, 2 ** 21))
+_NOTES = st.lists(st.tuples(_TICKS, _DURATIONS, st.integers(0, 127)), max_size=40)
+
+
+@given(notes=_NOTES, channel=st.integers(0, 15))
+# two chords sharing onsets and offsets, an overlap, an offset meeting an
+# onset, and a gap of 2^14 ticks
+@example(notes=[(0, 480, 60), (0, 480, 64), (240, 480, 67), (480, 240, 60),
+                (480, 240, 64), (720 + 2 ** 14, 480, 72)], channel=2)
+def test_track_bytes_match_literal_encoder(notes, channel):
+    assert _track_chunk(_note_events(notes, channel)) == smf_note_track(notes, channel)
+
+
+def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
+                                                      fixture_melodies):
+    _, melody = fixture_melodies[5]
+    h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
+    ornamented = insert_ornaments(h, OrnamentConfig(1.0, 1.0, 1.0, rng_seed=2))
+    tracks = _chunks(write_midi(ornamented, tmp_path / "orn.mid").read_bytes())
+    voices = ornamented.voice_lines()
+    for channel, name in enumerate(("soprano", "alto", "tenor", "bass")):
+        notes = []
+        for beat_index, beat in enumerate(voices[name]):
+            cursor = beat_index * PPQ
+            for pitch, fraction in beat:
+                notes.append((cursor, int(round(fraction * PPQ)), pitch.midi))
+                cursor += notes[-1][1]
+        assert tracks[1 + channel] == smf_note_track(notes, channel)
+
+
+def test_pitch_check_fires_after_valid_pitches(tmp_path):
+    with pytest.raises(ValueError, match="pitch out of MIDI range: 128"):
+        _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
+                      (1440, 480, 128)], 0)
+    score = render_accompaniment([(0, "I")])
+    score.bass_track[0] = [(0.0, 0.5, 48), (0.5, 0.5, 48), (1.0, 1.0, 128)]
+    with pytest.raises(ValueError, match="128"):
+        write_midi(score, tmp_path / "bad.mid")
+
+
+def test_negative_delta_is_rejected():
+    with pytest.raises(ValueError, match="negative delta time"):
+        _track_chunk([(-1, 0, bytes([0x80, 60, 0]))])
+
+
+def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
+                                                  fixture_melodies):
+    _, melody = fixture_melodies[5]
+    h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
+    ornamented = insert_ornaments(h, OrnamentConfig(1.0, 1.0, 1.0, rng_seed=2))
+    assert any(len(beat) == 2 for beat in ornamented.alto_line[:-1])
+    pitch = ornamented.alto_line[-1][0][0]
+    ornamented.alto_line[-1] = [(pitch, 1 / 7), (pitch, 6 / 7)]
+    with pytest.raises(MusicError, match="not a whole number"):
+        write_midi(ornamented, tmp_path / "off-grid.mid")
 
 
 # --- matrix exports -------------------------------------------------------------
