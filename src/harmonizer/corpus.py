@@ -1,5 +1,5 @@
-"""Corpus ingestion: structured-text chorale and rock files, beat
-quantization of raw note lists, and transposition to the reference keys.
+"""Corpus ingestion: structured-text chorale and rock files, melody files,
+and transposition to the reference keys.
 
 Chorale files carry one record per beat:
 
@@ -68,9 +68,6 @@ class AnnotatedChorale:
             raise MusicError(f"unknown mode: {self.mode!r}")
         if len(self.events) < 2:
             raise MusicError(f"chorale {self.id!r} has fewer than 2 events")
-
-    def melody(self) -> MelodyLine:
-        return MelodyLine(tuple(ev for ev, _, _ in self.events))
 
     def keys(self) -> list[KeyLabel]:
         return [k for _, k, _ in self.events]

@@ -204,11 +204,10 @@ def _squared_distance(a: Arrangement, b: Arrangement) -> int:
     return da * da + dt * dt + db * db
 
 
-def _pair_rule_hits(prev: tuple[int, ...], cur: tuple[int, ...],
-                    leap_specs: list[tuple[int, bool]]) -> list[str]:
+def _pair_rule_hits(prev: tuple[int, ...], cur: tuple[int, ...]) -> list[str]:
     """Horizontal-rule violations between two same-length voice stacks,
-    ordered high to low. leap_specs gives (voice position, is_inner) for
-    voices whose melodic motion is audited."""
+    ordered high to low. Melodic leaps are audited on the last three
+    positions: two inner voices, then the bass as the outer voice."""
     hits = []
     n = len(prev)
     for i in range(n):
@@ -225,19 +224,13 @@ def _pair_rule_hits(prev: tuple[int, ...], cur: tuple[int, ...],
     for i in range(n - 1):
         if cur[i + 1] > prev[i] or cur[i] < prev[i + 1]:
             hits.append("voice_overlap")
-    for position, is_inner in leap_specs:
+    for position in range(n - 3, n):
         leap = abs(cur[position] - prev[position])
         if leap > OCTAVE_LEAP_LIMIT:
             hits.append("leap_over_octave")
-        elif is_inner and leap > INNER_LEAP_LIMIT:
+        elif position < n - 1 and leap > INNER_LEAP_LIMIT:
             hits.append("inner_voice_leap")
     return hits
-
-
-def _atb_violation_count(prev: Arrangement, cur: Arrangement) -> int:
-    hits = _pair_rule_hits(prev.triple(), cur.triple(),
-                           [(0, True), (1, True), (2, False)])
-    return len(hits)
 
 
 def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
@@ -250,62 +243,40 @@ def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
     tied = [i for i, d in enumerate(distances) if d == nearest]
     if len(tied) == 1:
         return tied[0]
-    return min(tied, key=lambda i: (_atb_violation_count(prev, candidates[i]),
-                                    candidates[i].sort_key()))
+    before = prev.triple()
+    return min(tied, key=lambda i: (
+        len(_pair_rule_hits(before, candidates[i].triple())),
+        candidates[i].sort_key()))
 
 
-def chain_arrangements(candidates_per_beat,
-                       seeds: list[Arrangement]) -> list[list[Arrangement]]:
+def chain_arrangements(candidates_per_beat, seeds: list[Arrangement]
+                       ) -> list[tuple[list[Arrangement], tuple[int, int] | None]]:
     """Greedy left-to-right chaining from each first-beat arrangement in
     seeds, one chain per seed, each step taking `_greedy_step` from the
     previous arrangement.
 
     A step depends only on the previous arrangement, so chains that reach
-    the same arrangement at some beat coincide from there on. The chains
-    grow together: for distinct seeds, the step from each distinct previous
-    arrangement at each beat is taken once, and a chain that meets an
-    earlier one takes that chain's remainder."""
-    grown = [[seed] for seed in seeds]
-    heads = [(seed, index) for index, seed in enumerate(seeds)]
-    joins = {}          # chain index -> (beat, index of the chain it joins)
-    for t in range(1, len(candidates_per_beat)):
-        candidates = candidates_per_beat[t]
-        if not candidates:
-            raise InfeasibleHarmonizationError(t)
-        taken = {}      # candidate position -> index of the first chain there
-        for prev, index in heads:
-            position = _greedy_step(prev, candidates)
-            if position in taken:
-                joins[index] = (t, taken[position])
-            else:
-                taken[position] = index
-                grown[index].append(candidates[position])
-        heads = [(candidates[position], index) for position, index in taken.items()]
+    the same candidate at some beat coincide from there on. Each seed walks
+    in turn; a chain that reaches a candidate an earlier chain reached first
+    takes that chain's remainder and stops. Returns (chain, joined) per
+    seed, where joined is None or (beat, index of the earlier chain)."""
+    reached = {}        # (beat, candidate position) -> first chain there
     chains = []
-    for index, chain in enumerate(grown):
-        if index in joins:
-            t, earlier = joins[index]
-            chain = chain[:t] + chains[earlier][t:]
-        chains.append(chain)
+    for index, seed in enumerate(seeds):
+        chain, joined = [seed], None
+        for t in range(1, len(candidates_per_beat)):
+            candidates = candidates_per_beat[t]
+            if not candidates:
+                raise InfeasibleHarmonizationError(t)
+            position = _greedy_step(chain[-1], candidates)
+            earlier = reached.setdefault((t, position), index)
+            if earlier != index:
+                chain += chains[earlier][0][t:]
+                joined = (t, earlier)
+                break
+            chain.append(candidates[position])
+        chains.append((chain, joined))
     return chains
-
-
-def _first_shared_beat(chain: list[Arrangement],
-                       earlier: list[Arrangement]) -> int | None:
-    """The first beat from which two greedy chains over the same candidates
-    coincide, or None. Chains equal at one beat are equal at every later
-    beat, so the beats where they agree form a suffix and a binary search
-    finds its start."""
-    if chain[-1] != earlier[-1]:
-        return None
-    lo, hi = 0, len(chain) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if chain[mid] == earlier[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def score_arrangements(melody: MelodyLine,
@@ -316,9 +287,7 @@ def score_arrangements(melody: MelodyLine,
               for ev, arr in zip(melody.events, arrangements)]
     log: list[Violation] = []
     for t in range(1, len(stacks)):
-        hits = _pair_rule_hits(stacks[t - 1], stacks[t],
-                               [(1, True), (2, True), (3, False)])
-        for rule in hits:
+        for rule in _pair_rule_hits(stacks[t - 1], stacks[t]):
             log.append(Violation(t, rule, PENALTY_WEIGHTS[rule]))
     return sum(v.weight for v in log), log
 
@@ -355,22 +324,20 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
         candidates_per_beat.append(candidates)
     chains = chain_arrangements(candidates_per_beat,
                                 candidates_per_beat[0][:max_seeds])
-    # a chain that meets an earlier one is scored only up to the meeting
+    # a chain that joins an earlier one is scored only up to the joining
     # beat; violations after it are the earlier chain's, and the weights
     # are integers, so the penalty stays exact in any summation order
     logs = []
     best = None
-    for index, chain in enumerate(chains):
-        meets = [(beat, j) for j in range(index)
-                 if (beat := _first_shared_beat(chain, chains[j])) is not None]
-        if meets:
-            beat, j = min(meets)
+    for chain, joined in chains:
+        if joined is None:
+            penalty, log = score_arrangements(melody, chain)
+        else:
+            beat, earlier = joined
             penalty, log = score_arrangements(melody, chain[:beat + 1])
-            shared = [v for v in logs[j] if v.beat_index > beat]
+            shared = [v for v in logs[earlier] if v.beat_index > beat]
             log += shared
             penalty += sum(v.weight for v in shared)
-        else:
-            penalty, log = score_arrangements(melody, chain)
         logs.append(log)
         if best is None or penalty < best[0]:
             best = (penalty, chain, log)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonizer.cli import main
 from harmonizer.corpus import _format_note_list, _format_records
@@ -544,3 +548,106 @@ def test_boosted_override_changes_a_decode(capsys, tmp_path, trained_model,
         after = capsys.readouterr().out
         changed += before != after
     assert changed >= 1
+
+
+# --- fuzzing the files the CLI reads -----------------------------------------
+
+FUZZ_BYTES = b"0123456789 |:=,.-+eE\n\r\t\"{}[]nNaxIV#b\x00\xff"
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, trained_model, data_dir):
+    """A working directory holding a valid copy of each file a command
+    reads, and those files' bytes, both keyed by the flag that names it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    assert main(["export", "--model", str(trained_model),
+                 "--out-dir", str(work)]) == 0
+    config = {"ornaments": True, "p_passing": 0.5, "rng_seed": 3, "max_seeds": 4}
+    inputs = {
+        "melody": (data_dir / "melodies" / "m06.txt").read_bytes(),
+        "config": json.dumps(config).encode(),
+        "model": trained_model.read_bytes(),
+        "transitions": (work / "chord_transition.csv").read_bytes(),
+    }
+    paths = {flag: work / f"valid-{flag}" for flag in inputs}
+    for flag, path in paths.items():
+        path.write_bytes(inputs[flag])
+    return work, inputs, paths
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_input(draw, inputs):
+    """(flag, bytes): one input file with a few bytes replaced, inserted or
+    deleted, or, for a JSON file, one field replaced or deleted."""
+    flag = draw(st.sampled_from(sorted(inputs)))
+    data = inputs[flag]
+    if flag in ("config", "model") and draw(st.booleans()):
+        doc = json.loads(data)
+        paths = list(_json_paths(doc))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        value = draw(st.sampled_from([
+            None, True, False, 0, 1, -1, 2, 0.5, 1e308, -1e-300, float("nan"),
+            float("inf"), "", "x", "I", [], [0.5], {}, DELETE]))
+        if not path:
+            return flag, b"" if value is DELETE else json.dumps(value).encode()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return flag, json.dumps(doc).encode()
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from(FUZZ_BYTES), st.integers(0, 255)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif edit == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return flag, bytes(data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_never_crash(data, fuzz_inputs):
+    work, inputs, valid = fuzz_inputs
+    flag, mutated = data.draw(_mutated_input(inputs))
+    paths = dict(valid, **{flag: work / f"mutated-{flag}"})
+    paths[flag].write_bytes(mutated)
+    harmonize = ["harmonize", "--model", str(paths["model"]),
+                 "--melody", str(paths["melody"]),
+                 "--config", str(paths["config"]),
+                 "--out-midi", str(work / "out.mid"),
+                 "--out-score", str(work / "out.score")]
+    if flag == "transitions":
+        # an override the CSV check accepts must also decode and voice
+        overridden = work / "overridden.json"
+        runs = [["override", "--model", str(paths["model"]),
+                 "--transitions", str(paths[flag]), "--layer", "chord",
+                 "--out", str(overridden)],
+                harmonize[:2] + [str(overridden)] + harmonize[3:]]
+    else:
+        runs = [harmonize]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            break

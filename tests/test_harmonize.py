@@ -151,7 +151,7 @@ def test_chain_picks_zero_distance_candidate():
     seed = arr(64, 55, 48)
     same = arr(64, 55, 48)
     other = arr(72, 64, 55)
-    [chain] = chain_arrangements([[seed], [other, same]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [other, same]], [seed])
     assert chain == [seed, same]
 
 
@@ -159,7 +159,7 @@ def test_chain_hand_computed_distances():
     seed = arr(64, 55, 48)
     near = arr(65, 57, 50)   # squared distance 1+4+4 = 9
     far = arr(60, 52, 43)    # squared distance 16+9+25 = 50
-    [chain] = chain_arrangements([[seed], [far, near]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [far, near]], [seed])
     assert chain[1] == near
 
 
@@ -170,7 +170,7 @@ def test_chain_tie_broken_by_horizontal_violations():
     seed = arr(60, 55, 48)
     parallel = arr(58, 55, 46)   # squared distance 8, parallel octaves
     clean = arr(62, 57, 48)      # squared distance 8, no violations
-    [chain] = chain_arrangements([[seed], [parallel, clean]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [parallel, clean]], [seed])
     assert chain[1] == clean
     # sanity: the violating candidate would win a pure lexicographic tie
     assert parallel.sort_key() < clean.sort_key()
@@ -403,7 +403,8 @@ def test_chains_that_never_meet(monkeypatch):
     lattice = [[low, high], [low_step, high_step], [low, high],
                [low_step, high_step]]
     assert chain_arrangements(lattice, lattice[0]) == [
-        [low, low_step, low, low_step], [high, high_step, high, high_step]]
+        ([low, low_step, low, low_step], None),
+        ([high, high_step, high, high_step], None)]
     _voice_lattice(monkeypatch, lattice)
 
 
@@ -415,9 +416,11 @@ def test_chains_that_meet_at_beat_1(monkeypatch):
     meet, far = arr(64, 55, 43), arr(72, 64, 55)
     lattice = [[leaping, smooth], [meet, far], [arr(62, 55, 43), far],
                [arr(60, 52, 56)]]
-    chains = chain_arrangements(lattice, lattice[0])
-    assert chains[0][1] is meet and chains[1][1] is meet
-    assert chains[0][1:] == chains[1][1:]
+    (first, first_joined), (second, joined) = chain_arrangements(
+        lattice, lattice[0])
+    assert first[1] is meet and second[1] is meet
+    assert first[1:] == second[1:]
+    assert first_joined is None and joined == (1, 0)
     h = _voice_lattice(monkeypatch, lattice)
     assert h.arrangements[0] is smooth
     assert {v.rule for v in h.violation_log if v.beat_index == 3} == {
@@ -442,12 +445,20 @@ def test_each_distinct_chain_step_runs_once_per_call(
         enumerate_arrangements(key, chord, soprano)
         for key, chord, soprano in zip(annotation.keys, annotation.chords,
                                        melody.representatives())]
-    chains = chain_arrangements(candidates_per_beat, candidates_per_beat[0])
+    chains, joins = zip(*chain_arrangements(candidates_per_beat,
+                                            candidates_per_beat[0]))
     distinct = {(t, chain[t - 1]) for chain in chains
                 for t in range(1, len(chain))}
     assert len(chains) > 1 and len(distinct) < len(chains) * (len(melody) - 1)
     assert sorted(steps, key=repr) == sorted(
         ((id(candidates_per_beat[t]), prev) for t, prev in distinct), key=repr)
+    # each join names the first beat the chain shares with any earlier
+    # chain, and the least earlier chain that has it there
+    assert any(joins)
+    for index, chain in enumerate(chains):
+        shared = [(t, j) for j in range(index) for t in range(1, len(chain))
+                  if chain[t] == chains[j][t]]
+        assert joins[index] == min(shared, default=None)
 
 
 @pytest.mark.parametrize("max_seeds", [0, -1])
