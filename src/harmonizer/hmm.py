@@ -160,37 +160,68 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 def viterbi(model: HmmModel, observed) -> list:
     """Most probable hidden label sequence, ties broken toward the lowest
-    state index at every backtrack step."""
+    state index at every backtrack step.
+
+    The log emission rows of the observations are gathered once; each step
+    writes its scores and backpointers into preallocated rows. A step's
+    candidates are laid out one row per next state, so the best predecessor
+    is an argmax along a contiguous row, and its score is taken from the
+    candidate it picked."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
     obs = _observation_indices(model, observed)
-    log_t = _log(model.transition)
-    log_e = _log(model.emission)
-    n = len(obs)
-    S = len(model.states)
-    score = _log(model.initial) + log_e[:, obs[0]]
-    back = np.zeros((n, S), dtype=int)
+    log_t_to = _log(model.transition).T.copy()  # [next state, state]
+    rows = _log(model.emission.T)[obs]
+    n, S = rows.shape
+    scores = np.empty((n, S))
+    back = np.empty((n, S), dtype=np.intp)
+    candidate = np.empty((S, S))
+    flat_candidate = candidate.reshape(-1)
+    row_starts = np.arange(0, S * S, S)
+    picked = np.empty(S, dtype=np.intp)
+    np.add(_log(model.initial), rows[0], out=scores[0])
     for t in range(1, n):
-        candidate = score[:, None] + log_t
-        back[t] = np.argmax(candidate, axis=0)
-        score = candidate[back[t], np.arange(S)] + log_e[:, obs[t]]
-        if np.all(np.isneginf(score)):
-            raise DecodeInfeasibleError(
-                f"no hidden state can generate observation at position {t}")
-    if np.all(np.isneginf(score)):
+        np.add(scores[t - 1], log_t_to, out=candidate)
+        best = candidate.argmax(axis=1, out=back[t])
+        np.add(row_starts, best, out=picked)
+        # every index is in range; "clip" only spares take a buffered copy
+        score = flat_candidate.take(picked, out=scores[t], mode="clip")
+        score += rows[t]
+    # a row of all -inf stays all -inf, so the first dead row past position
+    # 0 is the step that left no state alive
+    dead = np.isneginf(scores).all(axis=1)
+    if dead[1:].any():
+        raise DecodeInfeasibleError(
+            "no hidden state can generate observation at position"
+            f" {int(dead[1:].argmax()) + 1}")
+    if dead[-1]:
         raise DecodeInfeasibleError("no hidden state can generate the sequence")
-    path = [int(np.argmax(score))]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
+    state = int(scores[-1].argmax())
+    path = [state]
+    for pointers in back.tolist()[:0:-1]:
+        state = pointers[state]
+        path.append(state)
     path.reverse()
     return [model.states[i] for i in path]
 
 
+def _state_indices(model: HmmModel, hidden) -> list[int]:
+    s_index = model.state_index()
+    try:
+        return [s_index[h] for h in hidden]
+    except KeyError as exc:
+        raise AlphabetError(f"hidden label not in alphabet: {exc.args[0]!r}")
+
+
 def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
     """Joint log probability of a hidden/observed label pair."""
-    s_index = model.state_index()
+    if len(hidden) != len(observed):
+        raise HmmError(
+            f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
+    if len(hidden) == 0:
+        raise HmmError("empty sequence")
     obs = _observation_indices(model, observed)
-    hid = [s_index[h] for h in hidden]
+    hid = _state_indices(model, hidden)
     log_t = _log(model.transition)
     log_e = _log(model.emission)
     total = float(_log(model.initial)[hid[0]] + log_e[hid[0], obs[0]])
@@ -201,34 +232,41 @@ def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
 
 def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     """Per-position argmax of the marginal posterior, plus the full n-by-S
-    marginal matrix. Uses the scaled forward-backward recursion."""
+    marginal matrix. Uses the scaled forward-backward recursion over the
+    emission rows of the observations, gathered once, writing each step
+    into preallocated rows."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
     obs = _observation_indices(model, observed)
-    n = len(obs)
-    S = len(model.states)
-    alpha = np.zeros((n, S))
-    scale = np.zeros(n)
-    alpha[0] = model.initial * model.emission[:, obs[0]]
+    transition = model.transition
+    rows = model.emission.T[obs]
+    n, S = rows.shape
+    alpha = np.empty((n, S))
+    scale = np.empty(n)
+    np.multiply(model.initial, rows[0], out=alpha[0])
     scale[0] = alpha[0].sum()
     if scale[0] == 0.0:
         raise DecodeInfeasibleError("no hidden state can generate observation 0")
     alpha[0] /= scale[0]
     for t in range(1, n):
-        alpha[t] = (alpha[t - 1] @ model.transition) * model.emission[:, obs[t]]
-        scale[t] = alpha[t].sum()
-        if scale[t] == 0.0:
+        row = np.matmul(alpha[t - 1], transition, out=alpha[t])
+        row *= rows[t]
+        total = scale[t] = row.sum()
+        if total == 0.0:
             raise DecodeInfeasibleError(
                 f"no hidden state can generate observation at position {t}")
-        alpha[t] /= scale[t]
-    beta = np.zeros((n, S))
+        row /= total
+    beta = np.empty((n, S))
     beta[n - 1] = 1.0
+    weighted = np.empty(S)
     for t in range(n - 2, -1, -1):
-        beta[t] = (model.transition @ (beta[t + 1] * model.emission[:, obs[t + 1]]))
-        beta[t] /= scale[t + 1]
-    marginals = alpha * beta
+        np.multiply(beta[t + 1], rows[t + 1], out=weighted)
+        row = np.matmul(transition, weighted, out=beta[t])
+        row /= scale[t + 1]
+    marginals = alpha
+    marginals *= beta
     marginals /= marginals.sum(axis=1, keepdims=True)
-    labels = [model.states[int(np.argmax(row))] for row in marginals]
+    labels = [model.states[i] for i in marginals.argmax(axis=1).tolist()]
     return labels, marginals
 
 
@@ -246,12 +284,9 @@ def masked_pairs(model: HmmModel, hidden) -> list[tuple[int, object, object]]:
     never repaired."""
     if model.mask is None:
         return []
-    s_index = model.state_index()
-    out = []
-    for t in range(1, len(hidden)):
-        if model.mask[s_index[hidden[t - 1]], s_index[hidden[t]]]:
-            out.append((t, hidden[t - 1], hidden[t]))
-    return out
+    hid = _state_indices(model, hidden)
+    return [(t, hidden[t - 1], hidden[t]) for t in range(1, len(hid))
+            if model.mask[hid[t - 1], hid[t]]]
 
 
 def build_phrase_mask(chord_labels) -> np.ndarray:

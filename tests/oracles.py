@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here trades speed for obviousness: exhaustive enumeration over
-hidden sequences, a full lattice filter for chord voicings, the greedy
+hidden sequences, Viterbi and forward-backward as one plain step per
+position, a full lattice filter for chord voicings, the greedy
 voicing search as a literal loop with every tie-break key computed, and an
 SMF track encoder that spells out every event.
 """
@@ -25,7 +26,7 @@ from harmonizer.harmonize import (
     OCTAVE_LEAP_LIMIT,
     PENALTY_WEIGHTS,
 )
-from harmonizer.hmm import HmmModel
+from harmonizer.hmm import DecodeInfeasibleError, HmmModel
 
 
 def _log(x: float) -> float:
@@ -91,6 +92,76 @@ def brute_force_posteriors(model: HmmModel, observed) -> np.ndarray:
         for t in range(n):
             marginals[t, seq[t]] += p
     return marginals / marginals.sum(axis=1, keepdims=True)
+
+
+def _observed_indices(model: HmmModel, observed) -> list[int]:
+    o_index = {o: i for i, o in enumerate(model.observations)}
+    return [o_index[o] for o in observed]
+
+
+def _log_array(values: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(values)
+
+
+def stepwise_viterbi(model: HmmModel, observed) -> list:
+    """Viterbi with one plain step per position: each step slices the
+    emission column it needs and picks the best predecessor by fancy
+    indexing. The fast kernel must return the same labels and raise the
+    same errors."""
+    obs = _observed_indices(model, observed)
+    log_t = _log_array(model.transition)
+    log_e = _log_array(model.emission)
+    n = len(obs)
+    S = len(model.states)
+    score = _log_array(model.initial) + log_e[:, obs[0]]
+    back = np.zeros((n, S), dtype=int)
+    for t in range(1, n):
+        candidate = score[:, None] + log_t
+        back[t] = np.argmax(candidate, axis=0)
+        score = candidate[back[t], np.arange(S)] + log_e[:, obs[t]]
+        if np.all(np.isneginf(score)):
+            raise DecodeInfeasibleError(
+                f"no hidden state can generate observation at position {t}")
+    if np.all(np.isneginf(score)):
+        raise DecodeInfeasibleError("no hidden state can generate the sequence")
+    path = [int(np.argmax(score))]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return [model.states[i] for i in path]
+
+
+def stepwise_posterior(model: HmmModel, observed) -> tuple[list, np.ndarray]:
+    """Scaled forward-backward with one plain step per position, each
+    slicing the emission column it needs. The fast kernel must return the
+    same labels, bit-identical marginals and the same errors."""
+    obs = _observed_indices(model, observed)
+    n = len(obs)
+    S = len(model.states)
+    alpha = np.zeros((n, S))
+    scale = np.zeros(n)
+    alpha[0] = model.initial * model.emission[:, obs[0]]
+    scale[0] = alpha[0].sum()
+    if scale[0] == 0.0:
+        raise DecodeInfeasibleError("no hidden state can generate observation 0")
+    alpha[0] /= scale[0]
+    for t in range(1, n):
+        alpha[t] = (alpha[t - 1] @ model.transition) * model.emission[:, obs[t]]
+        scale[t] = alpha[t].sum()
+        if scale[t] == 0.0:
+            raise DecodeInfeasibleError(
+                f"no hidden state can generate observation at position {t}")
+        alpha[t] /= scale[t]
+    beta = np.zeros((n, S))
+    beta[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        beta[t] = (model.transition @ (beta[t + 1] * model.emission[:, obs[t + 1]]))
+        beta[t] /= scale[t + 1]
+    marginals = alpha * beta
+    marginals /= marginals.sum(axis=1, keepdims=True)
+    labels = [model.states[int(np.argmax(row))] for row in marginals]
+    return labels, marginals
 
 
 def _allowed_upper_multisets(chord: RomanChord, key: KeyLabel,

@@ -38,6 +38,8 @@ from oracles import (
     brute_force_argmax_set,
     brute_force_posteriors,
     brute_force_viterbi,
+    stepwise_posterior,
+    stepwise_viterbi,
 )
 
 
@@ -47,6 +49,34 @@ def random_model(rng, n_states, n_obs) -> HmmModel:
     initial = rng.dirichlet(np.ones(n_states))
     return HmmModel(tuple(f"s{i}" for i in range(n_states)),
                     tuple(range(n_obs)), transition, emission, initial)
+
+
+def awkward_model(rng, n_states, n_obs) -> HmmModel:
+    """A random model with the cells that make decoding awkward: exact
+    zeros, MASK_EPSILON transitions and exactly tied probabilities."""
+    def stochastic(shape, masked):
+        if rng.random() < 0.5:
+            weights = rng.random(shape)
+        else:  # few distinct values, so sums and products tie exactly
+            weights = rng.integers(1, 3, size=shape).astype(float)
+        zeros = rng.random(shape) < rng.choice([0.0, 0.3, 0.6])
+        weights[zeros | masked] = 0.0
+        for row, allowed in zip(weights, ~masked):
+            if row.sum() == 0.0:
+                row[rng.choice(np.flatnonzero(allowed))] = 1.0
+        budget = 1.0 - MASK_EPSILON * masked.sum(axis=1, keepdims=True)
+        out = weights / weights.sum(axis=1, keepdims=True) * budget
+        out[masked] = MASK_EPSILON
+        return out
+
+    mask = rng.random((n_states, n_states)) < 0.2
+    mask[np.arange(n_states), rng.integers(0, n_states, size=n_states)] = False
+    return HmmModel(
+        tuple(f"s{i}" for i in range(n_states)), tuple(range(n_obs)),
+        stochastic((n_states, n_states), mask),
+        stochastic((n_states, n_obs), np.zeros((n_states, n_obs), dtype=bool)),
+        stochastic((1, n_states), np.zeros((1, n_states), dtype=bool))[0],
+        mask=mask)
 
 
 def melody_from_midi(pitches) -> MelodyLine:
@@ -175,6 +205,31 @@ def test_viterbi_infeasible_observation():
         viterbi(model, [0, 1, 0])
 
 
+@pytest.mark.parametrize("observed, viterbi_message, posterior_message", [
+    ([0, 0, 1, 0, 0],
+     "no hidden state can generate observation at position 2",
+     "no hidden state can generate observation at position 2"),
+    ([1, 0, 0],
+     "no hidden state can generate observation at position 1",
+     "no hidden state can generate observation 0"),
+    ([1],
+     "no hidden state can generate the sequence",
+     "no hidden state can generate observation 0"),
+])
+def test_infeasible_decode_messages(observed, viterbi_message,
+                                    posterior_message):
+    # no state emits observation 1
+    emission = np.array([[1.0, 0.0], [1.0, 0.0]])
+    model = HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5), emission,
+                     np.array([0.5, 0.5]))
+    with pytest.raises(DecodeInfeasibleError) as viterbi_error:
+        viterbi(model, observed)
+    assert str(viterbi_error.value) == viterbi_message
+    with pytest.raises(DecodeInfeasibleError) as posterior_error:
+        posterior_decode(model, observed)
+    assert str(posterior_error.value) == posterior_message
+
+
 def test_viterbi_tie_breaks_to_lowest_index():
     # both states explain everything equally well
     model = HmmModel(("a", "b"), (0,), np.full((2, 2), 0.5),
@@ -216,6 +271,67 @@ def test_posterior_deterministic_model_one_hot():
     assert np.allclose(np.sort(marginals, axis=1)[:, -1], 1.0)
 
 
+# --- fast kernels against the stepwise reference ----------------------------
+
+def _decoded_or_error(decoder, model, observed):
+    try:
+        return decoder(model, observed)
+    except DecodeInfeasibleError as exc:
+        return str(exc)
+
+
+def assert_decoders_match_stepwise(model, observed):
+    """Exact equality, not closeness: the fast kernels do the stepwise
+    arithmetic in the same order, so labels, marginals and error messages
+    are all bit-identical. Returns the Viterbi and the posterior labels, or
+    the error message of each."""
+    best = _decoded_or_error(viterbi, model, observed)
+    assert best == _decoded_or_error(stepwise_viterbi, model, observed)
+    got = _decoded_or_error(posterior_decode, model, observed)
+    expected = _decoded_or_error(stepwise_posterior, model, observed)
+    if isinstance(expected, str):
+        assert got == expected
+        return best, got
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    return best, got[0]
+
+
+def test_kernels_equal_stepwise_on_awkward_random_models():
+    rng = np.random.default_rng(2021)
+    outcomes = {"decoded": 0, "infeasible": 0}
+    for n_states in range(1, 31):
+        for _ in range(6):
+            n_obs = int(rng.integers(1, 7))
+            model = awkward_model(rng, n_states, n_obs)
+            observed = list(rng.integers(0, n_obs, size=int(rng.integers(1, 41))))
+            best, _ = assert_decoders_match_stepwise(model, observed)
+            outcomes["infeasible" if isinstance(best, str) else "decoded"] += 1
+    # both the decoded and the infeasible paths were exercised
+    assert min(outcomes.values()) >= 5
+
+
+def test_kernels_equal_stepwise_on_exact_ties():
+    for n_states in (1, 2, 5, 24):
+        model = HmmModel(tuple(range(n_states)), (0, 1),
+                         np.full((n_states, n_states), 1.0 / n_states),
+                         np.full((n_states, 2), 0.5),
+                         np.full(n_states, 1.0 / n_states))
+        assert_decoders_match_stepwise(model, [0, 1, 1, 0, 1] * 7)
+
+
+def test_kernels_equal_stepwise_on_long_fixture_concatenation(
+        major_bundle, fixture_melodies):
+    pitches = [p for _, melody in fixture_melodies
+               for p in melody.representatives()] * 10
+    assert len(pitches) == 1910
+    pcs = [p.pitch_class for p in pitches]
+    for keys in assert_decoders_match_stepwise(major_bundle.key_model, pcs):
+        deltas = [transposed_degree(p, KeyLabel.from_string(k))
+                  for p, k in zip(pitches, keys)]
+        assert_decoders_match_stepwise(major_bundle.chord_model, deltas)
+
+
 # --- masks and diagnostics --------------------------------------------------
 
 def test_build_phrase_mask():
@@ -236,6 +352,36 @@ def test_masked_pairs_reported_not_repaired():
     report = masked_pairs(model, ["I", "V", "IV", "I"])
     assert report == [(2, "V", "IV"), (3, "IV", "I")]
     assert masked_pairs(model, ["I", "V", "I"]) == []
+
+
+def test_masked_pairs_rejects_unknown_label():
+    labels = ["I", "IV", "V"]
+    model = estimate(labels, [0], [(["I", "V"], [0, 0])],
+                     mask=build_phrase_mask(labels))
+    with pytest.raises(AlphabetError, match="'ii'"):
+        masked_pairs(model, ["I", "ii", "V"])
+
+
+def two_state_model() -> HmmModel:
+    return HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5),
+                    np.full((2, 2), 0.5), np.array([0.5, 0.5]))
+
+
+def test_sequence_log_probability_rejects_length_mismatch():
+    with pytest.raises(HmmError, match="lengths differ: 1 vs 2"):
+        sequence_log_probability(two_state_model(), ["a"], [0, 1])
+
+
+def test_sequence_log_probability_rejects_empty_input():
+    with pytest.raises(HmmError, match="empty"):
+        sequence_log_probability(two_state_model(), [], [])
+
+
+def test_sequence_log_probability_rejects_unknown_labels():
+    with pytest.raises(AlphabetError, match="hidden label .*'z'"):
+        sequence_log_probability(two_state_model(), ["a", "z"], [0, 1])
+    with pytest.raises(AlphabetError, match="observation .*7"):
+        sequence_log_probability(two_state_model(), ["a", "b"], [0, 7])
 
 
 # --- two-stage decoding ------------------------------------------------------
