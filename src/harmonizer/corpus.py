@@ -114,8 +114,8 @@ def _format_duration(d: float) -> str:
 
 
 def _format_note_list(notes) -> str:
-    """Inverse of _parse_note_list: "pitch:duration" entries, comma-joined."""
-    return ",".join(f"{p.midi}:{_format_duration(d)}" for p, d in notes)
+    """(MIDI number, duration) pairs as comma-joined "pitch:duration" text."""
+    return ",".join(f"{midi}:{_format_duration(d)}" for midi, d in notes)
 
 
 def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
@@ -283,7 +283,8 @@ def parse_rock_melody_file(path: str | Path) -> list[int]:
 def serialize_chorale(chorale: AnnotatedChorale) -> str:
     return _format_records(
         (("id", chorale.id), ("mode", chorale.mode)),
-        ((("notes", _format_note_list(beat.notes)), ("key", key.to_string()),
+        ((("notes", _format_note_list((p.midi, d) for p, d in beat.notes)),
+          ("key", key.to_string()),
           ("roman", chord.to_string()))
          for beat, key, chord in chorale.events))
 

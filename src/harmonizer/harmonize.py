@@ -11,6 +11,7 @@ horizontal rules (parallels, overlaps, leaps).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -58,23 +59,20 @@ class Violation(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """Alto, tenor and bass pitches realizing one chord under a fixed
+class Arrangement(NamedTuple):
+    """Alto, tenor and bass MIDI numbers realizing one chord under a fixed
     soprano note."""
 
-    alto: Pitch
-    tenor: Pitch
-    bass: Pitch
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.alto.midi, self.tenor.midi, self.bass.midi)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.bass.midi, self.tenor.midi, self.alto.midi)
+    alto: int
+    tenor: int
+    bass: int
 
 
-VoiceLine = list[list[tuple[Pitch, float]]]
+# the (bass, tenor, alto) order of enumeration and of the last tie-break
+_BASS_TENOR_ALTO = itemgetter(2, 1, 0)
+
+# per beat, the (MIDI number, beats) notes of one voice
+VoiceLine = list[list[tuple[int, float]]]
 
 
 @dataclass
@@ -103,7 +101,8 @@ class Harmonization:
             self.bass_line = [[(a.bass, 1.0)] for a in self.arrangements]
 
     def voice_lines(self) -> dict[str, VoiceLine]:
-        soprano = [list(ev.notes) for ev in self.soprano.events]
+        soprano = [[(p.midi, beats) for p, beats in ev.notes]
+                   for ev in self.soprano.events]
         return {"soprano": soprano, "alto": self.alto_line,
                 "tenor": self.tenor_line, "bass": self.bass_line}
 
@@ -191,17 +190,10 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
                             continue
                         if soprano.midi - alto > MAX_SPACING:
                             continue
-                        found.append(Arrangement(Pitch(alto), Pitch(tenor), Pitch(bass)))
+                        found.append(Arrangement(alto, tenor, bass))
         if found:
-            return sorted(found, key=Arrangement.sort_key)
+            return sorted(found, key=_BASS_TENOR_ALTO)
     return []
-
-
-def _squared_distance(a: Arrangement, b: Arrangement) -> int:
-    da = a.alto.midi - b.alto.midi
-    dt = a.tenor.midi - b.tenor.midi
-    db = a.bass.midi - b.bass.midi
-    return da * da + dt * dt + db * db
 
 
 def _pair_rule_hits(prev: tuple[int, ...], cur: tuple[int, ...]) -> list[str]:
@@ -235,18 +227,18 @@ def _pair_rule_hits(prev: tuple[int, ...], cur: tuple[int, ...]) -> list[str]:
 
 def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
     """Position of the candidate nearest prev in Euclidean distance, ties
-    broken by fewest horizontal-rule violations against prev, then by
-    lexicographic order. Violations are counted only for the candidates
-    tied at the least distance."""
-    distances = [_squared_distance(prev, c) for c in candidates]
+    broken by fewest horizontal-rule violations against prev, then by the
+    least (bass, tenor, alto). Violations are counted only for the
+    candidates tied at the least distance."""
+    pa, pt, pb = prev
+    distances = [(a - pa) ** 2 + (t - pt) ** 2 + (b - pb) ** 2
+                 for a, t, b in candidates]
     nearest = min(distances)
     tied = [i for i, d in enumerate(distances) if d == nearest]
     if len(tied) == 1:
         return tied[0]
-    before = prev.triple()
-    return min(tied, key=lambda i: (
-        len(_pair_rule_hits(before, candidates[i].triple())),
-        candidates[i].sort_key()))
+    return min(tied, key=lambda i: (len(_pair_rule_hits(prev, candidates[i])),
+                                    _BASS_TENOR_ALTO(candidates[i])))
 
 
 def chain_arrangements(candidates_per_beat, seeds: list[Arrangement]
@@ -283,7 +275,7 @@ def score_arrangements(melody: MelodyLine,
                        arrangements) -> tuple[float, list[Violation]]:
     """Scan consecutive beats over all four voices and total the weighted
     rule violations. Violations are logged at the arrival beat."""
-    stacks = [(ev.representative.midi, arr.alto.midi, arr.tenor.midi, arr.bass.midi)
+    stacks = [(ev.representative.midi, *arr)
               for ev, arr in zip(melody.events, arrangements)]
     log: list[Violation] = []
     for t in range(1, len(stacks)):
@@ -362,7 +354,7 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     def notes(beat) -> str:
         if len(beat) != 1:
             return _format_note_list(beat)
-        entry = (beat[0][0].midi, beat[0][1])
+        entry = beat[0]
         if entry not in note_texts:
             note_texts[entry] = _format_note_list(beat)
         return note_texts[entry]

@@ -187,15 +187,13 @@ def viterbi(model: HmmModel, observed) -> list:
         # every index is in range; "clip" only spares take a buffered copy
         score = flat_candidate.take(picked, out=scores[t], mode="clip")
         score += rows[t]
-    # a row of all -inf stays all -inf, so the first dead row past position
-    # 0 is the step that left no state alive
+    # a row of all -inf stays all -inf, so the first dead row is the
+    # position that left no state alive
     dead = np.isneginf(scores).all(axis=1)
-    if dead[1:].any():
+    if dead.any():
         raise DecodeInfeasibleError(
             "no hidden state can generate observation at position"
-            f" {int(dead[1:].argmax()) + 1}")
-    if dead[-1]:
-        raise DecodeInfeasibleError("no hidden state can generate the sequence")
+            f" {int(dead.argmax())}")
     state = int(scores[-1].argmax())
     path = [state]
     for pointers in back.tolist()[:0:-1]:
@@ -246,7 +244,8 @@ def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     np.multiply(model.initial, rows[0], out=alpha[0])
     scale[0] = alpha[0].sum()
     if scale[0] == 0.0:
-        raise DecodeInfeasibleError("no hidden state can generate observation 0")
+        raise DecodeInfeasibleError(
+            "no hidden state can generate observation at position 0")
     alpha[0] /= scale[0]
     for t in range(1, n):
         row = np.matmul(alpha[t - 1], transition, out=alpha[t])

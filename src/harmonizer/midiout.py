@@ -106,7 +106,7 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
             cursor = beat_index * PPQ
             for pitch, fraction in beat:
                 duration = _ticks(fraction, memo)
-                notes.append((cursor, duration, pitch.midi))
+                notes.append((cursor, duration, pitch))
                 cursor += duration
         out.append(notes)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import KeyLabel, MusicError, Pitch, diatonic_pcs
+from .core import MusicError, diatonic_pcs
 from .harmonize import ALTO_RANGE, BASS_RANGE, TENOR_RANGE, Harmonization
 
 # chorales are read in 4/4; strong beats are positions 0 and 2 of the bar
@@ -39,18 +39,10 @@ class OrnamentConfig:
                 "p_appoggiatura": self.p_appoggiatura}
 
 
-def diatonic_between(low: int, high: int, key: KeyLabel) -> int | None:
+def _scale_tone_between(low: int, high: int, pcs: frozenset[int]) -> int | None:
     """The scale tone strictly between two pitches, preferring the one
     nearest the midpoint (lower on ties); None when the gap has no scale
     tone."""
-    return _scale_tone_between(low, high, diatonic_pcs(key))
-
-
-def diatonic_upper_neighbor(pitch: int, key: KeyLabel) -> int | None:
-    return _upper_scale_tone(pitch, diatonic_pcs(key))
-
-
-def _scale_tone_between(low: int, high: int, pcs: frozenset[int]) -> int | None:
     if low > high:
         low, high = high, low
     inside = [m for m in range(low + 1, high) if m % 12 in pcs]
@@ -61,6 +53,7 @@ def _scale_tone_between(low: int, high: int, pcs: frozenset[int]) -> int | None:
 
 
 def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int | None:
+    """The first scale tone one to three semitones above pitch, or None."""
     for m in range(pitch + 1, pitch + 4):
         if m % 12 in pcs:
             return m
@@ -124,9 +117,9 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     passing_tones = {}      # one search per distinct (pitch, next pitch, scale)
     soprano = [ev.representative.midi for ev in h.soprano.events]
     skeleton = {
-        "alto": [a.alto.midi for a in h.arrangements],
-        "tenor": [a.tenor.midi for a in h.arrangements],
-        "bass": [a.bass.midi for a in h.arrangements],
+        "alto": [a.alto for a in h.arrangements],
+        "tenor": [a.tenor for a in h.arrangements],
+        "bass": [a.bass for a in h.arrangements],
     }
     # an inserted pitch stays in its voice range, at or below the voice
     # above and at or above the voice below (the bass has none below)
@@ -154,21 +147,21 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
                 mid = passing_tones[step]
                 if mid is not None and floor[t] <= mid <= ceiling[t]:
                     if rng.random() < cfg.p_passing:
-                        line[t] = [(Pitch(cur), 0.5), (Pitch(mid), 0.5)]
+                        line[t] = [(cur, 0.5), (mid, 0.5)]
                         continue
             # auxiliary tone decorating a repeated pitch
             if nxt is not None and nxt == cur:
                 neighbor = _upper_scale_tone(cur, scales[t])
                 if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
                     if rng.random() < cfg.p_auxiliary:
-                        line[t] = [(Pitch(cur), 0.5), (Pitch(neighbor), 0.5)]
+                        line[t] = [(cur, 0.5), (neighbor, 0.5)]
                         continue
             # appoggiatura leaning onto a strong beat
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 neighbor = _upper_scale_tone(cur, scales[t])
                 if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
                     if rng.random() < cfg.p_appoggiatura:
-                        line[t] = [(Pitch(neighbor), 0.5), (Pitch(cur), 0.5)]
+                        line[t] = [(neighbor, 0.5), (cur, 0.5)]
 
     return Harmonization(soprano=h.soprano, arrangements=list(h.arrangements),
                          annotation=h.annotation, penalty=h.penalty,

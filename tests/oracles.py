@@ -115,6 +115,9 @@ def stepwise_viterbi(model: HmmModel, observed) -> list:
     n = len(obs)
     S = len(model.states)
     score = _log_array(model.initial) + log_e[:, obs[0]]
+    if np.all(np.isneginf(score)):
+        raise DecodeInfeasibleError(
+            "no hidden state can generate observation at position 0")
     back = np.zeros((n, S), dtype=int)
     for t in range(1, n):
         candidate = score[:, None] + log_t
@@ -123,8 +126,6 @@ def stepwise_viterbi(model: HmmModel, observed) -> list:
         if np.all(np.isneginf(score)):
             raise DecodeInfeasibleError(
                 f"no hidden state can generate observation at position {t}")
-    if np.all(np.isneginf(score)):
-        raise DecodeInfeasibleError("no hidden state can generate the sequence")
     path = [int(np.argmax(score))]
     for t in range(n - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
@@ -144,7 +145,8 @@ def stepwise_posterior(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     alpha[0] = model.initial * model.emission[:, obs[0]]
     scale[0] = alpha[0].sum()
     if scale[0] == 0.0:
-        raise DecodeInfeasibleError("no hidden state can generate observation 0")
+        raise DecodeInfeasibleError(
+            "no hidden state can generate observation at position 0")
     alpha[0] /= scale[0]
     for t in range(1, n):
         alpha[t] = (alpha[t - 1] @ model.transition) * model.emission[:, obs[t]]
@@ -258,14 +260,13 @@ def _rule_weights(prev, cur, audited) -> list[float]:
     return weights
 
 
-def greedy_voicing(candidates_per_beat, soprano_midis, max_seeds=None):
+def greedy_voicing(beats, soprano_midis, max_seeds=None):
     """The greedy voicing search with nothing skipped. Each first-beat
     candidate (or the first max_seeds) seeds a chain; each step scores
     every candidate by (squared distance, rule hits among alto, tenor and
     bass, (bass, tenor, alto)) and keeps the least. The chain with the
     lowest four-voice penalty wins, the earlier seed on equal penalty.
     Returns (arrangements, penalty)."""
-    beats = [[c.triple() for c in cands] for cands in candidates_per_beat]
     seeds = beats[0] if max_seeds is None else beats[0][:max_seeds]
     best = None
     for index, seed in enumerate(seeds):
@@ -287,7 +288,7 @@ def greedy_voicing(candidates_per_beat, soprano_midis, max_seeds=None):
         if best is None or (penalty, index) < best[:2]:
             best = (penalty, index, chain)
     penalty, _, chain = best
-    return [candidates_per_beat[t][j] for t, j in enumerate(chain)], penalty
+    return [beats[t][j] for t, j in enumerate(chain)], penalty
 
 
 def _variable_length(value: int) -> list[int]:

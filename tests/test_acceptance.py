@@ -108,7 +108,7 @@ def test_criterion_3_constraint_satisfaction(major_bundle, fixture_melodies):
                                      major_bundle.chord_model, melody, method)
                 for ev, arr in zip(melody.events, h.arrangements):
                     s = ev.representative.midi
-                    a, t, b = arr.alto.midi, arr.tenor.midi, arr.bass.midi
+                    a, t, b = arr.alto, arr.tenor, arr.bass
                     assert b <= t <= a <= s
                     assert ALTO_RANGE[0] <= a <= ALTO_RANGE[1]
                     assert TENOR_RANGE[0] <= t <= TENOR_RANGE[1]
@@ -207,7 +207,7 @@ def test_criterion_8_midi_round_trip(major_bundle, rock_bundle,
                     cursor = beat_index * PPQ
                     for pitch, fraction in beat:
                         ticks = int(round(fraction * PPQ))
-                        expected.append((pitch.midi, cursor, ticks))
+                        expected.append((pitch, cursor, ticks))
                         cursor += ticks
                 assert [(p, o, d) for p, o, d, _ in track.notes] == expected
             files += 1

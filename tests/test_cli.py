@@ -489,7 +489,7 @@ def test_harmonize_warns_on_masked_transitions_like_analyze(
     # 20 melodies as one line do
     melody = tmp_path / "all.txt"
     melody.write_text(_format_records((), [
-        (("notes", _format_note_list(ev.notes)),)
+        (("notes", _format_note_list((p.midi, d) for p, d in ev.notes)),)
         for ev in _concatenated(fixture_melodies).events]))
     warnings = []
     for command in ("analyze", "harmonize"):

@@ -16,6 +16,7 @@ from harmonizer.core import (
     is_retrogressive,
 )
 from harmonizer import harmonize
+from harmonizer.corpus import parse_melody_text
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -39,8 +40,7 @@ from oracles import greedy_voicing, lattice_arrangements
 C_MAJOR = KeyLabel(0, MAJOR)
 
 
-def arr(a, t, b):
-    return Arrangement(Pitch(a), Pitch(t), Pitch(b))
+arr = Arrangement
 
 
 def melody_from_midi(pitches) -> MelodyLine:
@@ -49,7 +49,7 @@ def melody_from_midi(pitches) -> MelodyLine:
 
 
 def check_vertical(arrangement: Arrangement, soprano: int):
-    a, t, b = arrangement.alto.midi, arrangement.tenor.midi, arrangement.bass.midi
+    a, t, b = arrangement.alto, arrangement.tenor, arrangement.bass
     assert b <= t <= a <= soprano
     assert ALTO_RANGE[0] <= a <= ALTO_RANGE[1]
     assert TENOR_RANGE[0] <= t <= TENOR_RANGE[1]
@@ -62,16 +62,15 @@ def check_vertical(arrangement: Arrangement, soprano: int):
 
 def test_enumeration_contains_textbook_voicing():
     result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), Pitch(72))
-    triples = [r.triple() for r in result]
-    assert (64, 55, 48) in triples
+    assert (64, 55, 48) in result
     for r in result:
         check_vertical(r, 72)
 
 
 def test_enumeration_excludes_out_of_range_alto():
     result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), Pitch(72))
-    assert all(r.alto.midi != 52 for r in result)
-    assert all(r.alto.midi >= 53 for r in result)
+    assert all(r.alto != 52 for r in result)
+    assert all(r.alto >= 53 for r in result)
 
 
 @pytest.mark.parametrize("roman,soprano", [
@@ -83,9 +82,8 @@ def test_enumeration_matches_lattice_oracle_major(roman, soprano):
     chord = RomanChord.from_string(roman)
     result = enumerate_arrangements(C_MAJOR, chord, Pitch(soprano))
     expected = lattice_arrangements(C_MAJOR, chord, soprano)
-    got = [(r.alto.midi, r.tenor.midi, r.bass.midi) for r in result]
-    assert got == expected
-    assert got == sorted(got, key=lambda x: (x[2], x[1], x[0]))
+    assert result == expected
+    assert result == sorted(result, key=lambda x: (x[2], x[1], x[0]))
 
 
 @pytest.mark.parametrize("roman,soprano", [
@@ -96,7 +94,7 @@ def test_enumeration_matches_lattice_oracle_minor(roman, soprano):
     chord = RomanChord.from_string(roman)
     result = enumerate_arrangements(key, chord, Pitch(soprano))
     expected = lattice_arrangements(key, chord, soprano)
-    assert [(r.alto.midi, r.tenor.midi, r.bass.midi) for r in result] == expected
+    assert result == expected
 
 
 # the fixture chord states of both modes, then further inversions and
@@ -118,9 +116,8 @@ def test_enumeration_matches_lattice_oracle_any_key(tonic, mode, roman, soprano)
     chord = RomanChord.from_string(roman)
     result = enumerate_arrangements(key, chord, Pitch(soprano))
     expected = lattice_arrangements(key, chord, soprano)
-    got = [(r.alto.midi, r.tenor.midi, r.bass.midi) for r in result]
-    assert got == expected
-    assert got == sorted(got, key=lambda x: (x[2], x[1], x[0]))
+    assert result == expected
+    assert result == sorted(result, key=lambda x: (x[2], x[1], x[0]))
 
 
 def test_enumeration_never_doubles_leading_tone():
@@ -128,7 +125,7 @@ def test_enumeration_never_doubles_leading_tone():
     result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("V"), Pitch(71))
     assert result, "soprano on the leading tone must stay voiceable"
     for r in result:
-        pcs = [71 % 12, r.alto.pitch_class, r.tenor.pitch_class, r.bass.pitch_class]
+        pcs = [71 % 12, r.alto % 12, r.tenor % 12, r.bass % 12]
         assert pcs.count(11) == 1
 
 
@@ -173,7 +170,20 @@ def test_chain_tie_broken_by_horizontal_violations():
     [(chain, _)] = chain_arrangements([[seed], [parallel, clean]], [seed])
     assert chain[1] == clean
     # sanity: the violating candidate would win a pure lexicographic tie
-    assert parallel.sort_key() < clean.sort_key()
+    assert ((parallel.bass, parallel.tenor, parallel.alto)
+            < (clean.bass, clean.tenor, clean.alto))
+
+
+def test_chain_full_tie_goes_to_least_bass_tenor_alto():
+    # both candidates are at squared distance 5 with no violations; the
+    # list order and the alto order favour higher_bass, the
+    # (bass, tenor, alto) order lower_bass
+    seed = arr(64, 55, 48)
+    lower_bass, higher_bass = arr(66, 55, 47), arr(63, 55, 50)
+    [(chain, _)] = chain_arrangements([[seed], [higher_bass, lower_bass]], [seed])
+    assert chain[1] is lower_bass
+    assert greedy_voicing([[seed], [higher_bass, lower_bass]], [76, 76])[0][1] \
+        is lower_bass
 
 
 def test_chain_raises_on_empty_beat():
@@ -254,7 +264,20 @@ def test_single_beat_melody_takes_first_seed(major_bundle):
     chord = h.annotation.chords[0]
     key = h.annotation.keys[0]
     seeds = enumerate_arrangements(key, chord, Pitch(72))
-    assert h.arrangements[0].triple() == seeds[0].triple()
+    assert h.arrangements[0] == seeds[0]
+
+
+def test_voice_lines_hold_midi_numbers():
+    melody = parse_melody_text("0 | notes=72:0.5,74:0.5\n")
+    h = voice_progression(melody, ProgressionAnnotation(
+        (C_MAJOR,), (RomanChord.from_string("I"),)))
+    [arrangement] = h.arrangements
+    assert h.voice_lines() == {
+        "soprano": [[(72, 0.5), (74, 0.5)]],
+        "alto": [[(arrangement.alto, 1.0)]],
+        "tenor": [[(arrangement.tenor, 1.0)]],
+        "bass": [[(arrangement.bass, 1.0)]],
+    }
 
 
 def test_harmonize_penalty_is_minimum_over_seeds(major_bundle, fixture_melodies):
@@ -272,9 +295,9 @@ def test_harmonize_penalty_is_minimum_over_seeds(major_bundle, fixture_melodies)
             prev = chain[-1]
             scored = []
             for c in cands[t]:
-                d = ((c.alto.midi - prev.alto.midi) ** 2
-                     + (c.tenor.midi - prev.tenor.midi) ** 2
-                     + (c.bass.midi - prev.bass.midi) ** 2)
+                d = ((c.alto - prev.alto) ** 2
+                     + (c.tenor - prev.tenor) ** 2
+                     + (c.bass - prev.bass) ** 2)
                 scored.append((d, c))
             min_d = min(d for d, _ in scored)
             ties = [c for d, c in scored if d == min_d]

@@ -210,11 +210,11 @@ def test_viterbi_infeasible_observation():
      "no hidden state can generate observation at position 2",
      "no hidden state can generate observation at position 2"),
     ([1, 0, 0],
-     "no hidden state can generate observation at position 1",
-     "no hidden state can generate observation 0"),
+     "no hidden state can generate observation at position 0",
+     "no hidden state can generate observation at position 0"),
     ([1],
-     "no hidden state can generate the sequence",
-     "no hidden state can generate observation 0"),
+     "no hidden state can generate observation at position 0",
+     "no hidden state can generate observation at position 0"),
 ])
 def test_infeasible_decode_messages(observed, viterbi_message,
                                     posterior_message):

@@ -38,8 +38,7 @@ def melody_from_midi(pitches) -> MelodyLine:
 
 def tiny_harmonization(n=1) -> Harmonization:
     melody = melody_from_midi([72] * n)
-    arrangements = [Arrangement(Pitch(64), Pitch(55), Pitch(48))
-                    for _ in range(n)]
+    arrangements = [Arrangement(64, 55, 48) for _ in range(n)]
     keys = tuple([KeyLabel(0, MAJOR)] * n)
     chords = tuple([RomanChord.from_string("I")] * n)
     return Harmonization(soprano=melody, arrangements=arrangements,
@@ -73,7 +72,7 @@ def test_round_trip_fixture_harmonization(tmp_path, major_bundle, fixture_melodi
             cursor = beat_index * PPQ
             for pitch, fraction in beat:
                 ticks = int(round(fraction * PPQ))
-                expected.append((pitch.midi, cursor, ticks))
+                expected.append((pitch, cursor, ticks))
                 cursor += ticks
         assert [(p, o, d) for p, o, d, _ in track.notes] == expected
 
@@ -115,8 +114,8 @@ def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
 
 def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
-    h.alto_line = [[(Pitch(64), 1.0)]]
-    h.arrangements[0] = Arrangement(Pitch(64), Pitch(55), Pitch(48))
+    h.alto_line = [[(64, 1.0)]]
+    h.arrangements[0] = Arrangement(64, 55, 48)
     score = render_accompaniment([(0, "I")])
     score.bass_track[0] = [(0.0, 1.0, 400)]
     with pytest.raises(ValueError):
@@ -171,7 +170,7 @@ def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
         for beat_index, beat in enumerate(voices[name]):
             cursor = beat_index * PPQ
             for pitch, fraction in beat:
-                notes.append((cursor, int(round(fraction * PPQ)), pitch.midi))
+                notes.append((cursor, int(round(fraction * PPQ)), pitch))
                 cursor += notes[-1][1]
         assert tracks[1 + channel] == smf_note_track(notes, channel)
 
