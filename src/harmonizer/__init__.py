@@ -7,7 +7,6 @@ from .core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
     all_keys,

@@ -82,6 +82,9 @@ class RunConfig:
             raise MusicError(f"max_seeds must be positive: {self.max_seeds}")
         if self.tempo_bpm is not None and not 20 <= self.tempo_bpm <= 400:
             raise MusicError(f"tempo out of range: {self.tempo_bpm}")
+        # the rates given are checked whether or not ornaments are on
+        OrnamentConfig(**{name: value for name, value in vars(self).items()
+                          if name.startswith("p_") and value is not None})
 
 
 _RUN_CONFIG_TYPES = get_type_hints(RunConfig)

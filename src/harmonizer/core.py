@@ -1,5 +1,5 @@
-"""Shared musical vocabulary: pitches, keys, Roman-numeral chords, and
-beat-indexed melody sequences.
+"""Shared musical vocabulary: keys, Roman-numeral chords, and
+beat-indexed melody sequences whose pitches are MIDI numbers.
 
 All pitch arithmetic is pitch-class based (mod 12); enharmonic spelling is
 out of scope. Keys serialize as note names, uppercase for major and
@@ -59,24 +59,6 @@ def beats_to_ticks(value: float) -> int:
         raise MusicError(f"duration {value} beats is not a whole number of"
                          f" 1/{PPQ}-beat ticks")
     return int(ticks)
-
-
-@dataclass(frozen=True, order=True)
-class Pitch:
-    """MIDI pitch, integer semitones with middle C = 60."""
-
-    midi: int
-
-    def __post_init__(self):
-        if not 0 <= self.midi <= 127:
-            raise MusicError(f"MIDI pitch out of range 0-127: {self.midi}")
-
-    @property
-    def pitch_class(self) -> int:
-        return self.midi % 12
-
-    def transpose(self, semitones: int) -> "Pitch":
-        return Pitch(self.midi + semitones)
 
 
 @dataclass(frozen=True, order=True)
@@ -194,18 +176,23 @@ class RomanChord:
 
 @dataclass(frozen=True)
 class BeatEvent:
-    """All notes sounding within one beat, durations as fractions of the beat.
+    """All notes sounding within one beat as (MIDI number, fraction of the
+    beat) pairs. Every melody pitch enters through here, so the 0-127
+    range is checked here.
 
     The representative pitch (what sequence models observe) is the note
     sounding at the beat onset, i.e. the first entry.
     """
 
     beat_index: int
-    notes: tuple[tuple[Pitch, float], ...]
+    notes: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         if not self.notes:
             raise MusicError(f"beat {self.beat_index} has no notes")
+        for midi, _ in self.notes:
+            if not 0 <= midi <= 127:
+                raise MusicError(f"MIDI pitch out of range 0-127: {midi}")
         total = sum(d for _, d in self.notes)
         if abs(total - 1.0) > 1e-9:
             raise MusicError(
@@ -215,7 +202,7 @@ class BeatEvent:
                 f"beat {self.beat_index} has a non-positive or non-finite duration")
 
     @property
-    def representative(self) -> Pitch:
+    def representative(self) -> int:
         return self.notes[0][0]
 
 
@@ -236,13 +223,13 @@ class MelodyLine:
     def __len__(self) -> int:
         return len(self.events)
 
-    def representatives(self) -> list[Pitch]:
+    def representatives(self) -> list[int]:
         return [ev.representative for ev in self.events]
 
     def transpose(self, semitones: int) -> "MelodyLine":
         events = tuple(
             BeatEvent(ev.beat_index,
-                      tuple((p.transpose(semitones), d) for p, d in ev.notes))
+                      tuple((midi + semitones, d) for midi, d in ev.notes))
             for ev in self.events)
         return MelodyLine(events)
 
@@ -263,10 +250,9 @@ class ProgressionAnnotation:
         return len(self.keys)
 
 
-def transposed_degree(pitch: Pitch | int, key: KeyLabel) -> int:
+def transposed_degree(pitch: int, key: KeyLabel) -> int:
     """Melody pitch relative to the key tonic, as a pitch class 0-11."""
-    midi = pitch.midi if isinstance(pitch, Pitch) else pitch
-    return (midi % 12 - key.tonic_pc) % 12
+    return (pitch - key.tonic_pc) % 12
 
 
 # Functional grouping. Degree 6 belongs to both the tonic and predominant

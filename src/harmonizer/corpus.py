@@ -33,7 +33,6 @@ from .core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     RomanChord,
     beats_to_ticks,
     transposed_degree,
@@ -86,7 +85,7 @@ class Corpus:
         return Corpus(picked, self.genre)
 
 
-def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[Pitch, float], ...]:
+def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, float], ...]:
     notes = []
     for item in text.split(","):
         item = item.strip()
@@ -94,7 +93,7 @@ def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[Pitch, fl
             continue
         try:
             pitch_s, dur_s = item.split(":")
-            pitch, duration = Pitch(int(pitch_s)), float(dur_s)
+            pitch, duration = int(pitch_s), float(dur_s)
             # durations outside (0, 1] are left to BeatEvent, which rejects
             # them as non-positive, non-finite or overfilling the beat
             if 0 < duration <= 1 and beats_to_ticks(duration) < 1:
@@ -211,7 +210,7 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
         chord = triadic_numeral_for_root((root_pc - key_pc) % 12)
-        beat = BeatEvent(index, ((Pitch(60 + melody_pc), 1.0),))
+        beat = BeatEvent(index, ((60 + melody_pc, 1.0),))
         events.append((beat, KeyLabel(key_pc, MAJOR), chord))
     try:
         return AnnotatedChorale(header.get("id", source), "major", tuple(events))
@@ -283,7 +282,7 @@ def parse_rock_melody_file(path: str | Path) -> list[int]:
 def serialize_chorale(chorale: AnnotatedChorale) -> str:
     return _format_records(
         (("id", chorale.id), ("mode", chorale.mode)),
-        ((("notes", _format_note_list((p.midi, d) for p, d in beat.notes)),
+        ((("notes", _format_note_list(beat.notes)),
           ("key", key.to_string()),
           ("roman", chord.to_string()))
          for beat, key, chord in chorale.events))
@@ -300,7 +299,7 @@ def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
         return chorale
     events = tuple(
         (BeatEvent(beat.beat_index,
-                   tuple((p.transpose(offset), d) for p, d in beat.notes)),
+                   tuple((midi + offset, d) for midi, d in beat.notes)),
          key.transpose(offset),
          chord)
         for beat, key, chord in chorale.events)
@@ -312,7 +311,7 @@ def key_observation_sequences(corpus: Corpus) -> list[tuple[list[str], list[int]
     out = []
     for ch in corpus.chorales:
         hidden = [k.to_string() for k in ch.keys()]
-        observed = [beat.representative.pitch_class for beat, _, _ in ch.events]
+        observed = [beat.representative % 12 for beat, _, _ in ch.events]
         out.append((hidden, observed))
     return out
 

@@ -18,7 +18,6 @@ from .core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
     chord_bass_pc,
@@ -101,8 +100,7 @@ class Harmonization:
             self.bass_line = [[(a.bass, 1.0)] for a in self.arrangements]
 
     def voice_lines(self) -> dict[str, VoiceLine]:
-        soprano = [[(p.midi, beats) for p, beats in ev.notes]
-                   for ev in self.soprano.events]
+        soprano = [list(ev.notes) for ev in self.soprano.events]
         return {"soprano": soprano, "alto": self.alto_line,
                 "tenor": self.tenor_line, "bass": self.bass_line}
 
@@ -165,12 +163,12 @@ def _upper_spellings(chord: RomanChord, key: KeyLabel,
 
 
 def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
-                           soprano: Pitch) -> list[Arrangement]:
+                           soprano: int) -> list[Arrangement]:
     """Every arrangement satisfying the vertical constraints, sorted
     lexicographically by (bass, tenor, alto). May be empty."""
     bass_pc = chord_bass_pc(chord, key)
     lt = leading_tone_pc(key)
-    soprano_pc = soprano.pitch_class
+    soprano_pc = soprano % 12
     for first, second in _upper_spellings(chord, key, soprano_pc):
         found = []
         for alto_pc, tenor_pc in {(first, second), (second, first)}:
@@ -178,17 +176,17 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
             if lt_count > 1:
                 continue
             for bass in _pitches_in_range(bass_pc, *BASS_RANGE):
-                if bass > soprano.midi:
+                if bass > soprano:
                     continue
                 for tenor in _pitches_in_range(tenor_pc, *TENOR_RANGE):
                     if tenor < bass:
                         continue
                     for alto in _pitches_in_range(alto_pc, *ALTO_RANGE):
-                        if alto < tenor or alto > soprano.midi:
+                        if alto < tenor or alto > soprano:
                             continue
                         if alto - tenor > MAX_SPACING:
                             continue
-                        if soprano.midi - alto > MAX_SPACING:
+                        if soprano - alto > MAX_SPACING:
                             continue
                         found.append(Arrangement(alto, tenor, bass))
         if found:
@@ -275,7 +273,7 @@ def score_arrangements(melody: MelodyLine,
                        arrangements) -> tuple[float, list[Violation]]:
     """Scan consecutive beats over all four voices and total the weighted
     rule violations. Violations are logged at the arrival beat."""
-    stacks = [(ev.representative.midi, *arr)
+    stacks = [(ev.representative, *arr)
               for ev, arr in zip(melody.events, arrangements)]
     log: list[Violation] = []
     for t in range(1, len(stacks)):

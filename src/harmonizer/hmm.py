@@ -122,14 +122,8 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
                 f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
         if not hidden:
             raise HmmError("empty sequence in training set")
-        try:
-            h_idx = [s_index[h] for h in hidden]
-        except KeyError as exc:
-            raise AlphabetError(f"hidden label not in alphabet: {exc.args[0]!r}")
-        try:
-            o_idx = [o_index[o] for o in observed]
-        except KeyError as exc:
-            raise AlphabetError(f"observed label not in alphabet: {exc.args[0]!r}")
+        h_idx = _indices(hidden, s_index, "hidden label")
+        o_idx = _indices(observed, o_index, "observed label")
         init_counts[h_idx[0]] += 1
         for a, b in zip(h_idx, h_idx[1:]):
             trans_counts[a, b] += 1
@@ -145,12 +139,13 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
                     mask=mask, smoothing_alpha=alpha)
 
 
-def _observation_indices(model: HmmModel, observed) -> list[int]:
-    o_index = model.observation_index()
+def _indices(labels, index: dict, what: str) -> list[int]:
+    """The alphabet position of every label; AlphabetError naming `what`
+    for the first label outside the alphabet."""
     try:
-        return [o_index[o] for o in observed]
+        return [index[label] for label in labels]
     except KeyError as exc:
-        raise AlphabetError(f"observation not in alphabet: {exc.args[0]!r}")
+        raise AlphabetError(f"{what} not in alphabet: {exc.args[0]!r}")
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -169,7 +164,7 @@ def viterbi(model: HmmModel, observed) -> list:
     candidate it picked."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
-    obs = _observation_indices(model, observed)
+    obs = _indices(observed, model.observation_index(), "observation")
     log_t_to = _log(model.transition).T.copy()  # [next state, state]
     rows = _log(model.emission.T)[obs]
     n, S = rows.shape
@@ -203,14 +198,6 @@ def viterbi(model: HmmModel, observed) -> list:
     return [model.states[i] for i in path]
 
 
-def _state_indices(model: HmmModel, hidden) -> list[int]:
-    s_index = model.state_index()
-    try:
-        return [s_index[h] for h in hidden]
-    except KeyError as exc:
-        raise AlphabetError(f"hidden label not in alphabet: {exc.args[0]!r}")
-
-
 def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
     """Joint log probability of a hidden/observed label pair."""
     if len(hidden) != len(observed):
@@ -218,8 +205,8 @@ def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
             f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
     if len(hidden) == 0:
         raise HmmError("empty sequence")
-    obs = _observation_indices(model, observed)
-    hid = _state_indices(model, hidden)
+    obs = _indices(observed, model.observation_index(), "observation")
+    hid = _indices(hidden, model.state_index(), "hidden label")
     log_t = _log(model.transition)
     log_e = _log(model.emission)
     total = float(_log(model.initial)[hid[0]] + log_e[hid[0], obs[0]])
@@ -235,7 +222,7 @@ def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     into preallocated rows."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
-    obs = _observation_indices(model, observed)
+    obs = _indices(observed, model.observation_index(), "observation")
     transition = model.transition
     rows = model.emission.T[obs]
     n, S = rows.shape
@@ -283,7 +270,7 @@ def masked_pairs(model: HmmModel, hidden) -> list[tuple[int, object, object]]:
     never repaired."""
     if model.mask is None:
         return []
-    hid = _state_indices(model, hidden)
+    hid = _indices(hidden, model.state_index(), "hidden label")
     return [(t, hidden[t - 1], hidden[t]) for t in range(1, len(hid))
             if model.mask[hid[t - 1], hid[t]]]
 
@@ -304,7 +291,7 @@ def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
                      melody: MelodyLine, method: str = "viterbi") -> ProgressionAnnotation:
     """Two-stage decode: keys from the melody pitch classes, then chords
     from the melody transposed against the decoded keys."""
-    melody_pcs = [p.pitch_class for p in melody.representatives()]
+    melody_pcs = [midi % 12 for midi in melody.representatives()]
     keys = tuple(_parse_each(decode(key_model, melody_pcs, method),
                              KeyLabel.from_string))
     chords = decode_chords_given_keys(chord_model, melody, keys, method)

@@ -68,9 +68,9 @@ def estimate_ornament_rates(corpus) -> OrnamentConfig:
     exhibited = {"passing": 0, "auxiliary": 0, "appoggiatura": 0}
     for ch in corpus.chorales:
         beats = [ev for ev, _, _ in ch.events]
-        reps = [ev.representative.midi for ev in beats]
+        reps = [ev.representative for ev in beats]
         for t in range(len(beats)):
-            extra = [p.midi for p, _ in beats[t].notes[1:]]
+            extra = [m for m, _ in beats[t].notes[1:]]
             if t + 1 < len(beats):
                 gap = abs(reps[t + 1] - reps[t])
                 if gap in (3, 4):
@@ -84,9 +84,9 @@ def estimate_ornament_rates(corpus) -> OrnamentConfig:
                         exhibited["auxiliary"] += 1
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 eligible["appoggiatura"] += 1
-                first = beats[t].notes[0][0].midi
+                first = beats[t].notes[0][0]
                 if len(beats[t].notes) >= 2:
-                    second = beats[t].notes[1][0].midi
+                    second = beats[t].notes[1][0]
                     if 1 <= first - second <= 2:
                         exhibited["appoggiatura"] += 1
     def rate(name):
@@ -115,7 +115,7 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     scale_of = {key: diatonic_pcs(key) for key in set(h.annotation.keys)}
     scales = [scale_of[key] for key in h.annotation.keys]
     passing_tones = {}      # one search per distinct (pitch, next pitch, scale)
-    soprano = [ev.representative.midi for ev in h.soprano.events]
+    soprano = h.soprano.representatives()
     skeleton = {
         "alto": [a.alto for a in h.arrangements],
         "tenor": [a.tenor for a in h.arrangements],

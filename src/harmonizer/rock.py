@@ -16,7 +16,6 @@ from .core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     RomanChord,
     chord_tone_pcs,
 )
@@ -50,7 +49,7 @@ def harmonize_rock(key_model: HmmModel, chord_model: HmmModel,
                    melody_measures, method: str = "viterbi") -> list[tuple[int, str]]:
     """Decode one (key pitch class, numeral) pair per measure from the
     melody pitch class of each measure."""
-    events = tuple(BeatEvent(i, ((Pitch(60 + int(pc)), 1.0),))
+    events = tuple(BeatEvent(i, ((60 + int(pc), 1.0),))
                    for i, pc in enumerate(melody_measures))
     melody = MelodyLine(events)
     annotation = decode_key_chord(key_model, chord_model, melody, method)

@@ -107,7 +107,7 @@ def test_criterion_3_constraint_satisfaction(major_bundle, fixture_melodies):
                 h = harmonize_melody(major_bundle.key_model,
                                      major_bundle.chord_model, melody, method)
                 for ev, arr in zip(melody.events, h.arrangements):
-                    s = ev.representative.midi
+                    s = ev.representative
                     a, t, b = arr.alto, arr.tenor, arr.bass
                     assert b <= t <= a <= s
                     assert ALTO_RANGE[0] <= a <= ALTO_RANGE[1]

@@ -258,6 +258,26 @@ def test_invalid_config_file_exits_2(capsys, tmp_path, trained_model, data_dir,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--p-passing", "5"], "p_passing must be in [0, 1]: 5.0"),
+    (["--p-auxiliary", "-0.5"], "p_auxiliary must be in [0, 1]: -0.5"),
+    (["--p-appoggiatura", "nan"], "p_appoggiatura must be in [0, 1]: nan"),
+    ({"p_passing": 5}, "p_passing must be in [0, 1]: 5"),
+    ({"p_appoggiatura": 1.5}, "p_appoggiatura must be in [0, 1]: 1.5"),
+], ids=["flag-above", "flag-negative", "flag-nan", "config-above",
+        "config-above-float"])
+def test_ornament_rate_out_of_range_exits_2_with_ornaments_off(
+        capsys, tmp_path, trained_model, data_dir, extra, message):
+    if isinstance(extra, dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(extra))
+        extra = ["--config", str(config)]
+    code = main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(data_dir / "melodies" / "m01.txt"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_file_accepts_int_probability(tmp_path, trained_model, data_dir):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"ornaments": True, "p_passing": 1,
@@ -421,6 +441,29 @@ def test_off_grid_duration_exits_2(capsys, tmp_path, trained_model, notes,
                                       "--melody", str(melody)]), message)
 
 
+def test_out_of_range_melody_pitch_exits_2(capsys, tmp_path, trained_model):
+    melody = tmp_path / "high.txt"
+    melody.write_text("0 | notes=72:1\n1 | notes=130:1\n2 | notes=72:1\n")
+    assert main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(melody)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {melody}:2: ")
+    assert "MIDI pitch out of range 0-127: 130" in err
+
+
+def test_transposition_past_127_exits_2(capsys, tmp_path):
+    # B major moves up a semitone to C, lifting the opening 127 to 128
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "piece.txt").write_text(
+        "id: high\nmode: major\n0 | notes=127:1 | key=B | roman=I\n"
+        "1 | notes=123:1 | key=B | roman=I\n")
+    code = main(["train", "--corpus", str(corpus), "--out",
+                 str(tmp_path / "m.json")])
+    _assert_input_error(capsys, code, "MIDI pitch out of range 0-127: 128")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_one_tick_duration_is_written(tmp_path, trained_model):
     melody = tmp_path / "tick.txt"
     melody.write_text(f"0 | notes=72:1\n1 | notes=72:{1 / 480!r},74:{479 / 480!r}\n"
@@ -489,7 +532,7 @@ def test_harmonize_warns_on_masked_transitions_like_analyze(
     # 20 melodies as one line do
     melody = tmp_path / "all.txt"
     melody.write_text(_format_records((), [
-        (("notes", _format_note_list((p.midi, d) for p, d in ev.notes)),)
+        (("notes", _format_note_list(ev.notes)),)
         for ev in _concatenated(fixture_melodies).events]))
     warnings = []
     for command in ("analyze", "harmonize"):

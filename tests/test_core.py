@@ -9,7 +9,6 @@ from harmonizer.core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
     all_keys,
@@ -32,12 +31,17 @@ ROMAN_SAMPLES = [
 
 
 def test_pitch_bounds():
-    assert Pitch(60).pitch_class == 0
-    assert Pitch(127).midi == 127
-    with pytest.raises(MusicError):
-        Pitch(128)
-    with pytest.raises(MusicError):
-        Pitch(-1)
+    assert BeatEvent(0, ((0, 1.0),)).representative == 0
+    assert BeatEvent(0, ((127, 1.0),)).representative == 127
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
+        BeatEvent(0, ((128, 1.0),))
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: -1"):
+        BeatEvent(0, ((-1, 1.0),))
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 130"):
+        BeatEvent(0, ((72, 0.5), (130, 0.5)))
+    line = MelodyLine((BeatEvent(0, ((120, 1.0),)),))
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
+        line.transpose(8)
 
 
 def test_exactly_24_keys():
@@ -88,10 +92,10 @@ def test_third_inversion_requires_seventh():
 
 
 def test_transposed_degree_examples():
-    assert transposed_degree(Pitch(60), KeyLabel(0, MAJOR)) == 0
-    assert transposed_degree(Pitch(74), KeyLabel(5, MAJOR)) == 9
+    assert transposed_degree(60, KeyLabel(0, MAJOR)) == 0
+    assert transposed_degree(74, KeyLabel(5, MAJOR)) == 9
     key = KeyLabel(7, MINOR)
-    assert transposed_degree(Pitch(60), key) == transposed_degree(Pitch(72), key)
+    assert transposed_degree(60, key) == transposed_degree(72, key)
 
 
 @given(midi=st.integers(min_value=0, max_value=115),
@@ -99,8 +103,8 @@ def test_transposed_degree_examples():
        mode=st.sampled_from([MAJOR, MINOR]))
 def test_transposed_degree_octave_invariant(midi, tonic, mode):
     key = KeyLabel(tonic, mode)
-    assert transposed_degree(Pitch(midi), key) == transposed_degree(Pitch(midi + 12), key)
-    assert 0 <= transposed_degree(Pitch(midi), key) <= 11
+    assert transposed_degree(midi, key) == transposed_degree(midi + 12, key)
+    assert 0 <= transposed_degree(midi, key) <= 11
 
 
 def test_functional_groups():
@@ -177,20 +181,20 @@ def test_beat_event_invariants():
     with pytest.raises(MusicError):
         BeatEvent(0, ())
     with pytest.raises(MusicError):
-        BeatEvent(0, ((Pitch(60), 0.5), (Pitch(62), 0.4)))
-    ev = BeatEvent(0, ((Pitch(60), 0.5), (Pitch(62), 0.5)))
-    assert ev.representative == Pitch(60)
+        BeatEvent(0, ((60, 0.5), (62, 0.4)))
+    ev = BeatEvent(0, ((60, 0.5), (62, 0.5)))
+    assert ev.representative == 60
 
 
 def test_melody_line_invariants():
     with pytest.raises(MusicError):
         MelodyLine(())
     with pytest.raises(MusicError):
-        MelodyLine((BeatEvent(1, ((Pitch(60), 1.0),)),))
-    line = MelodyLine((BeatEvent(0, ((Pitch(60), 1.0),)),
-                       BeatEvent(1, ((Pitch(62), 1.0),))))
+        MelodyLine((BeatEvent(1, ((60, 1.0),)),))
+    line = MelodyLine((BeatEvent(0, ((60, 1.0),)),
+                       BeatEvent(1, ((62, 1.0),))))
     assert len(line) == 2
-    assert [p.midi for p in line.representatives()] == [60, 62]
+    assert line.representatives() == [60, 62]
 
 
 def test_annotation_length_mismatch():

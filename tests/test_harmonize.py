@@ -10,7 +10,6 @@ from harmonizer.core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
     is_retrogressive,
@@ -44,7 +43,7 @@ arr = Arrangement
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((Pitch(m), 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
                             for i, m in enumerate(pitches)))
 
 
@@ -61,14 +60,14 @@ def check_vertical(arrangement: Arrangement, soprano: int):
 # --- enumeration -----------------------------------------------------------
 
 def test_enumeration_contains_textbook_voicing():
-    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), Pitch(72))
+    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), 72)
     assert (64, 55, 48) in result
     for r in result:
         check_vertical(r, 72)
 
 
 def test_enumeration_excludes_out_of_range_alto():
-    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), Pitch(72))
+    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), 72)
     assert all(r.alto != 52 for r in result)
     assert all(r.alto >= 53 for r in result)
 
@@ -80,7 +79,7 @@ def test_enumeration_excludes_out_of_range_alto():
 ])
 def test_enumeration_matches_lattice_oracle_major(roman, soprano):
     chord = RomanChord.from_string(roman)
-    result = enumerate_arrangements(C_MAJOR, chord, Pitch(soprano))
+    result = enumerate_arrangements(C_MAJOR, chord, soprano)
     expected = lattice_arrangements(C_MAJOR, chord, soprano)
     assert result == expected
     assert result == sorted(result, key=lambda x: (x[2], x[1], x[0]))
@@ -92,7 +91,7 @@ def test_enumeration_matches_lattice_oracle_major(roman, soprano):
 def test_enumeration_matches_lattice_oracle_minor(roman, soprano):
     key = KeyLabel(9, MINOR)
     chord = RomanChord.from_string(roman)
-    result = enumerate_arrangements(key, chord, Pitch(soprano))
+    result = enumerate_arrangements(key, chord, soprano)
     expected = lattice_arrangements(key, chord, soprano)
     assert result == expected
 
@@ -114,7 +113,7 @@ ORACLE_CHORDS = (
 def test_enumeration_matches_lattice_oracle_any_key(tonic, mode, roman, soprano):
     key = KeyLabel(tonic, mode)
     chord = RomanChord.from_string(roman)
-    result = enumerate_arrangements(key, chord, Pitch(soprano))
+    result = enumerate_arrangements(key, chord, soprano)
     expected = lattice_arrangements(key, chord, soprano)
     assert result == expected
     assert result == sorted(result, key=lambda x: (x[2], x[1], x[0]))
@@ -122,7 +121,7 @@ def test_enumeration_matches_lattice_oracle_any_key(tonic, mode, roman, soprano)
 
 def test_enumeration_never_doubles_leading_tone():
     # soprano on the leading tone over the dominant
-    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("V"), Pitch(71))
+    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("V"), 71)
     assert result, "soprano on the leading tone must stay voiceable"
     for r in result:
         pcs = [71 % 12, r.alto % 12, r.tenor % 12, r.bass % 12]
@@ -131,14 +130,14 @@ def test_enumeration_never_doubles_leading_tone():
 
 def test_enumeration_empty_when_soprano_below_everything():
     # soprano far below the alto range leaves nothing to enumerate
-    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), Pitch(40))
+    result = enumerate_arrangements(C_MAJOR, RomanChord.from_string("I"), 40)
     assert result == []
 
 
 def test_enumeration_is_deterministic():
     chord = RomanChord.from_string("V7")
-    first = enumerate_arrangements(C_MAJOR, chord, Pitch(74))
-    second = enumerate_arrangements(C_MAJOR, chord, Pitch(74))
+    first = enumerate_arrangements(C_MAJOR, chord, 74)
+    second = enumerate_arrangements(C_MAJOR, chord, 74)
     assert first == second
 
 
@@ -263,7 +262,7 @@ def test_single_beat_melody_takes_first_seed(major_bundle):
     assert len(h.arrangements) == 1
     chord = h.annotation.chords[0]
     key = h.annotation.keys[0]
-    seeds = enumerate_arrangements(key, chord, Pitch(72))
+    seeds = enumerate_arrangements(key, chord, 72)
     assert h.arrangements[0] == seeds[0]
 
 
@@ -304,7 +303,7 @@ def test_harmonize_penalty_is_minimum_over_seeds(major_bundle, fixture_melodies)
             if len(ties) == 1:
                 chain.append(ties[0])
             else:
-                sopranos = [ev.representative.midi
+                sopranos = [ev.representative
                             for ev in melody.events[t - 1:t + 1]]
                 chain.append(greedy_voicing([[prev], ties], sopranos)[0][1])
         penalty, _ = score_arrangements(melody, chain)
@@ -325,7 +324,7 @@ def _assert_matches_greedy_oracle(melody, annotation, max_seeds=None):
                                                  annotation.chords,
                                                  melody.representatives())]
     arrangements, penalty = greedy_voicing(
-        candidates, [p.midi for p in melody.representatives()], max_seeds)
+        candidates, melody.representatives(), max_seeds)
     assert h.arrangements == arrangements
     assert h.penalty == penalty
     assert h.violation_log == score_arrangements(h.soprano, h.arrangements)[1]
@@ -387,8 +386,8 @@ def feasible_beats():
         for roman in ORACLE_CHORDS:
             chord = RomanChord.from_string(roman)
             for soprano in range(60, 80):
-                if enumerate_arrangements(key, chord, Pitch(soprano)):
-                    beats.append((key, chord, Pitch(soprano)))
+                if enumerate_arrangements(key, chord, soprano):
+                    beats.append((key, chord, soprano))
     return beats
 
 
@@ -517,7 +516,7 @@ def test_all_fixture_harmonizations_satisfy_constraints(major_bundle,
                              melody)
         assert len(h.arrangements) == len(melody)
         for ev, a in zip(melody.events, h.arrangements):
-            check_vertical(a, ev.representative.midi)
+            check_vertical(a, ev.representative)
 
 
 def test_masked_viterbi_decodes_have_no_retrogression(major_bundle,
@@ -564,4 +563,4 @@ def test_random_melodies_all_arrangements_valid(data, major_bundle):
     melody = melody_from_midi(pitches)
     h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
     for ev, a in zip(melody.events, h.arrangements):
-        check_vertical(a, ev.representative.midi)
+        check_vertical(a, ev.representative)

@@ -8,7 +8,6 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
-    Pitch,
     RomanChord,
     transposed_degree,
 )
@@ -80,7 +79,7 @@ def awkward_model(rng, n_states, n_obs) -> HmmModel:
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((Pitch(m), 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
                             for i, m in enumerate(pitches)))
 
 
@@ -325,7 +324,7 @@ def test_kernels_equal_stepwise_on_long_fixture_concatenation(
     pitches = [p for _, melody in fixture_melodies
                for p in melody.representatives()] * 10
     assert len(pitches) == 1910
-    pcs = [p.pitch_class for p in pitches]
+    pcs = [p % 12 for p in pitches]
     for keys in assert_decoders_match_stepwise(major_bundle.key_model, pcs):
         deltas = [transposed_degree(p, KeyLabel.from_string(k))
                   for p, k in zip(pitches, keys)]
@@ -377,6 +376,33 @@ def test_sequence_log_probability_rejects_empty_input():
         sequence_log_probability(two_state_model(), [], [])
 
 
+def _masked_three_chord_model() -> HmmModel:
+    labels = ["I", "IV", "V"]
+    return estimate(labels, [0], [(["I", "V"], [0, 0])],
+                    mask=build_phrase_mask(labels))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: estimate(["A"], [0], [(["A", "Z"], [0, 0])]),
+     "hidden label not in alphabet: 'Z'"),
+    (lambda: estimate(["A"], [0], [(["A", "A"], [0, 5])]),
+     "observed label not in alphabet: 5"),
+    (lambda: viterbi(two_state_model(), [0, 7]),
+     "observation not in alphabet: 7"),
+    (lambda: posterior_decode(two_state_model(), [9, 0]),
+     "observation not in alphabet: 9"),
+    (lambda: sequence_log_probability(two_state_model(), ["a", "z"], [0, 1]),
+     "hidden label not in alphabet: 'z'"),
+    (lambda: masked_pairs(_masked_three_chord_model(), ["I", "ii"]),
+     "hidden label not in alphabet: 'ii'"),
+], ids=["estimate-hidden", "estimate-observed", "viterbi", "posterior",
+        "sequence-hidden", "masked-pairs"])
+def test_alphabet_error_messages(call, message):
+    with pytest.raises(AlphabetError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_sequence_log_probability_rejects_unknown_labels():
     with pytest.raises(AlphabetError, match="hidden label .*'z'"):
         sequence_log_probability(two_state_model(), ["a", "z"], [0, 1])
@@ -396,12 +422,12 @@ def test_decode_key_chord_constant_c_major(major_bundle):
 
 def test_decode_key_stage_matches_brute_force_short(major_bundle):
     melody = melody_from_midi([60, 64, 67])
-    pcs = [p.pitch_class for p in melody.representatives()]
+    pcs = [p % 12 for p in melody.representatives()]
     expected_keys, _ = brute_force_viterbi(major_bundle.key_model, pcs)
     ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
                            melody, "viterbi")
     assert [k.to_string() for k in ann.keys] == expected_keys
-    deltas = [(p.pitch_class - KeyLabel.from_string(k).tonic_pc) % 12
+    deltas = [(p % 12 - KeyLabel.from_string(k).tonic_pc) % 12
               for p, k in zip(melody.representatives(), expected_keys)]
     expected_chords, _ = brute_force_viterbi(major_bundle.chord_model, deltas)
     assert [c.to_string() for c in ann.chords] == expected_chords
@@ -442,7 +468,7 @@ def test_decode_parses_each_distinct_label_once(monkeypatch, major_bundle,
         ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
                                melody, method)
         key_labels = decode(major_bundle.key_model,
-                            [p.pitch_class for p in melody.representatives()],
+                            [p % 12 for p in melody.representatives()],
                             method)
         deltas = [transposed_degree(p, k)
                   for p, k in zip(melody.representatives(), ann.keys)]

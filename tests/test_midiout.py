@@ -9,7 +9,6 @@ from harmonizer.core import (
     KeyLabel,
     MelodyLine,
     MusicError,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
 )
@@ -32,7 +31,7 @@ from smf_reader import read_midi
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((Pitch(m), 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
                             for i, m in enumerate(pitches)))
 
 

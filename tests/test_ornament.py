@@ -7,7 +7,6 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
-    Pitch,
     ProgressionAnnotation,
     RomanChord,
     diatonic_pcs,
@@ -26,7 +25,7 @@ C = KeyLabel(0, MAJOR)
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((Pitch(m), 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
                             for i, m in enumerate(pitches)))
 
 

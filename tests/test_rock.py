@@ -44,6 +44,13 @@ def test_tonal_melody_gets_primary_triads(rock_bundle):
     assert primary / len(progression) >= 0.75
 
 
+def test_pitch_class_lifted_past_127_is_rejected(rock_bundle):
+    # measures sit in octave 4, so 68 lifts to MIDI 128
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
+        harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
+                       [0, 68], "viterbi")
+
+
 def test_single_measure_matches_brute_force(rock_bundle):
     melody = [4]
     progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
@@ -58,14 +65,14 @@ def test_single_measure_matches_brute_force(rock_bundle):
 
 
 def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
-    from harmonizer.core import BeatEvent, KeyLabel, MelodyLine, Pitch, MAJOR
+    from harmonizer.core import BeatEvent, KeyLabel, MelodyLine, MAJOR
     from harmonizer.hmm import decode_chords_given_keys
 
     melody = [0, 4, 7, 5, 9, 0]
     progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
                                  melody, "viterbi")
     shift = 5
-    shifted = MelodyLine(tuple(BeatEvent(i, ((Pitch(60 + (pc + shift) % 12), 1.0),))
+    shifted = MelodyLine(tuple(BeatEvent(i, ((60 + (pc + shift) % 12, 1.0),))
                                for i, pc in enumerate(melody)))
     forced = [KeyLabel((key_pc + shift) % 12, MAJOR) for key_pc, _ in progression]
     chords = decode_chords_given_keys(rock_bundle.chord_model, shifted, forced,
