@@ -8,6 +8,7 @@ randomness is the ornament RNG behind --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -278,7 +279,8 @@ def cmd_override(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonizer",
         description="Train key/chord transition models and harmonize melodies.")
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smoothing strength")
     p.add_argument("--no-mask", action="store_true",
                    help="disable the retrogression mask")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("harmonize", help="harmonize a melody file")
     p.add_argument("--model", required=True)
@@ -312,33 +313,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-score", default=None)
     p.add_argument("--config", default=None,
                    help="JSON object of run options (see README); flags win")
-    p.set_defaults(func=cmd_harmonize)
 
     p = sub.add_parser("analyze", help="print the decoded key/chord progression")
     p.add_argument("--model", required=True)
     p.add_argument("--melody", required=True)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export", help="export transition/emission matrices")
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("override", help="replace a transition matrix from CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--transitions", required=True, help="labeled CSV matrix")
     p.add_argument("--layer", choices=("key", "chord"), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_override)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared by
+    every later one, so callers must not change it. It names the command
+    but holds no command function: ``main`` picks that when it is called,
+    so a function replaced on this module takes effect."""
+    return _new_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"train": cmd_train, "harmonize": cmd_harmonize,
+                "analyze": cmd_analyze, "export": cmd_export,
+                "override": cmd_override}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (InfeasibleHarmonizationError, DecodeInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -106,7 +106,7 @@ class Harmonization:
 
 
 def _pitches_in_range(pc: int, lo: int, hi: int) -> list[int]:
-    return [m for m in range(lo, hi + 1) if m % 12 == pc]
+    return list(range(lo + (pc - lo) % 12, hi + 1, 12))
 
 
 def _upper_spellings(chord: RomanChord, key: KeyLabel,
@@ -169,26 +169,23 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
     bass_pc = chord_bass_pc(chord, key)
     lt = leading_tone_pc(key)
     soprano_pc = soprano % 12
+    basses = [b for b in _pitches_in_range(bass_pc, *BASS_RANGE) if b <= soprano]
     for first, second in _upper_spellings(chord, key, soprano_pc):
         found = []
         for alto_pc, tenor_pc in {(first, second), (second, first)}:
             lt_count = sum(pc == lt for pc in (soprano_pc, alto_pc, tenor_pc, bass_pc))
             if lt_count > 1:
                 continue
-            for bass in _pitches_in_range(bass_pc, *BASS_RANGE):
-                if bass > soprano:
-                    continue
-                for tenor in _pitches_in_range(tenor_pc, *TENOR_RANGE):
+            tenors = _pitches_in_range(tenor_pc, *TENOR_RANGE)
+            altos = [a for a in _pitches_in_range(alto_pc, *ALTO_RANGE)
+                     if soprano - MAX_SPACING <= a <= soprano]
+            for bass in basses:
+                for tenor in tenors:
                     if tenor < bass:
                         continue
-                    for alto in _pitches_in_range(alto_pc, *ALTO_RANGE):
-                        if alto < tenor or alto > soprano:
-                            continue
-                        if alto - tenor > MAX_SPACING:
-                            continue
-                        if soprano - alto > MAX_SPACING:
-                            continue
-                        found.append(Arrangement(alto, tenor, bass))
+                    for alto in altos:
+                        if tenor <= alto <= tenor + MAX_SPACING:
+                            found.append(Arrangement(alto, tenor, bass))
         if found:
             return sorted(found, key=_BASS_TENOR_ALTO)
     return []

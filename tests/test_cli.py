@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonizer import cli
 from harmonizer.cli import main
 from harmonizer.corpus import _format_note_list, _format_records
 
@@ -524,6 +529,51 @@ def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
     assert "argument --alpha: expected a finite non-negative number" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_rejected_command_line_leaves_shared_parser_intact(capsys, trained_model,
+                                                          data_dir):
+    analyze = ["analyze", "--model", str(trained_model),
+               "--melody", str(data_dir / "melodies" / "m03.txt")]
+    assert main(analyze) == 0
+    before = capsys.readouterr().out
+    for bad in ([], ["nosuch"], analyze[:3], analyze + ["--method", "nope"],
+                ["harmonize", "--model", "m", "--melody", "x", "--ornaments", "maybe"],
+                ["train", "--corpus", "c", "--out", "o", "--alpha", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    # a flag given to one call does not stay behind for the next
+    assert main(analyze + ["--method", "posterior"]) == 0
+    capsys.readouterr()
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == before
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_command_is_looked_up_when_main_is_called(monkeypatch, trained_model,
+                                                  data_dir):
+    melody = str(data_dir / "melodies" / "m03.txt")
+    analyze = ["analyze", "--model", str(trained_model), "--melody", melody]
+    assert main(analyze) == 0      # the parser exists before the patch
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or 7)
+    assert main(analyze) == 7
+    assert [args.melody for args in seen] == [melody]
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    ([], 2, "stderr", "usage: harmonizer"),
+    (["--help"], 0, "stdout", "{train,harmonize,analyze,export,override}"),
+])
+def test_python_dash_m_entry_point(argv, code, stream, text):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "harmonizer", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    assert text in getattr(done, stream)
 
 
 def test_harmonize_warns_on_masked_transitions_like_analyze(
