@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -27,6 +26,7 @@ from .corpus import (
     transpose_to_reference,
     Corpus,
     _format_records,
+    read_json,
 )
 from .harmonize import (
     InfeasibleHarmonizationError,
@@ -107,7 +107,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        file_values = json.loads(Path(config_path).read_text())
+        file_values = read_json(config_path)
         if not isinstance(file_values, dict):
             raise MusicError(f"{config_path}: config must be a JSON object")
         unknown = sorted(file_values.keys() - set(names))
@@ -191,8 +191,7 @@ def _rock_progression(bundle: ModelBundle, melody_path: str, method: str):
 def _warn_masked_transitions(chord_model, chords) -> None:
     """One warning line per decoded chord pair that crosses a masked
     transition; posterior decoding can produce them."""
-    names = {chord: chord.to_string() for chord in set(chords)}
-    for t, a, b in masked_pairs(chord_model, [names[c] for c in chords]):
+    for t, a, b in masked_pairs(chord_model, chords):
         print(f"# warning: masked transition {a} -> {b} at beat {t}")
 
 
@@ -240,14 +239,14 @@ def cmd_analyze(args) -> int:
     method = args.method or "viterbi"
     if bundle.genre == "rock":
         _, progression = _rock_progression(bundle, args.melody, method)
-        records = [(("key_pc", str(key_pc)), ("roman", numeral))
-                   for key_pc, numeral in progression]
+        records = [(("key_pc", str(key_pc)), ("roman", str(chord)))
+                   for key_pc, chord in progression]
         print(_format_records((), records), end="")
         return EXIT_OK
     melody = parse_melody_file(args.melody)
     annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
                                   melody, method)
-    records = [(("key", key.to_string()), ("roman", chord.to_string()))
+    records = [(("key", str(key)), ("roman", str(chord)))
                for key, chord in zip(annotation.keys, annotation.chords)]
     print(_format_records((), records), end="")
     _warn_masked_transitions(bundle.chord_model, annotation.chords)
@@ -349,8 +348,7 @@ def main(argv=None) -> int:
     except (InfeasibleHarmonizationError, DecodeInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CorpusError, MusicError, HmmError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (CorpusError, MusicError, HmmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

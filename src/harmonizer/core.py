@@ -2,9 +2,11 @@
 beat-indexed melody sequences whose pitches are MIDI numbers.
 
 All pitch arithmetic is pitch-class based (mod 12); enharmonic spelling is
-out of scope. Keys serialize as note names, uppercase for major and
-lowercase for minor ("C", "f#"). Chords serialize as Roman numerals with
-standard inversion figures ("I", "ii6", "V65", "viio").
+out of scope. Keys and chords are values from parse to print: `str(label)`
+is their one text form, note names for keys, uppercase for major and
+lowercase for minor ("C", "f#"), Roman numerals with standard inversion
+figures for chords ("I", "ii6", "V65", "viio"). `from_string` reads that
+text and returns one shared object per distinct label.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import re
 from dataclasses import dataclass
 
 PITCH_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
-_NAME_TO_PC = {name: pc for pc, name in enumerate(PITCH_NAMES)}
 
 MAJOR = "major"
 MINOR = "minor"
@@ -37,9 +38,13 @@ _ROMAN_RE = re.compile(
     r"(?P<figure>65|64|63|43|42|7|6|2)?$"
 )
 
-# canonical inversion figures; "63" and "2" are accepted aliases on parse
-_TRIAD_FIGURES = {"root": "", "first": "6", "second": "64"}
-_SEVENTH_FIGURES = {"root": "7", "first": "65", "second": "43", "third": "42"}
+# canonical inversion figures by (seventh, inversion), and the form each
+# figure reads as; "63" and "2" are accepted aliases on parse
+_FIGURES = {(False, "root"): "", (False, "first"): "6", (False, "second"): "64",
+            (True, "root"): "7", (True, "first"): "65", (True, "second"): "43",
+            (True, "third"): "42"}
+_FORM_OF_FIGURE = {**{figure: form for form, figure in _FIGURES.items()},
+                   "63": (False, "first"), "2": (True, "third")}
 INVERSIONS = ("root", "first", "second", "third")
 
 
@@ -74,30 +79,32 @@ class KeyLabel:
         if self.mode not in MODES:
             raise MusicError(f"unknown mode: {self.mode!r}")
 
-    def to_string(self) -> str:
+    def __str__(self) -> str:
         name = PITCH_NAMES[self.tonic_pc]
         return name if self.mode == MAJOR else name.lower()
 
     @classmethod
     def from_string(cls, text: str) -> "KeyLabel":
-        if not isinstance(text, str) or not text.strip():
+        """The shared key named by text, surrounding blanks ignored."""
+        key = _KEY_BY_TEXT.get(text.strip()) if isinstance(text, str) else None
+        if key is None:
             raise MusicError(f"unknown key label: {text!r}")
-        text = text.strip()
-        mode = MAJOR if text[:1].isupper() else MINOR
-        pc = _NAME_TO_PC.get(text[0].upper() + text[1:])
-        if pc is None:
-            raise MusicError(f"unknown key label: {text!r}")
-        return cls(pc, mode)
+        return key
 
     def transpose(self, semitones: int) -> "KeyLabel":
-        return KeyLabel((self.tonic_pc + semitones) % 12, self.mode)
+        return _KEYS[(self.tonic_pc + semitones) % 12, self.mode]
+
+
+# the 24 shared keys: 12 majors then 12 minors, by tonic
+_ALL_KEYS = tuple(KeyLabel(pc, mode) for mode in MODES for pc in range(12))
+_KEYS = {(key.tonic_pc, key.mode): key for key in _ALL_KEYS}
+_KEY_BY_TEXT = {str(key): key for key in _ALL_KEYS}
 
 
 def all_keys() -> tuple[KeyLabel, ...]:
-    """The full 24-key alphabet: 12 majors then 12 minors, by tonic."""
-    majors = tuple(KeyLabel(pc, MAJOR) for pc in range(12))
-    minors = tuple(KeyLabel(pc, MINOR) for pc in range(12))
-    return majors + minors
+    """The full 24-key alphabet: 12 majors then 12 minors, by tonic. These
+    are the objects `from_string` and `transpose` return."""
+    return _ALL_KEYS
 
 
 @dataclass(frozen=True, order=True)
@@ -127,31 +134,26 @@ class RomanChord:
         if self.accidental not in (-1, 0, 1):
             raise MusicError(f"accidental out of range: {self.accidental}")
 
-    @property
-    def numeral(self) -> str:
-        base = _NUMERALS[self.degree - 1]
+    def __str__(self) -> str:
+        numeral = _NUMERALS[self.degree - 1]
         if self.quality in ("minor", "diminished"):
-            base = base.lower()
+            numeral = numeral.lower()
         marker = {"diminished": "o", "augmented": "+"}.get(self.quality, "")
         prefix = {-1: "b", 0: "", 1: "#"}[self.accidental]
-        return prefix + base + marker
-
-    @property
-    def figure(self) -> str:
-        table = _SEVENTH_FIGURES if self.seventh else _TRIAD_FIGURES
-        return table[self.inversion]
-
-    def to_string(self) -> str:
-        return self.numeral + self.figure
+        return prefix + numeral + marker + _FIGURES[self.seventh, self.inversion]
 
     @classmethod
     def from_string(cls, text: str) -> "RomanChord":
-        m = _ROMAN_RE.match(text.strip()) if isinstance(text, str) else None
+        """The shared chord named by text, surrounding blanks ignored; equal
+        chords spelled differently ("I6", "I63") share one object too."""
+        stripped = text.strip() if isinstance(text, str) else None
+        if stripped in _CHORD_BY_TEXT:
+            return _CHORD_BY_TEXT[stripped]
+        m = None if stripped is None else _ROMAN_RE.match(stripped)
         if m is None:
             raise MusicError(f"unparseable Roman numeral: {text!r}")
         numeral = m.group("numeral")
         marker = m.group("marker")
-        figure = m.group("figure") or ""
         degree = _NUMERALS.index(numeral.upper()) + 1
         if marker == "o":
             if numeral.isupper():
@@ -164,14 +166,17 @@ class RomanChord:
         else:
             quality = "major" if numeral.isupper() else "minor"
         accidental = {"b": -1, "#": 1, None: 0}[m.group("accidental")]
-        if figure in ("", "6", "63", "64"):
-            seventh = False
-            inversion = {"": "root", "6": "first", "63": "first", "64": "second"}[figure]
-        else:
-            seventh = True
-            inversion = {"7": "root", "65": "first", "43": "second", "42": "third", "2": "third"}[figure]
-        return cls(degree=degree, quality=quality, inversion=inversion,
-                   seventh=seventh, accidental=accidental)
+        seventh, inversion = _FORM_OF_FIGURE[m.group("figure") or ""]
+        chord = cls(degree=degree, quality=quality, inversion=inversion,
+                    seventh=seventh, accidental=accidental)
+        _CHORD_BY_TEXT[stripped] = chord = _CHORDS.setdefault(chord, chord)
+        return chord
+
+
+# stripped text -> its shared chord, and chord -> the shared object; only
+# successful parses are stored, so both stay within the numeral grammar
+_CHORD_BY_TEXT: dict[str, RomanChord] = {}
+_CHORDS: dict[RomanChord, RomanChord] = {}
 
 
 @dataclass(frozen=True)
@@ -336,10 +341,8 @@ def diatonic_pcs(key: KeyLabel) -> frozenset[int]:
 
 # Root-position triadic numerals addressed by root pitch class relative to a
 # major tonic; chromatic roots use flat spellings and default to major quality.
-_TRIADIC_BY_REL_ROOT = {
-    0: "I", 1: "bII", 2: "ii", 3: "bIII", 4: "iii", 5: "IV",
-    6: "bV", 7: "V", 8: "bVI", 9: "vi", 10: "bVII", 11: "viio",
-}
+_TRIADIC_BY_REL_ROOT = tuple(map(RomanChord.from_string, (
+    "I", "bII", "ii", "bIII", "iii", "IV", "bV", "V", "bVI", "vi", "bVII", "viio")))
 
 
 def triadic_numeral_for_root(rel_root_pc: int) -> RomanChord:
@@ -347,5 +350,5 @@ def triadic_numeral_for_root(rel_root_pc: int) -> RomanChord:
     major tonic. Used by measure-level corpora that label chords by root."""
     if not 0 <= rel_root_pc <= 11:
         raise MusicError(f"relative root out of range: {rel_root_pc}")
-    return RomanChord.from_string(_TRIADIC_BY_REL_ROOT[rel_root_pc])
+    return _TRIADIC_BY_REL_ROOT[rel_root_pc]
 

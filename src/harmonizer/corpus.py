@@ -22,6 +22,7 @@ written by `_format_records`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .core import (
     MelodyLine,
     MusicError,
     RomanChord,
+    all_keys,
     beats_to_ticks,
     transposed_degree,
     triadic_numeral_for_root,
@@ -43,7 +45,7 @@ GENRES = ("chorale", "rock")
 
 
 class CorpusError(ValueError):
-    """Corpus file problem, carrying file and line diagnostics."""
+    """An input file problem, carrying file and line diagnostics."""
 
     def __init__(self, message: str, source: str = "", line: int | None = None):
         self.source = source
@@ -52,6 +54,25 @@ class CorpusError(ValueError):
         if line is not None:
             where = f"{source}:{line}"
         super().__init__(f"{where}: {message}" if where else message)
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; CorpusError naming the file when its bytes
+    are not UTF-8. Every input file is read through here."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"not UTF-8 text: {exc}", str(path))
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; CorpusError naming the file when
+    it is not JSON, nests too deeply or holds an integer too long to read."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CorpusError(f"not valid JSON: {exc}", str(path))
 
 
 @dataclass(frozen=True)
@@ -211,7 +232,7 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
                                       for name in names)
         chord = triadic_numeral_for_root((root_pc - key_pc) % 12)
         beat = BeatEvent(index, ((60 + melody_pc, 1.0),))
-        events.append((beat, KeyLabel(key_pc, MAJOR), chord))
+        events.append((beat, all_keys()[key_pc], chord))  # majors come first
     try:
         return AnnotatedChorale(header.get("id", source), "major", tuple(events))
     except MusicError as exc:
@@ -237,7 +258,7 @@ def parse_corpus(path: str | Path, genre: str = "chorale") -> Corpus:
     problems = []
     for p in files:
         try:
-            chorales.append(parse(p.read_text(), source=str(p)))
+            chorales.append(parse(read_text(p), source=str(p)))
         except CorpusError as exc:
             problems.append(str(exc))
     if problems:
@@ -264,7 +285,7 @@ def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
 
 def parse_melody_file(path: str | Path) -> MelodyLine:
     p = Path(path)
-    return parse_melody_text(p.read_text(), source=str(p))
+    return parse_melody_text(read_text(p), source=str(p))
 
 
 def parse_rock_melody_text(text: str, source: str = "<text>") -> list[int]:
@@ -276,53 +297,50 @@ def parse_rock_melody_text(text: str, source: str = "<text>") -> list[int]:
 
 def parse_rock_melody_file(path: str | Path) -> list[int]:
     p = Path(path)
-    return parse_rock_melody_text(p.read_text(), source=str(p))
+    return parse_rock_melody_text(read_text(p), source=str(p))
 
 
 def serialize_chorale(chorale: AnnotatedChorale) -> str:
     return _format_records(
         (("id", chorale.id), ("mode", chorale.mode)),
         ((("notes", _format_note_list(beat.notes)),
-          ("key", key.to_string()),
-          ("roman", chord.to_string()))
+          ("key", str(key)),
+          ("roman", str(chord)))
          for beat, key, chord in chorale.events))
 
 
 def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
     """Shift the whole chorale so its opening key tonic lands on C (major)
-    or A (minor), by the smallest semitone offset, ties broken downward."""
+    or A (minor), by the smallest semitone offset, ties broken downward.
+    CorpusError naming the piece when a note leaves the MIDI range."""
     target = 0 if chorale.mode == MAJOR else 9
     first_key = chorale.events[0][1]
     delta = (target - first_key.tonic_pc) % 12
     offset = delta if delta < 6 else delta - 12
     if offset == 0:
         return chorale
-    events = tuple(
-        (BeatEvent(beat.beat_index,
-                   tuple((midi + offset, d) for midi, d in beat.notes)),
-         key.transpose(offset),
-         chord)
-        for beat, key, chord in chorale.events)
+    try:
+        events = tuple(
+            (BeatEvent(beat.beat_index,
+                       tuple((midi + offset, d) for midi, d in beat.notes)),
+             key.transpose(offset),
+             chord)
+            for beat, key, chord in chorale.events)
+    except MusicError as exc:
+        raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
+                          f" semitones to its reference key: {exc}")
     return AnnotatedChorale(chorale.id, chorale.mode, events)
 
 
-def key_observation_sequences(corpus: Corpus) -> list[tuple[list[str], list[int]]]:
-    """(key labels, melody pitch classes) per chorale, for key-layer training."""
-    out = []
-    for ch in corpus.chorales:
-        hidden = [k.to_string() for k in ch.keys()]
-        observed = [beat.representative % 12 for beat, _, _ in ch.events]
-        out.append((hidden, observed))
-    return out
+def key_observation_sequences(corpus: Corpus) -> list[tuple[list, list[int]]]:
+    """(keys, melody pitch classes) per chorale, for key-layer training."""
+    return [(ch.keys(), [beat.representative % 12 for beat, _, _ in ch.events])
+            for ch in corpus.chorales]
 
 
-def chord_observation_sequences(corpus: Corpus) -> list[tuple[list[str], list[int]]]:
-    """(chord labels, tonic-relative melody degrees) per chorale, for
-    chord-layer training."""
-    out = []
-    for ch in corpus.chorales:
-        hidden = [c.to_string() for c in ch.chords()]
-        observed = [transposed_degree(beat.representative, key)
-                    for beat, key, _ in ch.events]
-        out.append((hidden, observed))
-    return out
+def chord_observation_sequences(corpus: Corpus) -> list[tuple[list, list[int]]]:
+    """(chords, tonic-relative melody degrees) per chorale, for chord-layer
+    training."""
+    return [(ch.chords(), [transposed_degree(beat.representative, key)
+                           for beat, key, _ in ch.events])
+            for ch in corpus.chorales]

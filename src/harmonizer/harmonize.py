@@ -307,7 +307,7 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
         if candidates is None:
             candidates = enumerated[inputs] = enumerate_arrangements(*inputs)
         if not candidates:
-            raise InfeasibleHarmonizationError(t, chord.to_string())
+            raise InfeasibleHarmonizationError(t, str(chord))
         candidates_per_beat.append(candidates)
     chains = chain_arrangements(candidates_per_beat,
                                 candidates_per_beat[0][:max_seeds])
@@ -342,7 +342,7 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
         by_beat.setdefault(v.beat_index, []).append(v)
     voices = h.voice_lines()
     # each distinct key, chord and single-note beat is formatted once
-    labels = {value: value.to_string()
+    labels = {value: str(value)
               for value in {*h.annotation.keys, *h.annotation.chords}}
     note_texts: dict[tuple[int, float], str] = {}
 

@@ -5,11 +5,16 @@ sequences, Viterbi decoding in log space, posterior decoding via the
 scaled forward-backward algorithm, the labeled-CSV matrix format read by
 transition-matrix overrides and written by the matrix export, and the
 two-stage key-then-chord decode used for harmonization.
+
+The key and chord models' states are `KeyLabel` and `RomanChord` values,
+which both decoders return as they are; label text exists only in the
+model file and the CSV matrices.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -30,6 +35,7 @@ from .core import (
     transposed_degree,
 )
 from .corpus import GENRES, chord_observation_sequences, key_observation_sequences
+from .corpus import read_json, read_text
 
 MASK_EPSILON = 1e-6
 DEFAULT_ALPHA = 0.01
@@ -275,16 +281,11 @@ def masked_pairs(model: HmmModel, hidden) -> list[tuple[int, object, object]]:
             if model.mask[hid[t - 1], hid[t]]]
 
 
-def build_phrase_mask(chord_labels) -> np.ndarray:
+def build_phrase_mask(chords) -> np.ndarray:
     """Boolean matrix forbidding retrogressive moves between the given
-    Roman-numeral labels."""
-    chords = [RomanChord.from_string(label) for label in chord_labels]
-    n = len(chords)
-    mask = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(chords):
-        for j, b in enumerate(chords):
-            mask[i, j] = is_retrogressive(a, b)
-    return mask
+    chords."""
+    return np.array([[is_retrogressive(a, b) for b in chords] for a in chords],
+                    dtype=bool)
 
 
 def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
@@ -292,8 +293,7 @@ def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
     """Two-stage decode: keys from the melody pitch classes, then chords
     from the melody transposed against the decoded keys."""
     melody_pcs = [midi % 12 for midi in melody.representatives()]
-    keys = tuple(_parse_each(decode(key_model, melody_pcs, method),
-                             KeyLabel.from_string))
+    keys = tuple(decode(key_model, melody_pcs, method))
     chords = decode_chords_given_keys(chord_model, melody, keys, method)
     return ProgressionAnnotation(keys, tuple(chords))
 
@@ -303,15 +303,7 @@ def decode_chords_given_keys(chord_model: HmmModel, melody: MelodyLine,
     """Chord stage alone, with the key sequence supplied by the caller."""
     deltas = [transposed_degree(p, k)
               for p, k in zip(melody.representatives(), keys)]
-    return _parse_each(decode(chord_model, deltas, method),
-                       RomanChord.from_string)
-
-
-def _parse_each(labels, parse) -> list:
-    """parse applied to every decoded label, each distinct label parsed
-    once; equal labels share one parsed object."""
-    parsed = {label: parse(label) for label in dict.fromkeys(labels)}
-    return [parsed[label] for label in labels]
+    return decode(chord_model, deltas, method)
 
 
 def train_key_chord_models(corpus, mask_enabled: bool | None = None,
@@ -320,25 +312,26 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
 
     The retrogression mask defaults to on for chorale corpora and off for
     rock. Key states are the full 24-key alphabet; chord states are the
-    labels observed in the corpus, sorted.
+    chords observed in the corpus, sorted by their text.
     """
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
-    key_states = tuple(k.to_string() for k in all_keys())
+    key_states = all_keys()
     pitch_classes = tuple(range(12))
     key_sequences = key_observation_sequences(corpus)
     chord_sequences = chord_observation_sequences(corpus)
-    chord_states = tuple(sorted({label for hidden, _ in chord_sequences
-                                 for label in hidden}))
+    chord_states = tuple(sorted({chord for hidden, _ in chord_sequences
+                                 for chord in hidden}, key=str))
     mask = build_phrase_mask(chord_states) if mask_enabled else None
     key_model = estimate(key_states, pitch_classes, key_sequences, alpha=alpha)
     chord_model = estimate(chord_states, pitch_classes, chord_sequences,
                            mask=mask, alpha=alpha)
-    counts = Counter(label for hidden, _ in chord_sequences for label in hidden)
+    counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     modes = {ch.mode for ch in corpus.chorales}
     mode = modes.pop() if len(modes) == 1 else "mixed"
     return ModelBundle(genre=corpus.genre, mode=mode, key_model=key_model,
-                       chord_model=chord_model, chord_counts=dict(counts))
+                       chord_model=chord_model,
+                       chord_counts={str(c): n for c, n in counts.items()})
 
 
 @dataclass
@@ -349,13 +342,13 @@ class ModelBundle:
     mode: str
     key_model: HmmModel
     chord_model: HmmModel
-    chord_counts: dict
+    chord_counts: dict      # chord text -> count, as in the model file
     ornament_rates: dict | None = None
 
 
 def _model_to_dict(model: HmmModel) -> dict:
     return {
-        "states": list(model.states),
+        "states": [str(s) for s in model.states],
         "observations": list(model.observations),
         "transition": model.transition.tolist(),
         "emission": model.emission.tolist(),
@@ -387,28 +380,29 @@ def _stochastic(doc: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
     return value
 
 
-def _alphabet(doc: dict, layer: str, name: str) -> tuple:
+def _alphabet(doc: dict, layer: str, name: str, parse=lambda label: label) -> tuple:
+    """The labels of a saved alphabet, each read with `parse`; two texts
+    that read as one label are duplicates."""
     labels = doc[name]
     if (not isinstance(labels, list) or not labels
             or not all(isinstance(x, (str, int)) for x in labels)):
         raise HmmError(f"{layer}.{name} is not a non-empty list of labels")
+    try:
+        labels = tuple(map(parse, labels))
+    except MusicError as exc:
+        raise HmmError(f"{layer}.{name}: {exc}")
     if len(set(labels)) != len(labels):
         raise HmmError(f"{layer}.{name} has duplicate labels")
-    return tuple(labels)
+    return labels
 
 
 def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     """The saved form of one model layer, checked here so that a malformed
-    file fails at load time, naming the field, not inside a decode. Every
-    state must parse with `state_label`."""
+    file fails at load time, naming the field, not inside a decode. The
+    states are the labels `state_label` reads from their text."""
     if not isinstance(doc, dict):
         raise HmmError(f"{layer} is not an object")
-    states = _alphabet(doc, layer, "states")
-    for label in states:
-        try:
-            state_label(label)
-        except MusicError as exc:
-            raise HmmError(f"{layer}.states: {exc}")
+    states = _alphabet(doc, layer, "states", state_label)
     observations = _alphabet(doc, layer, "observations")
     S, O = len(states), len(observations)
     mask = doc.get("mask")
@@ -461,7 +455,7 @@ def _check_bundle_fields(doc: dict):
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "key-chord-models":
         raise HmmError(f"{path}: not a model file")
     try:
@@ -495,8 +489,7 @@ def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray
 def read_transition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Labeled square matrix from a CSV file with a header row and a label
     column, as produced by the matrix export."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
         raise HmmError(f"{path}: empty matrix file")
     for line, row in enumerate(rows, start=1):

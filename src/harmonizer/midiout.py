@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PPQ, RomanChord, beats_to_ticks, functional_group
+from .core import PPQ, beats_to_ticks, functional_group
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
 from .rock import BEATS_PER_MEASURE, AccompanimentScore
@@ -173,18 +173,15 @@ def functional_summary(chord_model: HmmModel, chord_counts: dict) -> np.ndarray:
     """3x3 matrix of transition mass between the tonic, predominant and
     dominant chord families. Source chords are weighted by how often they
     occurred in training; rows are renormalized."""
-    groups = [functional_group(RomanChord.from_string(str(s)))
-              for s in chord_model.states]
+    groups = [GROUP_ORDER.index(functional_group(chord))
+              for chord in chord_model.states]
     summary = np.zeros((3, 3))
-    weight_totals = np.zeros(3)
     for i, gi in enumerate(groups):
         weight = float(chord_counts.get(str(chord_model.states[i]), 0))
         if weight == 0.0:
             continue
-        gi_idx = GROUP_ORDER.index(gi)
-        weight_totals[gi_idx] += weight
         for j, gj in enumerate(groups):
-            summary[gi_idx, GROUP_ORDER.index(gj)] += weight * chord_model.transition[i, j]
+            summary[gi, gj] += weight * chord_model.transition[i, j]
     for g in range(3):
         row_sum = summary[g].sum()
         if row_sum > 0:

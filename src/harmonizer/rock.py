@@ -45,26 +45,18 @@ class AccompanimentScore:
     melody_track: list[list[NoteEvent]] = field(default_factory=list)
 
 
-def harmonize_rock(key_model: HmmModel, chord_model: HmmModel,
-                   melody_measures, method: str = "viterbi") -> list[tuple[int, str]]:
-    """Decode one (key pitch class, numeral) pair per measure from the
+def harmonize_rock(key_model: HmmModel, chord_model: HmmModel, melody_measures,
+                   method: str = "viterbi") -> list[tuple[int, RomanChord]]:
+    """Decode one (key pitch class, chord) pair per measure from the
     melody pitch class of each measure."""
     events = tuple(BeatEvent(i, ((60 + int(pc), 1.0),))
                    for i, pc in enumerate(melody_measures))
     melody = MelodyLine(events)
     annotation = decode_key_chord(key_model, chord_model, melody, method)
-    return [(k.tonic_pc, c.to_string())
-            for k, c in zip(annotation.keys, annotation.chords)]
+    return [(k.tonic_pc, c) for k, c in zip(annotation.keys, annotation.chords)]
 
 
-def _triad(key_pc: int, numeral: str) -> tuple[int, int, int]:
-    """Chord tone pitch classes (root, third, fifth) in absolute terms."""
-    chord = RomanChord.from_string(numeral)
-    tones = chord_tone_pcs(chord, KeyLabel(key_pc, MAJOR))
-    return tones[0], tones[1], tones[2]
-
-
-def render_accompaniment(progression: list[tuple[int, str]],
+def render_accompaniment(progression: list[tuple[int, RomanChord]],
                          pattern: str = "arpeggio", drums: bool = True,
                          melody_degree_pcs: list[int] | None = None) -> AccompanimentScore:
     """Deterministic symbolic backing for a decoded progression.
@@ -83,21 +75,19 @@ def render_accompaniment(progression: list[tuple[int, str]],
     if melody_degree_pcs is not None and len(melody_degree_pcs) != len(progression):
         raise MusicError("melody length does not match progression length")
     bass_track, keys_track, drum_track, melody_track = [], [], [], []
-    for i, (key_pc, numeral) in enumerate(progression):
-        root_pc, third_pc, fifth_pc = _triad(key_pc, numeral)
+    for i, (key_pc, chord) in enumerate(progression):
+        root_pc, third_pc, fifth_pc = chord_tone_pcs(chord, KeyLabel(key_pc, MAJOR))[:3]
         root = 48 + root_pc
         third = root + (third_pc - root_pc) % 12
         fifth = root + (fifth_pc - root_pc) % 12
         bass_track.append([(0.0, 1.0, root), (1.0, 1.0, third),
                            (2.0, 1.0, fifth), (3.0, 1.0, third)])
-        block = [60 + root_pc, 60 + root_pc + (third_pc - root_pc) % 12,
-                 60 + root_pc + (fifth_pc - root_pc) % 12]
+        block = [root + 12, third + 12, fifth + 12]
         if pattern == "block":
             keys_track.append([(0.0, 2.0, p) for p in block]
                               + [(2.0, 2.0, p) for p in block])
         else:
-            cycle = [block[0], block[1], block[2]]
-            keys_track.append([(k * 0.5, 0.5, cycle[k % 3]) for k in range(8)])
+            keys_track.append([(k * 0.5, 0.5, block[k % 3]) for k in range(8)])
         if drums:
             measure = [(0.0, 0.5, KICK), (1.0, 0.5, SNARE),
                        (2.0, 0.5, KICK), (3.0, 0.5, SNARE)]
@@ -112,8 +102,8 @@ def render_accompaniment(progression: list[tuple[int, str]],
                               drum_track=drum_track, melody_track=melody_track)
 
 
-def to_progression_document(progression: list[tuple[int, str]],
+def to_progression_document(progression: list[tuple[int, RomanChord]],
                             title: str = "rock-harmonization") -> str:
     return _format_records((("id", title),),
-                           ((("key_pc", str(key_pc)), ("roman", numeral))
-                            for key_pc, numeral in progression))
+                           ((("key_pc", str(key_pc)), ("roman", str(chord)))
+                            for key_pc, chord in progression))

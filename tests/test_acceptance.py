@@ -141,7 +141,7 @@ def test_criterion_4_performance(data_dir, fixture_melodies):
 def test_criterion_5_interpretability(major_corpus, major_bundle):
     with criterion(5, "key stability and functional structure"):
         key_model = major_bundle.key_model
-        seen = {k.to_string() for ch in major_corpus.chorales for k in ch.keys()}
+        seen = {k for ch in major_corpus.chorales for k in ch.keys()}
         index = key_model.state_index()
         dominant_diagonal = sum(
             int(np.argmax(key_model.transition[index[label]]) == index[label])

@@ -334,9 +334,9 @@ def _negative_cell(doc):
     row[0] = -0.5
 
 
-def _set_state(layer, label):
+def _set_state(layer, label, index=0):
     def damage(doc):
-        doc[layer]["states"][0] = label
+        doc[layer]["states"][index] = label
     return damage
 
 
@@ -363,6 +363,8 @@ def _duplicate_state(doc):
      "chord_model.transition"),
     (_cut_last_row("chord_model", "mask"), "chord_model.mask"),
     (_duplicate_state, "key_model.states"),
+    (_set_state("chord_model", " I", 1), "chord_model.states has duplicate"),
+    (_set_state("chord_model", "I63", 2), "chord_model.states has duplicate"),
     (lambda doc: doc["chord_model"].update(states=[]), "chord_model.states"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=None),
      "key_model.smoothing_alpha"),
@@ -378,7 +380,8 @@ def _duplicate_state(doc):
         "transition-ragged", "emission-column-cut", "initial-short",
         "states-short", "transition-nan", "emission-inf", "transition-negative",
         "emission-row-sum", "transition-string-cell", "mask-row-cut",
-        "duplicate-state", "no-states", "alpha-null", "chord-counts-int",
+        "duplicate-state", "respelled-I", "respelled-I6", "no-states",
+        "alpha-null", "chord-counts-int",
         "ornament-rates-int", "ornament-rate-str", "genre-int", "mode-unknown",
         "key-state-empty", "key-state-int", "chord-state-not-roman"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
@@ -394,21 +397,84 @@ def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
     assert err.startswith(f"error: {broken}: ") and field in err
 
 
-@pytest.mark.parametrize("target", ["melody", "config"])
-def test_undecodable_text_file_exits_2(capsys, tmp_path, trained_model,
-                                       data_dir, target):
+def _reader_inputs(tmp_path, trained_model, trained_rock_model, data_dir):
+    """A good input for each of the six file readers, as (path, argv)."""
     melody = data_dir / "melodies" / "m01.txt"
     config = tmp_path / "run.json"
-    config.write_text("{}")
-    damaged = melody if target == "melody" else config
-    bad = tmp_path / f"bad-{target}"
-    bad.write_bytes(b"\xff\xfe" + damaged.read_bytes())
-    paths = {"melody": melody, "config": config, target: bad}
-    code = main(["harmonize", "--model", str(trained_model),
-                 "--melody", str(paths["melody"]),
-                 "--config", str(paths["config"])])
+    config.write_text('{"method": "viterbi"}')
+    rock_melody = tmp_path / "tune.txt"
+    rock_melody.write_text("0 | melody_degree_pc=0\n1 | melody_degree_pc=7\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    chorale = corpus / "a.txt"
+    chorale.write_bytes((data_dir / "chorales" / "fixture-01.txt").read_bytes())
+    (corpus / "b.txt").write_text("id: b\n0 | notes=72:1 | key=C | roman=I\n")
+    main(["export", "--model", str(trained_model),
+          "--out-dir", str(tmp_path / "reports")])
+    csv = tmp_path / "reports" / "chord_transition.csv"
+
+    def harmonize(model=trained_model, melody=melody, config=config):
+        return ["harmonize", "--model", str(model), "--melody", str(melody),
+                "--config", str(config)]
+    return {
+        "melody": (melody, lambda bad: harmonize(melody=bad)),
+        "config": (config, lambda bad: harmonize(config=bad)),
+        "model": (trained_model, lambda bad: harmonize(model=bad)),
+        "rock-melody": (rock_melody, lambda bad: harmonize(
+            model=trained_rock_model, melody=bad)),
+        "corpus": (chorale, lambda bad: ["train", "--corpus", str(bad.parent),
+                                         "--out", str(tmp_path / "m.json")]),
+        "override": (csv, lambda bad: ["override", "--model", str(trained_model),
+                                       "--transitions", str(bad), "--layer",
+                                       "chord", "--out", str(tmp_path / "o.json")]),
+    }
+
+
+@pytest.mark.parametrize("target,damage", [
+    ("melody", "utf-8"), ("config", "utf-8"), ("model", "utf-8"),
+    ("rock-melody", "utf-8"), ("corpus", "utf-8"), ("override", "utf-8"),
+    ("model", "json"), ("config", "json"),
+], ids=["melody", "config", "model", "rock-melody", "corpus", "override",
+        "model-json", "config-json"])
+def test_undecodable_text_file_exits_2(capsys, tmp_path, trained_model,
+                                       trained_rock_model, data_dir, target,
+                                       damage):
+    good, argv = _reader_inputs(tmp_path, trained_model, trained_rock_model,
+                                data_dir)[target]
+    capsys.readouterr()
+    # a bad corpus file sits beside the others; every other one stands alone
+    bad = (good.parent if target == "corpus" else tmp_path) / f"bad-{good.name}"
+    if damage == "utf-8":
+        bad.write_bytes(b"\xff\xfe" + good.read_bytes())
+    else:
+        bad.write_bytes(good.read_bytes()[:-2])
+    if target == "corpus":
+        good.unlink()
+    code = main(argv(bad))
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: " in err
+    assert ("not UTF-8 text" if damage == "utf-8" else "not valid JSON") in err
+    if target == "corpus":   # reported beside the other corpus problems
+        assert f"{bad.parent / 'b.txt'}: missing or invalid mode" in err
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("[" * 100_000, "maximum recursion depth"),
+    ("9" * 5_000, "Exceeds the limit"),
+], ids=["deep-nesting", "long-integer"])
+@pytest.mark.parametrize("target", ["model", "config"])
+def test_json_the_parser_rejects_exits_2(capsys, tmp_path, trained_model,
+                                         data_dir, target, text, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    files = {"model": trained_model, "config": config, target: bad}
+    code = main(["harmonize", "--model", str(files["model"]),
+                 "--melody", str(data_dir / "melodies" / "m01.txt"),
+                 "--config", str(files["config"])])
+    _assert_input_error(capsys, code, f"{bad}: not valid JSON: {problem}")
 
 
 def _assert_input_error(capsys, code, where):
@@ -465,7 +531,8 @@ def test_transposition_past_127_exits_2(capsys, tmp_path):
         "1 | notes=123:1 | key=B | roman=I\n")
     code = main(["train", "--corpus", str(corpus), "--out",
                  str(tmp_path / "m.json")])
-    _assert_input_error(capsys, code, "MIDI pitch out of range 0-127: 128")
+    _assert_input_error(capsys, code, "piece 'high' transposed by +1 semitones"
+                        " to its reference key: MIDI pitch out of range 0-127: 128")
     assert not (tmp_path / "m.json").exists()
 
 

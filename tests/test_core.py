@@ -53,22 +53,40 @@ def test_exactly_24_keys():
 
 @pytest.mark.parametrize("key", all_keys())
 def test_key_string_round_trip(key):
-    assert KeyLabel.from_string(key.to_string()) == key
+    assert KeyLabel.from_string(str(key)) == key
 
 
 def test_key_string_grammar():
     assert KeyLabel.from_string("C") == KeyLabel(0, MAJOR)
     assert KeyLabel.from_string("f#") == KeyLabel(6, MINOR)
-    assert KeyLabel(10, MAJOR).to_string() == "A#"
+    assert str(KeyLabel(10, MAJOR)) == "A#"
     with pytest.raises(MusicError):
         KeyLabel.from_string("H")
+
+
+def test_from_string_shares_one_object_per_label():
+    assert KeyLabel.from_string("f#") is KeyLabel.from_string(" f# ")
+    assert KeyLabel.from_string("C") is all_keys()[0]
+    assert KeyLabel(11, MAJOR).transpose(1) is all_keys()[0]
+    assert RomanChord.from_string("V7") is RomanChord.from_string("V7")
+    assert RomanChord.from_string("I6") is RomanChord.from_string(" I63")
+    assert RomanChord.from_string("V2") is RomanChord.from_string("V42")
+
+
+@pytest.mark.parametrize("cls", [KeyLabel, RomanChord])
+@pytest.mark.parametrize("text", ["", " ", "H", "Vo", "I64x", 5, None, ["I"],
+                                  {"C": 1}])
+def test_from_string_rejects_bad_or_non_string_input(cls, text):
+    for _ in range(2):   # a failed parse is not remembered
+        with pytest.raises(MusicError):
+            cls.from_string(text)
 
 
 @pytest.mark.parametrize("text", ROMAN_SAMPLES)
 def test_roman_string_round_trip(text):
     chord = RomanChord.from_string(text)
-    assert chord.to_string() == text
-    assert RomanChord.from_string(chord.to_string()) == chord
+    assert str(chord) == text
+    assert RomanChord.from_string(str(chord)) == chord
 
 
 def test_roman_parse_details():

@@ -38,7 +38,7 @@ def test_parse_valid_chorale():
     beat, key, chord = ch.events[1]
     assert [midi for midi, _ in beat.notes] == [74, 76]
     assert key == KeyLabel(0, MAJOR)
-    assert chord.to_string() == "V"
+    assert str(chord) == "V"
 
 
 def test_parse_reports_location_of_bad_duration():
@@ -134,7 +134,7 @@ mode: major
     song = parse_rock_text(text, "r.txt")
     beat, key, chord = song.events[0]
     assert key == KeyLabel(7, MAJOR)
-    assert chord.to_string() == "V"  # root a fifth above the key
+    assert str(chord) == "V"  # root a fifth above the key
     assert beat.representative % 12 == 9
     with pytest.raises(CorpusError) as err:
         parse_rock_text(text.replace("melody_degree_pc=9", "melody_degree_pc=12"),
@@ -200,8 +200,8 @@ def test_transpose_preserves_degree_sequences(chorale_corpus):
 @given(tonic=st.integers(min_value=0, max_value=11))
 def test_transpose_offset_is_smallest(tonic):
     text = (f"id: x\nmode: major\n"
-            f"0 | notes=70:1 | key={KeyLabel(tonic, MAJOR).to_string()} | roman=I\n"
-            f"1 | notes=72:1 | key={KeyLabel(tonic, MAJOR).to_string()} | roman=V\n")
+            f"0 | notes=70:1 | key={KeyLabel(tonic, MAJOR)} | roman=I\n"
+            f"1 | notes=72:1 | key={KeyLabel(tonic, MAJOR)} | roman=V\n")
     moved = transpose_to_reference(parse_chorale_text(text, "x"))
     offset = moved.events[0][0].representative - 70
     assert moved.events[0][1].tonic_pc == 0

@@ -20,7 +20,6 @@ from harmonizer.hmm import (
     METHODS,
     apply_override,
     build_phrase_mask,
-    decode,
     decode_chords_given_keys,
     decode_key_chord,
     estimate,
@@ -326,8 +325,7 @@ def test_kernels_equal_stepwise_on_long_fixture_concatenation(
     assert len(pitches) == 1910
     pcs = [p % 12 for p in pitches]
     for keys in assert_decoders_match_stepwise(major_bundle.key_model, pcs):
-        deltas = [transposed_degree(p, KeyLabel.from_string(k))
-                  for p, k in zip(pitches, keys)]
+        deltas = [transposed_degree(p, k) for p, k in zip(pitches, keys)]
         assert_decoders_match_stepwise(major_bundle.chord_model, deltas)
 
 
@@ -335,7 +333,7 @@ def test_kernels_equal_stepwise_on_long_fixture_concatenation(
 
 def test_build_phrase_mask():
     labels = ["I", "IV", "V", "vi"]
-    mask = build_phrase_mask(labels)
+    mask = build_phrase_mask(list(map(RomanChord.from_string, labels)))
     idx = {l: i for i, l in enumerate(labels)}
     assert mask[idx["V"], idx["IV"]]
     assert mask[idx["IV"], idx["I"]]
@@ -346,7 +344,7 @@ def test_build_phrase_mask():
 
 def test_masked_pairs_reported_not_repaired():
     labels = ["I", "IV", "V"]
-    mask = build_phrase_mask(labels)
+    mask = build_phrase_mask(list(map(RomanChord.from_string, labels)))
     model = estimate(labels, [0], [(["I", "V"], [0, 0])], mask=mask)
     report = masked_pairs(model, ["I", "V", "IV", "I"])
     assert report == [(2, "V", "IV"), (3, "IV", "I")]
@@ -356,7 +354,7 @@ def test_masked_pairs_reported_not_repaired():
 def test_masked_pairs_rejects_unknown_label():
     labels = ["I", "IV", "V"]
     model = estimate(labels, [0], [(["I", "V"], [0, 0])],
-                     mask=build_phrase_mask(labels))
+                     mask=build_phrase_mask(list(map(RomanChord.from_string, labels))))
     with pytest.raises(AlphabetError, match="'ii'"):
         masked_pairs(model, ["I", "ii", "V"])
 
@@ -379,7 +377,7 @@ def test_sequence_log_probability_rejects_empty_input():
 def _masked_three_chord_model() -> HmmModel:
     labels = ["I", "IV", "V"]
     return estimate(labels, [0], [(["I", "V"], [0, 0])],
-                    mask=build_phrase_mask(labels))
+                    mask=build_phrase_mask(list(map(RomanChord.from_string, labels))))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -426,11 +424,11 @@ def test_decode_key_stage_matches_brute_force_short(major_bundle):
     expected_keys, _ = brute_force_viterbi(major_bundle.key_model, pcs)
     ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
                            melody, "viterbi")
-    assert [k.to_string() for k in ann.keys] == expected_keys
-    deltas = [(p % 12 - KeyLabel.from_string(k).tonic_pc) % 12
+    assert list(ann.keys) == expected_keys
+    deltas = [(p % 12 - k.tonic_pc) % 12
               for p, k in zip(melody.representatives(), expected_keys)]
     expected_chords, _ = brute_force_viterbi(major_bundle.chord_model, deltas)
-    assert [c.to_string() for c in ann.chords] == expected_chords
+    assert list(ann.chords) == expected_chords
 
 
 def test_decode_is_deterministic(major_bundle, fixture_melodies):
@@ -455,31 +453,18 @@ def test_chord_stage_shift_invariance(major_bundle, fixture_melodies):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_decode_parses_each_distinct_label_once(monkeypatch, major_bundle,
-                                                fixture_melodies, method):
-    parsed = {KeyLabel: [], RomanChord: []}
-    for cls, calls in parsed.items():
-        def counting(text, parse=cls.from_string, calls=calls):
-            calls.append(text)
-            return parse(text)
-        monkeypatch.setattr(cls, "from_string", staticmethod(counting))
-    repeated = 0
-    for _, melody in fixture_melodies:
-        ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
-                               melody, method)
-        key_labels = decode(major_bundle.key_model,
-                            [p % 12 for p in melody.representatives()],
-                            method)
-        deltas = [transposed_degree(p, k)
-                  for p, k in zip(melody.representatives(), ann.keys)]
-        chord_labels = decode(major_bundle.chord_model, deltas, method)
-        repeated += len(set(chord_labels)) < len(melody)
-        assert sorted(parsed[KeyLabel]) == sorted(set(key_labels))
-        assert sorted(parsed[RomanChord]) == sorted(set(chord_labels))
-        assert [c.to_string() for c in ann.chords] == chord_labels
-        for calls in parsed.values():
-            calls.clear()
-    assert repeated > len(fixture_melodies) // 2
+def test_decoders_return_the_model_states(tmp_path, major_bundle,
+                                          fixture_melodies, method):
+    # a loaded model too: its states are the labels read from the file
+    save_bundle(major_bundle, tmp_path / "model.json")
+    for bundle in (major_bundle, load_bundle(tmp_path / "model.json")):
+        for _, melody in fixture_melodies:
+            ann = decode_key_chord(bundle.key_model, bundle.chord_model,
+                                   melody, method)
+            for labels, model in ((ann.keys, bundle.key_model),
+                                  (ann.chords, bundle.chord_model)):
+                index = model.state_index()
+                assert all(model.states[index[x]] is x for x in labels)
 
 
 def test_posterior_method_runs_both_stages(major_bundle, fixture_melodies):
@@ -512,6 +497,9 @@ def test_bundle_round_trip(tmp_path, major_bundle):
     loaded = load_bundle(path)
     assert loaded.genre == major_bundle.genre
     assert loaded.key_model.states == major_bundle.key_model.states
+    assert loaded.chord_model.states == major_bundle.chord_model.states
+    assert all(isinstance(s, KeyLabel) for s in loaded.key_model.states)
+    assert all(isinstance(s, RomanChord) for s in loaded.chord_model.states)
     assert np.array_equal(loaded.key_model.transition,
                           major_bundle.key_model.transition)
     assert np.array_equal(loaded.chord_model.emission,

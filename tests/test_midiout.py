@@ -115,7 +115,7 @@ def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
     h.alto_line = [[(64, 1.0)]]
     h.arrangements[0] = Arrangement(64, 55, 48)
-    score = render_accompaniment([(0, "I")])
+    score = render_accompaniment([(0, RomanChord.from_string("I"))])
     score.bass_track[0] = [(0.0, 1.0, 400)]
     with pytest.raises(ValueError):
         write_midi(score, tmp_path / "bad.mid")
@@ -178,7 +178,7 @@ def test_pitch_check_fires_after_valid_pitches(tmp_path):
     with pytest.raises(ValueError, match="pitch out of MIDI range: 128"):
         _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
-    score = render_accompaniment([(0, "I")])
+    score = render_accompaniment([(0, RomanChord.from_string("I"))])
     score.bass_track[0] = [(0.0, 0.5, 48), (0.5, 0.5, 48), (1.0, 1.0, 128)]
     with pytest.raises(ValueError, match="128"):
         write_midi(score, tmp_path / "bad.mid")
@@ -243,7 +243,8 @@ def test_functional_summary_dominants_resolve(major_bundle):
 
 def test_functional_summary_single_chord():
     from harmonizer.hmm import estimate
-    model = estimate(["I"], [0], [(["I", "I", "I"], [0, 0, 0])], alpha=0.0)
+    one = RomanChord.from_string("I")
+    model = estimate([one], [0], [([one, one, one], [0, 0, 0])], alpha=0.0)
     summary = functional_summary(model, {"I": 3})
     assert summary[0, 0] == pytest.approx(1.0)
     assert summary[1].sum() == 0 and summary[2].sum() == 0
