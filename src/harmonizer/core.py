@@ -1,5 +1,7 @@
 """Shared musical vocabulary: keys, Roman-numeral chords, and
-beat-indexed melody sequences whose pitches are MIDI numbers.
+beat-indexed melody sequences whose pitches are MIDI numbers and whose
+durations are whole ticks, `PPQ` to the beat. Beats text becomes ticks
+once, in `beats_to_ticks`, when a file is read.
 
 All pitch arithmetic is pitch-class based (mod 12); enharmonic spelling is
 out of scope. Keys and chords are values from parse to print: `str(label)`
@@ -57,13 +59,20 @@ PPQ = 480
 
 
 def beats_to_ticks(value: float) -> int:
-    """value beats as a whole number of ticks; MusicError when it falls
-    between ticks."""
-    ticks = round(value * PPQ)
-    if abs(value * PPQ - ticks) > 1e-6:
+    """value beats as a positive whole number of ticks, to within 1e-6
+    tick; MusicError naming the value otherwise."""
+    exact = value * PPQ
+    if not 0 < exact < math.inf:
+        raise MusicError(f"duration {value} beats is not a positive finite"
+                         f" number of ticks")
+    ticks = round(exact)
+    if abs(exact - ticks) > 1e-6:
         raise MusicError(f"duration {value} beats is not a whole number of"
                          f" 1/{PPQ}-beat ticks")
-    return int(ticks)
+    if ticks < 1:
+        raise MusicError(f"duration {value} beats is shorter than one"
+                         f" 1/{PPQ}-beat tick")
+    return ticks
 
 
 @dataclass(frozen=True, order=True)
@@ -181,34 +190,39 @@ _CHORDS: dict[RomanChord, RomanChord] = {}
 
 @dataclass(frozen=True)
 class BeatEvent:
-    """All notes sounding within one beat as (MIDI number, fraction of the
-    beat) pairs. Every melody pitch enters through here, so the 0-127
-    range is checked here.
+    """All notes sounding within one beat as (MIDI number, ticks) pairs
+    whose ticks add up to exactly `PPQ`. Every melody pitch enters through
+    here, so the 0-127 range is checked here.
 
     The representative pitch (what sequence models observe) is the note
     sounding at the beat onset, i.e. the first entry.
     """
 
     beat_index: int
-    notes: tuple[tuple[int, float], ...]
+    notes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.notes:
             raise MusicError(f"beat {self.beat_index} has no notes")
-        for midi, _ in self.notes:
+        total = 0
+        for midi, ticks in self.notes:
             if not 0 <= midi <= 127:
                 raise MusicError(f"MIDI pitch out of range 0-127: {midi}")
-        total = sum(d for _, d in self.notes)
-        if abs(total - 1.0) > 1e-9:
-            raise MusicError(
-                f"beat {self.beat_index} durations sum to {total}, expected 1.0")
-        if not all(0 < d < math.inf for _, d in self.notes):
-            raise MusicError(
-                f"beat {self.beat_index} has a non-positive or non-finite duration")
+            if type(ticks) is not int or ticks < 1:
+                raise MusicError(f"beat {self.beat_index} has a duration that is"
+                                 f" not a positive whole number of ticks: {ticks!r}")
+            total += ticks
+        if total != PPQ:
+            raise MusicError(f"beat {self.beat_index} durations sum to {total}"
+                             f" ticks ({total / PPQ:g} beats), expected {PPQ}")
 
     @property
     def representative(self) -> int:
         return self.notes[0][0]
+
+    def transpose(self, semitones: int) -> "BeatEvent":
+        return BeatEvent(self.beat_index, tuple((midi + semitones, ticks)
+                                                for midi, ticks in self.notes))
 
 
 @dataclass(frozen=True)
@@ -232,11 +246,7 @@ class MelodyLine:
         return [ev.representative for ev in self.events]
 
     def transpose(self, semitones: int) -> "MelodyLine":
-        events = tuple(
-            BeatEvent(ev.beat_index,
-                      tuple((midi + semitones, d) for midi, d in ev.notes))
-            for ev in self.events)
-        return MelodyLine(events)
+        return MelodyLine(tuple(ev.transpose(semitones) for ev in self.events))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ Rock files carry one record per measure, all fields integer pitch classes:
     0 | key_pc=0 | roman_root_pc=0 | melody_degree_pc=4
 
 Melody files reuse the chorale record grammar with the key/roman columns
-absent. All of these, and the score, progression and analysis documents
-the other modules write, share one grammar, read by `_records` and
-written by `_format_records`.
+absent. Note durations are written in beats; each is read once into whole
+1/480-beat ticks (`beats_to_ticks`), and ticks are written back as beats
+with enough digits to read back to the same tick. All of these, and the
+score, progression and analysis documents the other modules write, share
+one grammar, read by `_records` and written by `_format_records`.
 """
 
 from __future__ import annotations
@@ -106,23 +108,19 @@ class Corpus:
         return Corpus(picked, self.genre)
 
 
-def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, float], ...]:
+def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, int], ...]:
+    """Comma-separated `pitch:beats` entries as (MIDI number, ticks)
+    pairs; whether the ticks fill the beat is left to BeatEvent."""
     notes = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            pitch_s, dur_s = item.split(":")
-            pitch, duration = int(pitch_s), float(dur_s)
-            # durations outside (0, 1] are left to BeatEvent, which rejects
-            # them as non-positive, non-finite or overfilling the beat
-            if 0 < duration <= 1 and beats_to_ticks(duration) < 1:
-                raise MusicError(f"duration {duration} beats is shorter than"
-                                 f" one 1/{PPQ}-beat tick")
-        except (ValueError, MusicError) as exc:
+            pitch_s, beats_s = item.split(":")
+            notes.append((int(pitch_s), beats_to_ticks(float(beats_s))))
+        except ValueError as exc:
             raise CorpusError(f"bad note entry {item!r}: {exc}", source, line)
-        notes.append((pitch, duration))
     if not notes:
         raise CorpusError("empty note list", source, line)
     return tuple(notes)
@@ -134,8 +132,11 @@ def _format_duration(d: float) -> str:
 
 
 def _format_note_list(notes) -> str:
-    """(MIDI number, duration) pairs as comma-joined "pitch:duration" text."""
-    return ",".join(f"{midi}:{_format_duration(d)}" for midi, d in notes)
+    """(MIDI number, ticks) pairs as comma-joined "pitch:beats" text. Ten
+    decimals (nine is the fewest) read back to the same tick for every
+    count up to a beat."""
+    return ",".join(f"{midi}:{ticks / PPQ:.10f}".rstrip("0").rstrip(".")
+                    for midi, ticks in notes)
 
 
 def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
@@ -231,7 +232,7 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
         chord = triadic_numeral_for_root((root_pc - key_pc) % 12)
-        beat = BeatEvent(index, ((60 + melody_pc, 1.0),))
+        beat = BeatEvent(index, ((60 + melody_pc, PPQ),))
         events.append((beat, all_keys()[key_pc], chord))  # majors come first
     try:
         return AnnotatedChorale(header.get("id", source), "major", tuple(events))
@@ -320,12 +321,8 @@ def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
     if offset == 0:
         return chorale
     try:
-        events = tuple(
-            (BeatEvent(beat.beat_index,
-                       tuple((midi + offset, d) for midi, d in beat.notes)),
-             key.transpose(offset),
-             chord)
-            for beat, key, chord in chorale.events)
+        events = tuple((beat.transpose(offset), key.transpose(offset), chord)
+                       for beat, key, chord in chorale.events)
     except MusicError as exc:
         raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
                           f" semitones to its reference key: {exc}")

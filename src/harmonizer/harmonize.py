@@ -15,6 +15,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
+    PPQ,
     KeyLabel,
     MelodyLine,
     MusicError,
@@ -70,8 +71,8 @@ class Arrangement(NamedTuple):
 # the (bass, tenor, alto) order of enumeration and of the last tie-break
 _BASS_TENOR_ALTO = itemgetter(2, 1, 0)
 
-# per beat, the (MIDI number, beats) notes of one voice
-VoiceLine = list[list[tuple[int, float]]]
+# per beat, the (MIDI number, ticks) notes of one voice
+VoiceLine = list[list[tuple[int, int]]]
 
 
 @dataclass
@@ -93,11 +94,11 @@ class Harmonization:
 
     def __post_init__(self):
         if not self.alto_line:
-            self.alto_line = [[(a.alto, 1.0)] for a in self.arrangements]
+            self.alto_line = [[(a.alto, PPQ)] for a in self.arrangements]
         if not self.tenor_line:
-            self.tenor_line = [[(a.tenor, 1.0)] for a in self.arrangements]
+            self.tenor_line = [[(a.tenor, PPQ)] for a in self.arrangements]
         if not self.bass_line:
-            self.bass_line = [[(a.bass, 1.0)] for a in self.arrangements]
+            self.bass_line = [[(a.bass, PPQ)] for a in self.arrangements]
 
     def voice_lines(self) -> dict[str, VoiceLine]:
         soprano = [list(ev.notes) for ev in self.soprano.events]
@@ -344,7 +345,7 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     # each distinct key, chord and single-note beat is formatted once
     labels = {value: str(value)
               for value in {*h.annotation.keys, *h.annotation.chords}}
-    note_texts: dict[tuple[int, float], str] = {}
+    note_texts: dict[tuple[int, int], str] = {}
 
     def notes(beat) -> str:
         if len(beat) != 1:

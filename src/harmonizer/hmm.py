@@ -331,7 +331,7 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     mode = modes.pop() if len(modes) == 1 else "mixed"
     return ModelBundle(genre=corpus.genre, mode=mode, key_model=key_model,
                        chord_model=chord_model,
-                       chord_counts={str(c): n for c, n in counts.items()})
+                       chord_counts=dict(counts))
 
 
 @dataclass
@@ -342,7 +342,7 @@ class ModelBundle:
     mode: str
     key_model: HmmModel
     chord_model: HmmModel
-    chord_counts: dict      # chord text -> count, as in the model file
+    chord_counts: dict[RomanChord, int]     # training occurrences per chord state
     ornament_rates: dict | None = None
 
 
@@ -429,7 +429,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
         "mode": bundle.mode,
         "key_model": _model_to_dict(bundle.key_model),
         "chord_model": _model_to_dict(bundle.chord_model),
-        "chord_counts": bundle.chord_counts,
+        "chord_counts": {str(c): n for c, n in bundle.chord_counts.items()},
         "ornament_rates": bundle.ornament_rates,
     }
     out = Path(path)
@@ -444,14 +444,28 @@ def _check_bundle_fields(doc: dict):
     modes = MODES + ("mixed",)
     if doc["mode"] not in modes:
         raise HmmError(f"mode is not one of {list(modes)}: {doc['mode']!r}")
-    counts = doc["chord_counts"]
-    if not isinstance(counts, dict) or not all(
-            type(n) is int and n >= 0 for n in counts.values()):
-        raise HmmError("chord_counts is not an object of non-negative integer counts")
     rates = doc.get("ornament_rates")
     if rates is not None and (not isinstance(rates, dict) or not all(
             type(p) in (int, float) and 0 <= p <= 1 for p in rates.values())):
         raise HmmError("ornament_rates is not an object of probabilities in [0, 1]")
+
+
+def _chord_counts(counts, states: tuple) -> dict[RomanChord, int]:
+    """The saved chord counts keyed by chord state; each text key must
+    read as a distinct state."""
+    if not isinstance(counts, dict) or not all(
+            type(n) is int and n >= 0 for n in counts.values()):
+        raise HmmError("chord_counts is not an object of non-negative integer counts")
+    try:
+        chords = [RomanChord.from_string(text) for text in counts]
+    except MusicError as exc:
+        raise HmmError(f"chord_counts: {exc}")
+    if len(set(chords)) != len(chords):
+        raise HmmError("chord_counts has duplicate labels")
+    stray = [text for text, chord in zip(counts, chords) if chord not in states]
+    if stray:
+        raise HmmError(f"chord_counts label {stray[0]!r} is not a chord state")
+    return dict(zip(chords, counts.values()))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -460,14 +474,15 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise HmmError(f"{path}: not a model file")
     try:
         _check_bundle_fields(doc)
+        chord_model = _model_from_dict(doc["chord_model"], "chord_model",
+                                       RomanChord.from_string)
         return ModelBundle(
             genre=doc["genre"],
             mode=doc["mode"],
             key_model=_model_from_dict(doc["key_model"], "key_model",
                                        KeyLabel.from_string),
-            chord_model=_model_from_dict(doc["chord_model"], "chord_model",
-                                         RomanChord.from_string),
-            chord_counts=dict(doc["chord_counts"]),
+            chord_model=chord_model,
+            chord_counts=_chord_counts(doc["chord_counts"], chord_model.states),
             ornament_rates=doc.get("ornament_rates"),
         )
     except KeyError as exc:

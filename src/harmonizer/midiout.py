@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PPQ, beats_to_ticks, functional_group
+from .core import PPQ, functional_group
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
 from .rock import BEATS_PER_MEASURE, AccompanimentScore
@@ -63,10 +63,14 @@ def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
 
 
 def _note_events(notes: list[tuple[int, int, int]], channel: int):
-    """(onset_tick, duration_tick, pitch) triples to on/off event tuples."""
+    """(onset_tick, duration_tick, pitch) triples to on/off event tuples;
+    ValueError when a duration is not a positive whole number of ticks."""
     payloads = {}           # one (on, off) pair per distinct pitch
     events = []
     for onset, duration, pitch in notes:
+        if type(duration) is not int or duration < 1:
+            raise ValueError(f"note duration is not a positive whole number"
+                             f" of ticks: {duration!r}")
         pair = payloads.get(pitch)
         if pair is None:
             if not 0 <= pitch <= 127:
@@ -87,25 +91,15 @@ def _meta_track(tempo_bpm: int) -> list[tuple[int, int, bytes]]:
     ]
 
 
-def _ticks(value: float, memo: dict[float, int]) -> int:
-    """beats_to_ticks, computed (and checked) once per distinct value."""
-    ticks = memo.get(value)
-    if ticks is None:
-        ticks = memo[value] = beats_to_ticks(value)
-    return ticks
-
-
 def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int]]]:
     """SATB note lists as (onset_tick, duration_tick, pitch)."""
     voices = h.voice_lines()
-    memo = {}
     out = []
     for name in ("soprano", "alto", "tenor", "bass"):
         notes = []
         for beat_index, beat in enumerate(voices[name]):
             cursor = beat_index * PPQ
-            for pitch, fraction in beat:
-                duration = _ticks(fraction, memo)
+            for pitch, duration in beat:
                 notes.append((cursor, duration, pitch))
                 cursor += duration
         out.append(notes)
@@ -115,19 +109,15 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
 def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int, list]]:
     """(name, channel, notes) per instrument track, melody first."""
     measure_ticks = BEATS_PER_MEASURE * PPQ
-    memo = {}
     tracks = []
     layout = [("melody", 0, score.melody_track), ("bass", 1, score.bass_track),
               ("keys", 2, score.keys_track), ("drums", DRUM_CHANNEL, score.drum_track)]
     for name, channel, measures in layout:
         if not measures or all(not m for m in measures):
             continue
-        notes = []
-        for i, measure in enumerate(measures):
-            base = i * measure_ticks
-            for onset, duration, pitch in measure:
-                notes.append((base + _ticks(onset, memo),
-                              _ticks(duration, memo), pitch))
+        notes = [(i * measure_ticks + onset, duration, pitch)
+                 for i, measure in enumerate(measures)
+                 for onset, duration, pitch in measure]
         tracks.append((name, channel, notes))
     return tracks
 
@@ -177,7 +167,7 @@ def functional_summary(chord_model: HmmModel, chord_counts: dict) -> np.ndarray:
               for chord in chord_model.states]
     summary = np.zeros((3, 3))
     for i, gi in enumerate(groups):
-        weight = float(chord_counts.get(str(chord_model.states[i]), 0))
+        weight = float(chord_counts.get(chord_model.states[i], 0))
         if weight == 0.0:
             continue
         for j, gj in enumerate(groups):

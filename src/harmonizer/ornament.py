@@ -11,9 +11,9 @@ a fixed seed reproduces output exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import MusicError, diatonic_pcs
+from .core import PPQ, MusicError, diatonic_pcs
 from .harmonize import ALTO_RANGE, BASS_RANGE, TENOR_RANGE, Harmonization
 
 # chorales are read in 4/4; strong beats are positions 0 and 2 of the bar
@@ -96,48 +96,33 @@ def estimate_ornament_rates(corpus) -> OrnamentConfig:
                           p_appoggiatura=rate("appoggiatura"))
 
 
-_VOICES = (
-    ("alto", ALTO_RANGE),
-    ("tenor", TENOR_RANGE),
-    ("bass", BASS_RANGE),
-)
-
-
 def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
-    """Return a new harmonization with ornaments inserted into the alto,
-    tenor and bass lines. Sites whose inserted pitch would leave the voice
-    range or break the vertical order against neighbouring voices are
-    skipped silently.
-    """
+    """A copy of h with ornaments in its alto, tenor and bass lines. Sites
+    whose inserted pitch would leave the voice range or break the vertical
+    order against neighbouring voices are skipped silently. An ornament
+    splits its beat into two eighths."""
     rng = random.Random(cfg.rng_seed)
     n = len(h.soprano)
     # one scale per distinct key, then per beat
     scale_of = {key: diatonic_pcs(key) for key in set(h.annotation.keys)}
     scales = [scale_of[key] for key in h.annotation.keys]
     passing_tones = {}      # one search per distinct (pitch, next pitch, scale)
-    soprano = h.soprano.representatives()
-    skeleton = {
-        "alto": [a.alto for a in h.arrangements],
-        "tenor": [a.tenor for a in h.arrangements],
-        "bass": [a.bass for a in h.arrangements],
-    }
-    # an inserted pitch stays in its voice range, at or below the voice
-    # above and at or above the voice below (the bass has none below)
-    above = {"alto": soprano, "tenor": skeleton["alto"], "bass": skeleton["tenor"]}
-    below = {"alto": skeleton["tenor"], "tenor": skeleton["bass"], "bass": [0] * n}
-    new_lines = {
-        "alto": [list(beat) for beat in h.alto_line],
-        "tenor": [list(beat) for beat in h.tenor_line],
-        "bass": [list(beat) for beat in h.bass_line],
-    }
+    # per beat, the skeleton voices from the top down and a floor of 0: an
+    # inserted pitch stays in its voice range, at or below the voice above
+    # and at or above the voice below
+    stacks = [(ev.representative, *a, 0)
+              for ev, a in zip(h.soprano.events, h.arrangements)]
+    lines = [[list(beat) for beat in line]
+             for line in (h.alto_line, h.tenor_line, h.bass_line)]
+    half = PPQ // 2
 
-    for voice, (lo, hi) in _VOICES:
-        line = new_lines[voice]
-        skel = skeleton[voice]
-        ceiling = [min(hi, pitch) for pitch in above[voice]]
-        floor = [max(lo, pitch) for pitch in below[voice]]
+    for v, (lo, hi) in enumerate((ALTO_RANGE, TENOR_RANGE, BASS_RANGE), start=1):
+        line = lines[v - 1]
+        skel = [stack[v] for stack in stacks]
+        ceilings = [min(hi, stack[v - 1]) for stack in stacks]
+        floors = [max(lo, stack[v + 1]) for stack in stacks]
         for t in range(n):
-            cur = skel[t]
+            cur, ceiling, floor = skel[t], ceilings[t], floors[t]
             nxt = skel[t + 1] if t + 1 < n else None
             # passing tone filling a third on the way to the next beat
             if nxt is not None and abs(nxt - cur) in (3, 4):
@@ -145,27 +130,23 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
                 if step not in passing_tones:
                     passing_tones[step] = _scale_tone_between(*step)
                 mid = passing_tones[step]
-                if mid is not None and floor[t] <= mid <= ceiling[t]:
+                if mid is not None and floor <= mid <= ceiling:
                     if rng.random() < cfg.p_passing:
-                        line[t] = [(cur, 0.5), (mid, 0.5)]
+                        line[t] = [(cur, half), (mid, half)]
                         continue
             # auxiliary tone decorating a repeated pitch
             if nxt is not None and nxt == cur:
                 neighbor = _upper_scale_tone(cur, scales[t])
-                if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
+                if neighbor is not None and floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_auxiliary:
-                        line[t] = [(cur, 0.5), (neighbor, 0.5)]
+                        line[t] = [(cur, half), (neighbor, half)]
                         continue
             # appoggiatura leaning onto a strong beat
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 neighbor = _upper_scale_tone(cur, scales[t])
-                if neighbor is not None and floor[t] <= neighbor <= ceiling[t]:
+                if neighbor is not None and floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_appoggiatura:
-                        line[t] = [(neighbor, 0.5), (cur, 0.5)]
+                        line[t] = [(neighbor, half), (cur, half)]
 
-    return Harmonization(soprano=h.soprano, arrangements=list(h.arrangements),
-                         annotation=h.annotation, penalty=h.penalty,
-                         violation_log=list(h.violation_log),
-                         alto_line=new_lines["alto"],
-                         tenor_line=new_lines["tenor"],
-                         bass_line=new_lines["bass"])
+    alto, tenor, bass = lines
+    return replace(h, alto_line=alto, tenor_line=tenor, bass_line=bass)

@@ -1,9 +1,11 @@
 """Measure-level harmonization of rock melodies and symbolic accompaniment.
 
 The decode reuses the two-stage key/chord machinery at one label per
-measure. Rendering is deterministic: the bass walks root then chord tones,
-the keyboard plays block chords or an eighth-note arpeggio, and an
-optional fixed drum pattern fills out the texture.
+measure. Note onsets and durations are whole ticks, `PPQ` to the beat,
+onsets counted from the start of their measure. Rendering is
+deterministic: the bass walks root then chord tones, the keyboard plays
+block chords or an eighth-note arpeggio, and an optional fixed drum
+pattern fills out the texture.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     MAJOR,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -23,6 +26,7 @@ from .corpus import _format_records
 from .hmm import HmmModel, decode_key_chord
 
 BEATS_PER_MEASURE = 4
+EIGHTH = PPQ // 2
 
 KICK = 36
 SNARE = 38
@@ -30,8 +34,8 @@ CLOSED_HAT = 42
 
 PATTERNS = ("arpeggio", "block")
 
-# (onset_in_beats, duration_in_beats, midi)
-NoteEvent = tuple[float, float, int]
+# (onset ticks within the measure, duration ticks, midi)
+NoteEvent = tuple[int, int, int]
 
 
 @dataclass
@@ -49,7 +53,7 @@ def harmonize_rock(key_model: HmmModel, chord_model: HmmModel, melody_measures,
                    method: str = "viterbi") -> list[tuple[int, RomanChord]]:
     """Decode one (key pitch class, chord) pair per measure from the
     melody pitch class of each measure."""
-    events = tuple(BeatEvent(i, ((60 + int(pc), 1.0),))
+    events = tuple(BeatEvent(i, ((60 + int(pc), PPQ),))
                    for i, pc in enumerate(melody_measures))
     melody = MelodyLine(events)
     annotation = decode_key_chord(key_model, chord_model, melody, method)
@@ -80,23 +84,23 @@ def render_accompaniment(progression: list[tuple[int, RomanChord]],
         root = 48 + root_pc
         third = root + (third_pc - root_pc) % 12
         fifth = root + (fifth_pc - root_pc) % 12
-        bass_track.append([(0.0, 1.0, root), (1.0, 1.0, third),
-                           (2.0, 1.0, fifth), (3.0, 1.0, third)])
+        bass_track.append([(k * PPQ, PPQ, pitch)
+                           for k, pitch in enumerate((root, third, fifth, third))])
         block = [root + 12, third + 12, fifth + 12]
         if pattern == "block":
-            keys_track.append([(0.0, 2.0, p) for p in block]
-                              + [(2.0, 2.0, p) for p in block])
+            keys_track.append([(0, 2 * PPQ, p) for p in block]
+                              + [(2 * PPQ, 2 * PPQ, p) for p in block])
         else:
-            keys_track.append([(k * 0.5, 0.5, block[k % 3]) for k in range(8)])
+            keys_track.append([(k * EIGHTH, EIGHTH, block[k % 3]) for k in range(8)])
         if drums:
-            measure = [(0.0, 0.5, KICK), (1.0, 0.5, SNARE),
-                       (2.0, 0.5, KICK), (3.0, 0.5, SNARE)]
-            measure += [(k * 0.5, 0.5, CLOSED_HAT) for k in range(8)]
+            measure = [(k * PPQ, EIGHTH, drum)
+                       for k, drum in enumerate((KICK, SNARE, KICK, SNARE))]
+            measure += [(k * EIGHTH, EIGHTH, CLOSED_HAT) for k in range(8)]
             drum_track.append(measure)
         else:
             drum_track.append([])
         if melody_degree_pcs is not None:
-            melody_track.append([(0.0, float(BEATS_PER_MEASURE),
+            melody_track.append([(0, BEATS_PER_MEASURE * PPQ,
                                   60 + melody_degree_pcs[i])])
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)

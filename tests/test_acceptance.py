@@ -205,8 +205,7 @@ def test_criterion_8_midi_round_trip(major_bundle, rock_bundle,
                 expected = []
                 for beat_index, beat in enumerate(voices[voice]):
                     cursor = beat_index * PPQ
-                    for pitch, fraction in beat:
-                        ticks = int(round(fraction * PPQ))
+                    for pitch, ticks in beat:
                         expected.append((pitch, cursor, ticks))
                         cursor += ticks
                 assert [(p, o, d) for p, o, d, _ in track.notes] == expected
@@ -223,8 +222,7 @@ def test_criterion_8_midi_round_trip(major_bundle, rock_bundle,
                       ("keys", score.keys_track), ("drums", score.drum_track)]
             for track, (label, measures) in zip(parsed.tracks[1:], layout):
                 expected = sorted(
-                    (pitch, i * 4 * PPQ + int(round(onset * PPQ)),
-                     int(round(duration * PPQ)))
+                    (pitch, i * 4 * PPQ + onset, duration)
                     for i, measure in enumerate(measures)
                     for onset, duration, pitch in measure)
                 got = sorted((p, o, d) for p, o, d, _ in track.notes)

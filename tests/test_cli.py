@@ -178,6 +178,29 @@ def test_export_and_identity_override_decode_identical(capsys, tmp_path,
     assert before == after
 
 
+def test_respelled_count_key_reads_as_its_state(tmp_path, trained_model):
+    # a hand-edited model whose I6 state and count key are both spelled I63
+    doc = json.loads(trained_model.read_text())
+    states = doc["chord_model"]["states"]
+    states[states.index("I6")] = "I63"
+    doc["chord_counts"]["I63"] = doc["chord_counts"].pop("I6")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    for model, out_dir in ((trained_model, "plain"), (edited, "edited")):
+        assert main(["export", "--model", str(model),
+                     "--out-dir", str(tmp_path / out_dir)]) == 0
+    summary = "functional_summary.csv"
+    assert ((tmp_path / "edited" / summary).read_bytes()
+            == (tmp_path / "plain" / summary).read_bytes())
+    overridden = tmp_path / "overridden.json"
+    assert main(["override", "--model", str(edited), "--transitions",
+                 str(tmp_path / "plain" / "chord_transition.csv"),
+                 "--layer", "chord", "--out", str(overridden)]) == 0
+    saved = json.loads(overridden.read_text())
+    assert "I6" in saved["chord_model"]["states"]
+    assert saved["chord_counts"] == json.loads(trained_model.read_text())["chord_counts"]
+
+
 def test_override_dimension_mismatch_exits_2(tmp_path, trained_model):
     out_dir = tmp_path / "m"
     assert main(["export", "--model", str(trained_model),
@@ -345,6 +368,12 @@ def _duplicate_state(doc):
     states[1] = states[0]
 
 
+def _set_count(label):
+    def damage(doc):
+        doc["chord_counts"][label] = 1
+    return damage
+
+
 @pytest.mark.parametrize("damage,field", [
     (lambda doc: doc.update(key_model=None), "key_model is not an object"),
     (lambda doc: doc.update(chord_model=[1, 2]), "chord_model is not an object"),
@@ -369,6 +398,9 @@ def _duplicate_state(doc):
     (lambda doc: doc["key_model"].update(smoothing_alpha=None),
      "key_model.smoothing_alpha"),
     (lambda doc: doc.update(chord_counts=5), "chord_counts"),
+    (_set_count("X"), "chord_counts: unparseable Roman numeral: 'X'"),
+    (_set_count("I63"), "chord_counts has duplicate labels"),
+    (_set_count("bVII"), "chord_counts label 'bVII' is not a chord state"),
     (lambda doc: doc.update(ornament_rates=5), "ornament_rates"),
     (lambda doc: doc.update(ornament_rates={"p_passing": "x"}), "ornament_rates"),
     (lambda doc: doc.update(genre=5), "genre"),
@@ -381,7 +413,8 @@ def _duplicate_state(doc):
         "states-short", "transition-nan", "emission-inf", "transition-negative",
         "emission-row-sum", "transition-string-cell", "mask-row-cut",
         "duplicate-state", "respelled-I", "respelled-I6", "no-states",
-        "alpha-null", "chord-counts-int",
+        "alpha-null", "chord-counts-int", "chord-count-not-roman",
+        "chord-count-respelled-I6", "chord-count-not-a-state",
         "ornament-rates-int", "ornament-rate-str", "genre-int", "mode-unknown",
         "key-state-empty", "key-state-int", "chord-state-not-roman"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
@@ -510,6 +543,20 @@ def test_off_grid_duration_exits_2(capsys, tmp_path, trained_model, notes,
                         f"{melody}:2: bad note entry")
     _assert_input_error(capsys, main(["analyze", "--model", str(trained_model),
                                       "--melody", str(melody)]), message)
+
+
+def test_durations_within_the_tick_tolerance_are_whole_ticks(tmp_path,
+                                                             trained_model):
+    # 0.500000002 beats is 240.00000096 ticks: within 1e-6 tick of 240
+    melody = tmp_path / "near.txt"
+    melody.write_text("0 | notes=72:1\n1 | notes=72:0.500000002,74:0.5\n"
+                      "2 | notes=72:1.000000001\n")
+    out = tmp_path / "near.mid"
+    assert main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(melody), "--out-midi", str(out)]) == 0
+    soprano = read_midi(out).tracks[1].notes
+    assert [(pitch, onset, duration) for pitch, onset, duration, _ in soprano] == [
+        (72, 0, 480), (72, 480, 240), (74, 720, 240), (72, 960, 480)]
 
 
 def test_out_of_range_melody_pitch_exits_2(capsys, tmp_path, trained_model):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from harmonizer.core import (
     MAJOR,
     MINOR,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -31,15 +32,15 @@ ROMAN_SAMPLES = [
 
 
 def test_pitch_bounds():
-    assert BeatEvent(0, ((0, 1.0),)).representative == 0
-    assert BeatEvent(0, ((127, 1.0),)).representative == 127
+    assert BeatEvent(0, ((0, PPQ),)).representative == 0
+    assert BeatEvent(0, ((127, PPQ),)).representative == 127
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
-        BeatEvent(0, ((128, 1.0),))
+        BeatEvent(0, ((128, PPQ),))
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: -1"):
-        BeatEvent(0, ((-1, 1.0),))
+        BeatEvent(0, ((-1, PPQ),))
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 130"):
-        BeatEvent(0, ((72, 0.5), (130, 0.5)))
-    line = MelodyLine((BeatEvent(0, ((120, 1.0),)),))
+        BeatEvent(0, ((72, 240), (130, 240)))
+    line = MelodyLine((BeatEvent(0, ((120, PPQ),)),))
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
         line.transpose(8)
 
@@ -198,19 +199,36 @@ def test_triadic_numerals_cover_every_root():
 def test_beat_event_invariants():
     with pytest.raises(MusicError):
         BeatEvent(0, ())
-    with pytest.raises(MusicError):
-        BeatEvent(0, ((60, 0.5), (62, 0.4)))
-    ev = BeatEvent(0, ((60, 0.5), (62, 0.5)))
+    with pytest.raises(MusicError, match=r"sum to 432 ticks \(0.9 beats\), expected 480"):
+        BeatEvent(0, ((60, 240), (62, 192)))
+    for ticks in ((479,), (481,), (240, 241), (1,), (480, 480)):
+        with pytest.raises(MusicError, match=f"beat 3 durations sum to {sum(ticks)} ticks"):
+            BeatEvent(3, tuple((60, d) for d in ticks))
+    ev = BeatEvent(0, ((60, 240), (62, 240)))
     assert ev.representative == 60
+    assert BeatEvent(0, ((60, 1), (62, 479))).notes == ((60, 1), (62, 479))
+
+
+@pytest.mark.parametrize("notes", [
+    ((60, 480.0),),                 # a float, even a whole one
+    ((60, 240), (62, 240.0)),
+    ((60, 0), (62, 480)),           # zero
+    ((60, -240), (62, 720)),        # negative, though the sum is a beat
+    ((60, True), (62, 479)),        # a bool is not a tick count
+    ((60, "480"),),
+], ids=["float", "float-second", "zero", "negative", "bool", "text"])
+def test_beat_event_rejects_a_tick_count_that_is_not_a_positive_int(notes):
+    with pytest.raises(MusicError, match="not a positive whole number of ticks"):
+        BeatEvent(3, notes)
 
 
 def test_melody_line_invariants():
     with pytest.raises(MusicError):
         MelodyLine(())
     with pytest.raises(MusicError):
-        MelodyLine((BeatEvent(1, ((60, 1.0),)),))
-    line = MelodyLine((BeatEvent(0, ((60, 1.0),)),
-                       BeatEvent(1, ((62, 1.0),))))
+        MelodyLine((BeatEvent(1, ((60, PPQ),)),))
+    line = MelodyLine((BeatEvent(0, ((60, PPQ),)),
+                       BeatEvent(1, ((62, PPQ),))))
     assert len(line) == 2
     assert line.representatives() == [60, 62]
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from harmonizer.core import (
     MAJOR,
+    PPQ,
     KeyLabel,
     transposed_degree,
 )
@@ -17,7 +18,9 @@ from harmonizer.corpus import (
     parse_rock_text,
     serialize_chorale,
     transpose_to_reference,
+    _format_note_list,
     _format_records,
+    _parse_note_list,
     _records,
 )
 
@@ -89,6 +92,21 @@ def test_parse_corpus_collects_file_diagnostics(tmp_path):
     with pytest.raises(CorpusError) as err:
         parse_corpus(tmp_path, "chorale")
     assert "b.txt:3" in str(err.value)
+
+
+def test_every_written_tick_count_reads_back():
+    for ticks in range(1, PPQ + 1):
+        text = _format_note_list([(60, ticks)])
+        assert _parse_note_list(text, "t.txt", 1) == ((60, ticks),), text
+
+
+def test_triplet_chorale_survives_serialize_and_parse():
+    triplets = "74:0.3333333333,76:0.3333333333,77:0.3333333333"
+    ch = parse_chorale_text(VALID_CHORALE.replace("74:0.5,76:0.5", triplets))
+    assert ch.events[1][0].notes == ((74, 160), (76, 160), (77, 160))
+    text = serialize_chorale(ch)
+    assert f"notes={triplets} |" in text
+    assert parse_chorale_text(text) == ch
 
 
 def test_parse_serialize_parse_fixed_point(chorale_corpus):

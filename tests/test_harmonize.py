@@ -6,6 +6,7 @@ from harmonizer.core import (
     MAJOR,
     MINOR,
     MODES,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -43,7 +44,7 @@ arr = Arrangement
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
                             for i, m in enumerate(pitches)))
 
 
@@ -272,10 +273,10 @@ def test_voice_lines_hold_midi_numbers():
         (C_MAJOR,), (RomanChord.from_string("I"),)))
     [arrangement] = h.arrangements
     assert h.voice_lines() == {
-        "soprano": [[(72, 0.5), (74, 0.5)]],
-        "alto": [[(arrangement.alto, 1.0)]],
-        "tenor": [[(arrangement.tenor, 1.0)]],
-        "bass": [[(arrangement.bass, 1.0)]],
+        "soprano": [[(72, 240), (74, 240)]],
+        "alto": [[(arrangement.alto, PPQ)]],
+        "tenor": [[(arrangement.tenor, PPQ)]],
+        "bass": [[(arrangement.bass, PPQ)]],
     }
 
 
@@ -398,7 +399,7 @@ def test_shared_chains_match_greedy_oracle(data, feasible_beats):
                                min_size=1, max_size=30))
     max_seeds = data.draw(st.one_of(st.none(), st.integers(1, 6)))
     keys, chords, sopranos = zip(*beats)
-    melody = MelodyLine(tuple(BeatEvent(i, ((p, 1.0),))
+    melody = MelodyLine(tuple(BeatEvent(i, ((p, PPQ),))
                               for i, p in enumerate(sopranos)))
     _assert_matches_greedy_oracle(melody, ProgressionAnnotation(keys, chords),
                                   max_seeds)

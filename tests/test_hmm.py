@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from harmonizer.core import (
     MAJOR,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -78,7 +79,7 @@ def awkward_model(rng, n_states, n_obs) -> HmmModel:
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
                             for i, m in enumerate(pitches)))
 
 
@@ -506,6 +507,9 @@ def test_bundle_round_trip(tmp_path, major_bundle):
                           major_bundle.chord_model.emission)
     assert np.array_equal(loaded.chord_model.mask, major_bundle.chord_model.mask)
     assert loaded.chord_counts == major_bundle.chord_counts
+    # counts are keyed by the chord states themselves, not their text
+    assert set(loaded.chord_counts) <= set(loaded.chord_model.states)
+    assert all(isinstance(c, RomanChord) for c in loaded.chord_counts)
 
 
 def test_save_bundle_is_byte_deterministic(tmp_path, major_bundle):

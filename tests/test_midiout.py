@@ -8,7 +8,6 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
-    MusicError,
     ProgressionAnnotation,
     RomanChord,
 )
@@ -31,7 +30,7 @@ from smf_reader import read_midi
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
                             for i, m in enumerate(pitches)))
 
 
@@ -69,8 +68,7 @@ def test_round_trip_fixture_harmonization(tmp_path, major_bundle, fixture_melodi
         expected = []
         for beat_index, beat in enumerate(voices[voice]):
             cursor = beat_index * PPQ
-            for pitch, fraction in beat:
-                ticks = int(round(fraction * PPQ))
+            for pitch, ticks in beat:
                 expected.append((pitch, cursor, ticks))
                 cursor += ticks
         assert [(p, o, d) for p, o, d, _ in track.notes] == expected
@@ -105,18 +103,17 @@ def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
     expected = []
     for i, measure in enumerate(score.bass_track):
         for onset, duration, pitch in measure:
-            expected.append((pitch, i * 4 * PPQ + int(onset * PPQ),
-                             int(duration * PPQ)))
+            expected.append((pitch, i * 4 * PPQ + onset, duration))
     got = sorted((p, o, d) for p, o, d, _ in parsed.tracks[2].notes)
     assert got == sorted(expected)
 
 
 def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
-    h.alto_line = [[(64, 1.0)]]
+    h.alto_line = [[(64, PPQ)]]
     h.arrangements[0] = Arrangement(64, 55, 48)
     score = render_accompaniment([(0, RomanChord.from_string("I"))])
-    score.bass_track[0] = [(0.0, 1.0, 400)]
+    score.bass_track[0] = [(0, PPQ, 400)]
     with pytest.raises(ValueError):
         write_midi(score, tmp_path / "bad.mid")
 
@@ -168,9 +165,9 @@ def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
         notes = []
         for beat_index, beat in enumerate(voices[name]):
             cursor = beat_index * PPQ
-            for pitch, fraction in beat:
-                notes.append((cursor, int(round(fraction * PPQ)), pitch))
-                cursor += notes[-1][1]
+            for pitch, ticks in beat:
+                notes.append((cursor, ticks, pitch))
+                cursor += ticks
         assert tracks[1 + channel] == smf_note_track(notes, channel)
 
 
@@ -179,7 +176,7 @@ def test_pitch_check_fires_after_valid_pitches(tmp_path):
         _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
     score = render_accompaniment([(0, RomanChord.from_string("I"))])
-    score.bass_track[0] = [(0.0, 0.5, 48), (0.5, 0.5, 48), (1.0, 1.0, 128)]
+    score.bass_track[0] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
     with pytest.raises(ValueError, match="128"):
         write_midi(score, tmp_path / "bad.mid")
 
@@ -196,9 +193,20 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
     ornamented = insert_ornaments(h, OrnamentConfig(1.0, 1.0, 1.0, rng_seed=2))
     assert any(len(beat) == 2 for beat in ornamented.alto_line[:-1])
     pitch = ornamented.alto_line[-1][0][0]
-    ornamented.alto_line[-1] = [(pitch, 1 / 7), (pitch, 6 / 7)]
-    with pytest.raises(MusicError, match="not a whole number"):
-        write_midi(ornamented, tmp_path / "off-grid.mid")
+    # durations are int ticks; the writer takes nothing else, not even a
+    # whole float, and reports the value
+    for beat, shown in (([(pitch, 480 / 7), (pitch, 2880 / 7)], "68.57"),
+                        ([(pitch, 240.0), (pitch, 240.0)], "240.0"),
+                        ([(pitch, 0), (pitch, PPQ)], "0$"),
+                        ([(pitch, True), (pitch, 479)], "True")):
+        ornamented.alto_line[-1] = beat
+        with pytest.raises(ValueError, match="not a positive whole number of"
+                           f" ticks: {shown}"):
+            write_midi(ornamented, tmp_path / "off-grid.mid")
+    score = render_accompaniment([(0, RomanChord.from_string("I"))])
+    score.keys_track[0][-1] = (7 * 240, 240.0, 67)
+    with pytest.raises(ValueError, match="not a positive whole number of ticks"):
+        write_midi(score, tmp_path / "off-grid-rock.mid")
 
 
 # --- matrix exports -------------------------------------------------------------
@@ -245,6 +253,6 @@ def test_functional_summary_single_chord():
     from harmonizer.hmm import estimate
     one = RomanChord.from_string("I")
     model = estimate([one], [0], [([one, one, one], [0, 0, 0])], alpha=0.0)
-    summary = functional_summary(model, {"I": 3})
+    summary = functional_summary(model, {one: 3})
     assert summary[0, 0] == pytest.approx(1.0)
     assert summary[1].sum() == 0 and summary[2].sum() == 0

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from harmonizer.core import (
     MAJOR,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -25,7 +26,7 @@ C = KeyLabel(0, MAJOR)
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, 1.0),))
+    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
                             for i, m in enumerate(pitches)))
 
 
@@ -59,8 +60,8 @@ def test_passing_tone_fills_a_third():
     cfg = OrnamentConfig(p_passing=1.0, p_auxiliary=0.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.tenor_line[0] == [(55, 0.5), (57, 0.5)]
-    assert out.tenor_line[1] == [(59, 1.0)]
+    assert out.tenor_line[0] == [(55, 240), (57, 240)]
+    assert out.tenor_line[1] == [(59, PPQ)]
 
 
 def test_auxiliary_decorates_repeated_pitch():
@@ -69,7 +70,7 @@ def test_auxiliary_decorates_repeated_pitch():
     cfg = OrnamentConfig(p_passing=0.0, p_auxiliary=1.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.alto_line[0] == [(64, 0.5), (65, 0.5)]
+    assert out.alto_line[0] == [(64, 240), (65, 240)]
 
 
 def test_appoggiatura_leans_on_strong_beat():
@@ -78,7 +79,7 @@ def test_appoggiatura_leans_on_strong_beat():
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
     # beat 0 is strong: the alto G gets an A leaning onto it
-    assert out.alto_line[0] == [(69, 0.5), (67, 0.5)]
+    assert out.alto_line[0] == [(69, 240), (67, 240)]
 
 
 def test_soprano_is_never_touched():
@@ -98,7 +99,7 @@ def test_inserted_pitches_are_diatonic_and_durations_sum():
     out = insert_ornaments(h, cfg)
     for line in (out.alto_line, out.tenor_line, out.bass_line):
         for beat in line:
-            assert sum(d for _, d in beat) == pytest.approx(1.0)
+            assert sum(d for _, d in beat) == PPQ
             for p, _ in beat:
                 assert p % 12 in diatonic_pcs(C)
 
@@ -118,9 +119,9 @@ def test_out_of_order_insertions_are_skipped():
     cfg = OrnamentConfig(p_passing=0.0, p_auxiliary=1.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.tenor_line[0] == [(64, 1.0)]
+    assert out.tenor_line[0] == [(64, PPQ)]
     # the alto itself can still take its neighbour (soprano is far above)
-    assert out.alto_line[0] == [(64, 0.5), (65, 0.5)]
+    assert out.alto_line[0] == [(64, 240), (65, 240)]
 
 
 def test_diatonic_helpers():
@@ -182,4 +183,6 @@ def test_all_probability_one_output_respects_duration_invariant(seed):
     for line in (out.alto_line, out.tenor_line, out.bass_line):
         assert len(line) == 4
         for beat in line:
-            assert sum(d for _, d in beat) == pytest.approx(1.0)
+            # whole ticks, as ints: the writers take nothing else
+            assert all(type(d) is int for _, d in beat)
+            assert sum(d for _, d in beat) == PPQ

@@ -1,8 +1,9 @@
 import pytest
 
-from harmonizer.core import MAJOR, KeyLabel, MusicError, RomanChord
+from harmonizer.core import MAJOR, PPQ, KeyLabel, MusicError, RomanChord
 from harmonizer.corpus import CorpusError, parse_rock_melody_text, parse_rock_text
 from harmonizer.rock import (
+    PATTERNS,
     AccompanimentScore,
     harmonize_rock,
     render_accompaniment,
@@ -67,14 +68,14 @@ def test_single_measure_matches_brute_force(rock_bundle):
 
 
 def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
-    from harmonizer.core import BeatEvent, MelodyLine
+    from harmonizer.core import PPQ, BeatEvent, MelodyLine
     from harmonizer.hmm import decode_chords_given_keys
 
     melody = [0, 4, 7, 5, 9, 0]
     progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
                                  melody, "viterbi")
     shift = 5
-    shifted = MelodyLine(tuple(BeatEvent(i, ((60 + (pc + shift) % 12, 1.0),))
+    shifted = MelodyLine(tuple(BeatEvent(i, ((60 + (pc + shift) % 12, PPQ),))
                                for i, pc in enumerate(melody)))
     forced = [KeyLabel((key_pc + shift) % 12, MAJOR) for key_pc, _ in progression]
     chords = decode_chords_given_keys(rock_bundle.chord_model, shifted, forced,
@@ -84,8 +85,8 @@ def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
 
 def test_render_bass_measure_for_c_major_tonic():
     score = render_accompaniment([(0, I)], pattern="block", drums=False)
-    assert score.bass_track[0] == [(0.0, 1.0, 48), (1.0, 1.0, 52),
-                                   (2.0, 1.0, 55), (3.0, 1.0, 52)]
+    assert score.bass_track[0] == [(0, 480, 48), (480, 480, 52),
+                                   (960, 480, 55), (1440, 480, 52)]
 
 
 def test_bass_downbeat_always_harmonic_root(rock_bundle):
@@ -96,7 +97,7 @@ def test_bass_downbeat_always_harmonic_root(rock_bundle):
     from harmonizer.core import chord_root_pc
     for (key_pc, chord), measure in zip(progression, score.bass_track):
         onset, _, pitch = measure[0]
-        assert onset == 0.0
+        assert onset == 0
         root = chord_root_pc(chord, KeyLabel(key_pc, MAJOR))
         assert pitch % 12 == root
 
@@ -111,10 +112,23 @@ def test_drums_flag():
     assert len(hats) == 8
 
 
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_tracks_hold_whole_ticks_within_the_measure(pattern):
+    score = render_accompaniment([(0, I), (0, V)], pattern, drums=True,
+                                 melody_degree_pcs=[0, 7])
+    for track in (score.melody_track, score.bass_track, score.keys_track,
+                  score.drum_track):
+        assert len(track) == 2
+        for measure in track:
+            for onset, duration, _ in measure:
+                assert type(onset) is int and type(duration) is int
+                assert 0 <= onset < onset + duration <= 4 * PPQ
+
+
 def test_block_vs_arpeggio_patterns():
     block = render_accompaniment([(0, I)], pattern="block")
     onsets = sorted({onset for onset, _, _ in block.keys_track[0]})
-    assert onsets == [0.0, 2.0]
+    assert onsets == [0, 960]
     arp = render_accompaniment([(0, I)], pattern="arpeggio")
     assert len(arp.keys_track[0]) == 8
     assert [p for _, _, p in arp.keys_track[0]][:3] == [60, 64, 67]
