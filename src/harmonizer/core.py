@@ -56,6 +56,9 @@ class MusicError(ValueError):
 
 # MIDI ticks per beat; every note duration is a whole number of ticks
 PPQ = 480
+# every piece is read in 4/4: the bar of the ornamenter's strong beats, the
+# rock measure and the MIDI time signature
+BEATS_PER_BAR = 4
 
 
 def beats_to_ticks(value: float) -> int:

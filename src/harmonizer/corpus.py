@@ -126,11 +126,6 @@ def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, int]
     return tuple(notes)
 
 
-def _format_duration(d: float) -> str:
-    text = f"{d:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
-
-
 def _format_note_list(notes) -> str:
     """(MIDI number, ticks) pairs as comma-joined "pitch:beats" text. Ten
     decimals (nine is the fewest) read back to the same tick for every

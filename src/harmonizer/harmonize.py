@@ -25,7 +25,7 @@ from .core import (
     chord_tone_pcs,
     leading_tone_pc,
 )
-from .corpus import _format_duration, _format_note_list, _format_records
+from .corpus import _format_note_list, _format_records
 from .hmm import HmmModel, decode_key_chord
 
 ALTO_RANGE = (53, 74)    # F3-D5
@@ -34,11 +34,11 @@ BASS_RANGE = (40, 60)    # E2-C4
 MAX_SPACING = 12         # soprano-alto and alto-tenor
 
 PENALTY_WEIGHTS = {
-    "parallel_fifths": 4.0,
-    "parallel_octaves": 4.0,
-    "voice_overlap": 2.0,
-    "inner_voice_leap": 1.0,
-    "leap_over_octave": 3.0,
+    "parallel_fifths": 4,
+    "parallel_octaves": 4,
+    "voice_overlap": 2,
+    "inner_voice_leap": 1,
+    "leap_over_octave": 3,
 }
 
 INNER_LEAP_LIMIT = 7     # semitones, alto and tenor
@@ -56,7 +56,7 @@ class InfeasibleHarmonizationError(ValueError):
 class Violation(NamedTuple):
     beat_index: int
     rule: str
-    weight: float
+    weight: int
 
 
 class Arrangement(NamedTuple):
@@ -86,7 +86,7 @@ class Harmonization:
     soprano: MelodyLine
     arrangements: list[Arrangement]
     annotation: ProgressionAnnotation
-    penalty: float
+    penalty: int
     violation_log: list[Violation]
     alto_line: VoiceLine = field(default_factory=list)
     tenor_line: VoiceLine = field(default_factory=list)
@@ -114,13 +114,17 @@ def _upper_spellings(chord: RomanChord, key: KeyLabel,
                      soprano_pc: int) -> list[tuple[int, int]]:
     """Pitch-class pairs available to (alto, tenor) above the fixed bass.
 
-    Triads prefer complete spelling; when that is infeasible the caller
-    retries with the fallback (fifth omitted, root doubled, third doubled
-    instead when the root is the leading tone). Seventh chords keep the
-    seventh, then the third, then the root. When the soprano already sounds
-    the leading tone, the upper voices swap it out for the first of third,
-    root, fifth that is not the leading tone, so the leading tone is never
-    doubled.
+    Seventh chords take the first two of seventh, third, root, fifth that
+    are not the bass. Triads prefer the complete spelling, the two tones
+    other than the bass; when that is infeasible the caller retries with
+    the fallback, which omits the fifth and doubles the root (the third
+    when the root is the leading tone), and which does not exist when the
+    fifth is the bass.
+
+    The leading tone is never doubled, and this is the one place that
+    rule is kept: when the soprano sounds it, the upper voices swap it for
+    the third, or for the root when the third is the leading tone, and
+    when the bass sounds it too nothing is available.
 
     Returns the spelling stages in order of preference; each stage is one
     unordered (pc, pc) pair for the upper voices.
@@ -128,39 +132,20 @@ def _upper_spellings(chord: RomanChord, key: KeyLabel,
     tones = chord_tone_pcs(chord, key)
     bass_pc = chord_bass_pc(chord, key)
     lt = leading_tone_pc(key)
-    root, third, fifth = tones[0], tones[1], tones[2]
-
-    def drop_one(multiset: list[int], pc: int) -> list[int]:
-        out = list(multiset)
-        out.remove(pc)
-        return out
-
-    def substitute_lt(uppers: list[int]) -> list[int]:
-        if soprano_pc != lt or lt not in uppers:
-            return uppers
-        for replacement in (third, root, fifth):
-            if replacement != lt:
-                return drop_one(uppers, lt) + [replacement]
-        return uppers
-
+    root, third, fifth = tones[:3]
     if chord.seventh:
-        seventh = tones[3]
-        uppers = []
-        for tone in (seventh, third, root, fifth):
-            if tone != bass_pc and len(uppers) < 2:
-                uppers.append(tone)
-        uppers = substitute_lt(uppers)
-        return [tuple(sorted(uppers))]
-
-    complete = substitute_lt(drop_one([root, third, fifth], bass_pc))
-    doubled = root if root != lt else third
-    fallback_set = [doubled, doubled, third if doubled == root else root]
-    # the fallback omits the fifth; unavailable when the fifth is the bass
-    stages = [tuple(sorted(complete))]
-    if bass_pc != fifth:
-        fallback = substitute_lt(drop_one(fallback_set, bass_pc))
-        stages.append(tuple(sorted(fallback)))
-    return stages
+        stages = [[pc for pc in (tones[3], third, root, fifth) if pc != bass_pc][:2]]
+    else:
+        stages = [[pc for pc in tones if pc != bass_pc]]
+        if bass_pc != fifth:
+            doubled, other = (root, third) if root != lt else (third, root)
+            stages.append([doubled, doubled if bass_pc == other else other])
+    if soprano_pc == lt:
+        if bass_pc == lt:
+            return []
+        swap = third if third != lt else root
+        stages = [[swap if pc == lt else pc for pc in stage] for stage in stages]
+    return [tuple(stage) for stage in stages]
 
 
 def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
@@ -168,15 +153,10 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
     """Every arrangement satisfying the vertical constraints, sorted
     lexicographically by (bass, tenor, alto). May be empty."""
     bass_pc = chord_bass_pc(chord, key)
-    lt = leading_tone_pc(key)
-    soprano_pc = soprano % 12
     basses = [b for b in _pitches_in_range(bass_pc, *BASS_RANGE) if b <= soprano]
-    for first, second in _upper_spellings(chord, key, soprano_pc):
+    for first, second in _upper_spellings(chord, key, soprano % 12):
         found = []
         for alto_pc, tenor_pc in {(first, second), (second, first)}:
-            lt_count = sum(pc == lt for pc in (soprano_pc, alto_pc, tenor_pc, bass_pc))
-            if lt_count > 1:
-                continue
             tenors = _pitches_in_range(tenor_pc, *TENOR_RANGE)
             altos = [a for a in _pitches_in_range(alto_pc, *ALTO_RANGE)
                      if soprano - MAX_SPACING <= a <= soprano]
@@ -268,7 +248,7 @@ def chain_arrangements(candidates_per_beat, seeds: list[Arrangement]
 
 
 def score_arrangements(melody: MelodyLine,
-                       arrangements) -> tuple[float, list[Violation]]:
+                       arrangements) -> tuple[int, list[Violation]]:
     """Scan consecutive beats over all four voices and total the weighted
     rule violations. Violations are logged at the arrival beat."""
     stacks = [(ev.representative, *arr)
@@ -313,16 +293,15 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
     chains = chain_arrangements(candidates_per_beat,
                                 candidates_per_beat[0][:max_seeds])
     # a chain that joins an earlier one is scored only up to the joining
-    # beat; violations after it are the earlier chain's, and the weights
-    # are integers, so the penalty stays exact in any summation order
+    # beat and takes the earlier chain's later violations, and the weights
+    # are ints, so the penalty is exact in any summation order; a chain
+    # that never joins is scored to its last beat
     logs = []
     best = None
     for chain, joined in chains:
-        if joined is None:
-            penalty, log = score_arrangements(melody, chain)
-        else:
-            beat, earlier = joined
-            penalty, log = score_arrangements(melody, chain[:beat + 1])
+        beat, earlier = joined or (len(chain) - 1, None)
+        penalty, log = score_arrangements(melody, chain[:beat + 1])
+        if earlier is not None:
             shared = [v for v in logs[earlier] if v.beat_index > beat]
             log += shared
             penalty += sum(v.weight for v in shared)
@@ -342,18 +321,17 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     for v in h.violation_log:
         by_beat.setdefault(v.beat_index, []).append(v)
     voices = h.voice_lines()
-    # each distinct key, chord and single-note beat is formatted once
+    # each distinct key, chord and beat is formatted once
     labels = {value: str(value)
               for value in {*h.annotation.keys, *h.annotation.chords}}
-    note_texts: dict[tuple[int, int], str] = {}
+    note_texts: dict[tuple[tuple[int, int], ...], str] = {}
 
     def notes(beat) -> str:
-        if len(beat) != 1:
-            return _format_note_list(beat)
-        entry = beat[0]
-        if entry not in note_texts:
-            note_texts[entry] = _format_note_list(beat)
-        return note_texts[entry]
+        entry = tuple(beat)
+        text = note_texts.get(entry)
+        if text is None:
+            text = note_texts[entry] = _format_note_list(beat)
+        return text
 
     records = []
     for t in range(len(h.soprano)):
@@ -365,7 +343,7 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
                   ("roman", labels[h.annotation.chords[t]])]
         if t in by_beat:
             fields.append(("violations", ";".join(
-                f"{v.rule}:{_format_duration(v.weight)}" for v in by_beat[t])))
+                f"{v.rule}:{v.weight}" for v in by_beat[t])))
         records.append(fields)
     return _format_records(
-        (("id", title), ("penalty", _format_duration(h.penalty))), records)
+        (("id", title), ("penalty", str(h.penalty))), records)

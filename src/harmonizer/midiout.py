@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PPQ, functional_group
+from .core import BEATS_PER_BAR, PPQ, functional_group
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
-from .rock import BEATS_PER_MEASURE, AccompanimentScore
+from .rock import AccompanimentScore
 
 VELOCITY = 80
 CHORALE_TEMPO = 80
@@ -86,7 +86,8 @@ def _meta_track(tempo_bpm: int) -> list[tuple[int, int, bytes]]:
     usec_per_quarter = 60_000_000 // tempo_bpm
     tempo = struct.pack(">I", usec_per_quarter)[1:]
     return [
-        (0, 0, bytes([0xFF, 0x58, 0x04, 0x04, 0x02, 0x18, 0x08])),  # 4/4
+        # time signature BEATS_PER_BAR/4
+        (0, 0, bytes([0xFF, 0x58, 0x04, BEATS_PER_BAR, 0x02, 0x18, 0x08])),
         (0, 0, bytes([0xFF, 0x51, 0x03]) + tempo),
     ]
 
@@ -107,17 +108,23 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
 
 
 def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int, list]]:
-    """(name, channel, notes) per instrument track, melody first."""
-    measure_ticks = BEATS_PER_MEASURE * PPQ
+    """(name, channel, notes) per instrument track, melody first;
+    ValueError when an onset is not a whole number of ticks inside its
+    measure."""
+    measure_ticks = BEATS_PER_BAR * PPQ
     tracks = []
     layout = [("melody", 0, score.melody_track), ("bass", 1, score.bass_track),
               ("keys", 2, score.keys_track), ("drums", DRUM_CHANNEL, score.drum_track)]
     for name, channel, measures in layout:
         if not measures or all(not m for m in measures):
             continue
-        notes = [(i * measure_ticks + onset, duration, pitch)
-                 for i, measure in enumerate(measures)
-                 for onset, duration, pitch in measure]
+        notes = []
+        for i, measure in enumerate(measures):
+            for onset, duration, pitch in measure:
+                if type(onset) is not int or not 0 <= onset < measure_ticks:
+                    raise ValueError(f"note onset is not a whole number of ticks"
+                                     f" in [0, {measure_ticks}): {onset!r}")
+                notes.append((i * measure_ticks + onset, duration, pitch))
         tracks.append((name, channel, notes))
     return tracks
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .core import PPQ, MusicError, diatonic_pcs
+from .core import BEATS_PER_BAR, PPQ, MusicError, diatonic_pcs
 from .harmonize import ALTO_RANGE, BASS_RANGE, TENOR_RANGE, Harmonization
 
-# chorales are read in 4/4; strong beats are positions 0 and 2 of the bar
-BEATS_PER_BAR = 4
+# strong beats are positions 0 and 2 of the bar
 STRONG_BEAT_POSITIONS = (0, 2)
 
 

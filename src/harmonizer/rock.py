@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    BEATS_PER_BAR,
     MAJOR,
     PPQ,
     BeatEvent,
@@ -25,7 +26,6 @@ from .core import (
 from .corpus import _format_records
 from .hmm import HmmModel, decode_key_chord
 
-BEATS_PER_MEASURE = 4
 EIGHTH = PPQ // 2
 
 KICK = 36
@@ -100,7 +100,7 @@ def render_accompaniment(progression: list[tuple[int, RomanChord]],
         else:
             drum_track.append([])
         if melody_degree_pcs is not None:
-            melody_track.append([(0, BEATS_PER_MEASURE * PPQ,
+            melody_track.append([(0, BEATS_PER_BAR * PPQ,
                                   60 + melody_degree_pcs[i])])
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)

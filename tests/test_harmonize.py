@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonizer.core import (
@@ -13,7 +13,9 @@ from harmonizer.core import (
     MusicError,
     ProgressionAnnotation,
     RomanChord,
+    chord_bass_pc,
     is_retrogressive,
+    leading_tone_pc,
 )
 from harmonizer import harmonize
 from harmonizer.corpus import parse_melody_text
@@ -108,9 +110,29 @@ ORACLE_CHORDS = (
 )
 
 
+# every chord the numeral grammar reads: 3 accidentals x 7 degrees x 4
+# qualities x 7 figures
+GRAMMAR_CHORDS = tuple(
+    accidental + numeral + figure
+    for accidental in ("", "b", "#")
+    for upper in ("I", "II", "III", "IV", "V", "VI", "VII")
+    for numeral in (upper, upper + "+", upper.lower(), upper.lower() + "o")
+    for figure in ("", "6", "64", "7", "65", "43", "42"))
+
+
+def test_grammar_chords_are_588_distinct_chords():
+    assert len(set(map(RomanChord.from_string, GRAMMAR_CHORDS))) == 588
+
+
 @settings(max_examples=300, deadline=None)
 @given(tonic=st.integers(0, 11), mode=st.sampled_from(MODES),
-       roman=st.sampled_from(ORACLE_CHORDS), soprano=st.integers(55, 81))
+       roman=st.sampled_from(GRAMMAR_CHORDS), soprano=st.integers(52, 87))
+# the soprano and the bass both on the leading tone: nothing is available
+@example(tonic=0, mode=MAJOR, roman="V6", soprano=71)
+@example(tonic=0, mode=MAJOR, roman="V65", soprano=83)
+@example(tonic=0, mode=MAJOR, roman="viio", soprano=71)
+@example(tonic=0, mode=MAJOR, roman="iii64", soprano=71)
+@example(tonic=9, mode=MINOR, roman="V6", soprano=68)
 def test_enumeration_matches_lattice_oracle_any_key(tonic, mode, roman, soprano):
     key = KeyLabel(tonic, mode)
     chord = RomanChord.from_string(roman)
@@ -118,6 +140,8 @@ def test_enumeration_matches_lattice_oracle_any_key(tonic, mode, roman, soprano)
     expected = lattice_arrangements(key, chord, soprano)
     assert result == expected
     assert result == sorted(result, key=lambda x: (x[2], x[1], x[0]))
+    if soprano % 12 == leading_tone_pc(key) == chord_bass_pc(chord, key):
+        assert result == []
 
 
 def test_enumeration_never_doubles_leading_tone():
@@ -249,8 +273,11 @@ def test_penalty_equals_sum_of_log_weights(major_bundle, fixture_melodies):
     _, melody = fixture_melodies[4]
     h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
     assert h.penalty == pytest.approx(sum(v.weight for v in h.violation_log))
+    assert h.violation_log
+    assert type(h.penalty) is int
+    assert all(type(v.weight) is int for v in h.violation_log)
     penalty, log = score_arrangements(h.soprano, h.arrangements)
-    assert penalty == h.penalty
+    assert penalty == h.penalty and type(penalty) is int
     assert log == h.violation_log
 
 

@@ -207,6 +207,16 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
     score.keys_track[0][-1] = (7 * 240, 240.0, 67)
     with pytest.raises(ValueError, match="not a positive whole number of ticks"):
         write_midi(score, tmp_path / "off-grid-rock.mid")
+    # a rock onset is an int tick inside its own measure: not a fraction,
+    # not a whole float, not before the measure and not past its end
+    score = render_accompaniment([(0, RomanChord.from_string("I"))] * 2,
+                                 pattern="block")
+    _, duration, pitch = score.keys_track[1][1]
+    for onset in (240.5, 240.0, -240, 4 * PPQ):
+        score.keys_track[1][1] = (onset, duration, pitch)
+        with pytest.raises(ValueError, match=r"onset is not a whole number of"
+                           rf" ticks in \[0, 1920\): {onset}$"):
+            write_midi(score, tmp_path / "off-grid-rock.mid")
 
 
 # --- matrix exports -------------------------------------------------------------
