@@ -23,8 +23,6 @@ from .corpus import (
     parse_corpus,
     parse_melody_file,
     parse_rock_melody_file,
-    transpose_to_reference,
-    Corpus,
     _format_records,
     read_json,
 )
@@ -148,8 +146,6 @@ def cmd_train(args) -> int:
         corpus = corpus.select_mode(args.mode)
         if not corpus.chorales:
             raise CorpusError(f"no {args.mode}-mode chorales in {args.corpus}")
-        corpus = Corpus(tuple(transpose_to_reference(ch) for ch in corpus.chorales),
-                        corpus.genre)
     mask_enabled = None if not args.no_mask else False
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     bundle = train_key_chord_models(corpus, mask_enabled=mask_enabled, alpha=alpha)
@@ -166,19 +162,13 @@ def cmd_train(args) -> int:
 
 
 def _ornament_config(cfg: RunConfig, bundle: ModelBundle) -> OrnamentConfig:
-    defaults = OrnamentConfig()
-    rates = bundle.ornament_rates or {}
-    def pick(flag, name):
-        if flag is not None:
-            return flag
-        if name in rates:
-            return rates[name]
-        return getattr(defaults, name)
-    return OrnamentConfig(
-        p_passing=pick(cfg.p_passing, "p_passing"),
-        p_auxiliary=pick(cfg.p_auxiliary, "p_auxiliary"),
-        p_appoggiatura=pick(cfg.p_appoggiatura, "p_appoggiatura"),
-        rng_seed=cfg.rng_seed)
+    """Rate flags win over the model's trained rates, which win over the
+    defaults; the model's rates are checked to be OrnamentConfig fields
+    when it loads."""
+    rates = dict(bundle.ornament_rates or {})
+    rates.update((name, value) for name, value in vars(cfg).items()
+                 if name.startswith("p_") and value is not None)
+    return OrnamentConfig(**rates, rng_seed=cfg.rng_seed)
 
 
 def _rock_progression(bundle: ModelBundle, melody_path: str, method: str):
@@ -223,10 +213,10 @@ def cmd_harmonize(args) -> int:
         Path(args.out_score).write_text(
             to_score_document(harmonization, title=Path(args.melody).stem))
     elapsed = time.perf_counter() - started
-    print(f"penalty: {harmonization.penalty:g}")
+    print(f"penalty: {harmonization.penalty}")
     if harmonization.violation_log:
         for v in harmonization.violation_log:
-            print(f"  beat {v.beat_index}: {v.rule} (weight {v.weight:g})")
+            print(f"  beat {v.beat_index}: {v.rule} (weight {v.weight})")
     else:
         print("  no violations")
     _warn_masked_transitions(bundle.chord_model, harmonization.annotation.chords)

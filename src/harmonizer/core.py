@@ -267,6 +267,12 @@ class ProgressionAnnotation:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def transpose(self, semitones: int) -> "ProgressionAnnotation":
+        """Every key moved by `semitones`; the chords, being relative to
+        their key, stay as they are."""
+        return ProgressionAnnotation(
+            tuple(key.transpose(semitones) for key in self.keys), self.chords)
+
 
 def transposed_degree(pitch: int, key: KeyLabel) -> int:
     """Melody pitch relative to the key tonic, as a pitch class 0-11."""

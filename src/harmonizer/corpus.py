@@ -36,10 +36,10 @@ from .core import (
     KeyLabel,
     MelodyLine,
     MusicError,
+    ProgressionAnnotation,
     RomanChord,
     all_keys,
     beats_to_ticks,
-    transposed_degree,
     triadic_numeral_for_root,
 )
 
@@ -79,23 +79,29 @@ def read_json(path: str | Path):
 
 @dataclass(frozen=True)
 class AnnotatedChorale:
-    """A melody with per-beat key and Roman-numeral annotations."""
+    """A melody, one BeatEvent per beat, with its per-beat key and
+    Roman-numeral annotation in the form the decoder returns."""
 
     id: str
     mode: str
-    events: tuple[tuple[BeatEvent, KeyLabel, RomanChord], ...]
+    events: tuple[BeatEvent, ...]
+    annotation: ProgressionAnnotation
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise MusicError(f"unknown mode: {self.mode!r}")
         if len(self.events) < 2:
             raise MusicError(f"chorale {self.id!r} has fewer than 2 events")
+        if len(self.events) != len(self.annotation):
+            raise MusicError(f"chorale {self.id!r} has {len(self.events)} beats"
+                             f" but {len(self.annotation)} labels")
 
-    def keys(self) -> list[KeyLabel]:
-        return [k for _, k, _ in self.events]
-
-    def chords(self) -> list[RomanChord]:
-        return [c for _, _, c in self.events]
+    def transpose(self, semitones: int) -> "AnnotatedChorale":
+        """The whole piece moved by `semitones`: notes and keys move, the
+        key-relative chords stay."""
+        events = tuple(beat.transpose(semitones) for beat in self.events)
+        return AnnotatedChorale(self.id, self.mode, events,
+                                self.annotation.transpose(semitones))
 
 
 @dataclass(frozen=True)
@@ -200,18 +206,18 @@ def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     mode = header.get("mode", "")
     if mode not in MODES:
         raise CorpusError(f"missing or invalid mode header: {mode!r}", source)
-    events = []
+    events, keys, chords = [], [], []
     for lineno, index, fields in records:
         notes = _parse_note_list(fields["notes"], source, lineno)
         try:
-            beat = BeatEvent(index, notes)
-            key = KeyLabel.from_string(fields["key"])
-            chord = RomanChord.from_string(fields["roman"])
+            events.append(BeatEvent(index, notes))
+            keys.append(KeyLabel.from_string(fields["key"]))
+            chords.append(RomanChord.from_string(fields["roman"]))
         except MusicError as exc:
             raise CorpusError(str(exc), source, lineno)
-        events.append((beat, key, chord))
     try:
-        return AnnotatedChorale(header.get("id", source), mode, tuple(events))
+        return AnnotatedChorale(header.get("id", source), mode, tuple(events),
+                                ProgressionAnnotation(tuple(keys), tuple(chords)))
     except MusicError as exc:
         raise CorpusError(str(exc), source)
 
@@ -222,15 +228,16 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     the melody pitch class is placed in octave 4."""
     names = ("key_pc", "roman_root_pc", "melody_degree_pc")
     header, records = _records(text, source, "measure", names)
-    events = []
+    events, keys, chords = [], [], []
     for lineno, index, fields in records:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
-        chord = triadic_numeral_for_root((root_pc - key_pc) % 12)
-        beat = BeatEvent(index, ((60 + melody_pc, PPQ),))
-        events.append((beat, all_keys()[key_pc], chord))  # majors come first
+        events.append(BeatEvent(index, ((60 + melody_pc, PPQ),)))
+        keys.append(all_keys()[key_pc])  # majors come first
+        chords.append(triadic_numeral_for_root((root_pc - key_pc) % 12))
     try:
-        return AnnotatedChorale(header.get("id", source), "major", tuple(events))
+        return AnnotatedChorale(header.get("id", source), "major", tuple(events),
+                                ProgressionAnnotation(tuple(keys), tuple(chords)))
     except MusicError as exc:
         raise CorpusError(str(exc), source)
 
@@ -296,43 +303,17 @@ def parse_rock_melody_file(path: str | Path) -> list[int]:
     return parse_rock_melody_text(read_text(p), source=str(p))
 
 
-def serialize_chorale(chorale: AnnotatedChorale) -> str:
-    return _format_records(
-        (("id", chorale.id), ("mode", chorale.mode)),
-        ((("notes", _format_note_list(beat.notes)),
-          ("key", str(key)),
-          ("roman", str(chord)))
-         for beat, key, chord in chorale.events))
-
-
 def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
     """Shift the whole chorale so its opening key tonic lands on C (major)
     or A (minor), by the smallest semitone offset, ties broken downward.
     CorpusError naming the piece when a note leaves the MIDI range."""
     target = 0 if chorale.mode == MAJOR else 9
-    first_key = chorale.events[0][1]
-    delta = (target - first_key.tonic_pc) % 12
+    delta = (target - chorale.annotation.keys[0].tonic_pc) % 12
     offset = delta if delta < 6 else delta - 12
     if offset == 0:
         return chorale
     try:
-        events = tuple((beat.transpose(offset), key.transpose(offset), chord)
-                       for beat, key, chord in chorale.events)
+        return chorale.transpose(offset)
     except MusicError as exc:
         raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
                           f" semitones to its reference key: {exc}")
-    return AnnotatedChorale(chorale.id, chorale.mode, events)
-
-
-def key_observation_sequences(corpus: Corpus) -> list[tuple[list, list[int]]]:
-    """(keys, melody pitch classes) per chorale, for key-layer training."""
-    return [(ch.keys(), [beat.representative % 12 for beat, _, _ in ch.events])
-            for ch in corpus.chorales]
-
-
-def chord_observation_sequences(corpus: Corpus) -> list[tuple[list, list[int]]]:
-    """(chords, tonic-relative melody degrees) per chorale, for chord-layer
-    training."""
-    return [(ch.chords(), [transposed_degree(beat.representative, key)
-                           for beat, key, _ in ch.events])
-            for ch in corpus.chorales]

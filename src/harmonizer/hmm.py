@@ -34,8 +34,7 @@ from .core import (
     is_retrogressive,
     transposed_degree,
 )
-from .corpus import GENRES, chord_observation_sequences, key_observation_sequences
-from .corpus import read_json, read_text
+from .corpus import GENRES, read_json, read_text, transpose_to_reference
 
 MASK_EPSILON = 1e-6
 DEFAULT_ALPHA = 0.01
@@ -135,6 +134,10 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
             trans_counts[a, b] += 1
         for h, o in zip(h_idx, o_idx):
             emit_counts[h, o] += 1
+    # no smoothed row total, at most every count plus alpha per cell, may overflow
+    if alpha > (np.finfo(float).max - emit_counts.sum()) / max(S, O):
+        raise HmmError(f"smoothing alpha {alpha} is too large:"
+                       " a smoothed row total would not be finite")
     transition = np.vstack([
         _distribute(trans_counts[i] + alpha, None if mask is None else mask[i])
         for i in range(S)])
@@ -310,23 +313,34 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
                            alpha: float = DEFAULT_ALPHA) -> "ModelBundle":
     """Estimate the paired key and chord models from an annotated corpus.
 
-    The retrogression mask defaults to on for chorale corpora and off for
-    rock. Key states are the full 24-key alphabet; chord states are the
-    chords observed in the corpus, sorted by their text.
+    Chorale pieces are first moved to their reference keys
+    (`transpose_to_reference`); rock pieces are taken as they are. Each
+    layer observes what it does in `decode_key_chord`: the key layer each
+    beat's melody pitch class, the chord layer that pitch against the
+    beat's key. The retrogression mask defaults to on for chorale corpora
+    and off for rock. Key states are the full 24-key alphabet; chord states
+    are the chords observed in the corpus, sorted by their text.
     """
+    pieces = corpus.chorales
+    if corpus.genre == "chorale":
+        pieces = [transpose_to_reference(ch) for ch in pieces]
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
     key_states = all_keys()
     pitch_classes = tuple(range(12))
-    key_sequences = key_observation_sequences(corpus)
-    chord_sequences = chord_observation_sequences(corpus)
-    chord_states = tuple(sorted({chord for hidden, _ in chord_sequences
-                                 for chord in hidden}, key=str))
+    key_sequences, chord_sequences = [], []
+    for ch in pieces:
+        pitches = [beat.representative for beat in ch.events]
+        keys, chords = ch.annotation.keys, ch.annotation.chords
+        key_sequences.append((keys, [p % 12 for p in pitches]))
+        chord_sequences.append((chords, [transposed_degree(p, k)
+                                         for p, k in zip(pitches, keys)]))
+    counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
+    chord_states = tuple(sorted(counts, key=str))
     mask = build_phrase_mask(chord_states) if mask_enabled else None
     key_model = estimate(key_states, pitch_classes, key_sequences, alpha=alpha)
     chord_model = estimate(chord_states, pitch_classes, chord_sequences,
                            mask=mask, alpha=alpha)
-    counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     modes = {ch.mode for ch in corpus.chorales}
     mode = modes.pop() if len(modes) == 1 else "mixed"
     return ModelBundle(genre=corpus.genre, mode=mode, key_model=key_model,
@@ -448,6 +462,11 @@ def _check_bundle_fields(doc: dict):
     if rates is not None and (not isinstance(rates, dict) or not all(
             type(p) in (int, float) and 0 <= p <= 1 for p in rates.values())):
         raise HmmError("ornament_rates is not an object of probabilities in [0, 1]")
+    accepted = ["p_passing", "p_auxiliary", "p_appoggiatura"]
+    stray = sorted(set(rates or ()) - set(accepted))
+    if stray:
+        raise HmmError(f"ornament_rates has unknown key {stray[0]!r};"
+                       f" accepted: {accepted}")
 
 
 def _chord_counts(counts, states: tuple) -> dict[RomanChord, int]:

@@ -62,11 +62,13 @@ def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int | None:
 def estimate_ornament_rates(corpus) -> OrnamentConfig:
     """Empirical ornament rates from a corpus: for each type, the fraction
     of eligible sites in the melodies that exhibit its pattern. A type with
-    no eligible sites gets rate 0."""
+    no eligible sites gets rate 0. Every count is of an interval, an
+    equality or a beat position, so the rates do not depend on the key a
+    piece is written in."""
     eligible = {"passing": 0, "auxiliary": 0, "appoggiatura": 0}
     exhibited = {"passing": 0, "auxiliary": 0, "appoggiatura": 0}
     for ch in corpus.chorales:
-        beats = [ev for ev, _, _ in ch.events]
+        beats = ch.events
         reps = [ev.representative for ev in beats]
         for t in range(len(beats)):
             extra = [m for m, _ in beats[t].notes[1:]]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from harmonizer import cli
 from harmonizer.cli import main
 from harmonizer.corpus import _format_note_list, _format_records
+from harmonizer.harmonize import Violation
 
 from smf_reader import read_midi
 from test_harmonize import _concatenated
@@ -99,6 +101,24 @@ def test_harmonize_prints_penalty(capsys, tmp_path, trained_model, data_dir):
     assert code == 0
     assert "penalty:" in captured
     assert "harmonization time" in captured
+
+
+def test_harmonize_prints_large_penalties_exactly(capsys, monkeypatch,
+                                                  trained_model, data_dir):
+    # the score file writes the int penalty and weights in full; so does stdout
+    real = cli.harmonize_melody
+
+    def heavy(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), penalty=1234567,
+                                   violation_log=[Violation(0, "parallel fifths",
+                                                            1000000)])
+
+    monkeypatch.setattr(cli, "harmonize_melody", heavy)
+    assert main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(data_dir / "melodies" / "m03.txt")]) == 0
+    out = capsys.readouterr().out
+    assert "penalty: 1234567\n" in out
+    assert "  beat 0: parallel fifths (weight 1000000)\n" in out
 
 
 def test_analyze_matches_harmonize_annotation(capsys, tmp_path, trained_model,
@@ -403,6 +423,8 @@ def _set_count(label):
     (_set_count("bVII"), "chord_counts label 'bVII' is not a chord state"),
     (lambda doc: doc.update(ornament_rates=5), "ornament_rates"),
     (lambda doc: doc.update(ornament_rates={"p_passing": "x"}), "ornament_rates"),
+    (lambda doc: doc.update(ornament_rates={"p_pasing": 1.0}),
+     "ornament_rates has unknown key 'p_pasing'"),
     (lambda doc: doc.update(genre=5), "genre"),
     (lambda doc: doc.update(mode="dorian"), "mode"),
     (_set_state("key_model", ""), "key_model.states"),
@@ -415,7 +437,8 @@ def _set_count(label):
         "duplicate-state", "respelled-I", "respelled-I6", "no-states",
         "alpha-null", "chord-counts-int", "chord-count-not-roman",
         "chord-count-respelled-I6", "chord-count-not-a-state",
-        "ornament-rates-int", "ornament-rate-str", "genre-int", "mode-unknown",
+        "ornament-rates-int", "ornament-rate-str", "ornament-rate-misspelt",
+        "genre-int", "mode-unknown",
         "key-state-empty", "key-state-int", "chord-state-not-roman"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
                                  damage, field):
@@ -642,6 +665,14 @@ def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
     assert exc.value.code == 2
     assert "argument --alpha: expected a finite non-negative number" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_alpha_too_large_to_sum_exits_2(capsys, tmp_path, data_dir):
+    out = tmp_path / "m.json"
+    code = main(["train", "--corpus", str(data_dir / "chorales"), "--out", str(out),
+                 "--alpha", "1e308"])
+    _assert_input_error(capsys, code, "smoothing alpha 1e+308 is too large")
     assert not out.exists()
 
 

@@ -8,15 +8,17 @@ from harmonizer.core import (
     MAJOR,
     PPQ,
     KeyLabel,
+    MusicError,
+    ProgressionAnnotation,
     transposed_degree,
 )
 from harmonizer.corpus import (
+    AnnotatedChorale,
     CorpusError,
     parse_chorale_text,
     parse_corpus,
     parse_melody_text,
     parse_rock_text,
-    serialize_chorale,
     transpose_to_reference,
     _format_note_list,
     _format_records,
@@ -38,10 +40,9 @@ def test_parse_valid_chorale():
     assert ch.id == "tiny"
     assert ch.mode == "major"
     assert len(ch.events) == 3
-    beat, key, chord = ch.events[1]
-    assert [midi for midi, _ in beat.notes] == [74, 76]
-    assert key == KeyLabel(0, MAJOR)
-    assert str(chord) == "V"
+    assert [midi for midi, _ in ch.events[1].notes] == [74, 76]
+    assert ch.annotation.keys[1] == KeyLabel(0, MAJOR)
+    assert str(ch.annotation.chords[1]) == "V"
 
 
 def test_parse_reports_location_of_bad_duration():
@@ -103,18 +104,8 @@ def test_every_written_tick_count_reads_back():
 def test_triplet_chorale_survives_serialize_and_parse():
     triplets = "74:0.3333333333,76:0.3333333333,77:0.3333333333"
     ch = parse_chorale_text(VALID_CHORALE.replace("74:0.5,76:0.5", triplets))
-    assert ch.events[1][0].notes == ((74, 160), (76, 160), (77, 160))
-    text = serialize_chorale(ch)
-    assert f"notes={triplets} |" in text
-    assert parse_chorale_text(text) == ch
-
-
-def test_parse_serialize_parse_fixed_point(chorale_corpus):
-    for ch in chorale_corpus.chorales:
-        text = serialize_chorale(ch)
-        again = parse_chorale_text(text, ch.id)
-        assert again == ch
-        assert serialize_chorale(again) == text
+    assert ch.events[1].notes == ((74, 160), (76, 160), (77, 160))
+    assert _format_note_list(ch.events[1].notes) == triplets
 
 
 _NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
@@ -150,10 +141,9 @@ mode: major
 1 | key_pc=7 | roman_root_pc=7 | melody_degree_pc=11
 """
     song = parse_rock_text(text, "r.txt")
-    beat, key, chord = song.events[0]
-    assert key == KeyLabel(7, MAJOR)
-    assert str(chord) == "V"  # root a fifth above the key
-    assert beat.representative % 12 == 9
+    assert song.annotation.keys[0] == KeyLabel(7, MAJOR)
+    assert str(song.annotation.chords[0]) == "V"  # root a fifth above the key
+    assert song.events[0].representative % 12 == 9
     with pytest.raises(CorpusError) as err:
         parse_rock_text(text.replace("melody_degree_pc=9", "melody_degree_pc=12"),
                         "r.txt")
@@ -164,11 +154,11 @@ mode: major
 
 def test_transpose_d_major_down_two(chorale_corpus):
     ch = next(c for c in chorale_corpus.chorales if c.id == "fixture-03")
-    assert ch.events[0][1] == KeyLabel(2, MAJOR)
-    first_pitch = ch.events[0][0].representative
+    assert ch.annotation.keys[0] == KeyLabel(2, MAJOR)
+    first_pitch = ch.events[0].representative
     moved = transpose_to_reference(ch)
-    assert moved.events[0][1] == KeyLabel(0, MAJOR)
-    assert moved.events[0][0].representative == first_pitch - 2
+    assert moved.annotation.keys[0] == KeyLabel(0, MAJOR)
+    assert moved.events[0].representative == first_pitch - 2
 
 
 def test_transpose_identity_when_already_c(chorale_corpus):
@@ -192,15 +182,14 @@ mode: major
 1 | notes=72:1 | key=F | roman=I
 """
     moved = transpose_to_reference(parse_chorale_text(text, "t"))
-    assert moved.events[0][1] == KeyLabel(0, MAJOR)
-    assert moved.events[1][1] == KeyLabel(7, MAJOR)
-    assert moved.events[0][0].representative == 72
+    assert moved.annotation.keys[:2] == (KeyLabel(0, MAJOR), KeyLabel(7, MAJOR))
+    assert moved.events[0].representative == 72
 
 
 def test_transpose_minor_targets_a(chorale_corpus):
     ch = next(c for c in chorale_corpus.chorales if c.id == "fixture-10")
     moved = transpose_to_reference(ch)
-    assert moved.events[0][1] == KeyLabel(9, "minor")
+    assert moved.annotation.keys[0] == KeyLabel(9, "minor")
     assert moved.mode == "minor"
 
 
@@ -208,9 +197,9 @@ def test_transpose_preserves_degree_sequences(chorale_corpus):
     for ch in chorale_corpus.chorales:
         moved = transpose_to_reference(ch)
         before = [transposed_degree(beat.representative, key)
-                  for beat, key, _ in ch.events]
+                  for beat, key in zip(ch.events, ch.annotation.keys)]
         after = [transposed_degree(beat.representative, key)
-                 for beat, key, _ in moved.events]
+                 for beat, key in zip(moved.events, moved.annotation.keys)]
         assert before == after
 
 
@@ -221,7 +210,26 @@ def test_transpose_offset_is_smallest(tonic):
             f"0 | notes=70:1 | key={KeyLabel(tonic, MAJOR)} | roman=I\n"
             f"1 | notes=72:1 | key={KeyLabel(tonic, MAJOR)} | roman=V\n")
     moved = transpose_to_reference(parse_chorale_text(text, "x"))
-    offset = moved.events[0][0].representative - 70
-    assert moved.events[0][1].tonic_pc == 0
+    offset = moved.events[0].representative - 70
+    assert moved.annotation.keys[0].tonic_pc == 0
     assert abs(offset) <= 6
     assert (70 + offset) % 12 == (70 - tonic) % 12
+
+
+def test_piece_transpose_round_trips_and_keeps_chords(chorale_corpus, rock_corpus):
+    for ch in chorale_corpus.chorales + rock_corpus.chorales:
+        for s in range(1, 12):
+            moved = ch.transpose(s)
+            assert moved.transpose(-s) == ch, (ch.id, s)
+            assert moved.annotation.chords == ch.annotation.chords
+            assert moved.annotation.keys == tuple(k.transpose(s)
+                                                  for k in ch.annotation.keys)
+            assert [b.representative for b in moved.events] == \
+                [b.representative + s for b in ch.events]
+
+
+def test_piece_needs_one_label_per_beat():
+    ch = parse_chorale_text(VALID_CHORALE, "tiny.txt")
+    short = ProgressionAnnotation(ch.annotation.keys[:2], ch.annotation.chords[:2])
+    with pytest.raises(MusicError, match="3 beats but 2 labels"):
+        AnnotatedChorale(ch.id, ch.mode, ch.events, short)

@@ -12,6 +12,7 @@ from harmonizer.core import (
     RomanChord,
     transposed_degree,
 )
+from harmonizer.corpus import Corpus, transpose_to_reference
 from harmonizer.hmm import (
     MASK_EPSILON,
     AlphabetError,
@@ -29,6 +30,7 @@ from harmonizer.hmm import (
     posterior_decode,
     save_bundle,
     sequence_log_probability,
+    train_key_chord_models,
     viterbi,
 )
 from harmonizer.midiout import export_matrices
@@ -121,6 +123,41 @@ def test_estimate_unseen_label_errors():
 def test_estimate_rejects_non_finite_or_negative_alpha(alpha):
     with pytest.raises(HmmError, match="smoothing alpha"):
         estimate(["A"], [0], [(["A", "A"], [0, 0])], alpha=alpha)
+
+
+def test_estimate_rejects_alpha_whose_row_total_overflows():
+    pairs = [(["A", "B"], [0, 1])]
+    with pytest.raises(HmmError, match="smoothing alpha 1e\\+308 is too large"):
+        estimate(["A", "B"], [0, 1], pairs, alpha=1e308)
+    # a row of one cell totals the alpha itself, which is finite
+    one = estimate(["A"], [0], [(["A"], [0])], alpha=1e308)
+    assert one.transition.tolist() == [[1.0]]
+    assert estimate(["A", "B"], [0, 1], pairs, alpha=1e300).emission.tolist() == \
+        [[0.5, 0.5], [0.5, 0.5]]
+
+
+def _same_models(a, b) -> bool:
+    return all(np.array_equal(getattr(getattr(a, layer), name),
+                              getattr(getattr(b, layer), name))
+               for layer in ("key_model", "chord_model")
+               for name in ("states", "transition", "emission", "initial", "mask")
+               ) and a.chord_counts == b.chord_counts and a.mode == b.mode
+
+
+@pytest.mark.parametrize("mode", ["major", "minor"])
+def test_training_moves_chorales_to_their_reference_keys(chorale_corpus, mode):
+    raw = chorale_corpus.select_mode(mode)
+    moved = Corpus(tuple(map(transpose_to_reference, raw.chorales)), "chorale")
+    assert moved != raw
+    assert _same_models(train_key_chord_models(raw), train_key_chord_models(moved))
+
+
+def test_training_keeps_rock_keys(rock_corpus, rock_bundle):
+    opening = {ch.annotation.keys[0] for ch in rock_corpus.chorales}
+    initial = rock_bundle.key_model.initial
+    index = rock_bundle.key_model.state_index()
+    assert len(opening) > 1
+    assert all(initial[index[key]] > initial.min() for key in opening)
 
 
 def test_estimate_is_deterministic():
@@ -447,9 +484,8 @@ def test_chord_stage_shift_invariance(major_bundle, fixture_melodies):
                            melody, "viterbi")
     for shift in (2, 7):
         shifted_melody = melody.transpose(shift)
-        shifted_keys = [k.transpose(shift) for k in ann.keys]
-        chords = decode_chords_given_keys(major_bundle.chord_model,
-                                          shifted_melody, shifted_keys, "viterbi")
+        chords = decode_chords_given_keys(major_bundle.chord_model, shifted_melody,
+                                          ann.transpose(shift).keys, "viterbi")
         assert chords == list(ann.chords)
 
 
