@@ -4,11 +4,12 @@ set of commands, hashed and compared with the digests in golden.json.
 The commands train the three fixture models, harmonize and analyze the 20
 fixture melodies with both decoders (ornaments on, seed 7), harmonize
 their 191-beat concatenation with both decoders (ornaments on, seeds 7
-and 11), run the rock demo tune through harmonize and analyze, export the
-major model and override its chord layer with the exported CSV. Stdout is
-hashed with the wall-clock `time:` lines removed and the scratch directory
-replaced by a placeholder. There is no update switch: an intended output
-change edits golden.json by hand and says why.
+and 11), run the rock demo tune through analyze and through harmonize
+(arpeggio with drums, and block without), export the major model and
+override its chord layer with the exported CSV. Stdout is hashed with
+the wall-clock `time:` lines removed and the scratch directory replaced by
+a placeholder. There is no update switch: an intended output change edits
+golden.json by hand and says why.
 """
 
 import hashlib
@@ -94,6 +95,12 @@ def compute_digests(tmp_path: Path, data_dir: Path, capsys) -> dict[str, str]:
              "--out-score", str(harmonized / f"{stem}.prog")])
         run(f"analyze/{stem}", ["analyze", "--model", rock,
                                 "--melody", str(tune), "--method", method])
+        stem = f"rock-demo-{method}-block-nodrums"
+        run(f"harmonize/{stem}",
+            ["harmonize", "--model", rock, "--melody", str(tune),
+             "--method", method, "--pattern", "block", "--drums", "off",
+             "--out-midi", str(harmonized / f"{stem}.mid"),
+             "--out-score", str(harmonized / f"{stem}.prog")])
 
     matrices = out / "export"
     run("export/chorale-major", ["export", "--model", major,
