@@ -20,10 +20,10 @@ from .core import MODES, MusicError
 from .corpus import (
     GENRES,
     CorpusError,
+    format_progression,
     parse_corpus,
     parse_melody_file,
     parse_rock_melody_file,
-    _format_records,
     read_json,
 )
 from .harmonize import (
@@ -46,7 +46,7 @@ from .hmm import (
 )
 from .midiout import export_functional_summary, export_matrices, write_midi
 from .ornament import OrnamentConfig, estimate_ornament_rates, insert_ornaments
-from .rock import PATTERNS, harmonize_rock, render_accompaniment, to_progression_document
+from .rock import PATTERNS, render_accompaniment, to_progression_document
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,13 +171,6 @@ def _ornament_config(cfg: RunConfig, bundle: ModelBundle) -> OrnamentConfig:
     return OrnamentConfig(**rates, rng_seed=cfg.rng_seed)
 
 
-def _rock_progression(bundle: ModelBundle, melody_path: str, method: str):
-    """(melody pitch classes, decoded progression) for a rock melody file."""
-    degrees = parse_rock_melody_file(melody_path)
-    return degrees, harmonize_rock(bundle.key_model, bundle.chord_model,
-                                   degrees, method)
-
-
 def _warn_masked_transitions(chord_model, chords) -> None:
     """One warning line per decoded chord pair that crosses a masked
     transition; posterior decoding can produce them."""
@@ -190,15 +183,16 @@ def cmd_harmonize(args) -> int:
     bundle = load_bundle(args.model)
     started = time.perf_counter()
     if bundle.genre == "rock":
-        degrees, progression = _rock_progression(bundle, args.melody, cfg.method)
-        score = render_accompaniment(progression, pattern=cfg.pattern,
-                                     drums=cfg.drums, melody_degree_pcs=degrees)
+        melody = parse_rock_melody_file(args.melody)
+        annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
+                                      melody, cfg.method)
+        score = render_accompaniment(melody, annotation, cfg.pattern, cfg.drums)
         if args.out_midi:
             write_midi(score, args.out_midi, tempo_bpm=cfg.tempo_bpm)
         if args.out_score:
-            Path(args.out_score).write_text(to_progression_document(progression))
+            Path(args.out_score).write_text(to_progression_document(annotation))
         elapsed = time.perf_counter() - started
-        print(f"harmonized {len(progression)} measures")
+        print(f"harmonized {len(annotation)} measures")
         print(f"harmonization time: {elapsed:.3f}s")
         return EXIT_OK
     melody = parse_melody_file(args.melody)
@@ -226,19 +220,10 @@ def cmd_harmonize(args) -> int:
 
 def cmd_analyze(args) -> int:
     bundle = load_bundle(args.model)
-    method = args.method or "viterbi"
-    if bundle.genre == "rock":
-        _, progression = _rock_progression(bundle, args.melody, method)
-        records = [(("key_pc", str(key_pc)), ("roman", str(chord)))
-                   for key_pc, chord in progression]
-        print(_format_records((), records), end="")
-        return EXIT_OK
-    melody = parse_melody_file(args.melody)
+    parse = parse_rock_melody_file if bundle.genre == "rock" else parse_melody_file
     annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
-                                  melody, method)
-    records = [(("key", str(key)), ("roman", str(chord)))
-               for key, chord in zip(annotation.keys, annotation.chords)]
-    print(_format_records((), records), end="")
+                                  parse(args.melody), args.method or "viterbi")
+    print(format_progression(annotation, bundle.genre), end="")
     _warn_masked_transitions(bundle.chord_model, annotation.chords)
     return EXIT_OK
 

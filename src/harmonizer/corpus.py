@@ -15,11 +15,13 @@ Rock files carry one record per measure, all fields integer pitch classes:
     0 | key_pc=0 | roman_root_pc=0 | melody_degree_pc=4
 
 Melody files reuse the chorale record grammar with the key/roman columns
-absent. Note durations are written in beats; each is read once into whole
-1/480-beat ticks (`beats_to_ticks`), and ticks are written back as beats
-with enough digits to read back to the same tick. All of these, and the
-score, progression and analysis documents the other modules write, share
-one grammar, read by `_records` and written by `_format_records`.
+absent. Rock melody files hold only `melody_degree_pc`; in them, as in
+rock corpus files, each measure is one beat (`_measure_event`). Note
+durations are written in beats; each is read once into whole 1/480-beat
+ticks (`beats_to_ticks`), and ticks are written back as beats with enough
+digits to read back to the same tick. All of these, and the score,
+progression and analysis documents the other modules write, share one
+grammar, read by `_records` and written by `_format_records`.
 """
 
 from __future__ import annotations
@@ -190,6 +192,21 @@ def _format_records(header, records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_progression(annotation: ProgressionAnnotation, genre: str,
+                       header=()) -> str:
+    """One record per label, the key written as the genre's files write
+    it: a chorale key by name (`key=`), a rock key by its tonic pitch
+    class alone (`key_pc=`)."""
+    records = []
+    for key, chord in zip(annotation.keys, annotation.chords):
+        if genre == "rock":
+            key_field = ("key_pc", str(key.tonic_pc))
+        else:
+            key_field = ("key", str(key))
+        records.append((key_field, ("roman", str(chord))))
+    return _format_records(header, records)
+
+
 def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> int:
     """An integer field holding a pitch class, 0-11."""
     try:
@@ -222,17 +239,22 @@ def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         raise CorpusError(str(exc), source)
 
 
+def _measure_event(index: int, melody_pc: int) -> BeatEvent:
+    """A rock measure as one beat: its melody pitch class in octave 4."""
+    return BeatEvent(index, ((60 + melody_pc, PPQ),))
+
+
 def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     """Measure-level rock analyses, converted to the same event structure:
     keys become major KeyLabels, chord roots become root-position triads, and
-    the melody pitch class is placed in octave 4."""
+    each measure becomes one beat (`_measure_event`)."""
     names = ("key_pc", "roman_root_pc", "melody_degree_pc")
     header, records = _records(text, source, "measure", names)
     events, keys, chords = [], [], []
     for lineno, index, fields in records:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
-        events.append(BeatEvent(index, ((60 + melody_pc, PPQ),)))
+        events.append(_measure_event(index, melody_pc))
         keys.append(all_keys()[key_pc])  # majors come first
         chords.append(triadic_numeral_for_root((root_pc - key_pc) % 12))
     try:
@@ -291,14 +313,15 @@ def parse_melody_file(path: str | Path) -> MelodyLine:
     return parse_melody_text(read_text(p), source=str(p))
 
 
-def parse_rock_melody_text(text: str, source: str = "<text>") -> list[int]:
-    """Measure-level melody pitch classes for rock harmonization."""
+def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
+    """A rock melody, one beat per measure as in `parse_rock_text`."""
     _, records = _records(text, source, "measure", ("melody_degree_pc",))
-    return [_pitch_class(fields, "melody_degree_pc", source, lineno)
-            for lineno, _, fields in records]
+    return MelodyLine(tuple(
+        _measure_event(index, _pitch_class(fields, "melody_degree_pc", source, lineno))
+        for lineno, index, fields in records))
 
 
-def parse_rock_melody_file(path: str | Path) -> list[int]:
+def parse_rock_melody_file(path: str | Path) -> MelodyLine:
     p = Path(path)
     return parse_rock_melody_text(read_text(p), source=str(p))
 

@@ -453,6 +453,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
 
 def _check_bundle_fields(doc: dict):
     """The bundle fields beside the two layers, checked like the layers."""
+    if type(doc["version"]) is not int or doc["version"] != 1:
+        raise HmmError(f"version is not 1: {doc['version']!r}")
     if doc["genre"] not in GENRES:
         raise HmmError(f"genre is not one of {list(GENRES)}: {doc['genre']!r}")
     modes = MODES + ("mixed",)

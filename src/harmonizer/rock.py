@@ -1,30 +1,29 @@
-"""Measure-level harmonization of rock melodies and symbolic accompaniment.
+"""Symbolic accompaniment for decoded rock melodies.
 
-The decode reuses the two-stage key/chord machinery at one label per
-measure. Note onsets and durations are whole ticks, `PPQ` to the beat,
-onsets counted from the start of their measure. Rendering is
-deterministic: the bass walks root then chord tones, the keyboard plays
-block chords or an eighth-note arpeggio, and an optional fixed drum
-pattern fills out the texture.
+A rock melody is a `MelodyLine` with one beat per measure, decoded by the
+chorale pipeline's `decode_key_chord` into a `ProgressionAnnotation` with
+one key and chord per measure. Note onsets and durations are whole ticks,
+`PPQ` to the beat, onsets counted from the start of their measure.
+Rendering is deterministic: the bass walks root then chord tones, the
+keyboard plays block chords or an eighth-note arpeggio, and an optional
+fixed drum pattern fills out the texture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     BEATS_PER_BAR,
     MAJOR,
     PPQ,
-    BeatEvent,
     KeyLabel,
     MelodyLine,
     MusicError,
-    RomanChord,
+    ProgressionAnnotation,
     chord_tone_pcs,
 )
-from .corpus import _format_records
-from .hmm import HmmModel, decode_key_chord
+from .corpus import format_progression
 
 EIGHTH = PPQ // 2
 
@@ -40,30 +39,19 @@ NoteEvent = tuple[int, int, int]
 
 @dataclass
 class AccompanimentScore:
-    """Per-measure note events for the generated backing tracks. The melody
-    track is filled when the input melody is supplied to the renderer."""
+    """Per-measure note events for the melody and the backing tracks."""
 
     bass_track: list[list[NoteEvent]]
     keys_track: list[list[NoteEvent]]
     drum_track: list[list[NoteEvent]]
-    melody_track: list[list[NoteEvent]] = field(default_factory=list)
+    melody_track: list[list[NoteEvent]]
 
 
-def harmonize_rock(key_model: HmmModel, chord_model: HmmModel, melody_measures,
-                   method: str = "viterbi") -> list[tuple[int, RomanChord]]:
-    """Decode one (key pitch class, chord) pair per measure from the
-    melody pitch class of each measure."""
-    events = tuple(BeatEvent(i, ((60 + int(pc), PPQ),))
-                   for i, pc in enumerate(melody_measures))
-    melody = MelodyLine(events)
-    annotation = decode_key_chord(key_model, chord_model, melody, method)
-    return [(k.tonic_pc, c) for k, c in zip(annotation.keys, annotation.chords)]
-
-
-def render_accompaniment(progression: list[tuple[int, RomanChord]],
-                         pattern: str = "arpeggio", drums: bool = True,
-                         melody_degree_pcs: list[int] | None = None) -> AccompanimentScore:
-    """Deterministic symbolic backing for a decoded progression.
+def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
+                         pattern: str = "arpeggio",
+                         drums: bool = True) -> AccompanimentScore:
+    """Deterministic symbolic backing for a melody's decoded progression,
+    one measure per beat of the melody.
 
     Every measure's bass starts on the harmonic root (octave 3) and
     ascends through the remaining chord tones, returning to the nearest
@@ -72,15 +60,17 @@ def render_accompaniment(progression: list[tuple[int, RomanChord]],
     Drums are a fixed rock pattern: kick on 1 and 3, snare on 2 and 4,
     closed hats on every eighth.
     """
-    if not progression:
-        raise MusicError("empty progression")
     if pattern not in PATTERNS:
         raise MusicError(f"unknown accompaniment pattern: {pattern!r}")
-    if melody_degree_pcs is not None and len(melody_degree_pcs) != len(progression):
-        raise MusicError("melody length does not match progression length")
+    if len(melody) != len(annotation):
+        raise MusicError(f"melody has {len(melody)} measures but the"
+                         f" progression has {len(annotation)}")
     bass_track, keys_track, drum_track, melody_track = [], [], [], []
-    for i, (key_pc, chord) in enumerate(progression):
-        root_pc, third_pc, fifth_pc = chord_tone_pcs(chord, KeyLabel(key_pc, MAJOR))[:3]
+    for event, key, chord in zip(melody.events, annotation.keys, annotation.chords):
+        # the rock format names a key by its tonic alone (`key_pc`), so a
+        # minor key is read as the major key on the same tonic
+        major = KeyLabel(key.tonic_pc, MAJOR)
+        root_pc, third_pc, fifth_pc = chord_tone_pcs(chord, major)[:3]
         root = 48 + root_pc
         third = root + (third_pc - root_pc) % 12
         fifth = root + (fifth_pc - root_pc) % 12
@@ -99,15 +89,11 @@ def render_accompaniment(progression: list[tuple[int, RomanChord]],
             drum_track.append(measure)
         else:
             drum_track.append([])
-        if melody_degree_pcs is not None:
-            melody_track.append([(0, BEATS_PER_BAR * PPQ,
-                                  60 + melody_degree_pcs[i])])
+        melody_track.append([(0, BEATS_PER_BAR * PPQ, event.representative)])
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)
 
 
-def to_progression_document(progression: list[tuple[int, RomanChord]],
+def to_progression_document(annotation: ProgressionAnnotation,
                             title: str = "rock-harmonization") -> str:
-    return _format_records((("id", title),),
-                           ((("key_pc", str(key_pc)), ("roman", str(chord)))
-                            for key_pc, chord in progression))
+    return format_progression(annotation, "rock", (("id", title),))

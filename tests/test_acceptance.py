@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from harmonizer.core import is_retrogressive
-from harmonizer.corpus import parse_corpus
+from harmonizer.corpus import parse_corpus, parse_rock_melody_text
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -28,7 +28,7 @@ from harmonizer.hmm import (
 )
 from harmonizer.midiout import PPQ, export_matrices, functional_summary, write_midi
 from harmonizer.ornament import OrnamentConfig, insert_ornaments
-from harmonizer.rock import harmonize_rock, render_accompaniment
+from harmonizer.rock import render_accompaniment
 
 from harmonizer.hmm import sequence_log_probability
 
@@ -208,12 +208,13 @@ def test_criterion_8_midi_round_trip(major_bundle, rock_bundle,
                         cursor += ticks
                 assert [(p, o, d) for p, o, d, _ in track.notes] == expected
             files += 1
-        rock_melody = [0, 4, 7, 5, 9, 0, 7, 11, 2, 0]
-        progression = harmonize_rock(rock_bundle.key_model,
-                                     rock_bundle.chord_model, rock_melody)
+        rock_melody = parse_rock_melody_text("".join(
+            f"{i} | melody_degree_pc={pc}\n"
+            for i, pc in enumerate([0, 4, 7, 5, 9, 0, 7, 11, 2, 0])))
+        annotation = decode_key_chord(rock_bundle.key_model,
+                                      rock_bundle.chord_model, rock_melody)
         for pattern in ("arpeggio", "block"):
-            score = render_accompaniment(progression, pattern, True,
-                                         melody_degree_pcs=rock_melody)
+            score = render_accompaniment(rock_melody, annotation, pattern, True)
             path = write_midi(score, tmp_path / f"rock-{pattern}.mid")
             parsed = read_midi(path)
             layout = [("melody", score.melody_track), ("bass", score.bass_track),

@@ -425,6 +425,12 @@ def _set_count(label):
     (lambda doc: doc.update(ornament_rates={"p_passing": "x"}), "ornament_rates"),
     (lambda doc: doc.update(ornament_rates={"p_pasing": 1.0}),
      "ornament_rates has unknown key 'p_pasing'"),
+    (lambda doc: doc.update(version=2), "version is not 1: 2"),
+    (lambda doc: doc.update(version="one"), "version is not 1: 'one'"),
+    (lambda doc: doc.update(version=None), "version is not 1: None"),
+    (lambda doc: doc.update(version=True), "version is not 1: True"),
+    (lambda doc: doc.update(version=1.0), "version is not 1: 1.0"),
+    (lambda doc: doc.pop("version"), "lacks field 'version'"),
     (lambda doc: doc.update(genre=5), "genre"),
     (lambda doc: doc.update(mode="dorian"), "mode"),
     (_set_state("key_model", ""), "key_model.states"),
@@ -438,7 +444,8 @@ def _set_count(label):
         "alpha-null", "chord-counts-int", "chord-count-not-roman",
         "chord-count-respelled-I6", "chord-count-not-a-state",
         "ornament-rates-int", "ornament-rate-str", "ornament-rate-misspelt",
-        "genre-int", "mode-unknown",
+        "version-2", "version-str", "version-null", "version-true",
+        "version-float", "version-missing", "genre-int", "mode-unknown",
         "key-state-empty", "key-state-int", "chord-state-not-roman"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
                                  damage, field):

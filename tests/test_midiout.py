@@ -44,6 +44,12 @@ def tiny_harmonization(n=1) -> Harmonization:
                          penalty=0.0, violation_log=[])
 
 
+def tiny_accompaniment(n=1, pattern="arpeggio"):
+    """`n` measures of I in C under a held middle C."""
+    return render_accompaniment(melody_from_midi([60] * n),
+                                tiny_harmonization(n).annotation, pattern)
+
+
 def test_single_beat_chorale_file_layout(tmp_path):
     path = write_midi(tiny_harmonization(), tmp_path / "one.mid")
     parsed = read_midi(path)
@@ -87,12 +93,11 @@ def test_ornamented_notes_get_eighth_ticks(tmp_path, major_bundle,
 
 
 def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
-    from harmonizer.rock import harmonize_rock
-    melody = [0, 4, 7, 5, 9, 0, 7, 0]
-    progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                                 melody)
-    score = render_accompaniment(progression, "arpeggio", True,
-                                 melody_degree_pcs=melody)
+    from harmonizer.hmm import decode_key_chord
+    melody = melody_from_midi([60, 64, 67, 65, 69, 60, 67, 60])
+    annotation = decode_key_chord(rock_bundle.key_model, rock_bundle.chord_model,
+                                  melody)
+    score = render_accompaniment(melody, annotation, "arpeggio", True)
     path = write_midi(score, tmp_path / "rock.mid")
     parsed = read_midi(path)
     assert len(parsed.tracks) == 5  # meta, melody, bass, keys, drums
@@ -112,7 +117,7 @@ def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
     h.alto_line = [[(64, PPQ)]]
     h.arrangements[0] = Arrangement(64, 55, 48)
-    score = render_accompaniment([(0, RomanChord.from_string("I"))])
+    score = tiny_accompaniment()
     score.bass_track[0] = [(0, PPQ, 400)]
     with pytest.raises(ValueError):
         write_midi(score, tmp_path / "bad.mid")
@@ -175,7 +180,7 @@ def test_pitch_check_fires_after_valid_pitches(tmp_path):
     with pytest.raises(ValueError, match="pitch out of MIDI range: 128"):
         _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
-    score = render_accompaniment([(0, RomanChord.from_string("I"))])
+    score = tiny_accompaniment()
     score.bass_track[0] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
     with pytest.raises(ValueError, match="128"):
         write_midi(score, tmp_path / "bad.mid")
@@ -203,14 +208,13 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
         with pytest.raises(ValueError, match="not a positive whole number of"
                            f" ticks: {shown}"):
             write_midi(ornamented, tmp_path / "off-grid.mid")
-    score = render_accompaniment([(0, RomanChord.from_string("I"))])
+    score = tiny_accompaniment()
     score.keys_track[0][-1] = (7 * 240, 240.0, 67)
     with pytest.raises(ValueError, match="not a positive whole number of ticks"):
         write_midi(score, tmp_path / "off-grid-rock.mid")
     # a rock onset is an int tick inside its own measure: not a fraction,
     # not a whole float, not before the measure and not past its end
-    score = render_accompaniment([(0, RomanChord.from_string("I"))] * 2,
-                                 pattern="block")
+    score = tiny_accompaniment(2, pattern="block")
     _, duration, pitch = score.keys_track[1][1]
     for onset in (240.5, 240.0, -240, 4 * PPQ):
         score.keys_track[1][1] = (onset, duration, pitch)

@@ -1,11 +1,20 @@
+from pathlib import Path
+
 import pytest
 
-from harmonizer.core import MAJOR, PPQ, KeyLabel, MusicError, RomanChord
+from harmonizer.core import (
+    MINOR,
+    PPQ,
+    KeyLabel,
+    MelodyLine,
+    MusicError,
+    ProgressionAnnotation,
+    RomanChord,
+)
 from harmonizer.corpus import CorpusError, parse_rock_melody_text, parse_rock_text
+from harmonizer.hmm import decode_key_chord
 from harmonizer.rock import (
     PATTERNS,
-    AccompanimentScore,
-    harmonize_rock,
     render_accompaniment,
     to_progression_document,
 )
@@ -13,6 +22,22 @@ from harmonizer.rock import (
 from oracles import brute_force_viterbi
 
 I, IV, V = map(RomanChord.from_string, ("I", "IV", "V"))
+C = KeyLabel.from_string("C")
+
+
+def line(*pcs: int) -> MelodyLine:
+    """A rock melody, one measure per pitch class."""
+    return parse_rock_melody_text("".join(f"{i} | melody_degree_pc={pc}\n"
+                                          for i, pc in enumerate(pcs)))
+
+
+def in_c(*chords: RomanChord) -> ProgressionAnnotation:
+    return ProgressionAnnotation((C,) * len(chords), chords)
+
+
+def decode(bundle, melody: MelodyLine, chord_model=None) -> ProgressionAnnotation:
+    return decode_key_chord(bundle.key_model, chord_model or bundle.chord_model,
+                            melody)
 
 
 def test_rock_measure_range_validation():
@@ -21,12 +46,20 @@ def test_rock_measure_range_validation():
                 f"1 | key_pc={key_pc} | roman_root_pc={root_pc}"
                 f" | melody_degree_pc={melody_pc}\n")
     assert len(parse_rock_text(measures(0, 7, 11)).events) == 2
-    assert parse_rock_melody_text(measures(0, 7, 11)) == [0, 11]
+    assert parse_rock_melody_text(measures(0, 7, 11)).representatives() == [60, 71]
     for bad in ((12, 0, 0), (0, -1, 0), (0, 0, 12)):
         with pytest.raises(CorpusError, match="out of range 0-11"):
             parse_rock_text(measures(*bad), "r.txt")
     with pytest.raises(CorpusError, match="r.txt:2: melody_degree_pc out of range"):
         parse_rock_melody_text(measures(0, 0, -1), "r.txt")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
+                                         / "data" / "rock").glob("*.txt")),
+                         ids=lambda p: p.stem)
+def test_rock_melody_reads_as_the_corpus_piece_events(path):
+    text = path.read_text()
+    assert parse_rock_melody_text(text).events == parse_rock_text(text).events
 
 
 def test_rock_vocabulary_is_corpus_derived(rock_bundle):
@@ -37,75 +70,71 @@ def test_rock_vocabulary_is_corpus_derived(rock_bundle):
 
 
 def test_tonal_melody_gets_primary_triads(rock_bundle):
-    melody = [0, 4, 7, 0, 5, 9, 7, 11, 2, 0, 4, 0]
-    progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                                 melody, "viterbi")
-    assert len(progression) == len(melody)
-    chords = {chord for _, chord in progression}
-    assert chords <= set(rock_bundle.chord_model.states)
-    primary = sum(chord in (I, IV, V) for _, chord in progression)
-    assert primary / len(progression) >= 0.75
-
-
-def test_pitch_class_lifted_past_127_is_rejected(rock_bundle):
-    # measures sit in octave 4, so 68 lifts to MIDI 128
-    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
-        harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                       [0, 68], "viterbi")
+    melody = line(0, 4, 7, 0, 5, 9, 7, 11, 2, 0, 4, 0)
+    annotation = decode(rock_bundle, melody)
+    assert len(annotation) == len(melody)
+    assert set(annotation.chords) <= set(rock_bundle.chord_model.states)
+    primary = sum(chord in (I, IV, V) for chord in annotation.chords)
+    assert primary / len(annotation) >= 0.75
 
 
 def test_single_measure_matches_brute_force(rock_bundle):
-    melody = [4]
-    progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                                 melody, "viterbi")
+    annotation = decode(rock_bundle, line(4))
     expected_keys, _ = brute_force_viterbi(rock_bundle.key_model, [4])
-    assert len(progression) == 1
-    key_pc, chord = progression[0]
-    assert KeyLabel(key_pc, MAJOR) == expected_keys[0]
-    delta = (4 - key_pc) % 12
+    assert len(annotation) == 1
+    assert annotation.keys[0] == expected_keys[0]
+    delta = (4 - annotation.keys[0].tonic_pc) % 12
     expected_chords, _ = brute_force_viterbi(rock_bundle.chord_model, [delta])
-    assert chord == expected_chords[0]
+    assert annotation.chords[0] == expected_chords[0]
 
 
 def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
-    from harmonizer.core import PPQ, BeatEvent, MelodyLine
     from harmonizer.hmm import decode_chords_given_keys
 
-    melody = [0, 4, 7, 5, 9, 0]
-    progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                                 melody, "viterbi")
+    melody = line(0, 4, 7, 5, 9, 0)
+    annotation = decode(rock_bundle, melody)
     shift = 5
-    shifted = MelodyLine(tuple(BeatEvent(i, ((60 + (pc + shift) % 12, PPQ),))
-                               for i, pc in enumerate(melody)))
-    forced = [KeyLabel((key_pc + shift) % 12, MAJOR) for key_pc, _ in progression]
-    chords = decode_chords_given_keys(rock_bundle.chord_model, shifted, forced,
-                                      "viterbi")
-    assert chords == [chord for _, chord in progression]
+    forced = [key.transpose(shift) for key in annotation.keys]
+    chords = decode_chords_given_keys(rock_bundle.chord_model,
+                                      melody.transpose(shift), forced, "viterbi")
+    assert tuple(chords) == annotation.chords
 
 
 def test_render_bass_measure_for_c_major_tonic():
-    score = render_accompaniment([(0, I)], pattern="block", drums=False)
+    score = render_accompaniment(line(0), in_c(I), pattern="block", drums=False)
     assert score.bass_track[0] == [(0, 480, 48), (480, 480, 52),
                                    (960, 480, 55), (1440, 480, 52)]
 
 
 def test_bass_downbeat_always_harmonic_root(rock_bundle):
-    melody = [0, 4, 7, 5, 9, 0, 7, 11, 2, 5, 4, 0]
-    progression = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
-                                 melody)
-    score = render_accompaniment(progression, pattern="arpeggio", drums=True)
+    melody = line(0, 4, 7, 5, 9, 0, 7, 11, 2, 5, 4, 0)
+    annotation = decode(rock_bundle, melody)
+    score = render_accompaniment(melody, annotation, pattern="arpeggio", drums=True)
     from harmonizer.core import chord_root_pc
-    for (key_pc, chord), measure in zip(progression, score.bass_track):
+    for key, chord, measure in zip(annotation.keys, annotation.chords,
+                                   score.bass_track):
         onset, _, pitch = measure[0]
         assert onset == 0
-        root = chord_root_pc(chord, KeyLabel(key_pc, MAJOR))
-        assert pitch % 12 == root
+        assert pitch % 12 == chord_root_pc(chord, key)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_minor_key_renders_as_the_major_key_on_its_tonic(pattern):
+    # a rock key is its tonic alone, so the renderer reads any key as major
+    chords = tuple(map(RomanChord.from_string, ("I", "vi", "IV", "V", "bVII")))
+    melody = line(0, 9, 5, 7, 10)
+    for tonic_pc in (0, 7):
+        major = in_c(*chords).transpose(tonic_pc)
+        minor = ProgressionAnnotation((KeyLabel(tonic_pc, MINOR),) * len(chords),
+                                      chords)
+        assert (render_accompaniment(melody, minor, pattern)
+                == render_accompaniment(melody, major, pattern))
 
 
 def test_drums_flag():
-    silent = render_accompaniment([(0, I), (0, V)], drums=False)
+    silent = render_accompaniment(line(0, 7), in_c(I, V), drums=False)
     assert all(m == [] for m in silent.drum_track)
-    loud = render_accompaniment([(0, I)], drums=True)
+    loud = render_accompaniment(line(0), in_c(I), drums=True)
     pitches = {p for _, _, p in loud.drum_track[0]}
     assert pitches == {36, 38, 42}
     hats = [e for e in loud.drum_track[0] if e[2] == 42]
@@ -114,8 +143,7 @@ def test_drums_flag():
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_tracks_hold_whole_ticks_within_the_measure(pattern):
-    score = render_accompaniment([(0, I), (0, V)], pattern, drums=True,
-                                 melody_degree_pcs=[0, 7])
+    score = render_accompaniment(line(0, 7), in_c(I, V), pattern, drums=True)
     for track in (score.melody_track, score.bass_track, score.keys_track,
                   score.drum_track):
         assert len(track) == 2
@@ -126,32 +154,33 @@ def test_tracks_hold_whole_ticks_within_the_measure(pattern):
 
 
 def test_block_vs_arpeggio_patterns():
-    block = render_accompaniment([(0, I)], pattern="block")
+    block = render_accompaniment(line(0), in_c(I), pattern="block")
     onsets = sorted({onset for onset, _, _ in block.keys_track[0]})
     assert onsets == [0, 960]
-    arp = render_accompaniment([(0, I)], pattern="arpeggio")
+    arp = render_accompaniment(line(0), in_c(I), pattern="arpeggio")
     assert len(arp.keys_track[0]) == 8
     assert [p for _, _, p in arp.keys_track[0]][:3] == [60, 64, 67]
 
 
 def test_render_is_deterministic():
-    prog = [(0, I), (0, IV), (0, V), (0, I)]
-    a = render_accompaniment(prog, "arpeggio", True, melody_degree_pcs=[0, 5, 7, 0])
-    b = render_accompaniment(prog, "arpeggio", True, melody_degree_pcs=[0, 5, 7, 0])
+    annotation = in_c(I, IV, V, I)
+    a = render_accompaniment(line(0, 5, 7, 0), annotation, "arpeggio", True)
+    b = render_accompaniment(line(0, 5, 7, 0), annotation, "arpeggio", True)
     assert a == b
 
 
 def test_render_rejects_bad_input():
     with pytest.raises(MusicError):
-        render_accompaniment([])
+        render_accompaniment(line(0), in_c())
     with pytest.raises(MusicError):
-        render_accompaniment([(0, I)], pattern="shuffle")
+        render_accompaniment(line(0), in_c(I), pattern="shuffle")
     with pytest.raises(MusicError):
-        render_accompaniment([(0, I)], melody_degree_pcs=[0, 4])
+        render_accompaniment(line(0, 4), in_c(I))
 
 
 def test_progression_document():
-    doc = to_progression_document([(0, I), (7, V)], title="t")
+    annotation = ProgressionAnnotation((C, KeyLabel.from_string("G")), (I, V))
+    doc = to_progression_document(annotation, title="t")
     assert doc.splitlines() == ["id: t", "0 | key_pc=0 | roman=I",
                                 "1 | key_pc=7 | roman=V"]
 
@@ -164,8 +193,8 @@ def test_boosting_columns_makes_rare_chords_reachable(rock_bundle):
     from harmonizer.hmm import HmmModel
 
     cm = rock_bundle.chord_model
-    melody = [0, 4, 7, 9, 0, 2, 4, 9, 7, 10, 0, 0]
-    base = [str(c) for _, c in harmonize_rock(rock_bundle.key_model, cm, melody)]
+    melody = line(0, 4, 7, 9, 0, 2, 4, 9, 7, 10, 0, 0)
+    base = [str(c) for c in decode(rock_bundle, melody).chords]
     assert "bVII" not in base
     boosted = cm.transition.copy()
     targets = [j for j, s in enumerate(cm.states) if str(s) in ("vi", "bVII")]
@@ -173,6 +202,6 @@ def test_boosting_columns_makes_rare_chords_reachable(rock_bundle):
     boosted /= boosted.sum(axis=1, keepdims=True)
     custom = HmmModel(cm.states, cm.observations, boosted, cm.emission,
                       cm.initial, mask=None, smoothing_alpha=cm.smoothing_alpha)
-    after = [str(c) for _, c in harmonize_rock(rock_bundle.key_model, custom, melody)]
+    after = [str(c) for c in decode(rock_bundle, melody, custom).chords]
     assert set(after) & {"vi", "bVII"}
     assert after != base
