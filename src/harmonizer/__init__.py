@@ -44,6 +44,6 @@ from .hmm import (
 )
 from .midiout import export_functional_summary, export_matrices, write_midi
 from .ornament import OrnamentConfig, estimate_ornament_rates, insert_ornaments
-from .rock import AccompanimentScore, render_accompaniment
+from .rock import AccompanimentScore, harmonize_rock, render_accompaniment
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .hmm import (
 )
 from .midiout import export_functional_summary, export_matrices, write_midi
 from .ornament import OrnamentConfig, estimate_ornament_rates, insert_ornaments
-from .rock import PATTERNS, render_accompaniment, to_progression_document
+from .rock import PATTERNS, harmonize_rock, to_progression_document
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -183,16 +183,16 @@ def cmd_harmonize(args) -> int:
     bundle = load_bundle(args.model)
     started = time.perf_counter()
     if bundle.genre == "rock":
-        melody = parse_rock_melody_file(args.melody)
-        annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
-                                      melody, cfg.method)
-        score = render_accompaniment(melody, annotation, cfg.pattern, cfg.drums)
+        annotation, score = harmonize_rock(
+            bundle.key_model, bundle.chord_model,
+            parse_rock_melody_file(args.melody), cfg.method, cfg.pattern, cfg.drums)
         if args.out_midi:
             write_midi(score, args.out_midi, tempo_bpm=cfg.tempo_bpm)
         if args.out_score:
             Path(args.out_score).write_text(to_progression_document(annotation))
         elapsed = time.perf_counter() - started
         print(f"harmonized {len(annotation)} measures")
+        _warn_masked_transitions(bundle.chord_model, annotation.chords)
         print(f"harmonization time: {elapsed:.3f}s")
         return EXIT_OK
     melody = parse_melody_file(args.melody)
@@ -329,7 +329,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

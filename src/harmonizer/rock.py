@@ -1,9 +1,9 @@
 """Symbolic accompaniment for decoded rock melodies.
 
-A rock melody is a `MelodyLine` with one beat per measure, decoded by the
-chorale pipeline's `decode_key_chord` into a `ProgressionAnnotation` with
-one key and chord per measure. Note onsets and durations are whole ticks,
-`PPQ` to the beat, onsets counted from the start of their measure.
+A rock melody is a `MelodyLine` with one beat per measure; `harmonize_rock`
+decodes it with the chorale pipeline's `decode_key_chord`, one key and chord
+per measure, and renders the backing. Note onsets and durations are whole
+ticks, `PPQ` to the beat, onsets counted from the start of their measure.
 Rendering is deterministic: the bass walks root then chord tones, the
 keyboard plays block chords or an eighth-note arpeggio, and an optional
 fixed drum pattern fills out the texture.
@@ -24,6 +24,7 @@ from .core import (
     chord_tone_pcs,
 )
 from .corpus import format_progression
+from .hmm import HmmModel, decode_key_chord
 
 EIGHTH = PPQ // 2
 
@@ -32,6 +33,10 @@ SNARE = 38
 CLOSED_HAT = 42
 
 PATTERNS = ("arpeggio", "block")
+
+_DRUM_MEASURE = (tuple((k * PPQ, EIGHTH, drum)
+                       for k, drum in enumerate((KICK, SNARE, KICK, SNARE)))
+                 + tuple((k * EIGHTH, EIGHTH, CLOSED_HAT) for k in range(8)))
 
 # (onset ticks within the measure, duration ticks, midi)
 NoteEvent = tuple[int, int, int]
@@ -45,6 +50,14 @@ class AccompanimentScore:
     keys_track: list[list[NoteEvent]]
     drum_track: list[list[NoteEvent]]
     melody_track: list[list[NoteEvent]]
+
+
+def harmonize_rock(key_model: HmmModel, chord_model: HmmModel, melody: MelodyLine,
+                   method: str = "viterbi", pattern: str = "arpeggio", drums: bool = True,
+                   ) -> tuple[ProgressionAnnotation, AccompanimentScore]:
+    """The rock counterpart of `harmonize.harmonize_melody`."""
+    annotation = decode_key_chord(key_model, chord_model, melody, method)
+    return annotation, render_accompaniment(melody, annotation, pattern, drums)
 
 
 def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
@@ -82,13 +95,7 @@ def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
                               + [(2 * PPQ, 2 * PPQ, p) for p in block])
         else:
             keys_track.append([(k * EIGHTH, EIGHTH, block[k % 3]) for k in range(8)])
-        if drums:
-            measure = [(k * PPQ, EIGHTH, drum)
-                       for k, drum in enumerate((KICK, SNARE, KICK, SNARE))]
-            measure += [(k * EIGHTH, EIGHTH, CLOSED_HAT) for k in range(8)]
-            drum_track.append(measure)
-        else:
-            drum_track.append([])
+        drum_track.append(list(_DRUM_MEASURE) if drums else [])
         melody_track.append([(0, BEATS_PER_BAR * PPQ, event.representative)])
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)

@@ -746,6 +746,32 @@ def test_harmonize_warns_on_masked_transitions_like_analyze(
     assert warnings[1] == warnings[0]
 
 
+def test_rock_commands_warn_on_masked_transitions_alike(capsys, tmp_path,
+                                                       trained_rock_model):
+    # a trained rock model has no mask; a hand-set one forbidding every
+    # chord change is reported the same way by both commands
+    doc = json.loads(trained_rock_model.read_text())
+    n = len(doc["chord_model"]["states"])
+    doc["chord_model"]["mask"] = [[int(i != j) for j in range(n)] for i in range(n)]
+    masked = tmp_path / "masked.json"
+    masked.write_text(json.dumps(doc))
+    melody = tmp_path / "tune.txt"
+    melody.write_text("".join(f"{i} | melody_degree_pc={pc}\n"
+                              for i, pc in enumerate([0, 4, 7, 5, 9, 0, 7, 0])))
+    warnings = {}
+    for model in (trained_rock_model, masked):
+        for command in ("analyze", "harmonize"):
+            assert main([command, "--model", str(model),
+                         "--melody", str(melody)]) == 0
+            warnings[model, command] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("# warning: masked transition")]
+    assert warnings[trained_rock_model, "analyze"] == []
+    assert warnings[trained_rock_model, "harmonize"] == []
+    assert warnings[masked, "analyze"]
+    assert warnings[masked, "harmonize"] == warnings[masked, "analyze"]
+
+
 def test_no_mask_flag_drops_mask(tmp_path, data_dir):
     from harmonizer.hmm import load_bundle
     masked = tmp_path / "masked.json"

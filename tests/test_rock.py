@@ -12,9 +12,10 @@ from harmonizer.core import (
     RomanChord,
 )
 from harmonizer.corpus import CorpusError, parse_rock_melody_text, parse_rock_text
-from harmonizer.hmm import decode_key_chord
+from harmonizer.hmm import METHODS, decode_key_chord
 from harmonizer.rock import (
     PATTERNS,
+    harmonize_rock,
     render_accompaniment,
     to_progression_document,
 )
@@ -100,6 +101,16 @@ def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
     assert tuple(chords) == annotation.chords
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_harmonize_rock_decodes_then_renders(rock_bundle, method):
+    melody = line(0, 4, 7, 5, 9, 0, 7, 0)
+    annotation, score = harmonize_rock(rock_bundle.key_model, rock_bundle.chord_model,
+                                       melody, method, "block", False)
+    assert annotation == decode_key_chord(rock_bundle.key_model,
+                                          rock_bundle.chord_model, melody, method)
+    assert score == render_accompaniment(melody, annotation, "block", False)
+
+
 def test_render_bass_measure_for_c_major_tonic():
     score = render_accompaniment(line(0), in_c(I), pattern="block", drums=False)
     assert score.bass_track[0] == [(0, 480, 48), (480, 480, 52),
@@ -134,7 +145,9 @@ def test_minor_key_renders_as_the_major_key_on_its_tonic(pattern):
 def test_drums_flag():
     silent = render_accompaniment(line(0, 7), in_c(I, V), drums=False)
     assert all(m == [] for m in silent.drum_track)
-    loud = render_accompaniment(line(0), in_c(I), drums=True)
+    loud = render_accompaniment(line(0, 7), in_c(I, V), drums=True)
+    assert loud.drum_track[0] == loud.drum_track[1]
+    assert loud.drum_track[0] is not loud.drum_track[1]
     pitches = {p for _, _, p in loud.drum_track[0]}
     assert pitches == {36, 38, 42}
     hats = [e for e in loud.drum_track[0] if e[2] == 42]
