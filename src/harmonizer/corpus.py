@@ -159,20 +159,21 @@ def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
             name, value = line.split(":", 1)
             header[name.strip()] = value.strip()
             continue
-        parts = [p.strip() for p in line.split("|")]
+        head, *parts = line.split("|")
         try:
-            index = int(parts[0])
+            index = int(head)  # int() skips the blanks that strip() would
         except ValueError:
-            raise CorpusError(f"record must start with an integer index: {parts[0]!r}",
-                              source, lineno)
+            raise CorpusError(f"record must start with an integer index:"
+                              f" {head.strip()!r}", source, lineno)
         if index != len(records):
             raise CorpusError(f"{unit} index {index} out of order,"
                               f" expected {len(records)}", source, lineno)
         fields = {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise CorpusError(f"expected field=value, got {part!r}", source, lineno)
-            name, value = part.split("=", 1)
+        for part in parts:
+            name, equals, value = part.partition("=")
+            if not equals:
+                raise CorpusError(f"expected field=value, got {part.strip()!r}",
+                                  source, lineno)
             fields[name.strip()] = value.strip()
         missing = [name for name in required if name not in fields]
         if missing:
@@ -326,13 +327,19 @@ def parse_rock_melody_file(path: str | Path) -> MelodyLine:
     return parse_rock_melody_text(read_text(p), source=str(p))
 
 
-def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
-    """Shift the whole chorale so its opening key tonic lands on C (major)
-    or A (minor), by the smallest semitone offset, ties broken downward.
-    CorpusError naming the piece when a note leaves the MIDI range."""
+def reference_offset(chorale: AnnotatedChorale) -> int:
+    """The semitones that move the chorale's opening key tonic to C (major)
+    or A (minor): the smallest offset, ties broken downward, so -6..+5."""
     target = 0 if chorale.mode == MAJOR else 9
     delta = (target - chorale.annotation.keys[0].tonic_pc) % 12
-    offset = delta if delta < 6 else delta - 12
+    return delta if delta < 6 else delta - 12
+
+
+def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
+    """Shift the whole chorale by `reference_offset`, so its opening key
+    tonic lands on C (major) or A (minor). CorpusError naming the piece
+    when a note leaves the MIDI range."""
+    offset = reference_offset(chorale)
     if offset == 0:
         return chorale
     try:

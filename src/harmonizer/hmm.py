@@ -34,7 +34,13 @@ from .core import (
     is_retrogressive,
     transposed_degree,
 )
-from .corpus import GENRES, read_json, read_text, transpose_to_reference
+from .corpus import (
+    GENRES,
+    read_json,
+    read_text,
+    reference_offset,
+    transpose_to_reference,
+)
 
 MASK_EPSILON = 1e-6
 DEFAULT_ALPHA = 0.01
@@ -118,22 +124,27 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (S, S):
             raise HmmError(f"mask shape {mask.shape} does not match {S} states")
-    trans_counts = np.zeros((S, S), dtype=float)
-    emit_counts = np.zeros((S, O), dtype=float)
-    init_counts = np.zeros(S, dtype=float)
+    hidden_idx, observed_idx, starts = [], [], []
     for hidden, observed in sequences:
         if len(hidden) != len(observed):
             raise HmmError(
                 f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
         if not hidden:
             raise HmmError("empty sequence in training set")
-        h_idx = _indices(hidden, s_index, "hidden label")
-        o_idx = _indices(observed, o_index, "observed label")
-        init_counts[h_idx[0]] += 1
-        for a, b in zip(h_idx, h_idx[1:]):
-            trans_counts[a, b] += 1
-        for h, o in zip(h_idx, o_idx):
-            emit_counts[h, o] += 1
+        starts.append(len(hidden_idx))
+        hidden_idx += _indices(hidden, s_index, "hidden label")
+        observed_idx += _indices(observed, o_index, "observed label")
+    # one flat run of every sequence; a transition ends at each position
+    # that does not start a sequence
+    h = np.array(hidden_idx, dtype=np.intp)
+    o = np.array(observed_idx, dtype=np.intp)
+    follows = np.ones(len(h), dtype=bool)
+    follows[starts] = False
+    ends = np.flatnonzero(follows)
+    init_counts = np.bincount(h[starts], minlength=S).astype(float)
+    trans_counts = np.bincount(h[ends - 1] * S + h[ends],
+                               minlength=S * S).astype(float).reshape(S, S)
+    emit_counts = np.bincount(h * O + o, minlength=S * O).astype(float).reshape(S, O)
     # no smoothed row total, at most every count plus alpha per cell, may overflow
     if alpha > (np.finfo(float).max - emit_counts.sum()) / max(S, O):
         raise HmmError(f"smoothing alpha {alpha} is too large:"
@@ -313,28 +324,36 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
                            alpha: float = DEFAULT_ALPHA) -> "ModelBundle":
     """Estimate the paired key and chord models from an annotated corpus.
 
-    Chorale pieces are first moved to their reference keys
-    (`transpose_to_reference`); rock pieces are taken as they are. Each
-    layer observes what it does in `decode_key_chord`: the key layer each
-    beat's melody pitch class, the chord layer that pitch against the
-    beat's key. The retrogression mask defaults to on for chorale corpora
-    and off for rock. Key states are the full 24-key alphabet; chord states
-    are the chords observed in the corpus, sorted by their text.
+    Each layer observes what it does in `decode_key_chord`: the key layer
+    each beat's melody pitch class, the chord layer that pitch against the
+    beat's key. Chorale pieces are counted as if moved to their reference
+    keys (`transpose_to_reference`) without copying them: the key layer
+    sees every pitch class and key moved by the piece's `reference_offset`,
+    and the chord layer the piece as written, since a common shift leaves
+    each pitch's degree in its key unchanged. A piece that the move would
+    take out of the MIDI range raises `transpose_to_reference`'s error.
+    Rock pieces are taken as they are. The retrogression mask defaults to
+    on for chorale corpora and off for rock. Key states are the full
+    24-key alphabet; chord states are the chords observed in the corpus,
+    sorted by their text.
     """
-    pieces = corpus.chorales
-    if corpus.genre == "chorale":
-        pieces = [transpose_to_reference(ch) for ch in pieces]
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
     key_states = all_keys()
     pitch_classes = tuple(range(12))
     key_sequences, chord_sequences = [], []
-    for ch in pieces:
+    for ch in corpus.chorales:
         pitches = [beat.representative for beat in ch.events]
         keys, chords = ch.annotation.keys, ch.annotation.chords
-        key_sequences.append((keys, [p % 12 for p in pitches]))
         chord_sequences.append((chords, [transposed_degree(p, k)
                                          for p, k in zip(pitches, keys)]))
+        shift = reference_offset(ch) if corpus.genre == "chorale" else 0
+        if shift:
+            midis = [midi for beat in ch.events for midi, _ in beat.notes]
+            if min(midis) + shift < 0 or max(midis) + shift > 127:
+                transpose_to_reference(ch)  # raises, naming the piece
+            keys = [key.transpose(shift) for key in keys]
+        key_sequences.append((keys, [(p + shift) % 12 for p in pitches]))
     counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     chord_states = tuple(sorted(counts, key=str))
     mask = build_phrase_mask(chord_states) if mask_enabled else None

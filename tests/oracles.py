@@ -1,7 +1,7 @@
 """Independent reference implementations used to verify the fast paths.
 
-Everything here trades speed for obviousness: exhaustive enumeration over
-hidden sequences, Viterbi and forward-backward as one plain step per
+Everything here trades speed for obviousness: estimation that counts one
+cell at a time, exhaustive enumeration over hidden sequences, Viterbi and forward-backward as one plain step per
 position, a full lattice filter for chord voicings, the greedy
 voicing search as a literal loop with every tie-break key computed, and an
 SMF track encoder that spells out every event.
@@ -26,11 +26,55 @@ from harmonizer.harmonize import (
     OCTAVE_LEAP_LIMIT,
     PENALTY_WEIGHTS,
 )
-from harmonizer.hmm import DecodeInfeasibleError, HmmModel
+from harmonizer.hmm import (
+    DecodeInfeasibleError,
+    HmmError,
+    HmmModel,
+    _distribute,
+    _indices,
+)
 
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0 else float("-inf")
+
+
+def counting_estimate(states, observations, sequences, mask=None,
+                      alpha: float = 0.01) -> HmmModel:
+    """`estimate` with a literal counting loop: each sequence is checked
+    and indexed in turn, and every initial, transition and emission cell
+    it touches gains 1. The fast estimator must return equal arrays and
+    raise the same errors. Argument checks that come before any counting
+    are not repeated here."""
+    states, observations = tuple(states), tuple(observations)
+    s_index = {s: i for i, s in enumerate(states)}
+    o_index = {o: i for i, o in enumerate(observations)}
+    S, O = len(states), len(observations)
+    trans_counts = np.zeros((S, S), dtype=float)
+    emit_counts = np.zeros((S, O), dtype=float)
+    init_counts = np.zeros(S, dtype=float)
+    for hidden, observed in sequences:
+        if len(hidden) != len(observed):
+            raise HmmError(
+                f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
+        if not hidden:
+            raise HmmError("empty sequence in training set")
+        h_idx = _indices(hidden, s_index, "hidden label")
+        o_idx = _indices(observed, o_index, "observed label")
+        init_counts[h_idx[0]] += 1
+        for a, b in zip(h_idx, h_idx[1:]):
+            trans_counts[a, b] += 1
+        for h, o in zip(h_idx, o_idx):
+            emit_counts[h, o] += 1
+    mask = None if mask is None else np.asarray(mask, dtype=bool)
+    transition = np.vstack([
+        _distribute(trans_counts[i] + alpha, None if mask is None else mask[i])
+        for i in range(S)])
+    emission = np.vstack([_distribute(emit_counts[i] + alpha, None)
+                          for i in range(S)])
+    initial = _distribute(init_counts + alpha, None)
+    return HmmModel(states, observations, transition, emission, initial,
+                    mask=mask, smoothing_alpha=alpha)
 
 
 def brute_force_viterbi(model: HmmModel, observed) -> tuple[list, float]:

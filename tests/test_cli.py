@@ -613,6 +613,21 @@ def test_transposition_past_127_exits_2(capsys, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_transposition_below_0_exits_2(capsys, tmp_path):
+    # F# major moves down six semitones to C (the tie is broken downward),
+    # taking the second note of the opening beat from 3 to -3
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "piece.txt").write_text(
+        "id: low\nmode: major\n0 | notes=66:0.5,3:0.5 | key=F# | roman=I\n"
+        "1 | notes=66:1 | key=F# | roman=I\n")
+    code = main(["train", "--corpus", str(corpus), "--out",
+                 str(tmp_path / "m.json")])
+    _assert_input_error(capsys, code, "piece 'low' transposed by -6 semitones"
+                        " to its reference key: MIDI pitch out of range 0-127: -3")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_one_tick_duration_is_written(tmp_path, trained_model):
     melody = tmp_path / "tick.txt"
     melody.write_text(f"0 | notes=72:1\n1 | notes=72:{1 / 480!r},74:{479 / 480!r}\n"

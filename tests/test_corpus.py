@@ -125,6 +125,26 @@ def test_written_records_read_back(header, records):
     assert [(index, fields) for _, index, fields in got] == list(enumerate(records))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x | notes=72:1", "record must start with an integer index: 'x'"),
+    ("|notes=72:1", "record must start with an integer index: ''"),
+    ("0x\t| n=1", "record must start with an integer index: '0x'"),
+    ("0 | notes", "expected field=value, got 'notes'"),
+    ("0\t|\tnotes\t| n=1", "expected field=value, got 'notes'"),
+    ("0 || notes=1", "expected field=value, got ''"),
+    ("1 | notes=72:1", "beat index 1 out of order, expected 0"),
+])
+def test_record_errors_name_the_stripped_part(line, message):
+    with pytest.raises(CorpusError) as caught:
+        _records(f"mode: major\n{line}\n", "f.txt", "beat")
+    assert str(caught.value) == f"f.txt:2: {message}"
+
+
+def test_record_fields_split_at_the_first_equals_sign():
+    _, records = _records(" 0  |  a  = b=c | d = |= 5\n", "f.txt", "beat")
+    assert records == [(1, 0, {"a": "b=c", "d": "", "": "5"})]
+
+
 def test_melody_schema_ignores_annotation_columns():
     melody = parse_melody_text(VALID_CHORALE, "t.txt")
     assert len(melody) == 3

@@ -39,6 +39,7 @@ from oracles import (
     brute_force_argmax_set,
     brute_force_posteriors,
     brute_force_viterbi,
+    counting_estimate,
     stepwise_posterior,
     stepwise_viterbi,
 )
@@ -152,6 +153,21 @@ def test_training_moves_chorales_to_their_reference_keys(chorale_corpus, mode):
     assert _same_models(train_key_chord_models(raw), train_key_chord_models(moved))
 
 
+@pytest.mark.parametrize("mode", ["major", "minor"])
+def test_training_counts_as_if_moved_to_reference_keys(tmp_path, chorale_corpus,
+                                                       mode):
+    # every opening tonic, the +-6 tie (broken downward) among them
+    raw = chorale_corpus.select_mode(mode)
+    for s in range(-6, 6):
+        shifted = Corpus(tuple(ch.transpose(s) for ch in raw.chorales), "chorale")
+        moved = Corpus(tuple(map(transpose_to_reference, shifted.chorales)),
+                       "chorale")
+        texts = [save_bundle(train_key_chord_models(corpus),
+                             tmp_path / f"{name}.json").read_text()
+                 for name, corpus in (("shifted", shifted), ("moved", moved))]
+        assert texts[0] == texts[1], s
+
+
 def test_training_keeps_rock_keys(rock_corpus, rock_bundle):
     opening = {ch.annotation.keys[0] for ch in rock_corpus.chorales}
     initial = rock_bundle.key_model.initial
@@ -192,6 +208,49 @@ def test_estimate_rows_stochastic_and_masked_cells_bounded(data):
     assert model.initial.sum() == pytest.approx(1.0, abs=1e-9)
     assert (model.transition[mask] <= MASK_EPSILON + 1e-15).all()
     assert (model.transition >= 0).all() and (model.emission >= 0).all()
+
+
+# a later sequence that each fails one check of `estimate`
+_BAD_SEQUENCES = {
+    "length": (["s0", "s0"], [0]),
+    "empty": ([], []),
+    "hidden": (["s0", "zz"], [0, 0]),
+    "observed": (["s0", "s0"], [0, 99]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_estimate_equals_counting_loop(data):
+    n_states = data.draw(st.integers(1, 6))
+    labels = [f"s{i}" for i in range(n_states)]
+    n_obs = data.draw(st.integers(1, 5))
+    seqs = data.draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(labels), st.integers(0, n_obs - 1)),
+                 min_size=1, max_size=10),
+        min_size=1, max_size=6))
+    pairs = [([h for h, _ in seq], [o for _, o in seq]) for seq in seqs]
+    mask = None
+    if data.draw(st.booleans()):
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n_states ** 2, max_size=n_states ** 2)))
+        mask = mask.reshape(n_states, n_states)
+        mask[np.arange(n_states), (np.arange(n_states) + 1) % n_states] = False
+    alpha = data.draw(st.sampled_from([0.0, 0.01, 1.0]))
+    bad = data.draw(st.sampled_from([None, *_BAD_SEQUENCES]))
+    if bad is not None:
+        pairs.insert(data.draw(st.integers(1, len(pairs))), _BAD_SEQUENCES[bad])
+        errors = []
+        for fit in (estimate, counting_estimate):
+            with pytest.raises(HmmError) as caught:
+                fit(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        return
+    fast = estimate(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
+    slow = counting_estimate(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
+    for name in ("transition", "emission", "initial"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
 
 # --- viterbi ---------------------------------------------------------------
