@@ -191,11 +191,17 @@ _CHORD_BY_TEXT: dict[str, RomanChord] = {}
 _CHORDS: dict[RomanChord, RomanChord] = {}
 
 
+def check_midi_pitch(midi: int) -> None:
+    """MusicError unless `midi` is a MIDI note number, 0-127."""
+    if not 0 <= midi <= 127:
+        raise MusicError(f"MIDI pitch out of range 0-127: {midi}")
+
+
 @dataclass(frozen=True)
 class BeatEvent:
     """All notes sounding within one beat as (MIDI number, ticks) pairs
     whose ticks add up to exactly `PPQ`. Every melody pitch enters through
-    here, so the 0-127 range is checked here.
+    here and is checked by `check_midi_pitch`.
 
     The representative pitch (what sequence models observe) is the note
     sounding at the beat onset, i.e. the first entry.
@@ -209,8 +215,7 @@ class BeatEvent:
             raise MusicError(f"beat {self.beat_index} has no notes")
         total = 0
         for midi, ticks in self.notes:
-            if not 0 <= midi <= 127:
-                raise MusicError(f"MIDI pitch out of range 0-127: {midi}")
+            check_midi_pitch(midi)
             if type(ticks) is not int or ticks < 1:
                 raise MusicError(f"beat {self.beat_index} has a duration that is"
                                  f" not a positive whole number of ticks: {ticks!r}")

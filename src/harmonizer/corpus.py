@@ -42,6 +42,7 @@ from .core import (
     RomanChord,
     all_keys,
     beats_to_ticks,
+    check_midi_pitch,
     triadic_numeral_for_root,
 )
 
@@ -329,21 +330,26 @@ def parse_rock_melody_file(path: str | Path) -> MelodyLine:
 
 def reference_offset(chorale: AnnotatedChorale) -> int:
     """The semitones that move the chorale's opening key tonic to C (major)
-    or A (minor): the smallest offset, ties broken downward, so -6..+5."""
+    or A (minor): the smallest offset, ties broken downward, so -6..+5.
+    CorpusError naming the piece when the move would take a note out of
+    the MIDI range, for the first such note in beat order."""
     target = 0 if chorale.mode == MAJOR else 9
     delta = (target - chorale.annotation.keys[0].tonic_pc) % 12
-    return delta if delta < 6 else delta - 12
+    offset = delta if delta < 6 else delta - 12
+    try:
+        if offset:
+            for beat in chorale.events:
+                for midi, _ in beat.notes:
+                    check_midi_pitch(midi + offset)
+    except MusicError as exc:
+        raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
+                          f" semitones to its reference key: {exc}")
+    return offset
 
 
 def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
     """Shift the whole chorale by `reference_offset`, so its opening key
-    tonic lands on C (major) or A (minor). CorpusError naming the piece
-    when a note leaves the MIDI range."""
+    tonic lands on C (major) or A (minor); that offset's CorpusError when
+    a note would leave the MIDI range."""
     offset = reference_offset(chorale)
-    if offset == 0:
-        return chorale
-    try:
-        return chorale.transpose(offset)
-    except MusicError as exc:
-        raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
-                          f" semitones to its reference key: {exc}")
+    return chorale.transpose(offset) if offset else chorale

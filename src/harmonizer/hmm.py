@@ -39,7 +39,6 @@ from .corpus import (
     read_json,
     read_text,
     reference_offset,
-    transpose_to_reference,
 )
 
 MASK_EPSILON = 1e-6
@@ -331,11 +330,11 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     sees every pitch class and key moved by the piece's `reference_offset`,
     and the chord layer the piece as written, since a common shift leaves
     each pitch's degree in its key unchanged. A piece that the move would
-    take out of the MIDI range raises `transpose_to_reference`'s error.
-    Rock pieces are taken as they are. The retrogression mask defaults to
-    on for chorale corpora and off for rock. Key states are the full
-    24-key alphabet; chord states are the chords observed in the corpus,
-    sorted by their text.
+    take out of the MIDI range raises `reference_offset`'s error, the one
+    `transpose_to_reference` raises. Rock pieces are taken as they are.
+    The retrogression mask defaults to on for chorale corpora and off for
+    rock. Key states are the full 24-key alphabet; chord states are the
+    chords observed in the corpus, sorted by their text.
     """
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
@@ -349,9 +348,6 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
                                          for p, k in zip(pitches, keys)]))
         shift = reference_offset(ch) if corpus.genre == "chorale" else 0
         if shift:
-            midis = [midi for beat in ch.events for midi, _ in beat.notes]
-            if min(midis) + shift < 0 or max(midis) + shift > 127:
-                transpose_to_reference(ch)  # raises, naming the piece
             keys = [key.transpose(shift) for key in keys]
         key_sequences.append((keys, [(p + shift) % 12 for p in pitches]))
     counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)

@@ -1,10 +1,11 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here trades speed for obviousness: estimation that counts one
-cell at a time, exhaustive enumeration over hidden sequences, Viterbi and forward-backward as one plain step per
-position, a full lattice filter for chord voicings, the greedy
-voicing search as a literal loop with every tie-break key computed, and an
-SMF track encoder that spells out every event.
+cell at a time, exhaustive enumeration over hidden sequences, Viterbi and
+forward-backward as one plain step per position, a full lattice filter for
+chord voicings, the greedy voicing search as a literal loop with every
+tie-break key computed, and an SMF track encoder that spells out every
+event.
 """
 
 from __future__ import annotations

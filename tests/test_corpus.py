@@ -19,6 +19,7 @@ from harmonizer.corpus import (
     parse_corpus,
     parse_melody_text,
     parse_rock_text,
+    reference_offset,
     transpose_to_reference,
     _format_note_list,
     _format_records,
@@ -221,6 +222,22 @@ def test_transpose_preserves_degree_sequences(chorale_corpus):
         after = [transposed_degree(beat.representative, key)
                  for beat, key in zip(moved.events, moved.annotation.keys)]
         assert before == after
+
+
+def test_reference_move_out_of_range_names_the_first_note():
+    # F# major moves down six semitones, taking the second beat's notes to
+    # -2 and -5; the error names -2, the note the moved beat fails on
+    text = ("id: low\nmode: major\n0 | notes=66:1 | key=F# | roman=I\n"
+            "1 | notes=4:0.5,1:0.5 | key=F# | roman=I\n")
+    ch = parse_chorale_text(text, "t")
+    message = ("piece 'low' transposed by -6 semitones to its reference key:"
+               " MIDI pitch out of range 0-127: -2")
+    for move in (reference_offset, transpose_to_reference):
+        with pytest.raises(CorpusError) as exc:
+            move(ch)
+        assert str(exc.value) == message
+    with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: -2$"):
+        ch.transpose(-6)
 
 
 @settings(max_examples=50)
