@@ -20,7 +20,6 @@ from .corpus import (
     CorpusError,
     parse_corpus,
     parse_melody_file,
-    transpose_to_reference,
 )
 from .harmonize import (
     Arrangement,

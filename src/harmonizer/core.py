@@ -1,5 +1,5 @@
 """Shared musical vocabulary: keys, Roman-numeral chords, and
-beat-indexed melody sequences whose pitches are MIDI numbers and whose
+melodies, one beat after another, whose pitches are MIDI numbers and whose
 durations are whole ticks, `PPQ` to the beat. Beats text becomes ticks
 once, in `beats_to_ticks`, when a file is read.
 
@@ -78,7 +78,7 @@ def beats_to_ticks(value: float) -> int:
     return ticks
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class KeyLabel:
     """One of the 24 keys: a tonic pitch class plus major/minor mode."""
 
@@ -119,7 +119,7 @@ def all_keys() -> tuple[KeyLabel, ...]:
     return _ALL_KEYS
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RomanChord:
     """Key-relative chord: scale-degree root, quality, inversion, seventh.
 
@@ -201,51 +201,46 @@ def check_midi_pitch(midi: int) -> None:
 class BeatEvent:
     """All notes sounding within one beat as (MIDI number, ticks) pairs
     whose ticks add up to exactly `PPQ`. Every melody pitch enters through
-    here and is checked by `check_midi_pitch`.
+    here and is checked by `check_midi_pitch`. A beat's place is its
+    position in the melody.
 
     The representative pitch (what sequence models observe) is the note
     sounding at the beat onset, i.e. the first entry.
     """
 
-    beat_index: int
     notes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.notes:
-            raise MusicError(f"beat {self.beat_index} has no notes")
+            raise MusicError("beat has no notes")
         total = 0
         for midi, ticks in self.notes:
             check_midi_pitch(midi)
             if type(ticks) is not int or ticks < 1:
-                raise MusicError(f"beat {self.beat_index} has a duration that is"
-                                 f" not a positive whole number of ticks: {ticks!r}")
+                raise MusicError(f"beat has a duration that is not a positive"
+                                 f" whole number of ticks: {ticks!r}")
             total += ticks
         if total != PPQ:
-            raise MusicError(f"beat {self.beat_index} durations sum to {total}"
-                             f" ticks ({total / PPQ:g} beats), expected {PPQ}")
+            raise MusicError(f"beat durations sum to {total} ticks"
+                             f" ({total / PPQ:g} beats), expected {PPQ}")
 
     @property
     def representative(self) -> int:
         return self.notes[0][0]
 
     def transpose(self, semitones: int) -> "BeatEvent":
-        return BeatEvent(self.beat_index, tuple((midi + semitones, ticks)
-                                                for midi, ticks in self.notes))
+        return BeatEvent(tuple((midi + semitones, ticks) for midi, ticks in self.notes))
 
 
 @dataclass(frozen=True)
 class MelodyLine:
-    """A beat-quantized melody; beat indices are contiguous from 0."""
+    """A beat-quantized melody, one BeatEvent per beat."""
 
     events: tuple[BeatEvent, ...]
 
     def __post_init__(self):
         if not self.events:
             raise MusicError("melody line is empty")
-        for i, ev in enumerate(self.events):
-            if ev.beat_index != i:
-                raise MusicError(
-                    f"beat indices not contiguous: expected {i}, got {ev.beat_index}")
 
     def __len__(self) -> int:
         return len(self.events)

@@ -1,5 +1,5 @@
 """Corpus ingestion: structured-text chorale and rock files, melody files,
-and transposition to the reference keys.
+and the offset that moves a piece to its reference key.
 
 Chorale files carry one record per beat:
 
@@ -144,12 +144,12 @@ def _format_note_list(notes) -> str:
 
 
 def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
-             ) -> tuple[dict[str, str], list[tuple[int, int, dict[str, str]]]]:
+             ) -> tuple[dict[str, str], list[tuple[int, dict[str, str]]]]:
     """Read the record grammar shared by every text file: `name: value`
     header lines, then `index | name=value | ...` records whose indices
     run 0, 1, 2, ...; blank and `#` lines are skipped anywhere. Returns the
-    header and one (line, index, fields) triple per record, each record
-    holding every field named in `required`."""
+    header and one (line, fields) pair per record, each record holding
+    every field named in `required`."""
     header = {}
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -179,7 +179,7 @@ def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
         missing = [name for name in required if name not in fields]
         if missing:
             raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
-        records.append((lineno, index, fields))
+        records.append((lineno, fields))
     if not records:
         raise CorpusError("file has no records", source)
     return header, records
@@ -220,16 +220,25 @@ def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> i
     return value
 
 
+def _beat(fields: dict[str, str], source: str, line: int) -> BeatEvent:
+    """The `notes` field of a record as one beat; CorpusError at the
+    record's line when the notes do not make a beat."""
+    notes = _parse_note_list(fields["notes"], source, line)
+    try:
+        return BeatEvent(notes)
+    except MusicError as exc:
+        raise CorpusError(str(exc), source, line)
+
+
 def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     header, records = _records(text, source, "beat", ("notes", "key", "roman"))
     mode = header.get("mode", "")
     if mode not in MODES:
         raise CorpusError(f"missing or invalid mode header: {mode!r}", source)
     events, keys, chords = [], [], []
-    for lineno, index, fields in records:
-        notes = _parse_note_list(fields["notes"], source, lineno)
+    for lineno, fields in records:
+        events.append(_beat(fields, source, lineno))
         try:
-            events.append(BeatEvent(index, notes))
             keys.append(KeyLabel.from_string(fields["key"]))
             chords.append(RomanChord.from_string(fields["roman"]))
         except MusicError as exc:
@@ -241,9 +250,9 @@ def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         raise CorpusError(str(exc), source)
 
 
-def _measure_event(index: int, melody_pc: int) -> BeatEvent:
+def _measure_event(melody_pc: int) -> BeatEvent:
     """A rock measure as one beat: its melody pitch class in octave 4."""
-    return BeatEvent(index, ((60 + melody_pc, PPQ),))
+    return BeatEvent(((60 + melody_pc, PPQ),))
 
 
 def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
@@ -253,10 +262,10 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     names = ("key_pc", "roman_root_pc", "melody_degree_pc")
     header, records = _records(text, source, "measure", names)
     events, keys, chords = [], [], []
-    for lineno, index, fields in records:
+    for lineno, fields in records:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
-        events.append(_measure_event(index, melody_pc))
+        events.append(_measure_event(melody_pc))
         keys.append(all_keys()[key_pc])  # majors come first
         chords.append(triadic_numeral_for_root((root_pc - key_pc) % 12))
     try:
@@ -297,17 +306,8 @@ def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """Melody-only schema: the chorale record grammar without key/roman.
     Extra annotation columns are tolerated and ignored."""
     _, records = _records(text, source, "beat", ("notes",))
-    events = []
-    for lineno, index, fields in records:
-        notes = _parse_note_list(fields["notes"], source, lineno)
-        try:
-            events.append(BeatEvent(index, notes))
-        except MusicError as exc:
-            raise CorpusError(str(exc), source, lineno)
-    try:
-        return MelodyLine(tuple(events))
-    except MusicError as exc:
-        raise CorpusError(str(exc), source)
+    return MelodyLine(tuple(_beat(fields, source, lineno)
+                            for lineno, fields in records))
 
 
 def parse_melody_file(path: str | Path) -> MelodyLine:
@@ -319,8 +319,8 @@ def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """A rock melody, one beat per measure as in `parse_rock_text`."""
     _, records = _records(text, source, "measure", ("melody_degree_pc",))
     return MelodyLine(tuple(
-        _measure_event(index, _pitch_class(fields, "melody_degree_pc", source, lineno))
-        for lineno, index, fields in records))
+        _measure_event(_pitch_class(fields, "melody_degree_pc", source, lineno))
+        for lineno, fields in records))
 
 
 def parse_rock_melody_file(path: str | Path) -> MelodyLine:
@@ -345,11 +345,3 @@ def reference_offset(chorale: AnnotatedChorale) -> int:
         raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
                           f" semitones to its reference key: {exc}")
     return offset
-
-
-def transpose_to_reference(chorale: AnnotatedChorale) -> AnnotatedChorale:
-    """Shift the whole chorale by `reference_offset`, so its opening key
-    tonic lands on C (major) or A (minor); that offset's CorpusError when
-    a note would leave the MIDI range."""
-    offset = reference_offset(chorale)
-    return chorale.transpose(offset) if offset else chorale

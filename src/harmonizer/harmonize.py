@@ -71,8 +71,9 @@ class Arrangement(NamedTuple):
 # the (bass, tenor, alto) order of enumeration and of the last tie-break
 _BASS_TENOR_ALTO = itemgetter(2, 1, 0)
 
-# per beat, the (MIDI number, ticks) notes of one voice
-VoiceLine = list[list[tuple[int, int]]]
+# per beat, the (MIDI number, ticks) notes of one voice, the form of
+# `BeatEvent.notes`
+VoiceLine = list[tuple[tuple[int, int], ...]]
 
 
 @dataclass
@@ -94,14 +95,14 @@ class Harmonization:
 
     def __post_init__(self):
         if not self.alto_line:
-            self.alto_line = [[(a.alto, PPQ)] for a in self.arrangements]
+            self.alto_line = [((a.alto, PPQ),) for a in self.arrangements]
         if not self.tenor_line:
-            self.tenor_line = [[(a.tenor, PPQ)] for a in self.arrangements]
+            self.tenor_line = [((a.tenor, PPQ),) for a in self.arrangements]
         if not self.bass_line:
-            self.bass_line = [[(a.bass, PPQ)] for a in self.arrangements]
+            self.bass_line = [((a.bass, PPQ),) for a in self.arrangements]
 
     def voice_lines(self) -> dict[str, VoiceLine]:
-        soprano = [list(ev.notes) for ev in self.soprano.events]
+        soprano = [ev.notes for ev in self.soprano.events]
         return {"soprano": soprano, "alto": self.alto_line,
                 "tenor": self.tenor_line, "bass": self.bass_line}
 
@@ -327,10 +328,9 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     note_texts: dict[tuple[tuple[int, int], ...], str] = {}
 
     def notes(beat) -> str:
-        entry = tuple(beat)
-        text = note_texts.get(entry)
+        text = note_texts.get(beat)
         if text is None:
-            text = note_texts[entry] = _format_note_list(beat)
+            text = note_texts[beat] = _format_note_list(beat)
         return text
 
     records = []

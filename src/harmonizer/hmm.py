@@ -46,6 +46,9 @@ DEFAULT_ALPHA = 0.01
 
 METHODS = ("viterbi", "posterior")
 
+# what both layers observe: a pitch class, as such or as a degree in its key
+PITCH_CLASSES = tuple(range(12))
+
 
 class HmmError(ValueError):
     pass
@@ -326,12 +329,11 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     Each layer observes what it does in `decode_key_chord`: the key layer
     each beat's melody pitch class, the chord layer that pitch against the
     beat's key. Chorale pieces are counted as if moved to their reference
-    keys (`transpose_to_reference`) without copying them: the key layer
-    sees every pitch class and key moved by the piece's `reference_offset`,
-    and the chord layer the piece as written, since a common shift leaves
-    each pitch's degree in its key unchanged. A piece that the move would
-    take out of the MIDI range raises `reference_offset`'s error, the one
-    `transpose_to_reference` raises. Rock pieces are taken as they are.
+    keys without copying them: the key layer sees every pitch class and key
+    moved by the piece's `reference_offset`, and the chord layer the piece
+    as written, since a common shift leaves each pitch's degree in its key
+    unchanged. A piece that the move would take out of the MIDI range
+    raises `reference_offset`'s error. Rock pieces are taken as they are.
     The retrogression mask defaults to on for chorale corpora and off for
     rock. Key states are the full 24-key alphabet; chord states are the
     chords observed in the corpus, sorted by their text.
@@ -339,7 +341,6 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     if mask_enabled is None:
         mask_enabled = corpus.genre == "chorale"
     key_states = all_keys()
-    pitch_classes = tuple(range(12))
     key_sequences, chord_sequences = [], []
     for ch in corpus.chorales:
         pitches = [beat.representative for beat in ch.events]
@@ -353,8 +354,8 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     chord_states = tuple(sorted(counts, key=str))
     mask = build_phrase_mask(chord_states) if mask_enabled else None
-    key_model = estimate(key_states, pitch_classes, key_sequences, alpha=alpha)
-    chord_model = estimate(chord_states, pitch_classes, chord_sequences,
+    key_model = estimate(key_states, PITCH_CLASSES, key_sequences, alpha=alpha)
+    chord_model = estimate(chord_states, PITCH_CLASSES, chord_sequences,
                            mask=mask, alpha=alpha)
     modes = {ch.mode for ch in corpus.chorales}
     mode = modes.pop() if len(modes) == 1 else "mixed"
@@ -409,43 +410,54 @@ def _stochastic(doc: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
     return value
 
 
-def _alphabet(doc: dict, layer: str, name: str, parse=lambda label: label) -> tuple:
-    """The labels of a saved alphabet, each read with `parse`; two texts
-    that read as one label are duplicates."""
-    labels = doc[name]
+def _states(doc: dict, layer: str, parse) -> tuple:
+    """The saved state labels, each read with `parse`; two texts that read
+    as one label are duplicates."""
+    labels = doc["states"]
     if (not isinstance(labels, list) or not labels
             or not all(isinstance(x, (str, int)) for x in labels)):
-        raise HmmError(f"{layer}.{name} is not a non-empty list of labels")
+        raise HmmError(f"{layer}.states is not a non-empty list of labels")
     try:
         labels = tuple(map(parse, labels))
     except MusicError as exc:
-        raise HmmError(f"{layer}.{name}: {exc}")
+        raise HmmError(f"{layer}.states: {exc}")
     if len(set(labels)) != len(labels):
-        raise HmmError(f"{layer}.{name} has duplicate labels")
+        raise HmmError(f"{layer}.states has duplicate labels")
     return labels
+
+
+def _mask(doc: dict, layer: str, S: int) -> np.ndarray:
+    """The saved mask: S by S cells, each 0, 1, false or true."""
+    value = _checked_array(doc, layer, "mask", (S, S), None)
+    # a cell that is not a bool or an int makes the array another kind
+    if value.dtype.kind not in "bi" or np.any((value != 0) & (value != 1)):
+        raise HmmError(f"{layer}.mask has a cell that is not 0, 1, false or true")
+    return value.astype(bool)
 
 
 def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     """The saved form of one model layer, checked here so that a malformed
     file fails at load time, naming the field, not inside a decode. The
-    states are the labels `state_label` reads from their text."""
+    states are the labels `state_label` reads from their text, and the
+    observations are `PITCH_CLASSES`."""
     if not isinstance(doc, dict):
         raise HmmError(f"{layer} is not an object")
-    states = _alphabet(doc, layer, "states", state_label)
-    observations = _alphabet(doc, layer, "observations")
-    S, O = len(states), len(observations)
-    mask = doc.get("mask")
+    states = _states(doc, layer, state_label)
+    observations = doc["observations"]
+    if observations != list(PITCH_CLASSES) or not all(
+            type(o) is int for o in observations):
+        raise HmmError(f"{layer}.observations is not the pitch classes 0-11 in order")
+    S, O = len(states), len(PITCH_CLASSES)
     alpha = doc["smoothing_alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise HmmError(f"{layer}.smoothing_alpha is not a number")
     return HmmModel(
         states=states,
-        observations=observations,
+        observations=PITCH_CLASSES,
         transition=_stochastic(doc, layer, "transition", (S, S)),
         emission=_stochastic(doc, layer, "emission", (S, O)),
         initial=_stochastic(doc, layer, "initial", (S,)),
-        mask=None if mask is None else _checked_array(doc, layer, "mask",
-                                                      (S, S), bool),
+        mask=None if doc.get("mask") is None else _mask(doc, layer, S),
         smoothing_alpha=float(alpha),
     )
 

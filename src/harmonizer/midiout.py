@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BEATS_PER_BAR, PPQ, functional_group
+from .core import BEATS_PER_BAR, PPQ, check_midi_pitch, functional_group
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
 from .rock import AccompanimentScore
@@ -64,7 +64,8 @@ def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
 
 def _note_events(notes: list[tuple[int, int, int]], channel: int):
     """(onset_tick, duration_tick, pitch) triples to on/off event tuples;
-    ValueError when a duration is not a positive whole number of ticks."""
+    ValueError when a duration is not a positive whole number of ticks,
+    and `check_midi_pitch`'s error for a pitch outside 0-127."""
     payloads = {}           # one (on, off) pair per distinct pitch
     events = []
     for onset, duration, pitch in notes:
@@ -73,8 +74,7 @@ def _note_events(notes: list[tuple[int, int, int]], channel: int):
                              f" of ticks: {duration!r}")
         pair = payloads.get(pitch)
         if pair is None:
-            if not 0 <= pitch <= 127:
-                raise ValueError(f"pitch out of MIDI range: {pitch}")
+            check_midi_pitch(pitch)
             pair = payloads[pitch] = (bytes([0x90 | channel, pitch, VELOCITY]),
                                       bytes([0x80 | channel, pitch, 0]))
         events.append((onset, 1, pair[0]))
@@ -98,8 +98,8 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
     out = []
     for name in ("soprano", "alto", "tenor", "bass"):
         notes = []
-        for beat_index, beat in enumerate(voices[name]):
-            cursor = beat_index * PPQ
+        for t, beat in enumerate(voices[name]):
+            cursor = t * PPQ
             for pitch, duration in beat:
                 notes.append((cursor, duration, pitch))
                 cursor += duration

@@ -113,8 +113,7 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     # and at or above the voice below
     stacks = [(ev.representative, *a, 0)
               for ev, a in zip(h.soprano.events, h.arrangements)]
-    lines = [[list(beat) for beat in line]
-             for line in (h.alto_line, h.tenor_line, h.bass_line)]
+    lines = [list(line) for line in (h.alto_line, h.tenor_line, h.bass_line)]
     half = PPQ // 2
 
     for v, (lo, hi) in enumerate((ALTO_RANGE, TENOR_RANGE, BASS_RANGE), start=1):
@@ -133,21 +132,21 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
                 mid = passing_tones[step]
                 if mid is not None and floor <= mid <= ceiling:
                     if rng.random() < cfg.p_passing:
-                        line[t] = [(cur, half), (mid, half)]
+                        line[t] = ((cur, half), (mid, half))
                         continue
             # auxiliary tone decorating a repeated pitch
             if nxt is not None and nxt == cur:
                 neighbor = _upper_scale_tone(cur, scales[t])
                 if neighbor is not None and floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_auxiliary:
-                        line[t] = [(cur, half), (neighbor, half)]
+                        line[t] = ((cur, half), (neighbor, half))
                         continue
             # appoggiatura leaning onto a strong beat
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 neighbor = _upper_scale_tone(cur, scales[t])
                 if neighbor is not None and floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_appoggiatura:
-                        line[t] = [(neighbor, half), (cur, half)]
+                        line[t] = ((neighbor, half), (cur, half))
 
     alto, tenor, bass = lines
     return replace(h, alto_line=alto, tenor_line=tenor, bass_line=bass)

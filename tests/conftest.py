@@ -9,7 +9,7 @@ from harmonizer.corpus import (
     Corpus,
     parse_corpus,
     parse_melody_file,
-    transpose_to_reference,
+    reference_offset,
 )
 from harmonizer.hmm import train_key_chord_models
 
@@ -30,7 +30,7 @@ def chorale_corpus():
 @pytest.fixture(scope="session")
 def major_corpus(chorale_corpus):
     major = chorale_corpus.select_mode("major")
-    return Corpus(tuple(transpose_to_reference(ch) for ch in major.chorales),
+    return Corpus(tuple(ch.transpose(reference_offset(ch)) for ch in major.chorales),
                   "chorale")
 
 

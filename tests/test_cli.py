@@ -388,6 +388,12 @@ def _duplicate_state(doc):
     states[1] = states[0]
 
 
+def _set_observations(layer, labels):
+    def damage(doc):
+        doc[layer]["observations"] = labels
+    return damage
+
+
 def _set_count(label):
     def damage(doc):
         doc["chord_counts"][label] = 1
@@ -436,6 +442,19 @@ def _set_count(label):
     (_set_state("key_model", ""), "key_model.states"),
     (_set_state("key_model", 5), "key_model.states"),
     (_set_state("chord_model", "X"), "chord_model.states"),
+    # observations other than the ints 0-11, which the decode looks up
+    (_set_observations("key_model", [str(pc) for pc in range(12)]),
+     "key_model.observations is not the pitch classes 0-11 in order"),
+    (_set_observations("chord_model", list(range(11))), "chord_model.observations"),
+    (_set_observations("chord_model", list(range(1, 13))), "chord_model.observations"),
+    (_set_observations("chord_model", [float(pc) for pc in range(12)]),
+     "chord_model.observations"),
+    # mask cells other than 0, 1, false and true
+    (_set_cell("chord_model", "mask", 0, 1, "x"),
+     "chord_model.mask has a cell that is not 0, 1, false or true"),
+    (_set_cell("chord_model", "mask", 0, 1, 0.5), "chord_model.mask has a cell"),
+    (_set_cell("chord_model", "mask", 0, 1, 2), "chord_model.mask has a cell"),
+    (_set_cell("chord_model", "mask", 0, 1, None), "chord_model.mask has a cell"),
 ], ids=["key-layer-null", "chord-layer-list", "transition-row-cut",
         "transition-ragged", "emission-column-cut", "initial-short",
         "states-short", "transition-nan", "emission-inf", "transition-negative",
@@ -446,7 +465,9 @@ def _set_count(label):
         "ornament-rates-int", "ornament-rate-str", "ornament-rate-misspelt",
         "version-2", "version-str", "version-null", "version-true",
         "version-float", "version-missing", "genre-int", "mode-unknown",
-        "key-state-empty", "key-state-int", "chord-state-not-roman"])
+        "key-state-empty", "key-state-int", "chord-state-not-roman",
+        "observations-text", "observations-short", "observations-shifted",
+        "observations-float", "mask-text", "mask-half", "mask-two", "mask-null"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
                                  damage, field):
     doc = json.loads(trained_model.read_text())
@@ -597,6 +618,88 @@ def test_out_of_range_melody_pitch_exits_2(capsys, tmp_path, trained_model):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {melody}:2: ")
     assert "MIDI pitch out of range 0-127: 130" in err
+
+
+def _input_error_case(case, tmp_path, model, data_dir):
+    """(argv, the error text) for one bad input the other tests do not reach."""
+    melody = data_dir / "melodies" / "m01.txt"
+    harmonize = ["harmonize", "--model", str(model), "--melody", str(melody)]
+    if case == "model-list":
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        return (["harmonize", "--model", str(bad), "--melody", str(melody)],
+                f"{bad}: not a model file")
+    if case == "override-empty":
+        bad = tmp_path / "empty.csv"
+        bad.write_text("")
+        return (["override", "--model", str(model), "--transitions", str(bad),
+                  "--layer", "chord", "--out", str(tmp_path / "o.json")],
+                f"{bad}: empty matrix file")
+    if case == "melody-header-only":
+        bad = tmp_path / "header.txt"
+        bad.write_text("id: m\n# no beats follow\n")
+        return ["harmonize", "--model", str(model), "--melody", str(bad)], \
+            f"{bad}: file has no records"
+    if case == "melody-empty-notes":
+        bad = tmp_path / "comma.txt"
+        bad.write_text("0 | notes=72:1\n1 | notes=,\n")
+        return ["harmonize", "--model", str(model), "--melody", str(bad)], \
+            f"{bad}:2: empty note list"
+    if case == "melody-short-beat":
+        bad = tmp_path / "m.txt"
+        bad.write_text("0 | notes=72:0.5\n")
+        return ["harmonize", "--model", str(model), "--melody", str(bad)], \
+            f"{bad}:1: beat durations sum to 240 ticks (0.5 beats), expected 480"
+    if case == "corpus-is-a-file":
+        corpus = data_dir / "chorales" / "fixture-01.txt"
+        return (["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json")],
+                f"not a directory: {corpus}")
+    if case == "corpus-lacks-mode":
+        corpus = tmp_path / "major-only"
+        corpus.mkdir()
+        (corpus / "a.txt").write_bytes(
+            (data_dir / "chorales" / "fixture-01.txt").read_bytes())
+        return (["train", "--corpus", str(corpus), "--mode", "minor",
+                 "--out", str(tmp_path / "m.json")],
+                f"no minor-mode chorales in {corpus}")
+    if case == "tempo":
+        return [*harmonize, "--tempo", "10"], "tempo out of range: 10"
+    config = tmp_path / "run.json"
+    name, value = {"config-method": ("method", "foo"),
+                   "config-pattern": ("pattern", "x")}[case]
+    config.write_text(json.dumps({name: value}))
+    return [*harmonize, "--config", str(config)], f"unknown {name}: {value!r}"
+
+
+@pytest.mark.parametrize("case", [
+    "model-list", "override-empty", "melody-header-only", "melody-empty-notes",
+    "melody-short-beat", "corpus-is-a-file", "corpus-lacks-mode", "tempo",
+    "config-method", "config-pattern"])
+def test_input_error_exits_2_with_its_message(capsys, tmp_path, trained_model,
+                                              data_dir, case):
+    argv, message = _input_error_case(case, tmp_path, trained_model, data_dir)
+    capsys.readouterr()
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "o.json").exists()
+
+
+def test_blank_and_comment_lines_in_a_melody_are_skipped(tmp_path, trained_model,
+                                                         data_dir):
+    plain = data_dir / "melodies" / "m01.txt"
+    lines = plain.read_text().splitlines()
+    commented = tmp_path / "m01.txt"
+    commented.write_text("\n".join(["# a comment before the header", "", lines[0],
+                                    "   ", *lines[1:3], "  # between beats",
+                                    "", *lines[3:], "#"]) + "\n")
+    outputs = []
+    for melody in (plain, commented):
+        score = tmp_path / f"{melody.parent.name}.score"
+        assert main(["harmonize", "--model", str(trained_model), "--melody",
+                     str(melody), "--out-score", str(score)]) == 0
+        outputs.append(score.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_transposition_past_127_exits_2(capsys, tmp_path):

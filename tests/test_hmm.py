@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from harmonizer.core import (
     RomanChord,
     transposed_degree,
 )
-from harmonizer.corpus import Corpus, transpose_to_reference
+from harmonizer.corpus import Corpus, reference_offset
 from harmonizer.hmm import (
     MASK_EPSILON,
     AlphabetError,
@@ -82,8 +84,7 @@ def awkward_model(rng, n_states, n_obs) -> HmmModel:
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
-                            for i, m in enumerate(pitches)))
+    return MelodyLine(tuple(BeatEvent(((m, PPQ),)) for m in pitches))
 
 
 # --- estimation -----------------------------------------------------------
@@ -145,8 +146,8 @@ def test_training_moves_chorales_to_their_reference_keys(tmp_path, chorale_corpu
     raw = chorale_corpus.select_mode(mode)
     for s in range(-6, 6):
         shifted = Corpus(tuple(ch.transpose(s) for ch in raw.chorales), "chorale")
-        moved = Corpus(tuple(map(transpose_to_reference, shifted.chorales)),
-                       "chorale")
+        moved = Corpus(tuple(ch.transpose(reference_offset(ch))
+                             for ch in shifted.chorales), "chorale")
         assert moved != shifted
         texts = [save_bundle(train_key_chord_models(corpus),
                              tmp_path / f"{name}.json").read_text()
@@ -547,6 +548,18 @@ def test_decoders_return_the_model_states(tmp_path, major_bundle,
                                   (ann.chords, bundle.chord_model)):
                 index = model.state_index()
                 assert all(model.states[index[x]] is x for x in labels)
+
+
+def test_mask_cells_may_be_bools(tmp_path, major_bundle):
+    # true and false read as 1 and 0 do
+    path = save_bundle(major_bundle, tmp_path / "model.json")
+    doc = json.loads(path.read_text())
+    doc["chord_model"]["mask"] = [[bool(cell) for cell in row]
+                                  for row in doc["chord_model"]["mask"]]
+    (tmp_path / "bools.json").write_text(json.dumps(doc))
+    mask = load_bundle(tmp_path / "bools.json").chord_model.mask
+    assert mask.dtype == bool
+    assert np.array_equal(mask, major_bundle.chord_model.mask)
 
 
 def test_posterior_method_runs_both_stages(major_bundle, fixture_melodies):

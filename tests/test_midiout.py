@@ -30,8 +30,7 @@ from smf_reader import read_midi
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
-                            for i, m in enumerate(pitches)))
+    return MelodyLine(tuple(BeatEvent(((m, PPQ),)) for m in pitches))
 
 
 def tiny_harmonization(n=1) -> Harmonization:
@@ -115,7 +114,7 @@ def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
 
 def test_write_rejects_bad_pitch(tmp_path):
     h = tiny_harmonization()
-    h.alto_line = [[(64, PPQ)]]
+    h.alto_line = [((64, PPQ),)]
     h.arrangements[0] = Arrangement(64, 55, 48)
     score = tiny_accompaniment()
     score.bass_track[0] = [(0, PPQ, 400)]
@@ -177,7 +176,7 @@ def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
 
 
 def test_pitch_check_fires_after_valid_pitches(tmp_path):
-    with pytest.raises(ValueError, match="pitch out of MIDI range: 128"):
+    with pytest.raises(ValueError, match="^MIDI pitch out of range 0-127: 128$"):
         _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
     score = tiny_accompaniment()
@@ -200,10 +199,10 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
     pitch = ornamented.alto_line[-1][0][0]
     # durations are int ticks; the writer takes nothing else, not even a
     # whole float, and reports the value
-    for beat, shown in (([(pitch, 480 / 7), (pitch, 2880 / 7)], "68.57"),
-                        ([(pitch, 240.0), (pitch, 240.0)], "240.0"),
-                        ([(pitch, 0), (pitch, PPQ)], "0$"),
-                        ([(pitch, True), (pitch, 479)], "True")):
+    for beat, shown in ((((pitch, 480 / 7), (pitch, 2880 / 7)), "68.57"),
+                        (((pitch, 240.0), (pitch, 240.0)), "240.0"),
+                        (((pitch, 0), (pitch, PPQ)), "0$"),
+                        (((pitch, True), (pitch, 479)), "True")):
         ornamented.alto_line[-1] = beat
         with pytest.raises(ValueError, match="not a positive whole number of"
                            f" ticks: {shown}"):

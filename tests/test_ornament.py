@@ -26,8 +26,7 @@ C = KeyLabel(0, MAJOR)
 
 
 def melody_from_midi(pitches) -> MelodyLine:
-    return MelodyLine(tuple(BeatEvent(i, ((m, PPQ),))
-                            for i, m in enumerate(pitches)))
+    return MelodyLine(tuple(BeatEvent(((m, PPQ),)) for m in pitches))
 
 
 def plain_harmonization(soprano, triples) -> Harmonization:
@@ -60,8 +59,8 @@ def test_passing_tone_fills_a_third():
     cfg = OrnamentConfig(p_passing=1.0, p_auxiliary=0.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.tenor_line[0] == [(55, 240), (57, 240)]
-    assert out.tenor_line[1] == [(59, PPQ)]
+    assert out.tenor_line[0] == ((55, 240), (57, 240))
+    assert out.tenor_line[1] == ((59, PPQ),)
 
 
 def test_auxiliary_decorates_repeated_pitch():
@@ -70,7 +69,7 @@ def test_auxiliary_decorates_repeated_pitch():
     cfg = OrnamentConfig(p_passing=0.0, p_auxiliary=1.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.alto_line[0] == [(64, 240), (65, 240)]
+    assert out.alto_line[0] == ((64, 240), (65, 240))
 
 
 def test_appoggiatura_leans_on_strong_beat():
@@ -79,7 +78,7 @@ def test_appoggiatura_leans_on_strong_beat():
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
     # beat 0 is strong: the alto G gets an A leaning onto it
-    assert out.alto_line[0] == [(69, 240), (67, 240)]
+    assert out.alto_line[0] == ((69, 240), (67, 240))
 
 
 def test_soprano_is_never_touched():
@@ -119,9 +118,9 @@ def test_out_of_order_insertions_are_skipped():
     cfg = OrnamentConfig(p_passing=0.0, p_auxiliary=1.0, p_appoggiatura=0.0,
                          rng_seed=1)
     out = insert_ornaments(h, cfg)
-    assert out.tenor_line[0] == [(64, PPQ)]
+    assert out.tenor_line[0] == ((64, PPQ),)
     # the alto itself can still take its neighbour (soprano is far above)
-    assert out.alto_line[0] == [(64, 240), (65, 240)]
+    assert out.alto_line[0] == ((64, 240), (65, 240))
 
 
 def test_diatonic_helpers():
