@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .core import MODES, MusicError
+from .core import MODES, MelodyLine, MusicError
 from .corpus import (
     GENRES,
     CorpusError,
@@ -46,7 +46,7 @@ from .hmm import (
 )
 from .midiout import export_functional_summary, export_matrices, write_midi
 from .ornament import OrnamentConfig, estimate_ornament_rates, insert_ornaments
-from .rock import PATTERNS, harmonize_rock, to_progression_document
+from .rock import PATTERNS, harmonize_rock
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,26 +100,26 @@ def _type_ok(value, hint) -> bool:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Flags win over config-file values, which win over defaults. The
-    config file is a JSON object whose keys are RunConfig fields."""
-    names = list(_RUN_CONFIG_TYPES)
+    config file is a JSON object whose keys are RunConfig fields; its
+    values are checked as a RunConfig of their own, so an error in one
+    names the file even when a flag replaces it."""
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = read_json(config_path)
         if not isinstance(file_values, dict):
             raise MusicError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(file_values.keys() - set(names))
+        unknown = sorted(file_values.keys() - set(_RUN_CONFIG_TYPES))
         if unknown:
             raise MusicError(f"{config_path}: unknown config keys {unknown};"
-                             f" accepted: {names}")
-    values = {}
-    for name in names:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-        elif name in file_values:
-            values[name] = file_values[name]
-    return RunConfig(**values)
+                             f" accepted: {list(_RUN_CONFIG_TYPES)}")
+        try:
+            RunConfig(**file_values)
+        except MusicError as exc:
+            raise MusicError(f"{config_path}: {exc}")
+    flags = {name: value for name, value in vars(args).items()
+             if name in _RUN_CONFIG_TYPES and value is not None}
+    return RunConfig(**(file_values | flags))
 
 
 def _on_off(text: str) -> bool:
@@ -146,9 +146,8 @@ def cmd_train(args) -> int:
         corpus = corpus.select_mode(args.mode)
         if not corpus.chorales:
             raise CorpusError(f"no {args.mode}-mode chorales in {args.corpus}")
-    mask_enabled = None if not args.no_mask else False
-    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-    bundle = train_key_chord_models(corpus, mask_enabled=mask_enabled, alpha=alpha)
+    bundle = train_key_chord_models(corpus, alpha=args.alpha,
+                                    mask_enabled=False if args.no_mask else None)
     if args.genre == "chorale":
         bundle.ornament_rates = estimate_ornament_rates(corpus).as_dict()
     save_bundle(bundle, args.out)
@@ -178,51 +177,50 @@ def _warn_masked_transitions(chord_model, chords) -> None:
         print(f"# warning: masked transition {a} -> {b} at beat {t}")
 
 
+def _read_melody(bundle: ModelBundle, path: str) -> MelodyLine:
+    """The melody file, read with the reader of the model's genre."""
+    parse = parse_rock_melody_file if bundle.genre == "rock" else parse_melody_file
+    return parse(path)
+
+
 def cmd_harmonize(args) -> int:
     cfg = _merge_config(args)
     bundle = load_bundle(args.model)
     started = time.perf_counter()
+    melody = _read_melody(bundle, args.melody)
     if bundle.genre == "rock":
-        annotation, score = harmonize_rock(
-            bundle.key_model, bundle.chord_model,
-            parse_rock_melody_file(args.melody), cfg.method, cfg.pattern, cfg.drums)
-        if args.out_midi:
-            write_midi(score, args.out_midi, tempo_bpm=cfg.tempo_bpm)
-        if args.out_score:
-            Path(args.out_score).write_text(to_progression_document(annotation))
-        elapsed = time.perf_counter() - started
-        print(f"harmonized {len(annotation)} measures")
-        _warn_masked_transitions(bundle.chord_model, annotation.chords)
-        print(f"harmonization time: {elapsed:.3f}s")
-        return EXIT_OK
-    melody = parse_melody_file(args.melody)
-    harmonization = harmonize_melody(bundle.key_model, bundle.chord_model, melody,
-                                     cfg.method, max_seeds=cfg.max_seeds)
-    if cfg.ornaments:
-        harmonization = insert_ornaments(harmonization,
-                                         _ornament_config(cfg, bundle))
-    if args.out_midi:
-        write_midi(harmonization, args.out_midi, tempo_bpm=cfg.tempo_bpm)
-    if args.out_score:
-        Path(args.out_score).write_text(
-            to_score_document(harmonization, title=Path(args.melody).stem))
-    elapsed = time.perf_counter() - started
-    print(f"penalty: {harmonization.penalty}")
-    if harmonization.violation_log:
-        for v in harmonization.violation_log:
-            print(f"  beat {v.beat_index}: {v.rule} (weight {v.weight})")
+        annotation, score = harmonize_rock(bundle.key_model, bundle.chord_model,
+                                           melody, cfg.method, cfg.pattern, cfg.drums)
+        report = [f"harmonized {len(annotation)} measures"]
+        score_text = functools.partial(format_progression, annotation, "rock",
+                                       (("id", "rock-harmonization"),))
     else:
-        print("  no violations")
-    _warn_masked_transitions(bundle.chord_model, harmonization.annotation.chords)
+        score = harmonize_melody(bundle.key_model, bundle.chord_model, melody,
+                                 cfg.method, max_seeds=cfg.max_seeds)
+        if cfg.ornaments:
+            score = insert_ornaments(score, _ornament_config(cfg, bundle))
+        annotation = score.annotation
+        report = [f"penalty: {score.penalty}"]
+        report += [f"  beat {v.beat_index}: {v.rule} (weight {v.weight})"
+                   for v in score.violation_log] or ["  no violations"]
+        score_text = functools.partial(to_score_document, score,
+                                       title=Path(args.melody).stem)
+    if args.out_midi:
+        write_midi(score, args.out_midi, tempo_bpm=cfg.tempo_bpm)
+    if args.out_score:
+        Path(args.out_score).write_text(score_text())
+    elapsed = time.perf_counter() - started
+    print("\n".join(report))
+    _warn_masked_transitions(bundle.chord_model, annotation.chords)
     print(f"harmonization time: {elapsed:.3f}s")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
+    cfg = _merge_config(args)
     bundle = load_bundle(args.model)
-    parse = parse_rock_melody_file if bundle.genre == "rock" else parse_melody_file
     annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
-                                  parse(args.melody), args.method or "viterbi")
+                                  _read_melody(bundle, args.melody), cfg.method)
     print(format_progression(annotation, bundle.genre), end="")
     _warn_masked_transitions(bundle.chord_model, annotation.chords)
     return EXIT_OK
@@ -265,7 +263,7 @@ def _new_parser() -> argparse.ArgumentParser:
     p.add_argument("--genre", choices=GENRES, default="chorale")
     p.add_argument("--mode", choices=MODES, default="major")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--alpha", type=_smoothing_alpha, default=None,
+    p.add_argument("--alpha", type=_smoothing_alpha, default=DEFAULT_ALPHA,
                    help="smoothing strength")
     p.add_argument("--no-mask", action="store_true",
                    help="disable the retrogression mask")

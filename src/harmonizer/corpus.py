@@ -50,14 +50,10 @@ GENRES = ("chorale", "rock")
 
 
 class CorpusError(ValueError):
-    """An input file problem, carrying file and line diagnostics."""
+    """An input file problem, its message prefixed with the file and line."""
 
     def __init__(self, message: str, source: str = "", line: int | None = None):
-        self.source = source
-        self.line = line
-        where = source
-        if line is not None:
-            where = f"{source}:{line}"
+        where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}" if where else message)
 
 
@@ -94,9 +90,9 @@ class AnnotatedChorale:
         if self.mode not in MODES:
             raise MusicError(f"unknown mode: {self.mode!r}")
         if len(self.events) < 2:
-            raise MusicError(f"chorale {self.id!r} has fewer than 2 events")
+            raise MusicError(f"piece {self.id!r} has fewer than 2 events")
         if len(self.events) != len(self.annotation):
-            raise MusicError(f"chorale {self.id!r} has {len(self.events)} beats"
+            raise MusicError(f"piece {self.id!r} has {len(self.events)} beats"
                              f" but {len(self.annotation)} labels")
 
     def transpose(self, semitones: int) -> "AnnotatedChorale":

@@ -48,7 +48,6 @@ OCTAVE_LEAP_LIMIT = 12   # semitones, any generated voice
 class InfeasibleHarmonizationError(ValueError):
     def __init__(self, beat_index: int, chord: str | None = None):
         self.beat_index = beat_index
-        self.chord = chord
         detail = f" for chord {chord}" if chord else ""
         super().__init__(f"no feasible arrangement at beat {beat_index}{detail}")
 

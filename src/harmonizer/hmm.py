@@ -451,6 +451,9 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     alpha = doc["smoothing_alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise HmmError(f"{layer}.smoothing_alpha is not a number")
+    if not 0 <= alpha < math.inf:
+        raise HmmError(f"{layer}.smoothing_alpha must be finite and"
+                       f" non-negative: {alpha}")
     return HmmModel(
         states=states,
         observations=PITCH_CLASSES,

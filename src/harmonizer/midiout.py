@@ -107,15 +107,15 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
     return out
 
 
-def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int, list]]:
-    """(name, channel, notes) per instrument track, melody first;
+def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[int, list]]:
+    """(channel, notes) per instrument track, melody first;
     ValueError when an onset is not a whole number of ticks inside its
     measure."""
     measure_ticks = BEATS_PER_BAR * PPQ
     tracks = []
-    layout = [("melody", 0, score.melody_track), ("bass", 1, score.bass_track),
-              ("keys", 2, score.keys_track), ("drums", DRUM_CHANNEL, score.drum_track)]
-    for name, channel, measures in layout:
+    layout = [(0, score.melody_track), (1, score.bass_track),
+              (2, score.keys_track), (DRUM_CHANNEL, score.drum_track)]
+    for channel, measures in layout:
         if not measures or all(not m for m in measures):
             continue
         notes = []
@@ -125,7 +125,7 @@ def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[str, int,
                     raise ValueError(f"note onset is not a whole number of ticks"
                                      f" in [0, {measure_ticks}): {onset!r}")
                 notes.append((i * measure_ticks + onset, duration, pitch))
-        tracks.append((name, channel, notes))
+        tracks.append((channel, notes))
     return tracks
 
 
@@ -141,7 +141,7 @@ def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
     elif isinstance(score, AccompanimentScore):
         tempo = tempo_bpm or ROCK_TEMPO
         tracks = [_note_events(notes, channel)
-                  for _, channel, notes in _accompaniment_note_lists(score)]
+                  for channel, notes in _accompaniment_note_lists(score)]
     else:
         raise TypeError(f"cannot write {type(score).__name__} as MIDI")
     chunks = [_track_chunk(_meta_track(tempo))]

@@ -23,7 +23,6 @@ from .core import (
     ProgressionAnnotation,
     chord_tone_pcs,
 )
-from .corpus import format_progression
 from .hmm import HmmModel, decode_key_chord
 
 EIGHTH = PPQ // 2
@@ -99,8 +98,3 @@ def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
         melody_track.append([(0, BEATS_PER_BAR * PPQ, event.representative)])
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)
-
-
-def to_progression_document(annotation: ProgressionAnnotation,
-                            title: str = "rock-harmonization") -> str:
-    return format_progression(annotation, "rock", (("id", title),))

@@ -141,6 +141,22 @@ def test_analyze_matches_harmonize_annotation(capsys, tmp_path, trained_model,
         assert f"roman={fields['roman']}" in scored
 
 
+@pytest.mark.parametrize("genre", ["chorale", "rock"])
+def test_analyze_decodes_with_viterbi_by_default(capsys, tmp_path, trained_model,
+                                                 trained_rock_model, data_dir, genre):
+    model, melody = trained_model, data_dir / "melodies" / "m01.txt"
+    if genre == "rock":
+        model, melody = trained_rock_model, tmp_path / "tune.txt"
+        melody.write_text("".join(f"{i} | melody_degree_pc={pc}\n"
+                                  for i, pc in enumerate([0, 4, 7, 5, 9, 0, 7, 0])))
+    printed = []
+    for extra in ([], ["--method", "viterbi"]):
+        assert main(["analyze", "--model", str(model), "--melody", str(melody),
+                     *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 def test_config_file_with_flag_precedence(tmp_path, trained_model, data_dir):
     melody = data_dir / "melodies" / "m04.txt"
     config = tmp_path / "run.json"
@@ -306,6 +322,33 @@ def test_invalid_config_file_exits_2(capsys, tmp_path, trained_model, data_dir,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("document,flag", [
+    ({"max_seeds": "3"}, ["--max-seeds", "3"]),
+    ({"method": "foo"}, ["--method", "viterbi"]),
+    ({"pattern": "x"}, ["--pattern", "block"]),
+    ({"max_seeds": 0}, ["--max-seeds", "3"]),
+    ({"tempo_bpm": 10}, ["--tempo", "120"]),
+    ({"p_passing": 5}, ["--p-passing", "0.5"]),
+    ({"p_auxiliary": -0.5}, ["--p-auxiliary", "0.5"]),
+    ({"p_appoggiatura": 1.5}, ["--p-appoggiatura", "0.5"]),
+], ids=["type", "method", "pattern", "max_seeds", "tempo", "p_passing",
+        "p_auxiliary", "p_appoggiatura"])
+@pytest.mark.parametrize("replaced", [False, True], ids=["alone", "flag-given"])
+def test_bad_config_value_exits_2_naming_the_file(
+        capsys, tmp_path, trained_model, data_dir, document, flag, replaced):
+    # a file is checked whole, as its unknown keys are, whatever the flags say
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "m.mid"
+    code = main(["harmonize", "--model", str(trained_model),
+                 "--melody", str(data_dir / "melodies" / "m01.txt"),
+                 "--config", str(config), *(flag if replaced else []),
+                 "--out-midi", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra,message", [
     (["--p-passing", "5"], "p_passing must be in [0, 1]: 5.0"),
     (["--p-auxiliary", "-0.5"], "p_auxiliary must be in [0, 1]: -0.5"),
@@ -320,6 +363,7 @@ def test_ornament_rate_out_of_range_exits_2_with_ornaments_off(
         config = tmp_path / "run.json"
         config.write_text(json.dumps(extra))
         extra = ["--config", str(config)]
+        message = f"{config}: {message}"
     code = main(["harmonize", "--model", str(trained_model),
                  "--melody", str(data_dir / "melodies" / "m01.txt"), *extra])
     assert code == 2
@@ -423,6 +467,12 @@ def _set_count(label):
     (lambda doc: doc["chord_model"].update(states=[]), "chord_model.states"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=None),
      "key_model.smoothing_alpha"),
+    (lambda doc: doc["key_model"].update(smoothing_alpha=float("nan")),
+     "key_model.smoothing_alpha must be finite and non-negative: nan"),
+    (lambda doc: doc["chord_model"].update(smoothing_alpha=float("inf")),
+     "chord_model.smoothing_alpha must be finite and non-negative: inf"),
+    (lambda doc: doc["key_model"].update(smoothing_alpha=-5),
+     "key_model.smoothing_alpha must be finite and non-negative: -5"),
     (lambda doc: doc.update(chord_counts=5), "chord_counts"),
     (_set_count("X"), "chord_counts: unparseable Roman numeral: 'X'"),
     (_set_count("I63"), "chord_counts has duplicate labels"),
@@ -460,7 +510,8 @@ def _set_count(label):
         "states-short", "transition-nan", "emission-inf", "transition-negative",
         "emission-row-sum", "transition-string-cell", "mask-row-cut",
         "duplicate-state", "respelled-I", "respelled-I6", "no-states",
-        "alpha-null", "chord-counts-int", "chord-count-not-roman",
+        "alpha-null", "alpha-nan", "alpha-infinity", "alpha-negative",
+        "chord-counts-int", "chord-count-not-roman",
         "chord-count-respelled-I6", "chord-count-not-a-state",
         "ornament-rates-int", "ornament-rate-str", "ornament-rate-misspelt",
         "version-2", "version-str", "version-null", "version-true",
@@ -668,7 +719,7 @@ def _input_error_case(case, tmp_path, model, data_dir):
     name, value = {"config-method": ("method", "foo"),
                    "config-pattern": ("pattern", "x")}[case]
     config.write_text(json.dumps({name: value}))
-    return [*harmonize, "--config", str(config)], f"unknown {name}: {value!r}"
+    return [*harmonize, "--config", str(config)], f"{config}: unknown {name}: {value!r}"
 
 
 @pytest.mark.parametrize("case", [
@@ -753,6 +804,22 @@ def test_empty_key_in_corpus_exits_2(capsys, tmp_path):
     _assert_input_error(capsys, main(["train", "--corpus", str(corpus),
                                       "--out", str(tmp_path / "m.json")]),
                         f"{piece}:4: unknown key label")
+
+
+@pytest.mark.parametrize("genre,record", [
+    ("chorale", "0 | notes=72:1 | key=C | roman=I"),
+    ("rock", "0 | key_pc=0 | roman_root_pc=0 | melody_degree_pc=4"),
+], ids=["chorale", "rock"])
+def test_one_record_corpus_file_exits_2(capsys, tmp_path, genre, record):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    piece = corpus / "a.txt"
+    piece.write_text(f"id: r\nmode: major\n{record}\n")
+    out = tmp_path / "m.json"
+    _assert_input_error(capsys, main(["train", "--corpus", str(corpus), "--genre",
+                                      genre, "--out", str(out)]),
+                        f"{piece}: piece 'r' has fewer than 2 events")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("record,message", [

@@ -11,14 +11,14 @@ from harmonizer.core import (
     ProgressionAnnotation,
     RomanChord,
 )
-from harmonizer.corpus import CorpusError, parse_rock_melody_text, parse_rock_text
-from harmonizer.hmm import METHODS, decode_key_chord
-from harmonizer.rock import (
-    PATTERNS,
-    harmonize_rock,
-    render_accompaniment,
-    to_progression_document,
+from harmonizer.corpus import (
+    CorpusError,
+    format_progression,
+    parse_rock_melody_text,
+    parse_rock_text,
 )
+from harmonizer.hmm import METHODS, decode_key_chord
+from harmonizer.rock import PATTERNS, harmonize_rock, render_accompaniment
 
 from oracles import brute_force_viterbi
 
@@ -193,7 +193,7 @@ def test_render_rejects_bad_input():
 
 def test_progression_document():
     annotation = ProgressionAnnotation((C, KeyLabel.from_string("G")), (I, V))
-    doc = to_progression_document(annotation, title="t")
+    doc = format_progression(annotation, "rock", (("id", "t"),))
     assert doc.splitlines() == ["id: t", "0 | key_pc=0 | roman=I",
                                 "1 | key_pc=7 | roman=V"]
 
