@@ -64,7 +64,6 @@ class RunConfig:
     p_auxiliary: float | None = None
     p_appoggiatura: float | None = None
     rng_seed: int = 0
-    max_seeds: int | None = None
     tempo_bpm: int | None = None
     pattern: str = "arpeggio"
     drums: bool = True
@@ -77,8 +76,6 @@ class RunConfig:
             raise MusicError(f"unknown method: {self.method!r}")
         if self.pattern not in PATTERNS:
             raise MusicError(f"unknown pattern: {self.pattern!r}")
-        if self.max_seeds is not None and self.max_seeds < 1:
-            raise MusicError(f"max_seeds must be positive: {self.max_seeds}")
         if self.tempo_bpm is not None and not 20 <= self.tempo_bpm <= 400:
             raise MusicError(f"tempo out of range: {self.tempo_bpm}")
         # the rates given are checked whether or not ornaments are on
@@ -195,8 +192,7 @@ def cmd_harmonize(args) -> int:
         score_text = functools.partial(format_progression, annotation, "rock",
                                        (("id", "rock-harmonization"),))
     else:
-        score = harmonize_melody(bundle.key_model, bundle.chord_model, melody,
-                                 cfg.method, max_seeds=cfg.max_seeds)
+        score = harmonize_melody(bundle.key_model, bundle.chord_model, melody, cfg.method)
         if cfg.ornaments:
             score = insert_ornaments(score, _ornament_config(cfg, bundle))
         annotation = score.annotation
@@ -277,7 +273,6 @@ def _new_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-auxiliary", dest="p_auxiliary", type=float, default=None)
     p.add_argument("--p-appoggiatura", dest="p_appoggiatura", type=float, default=None)
     p.add_argument("--seed", dest="rng_seed", type=int, default=None)
-    p.add_argument("--max-seeds", dest="max_seeds", type=int, default=None)
     p.add_argument("--tempo", dest="tempo_bpm", type=int, default=None)
     p.add_argument("--pattern", choices=PATTERNS, default=None)
     p.add_argument("--drums", type=_on_off, default=None, metavar="on|off")

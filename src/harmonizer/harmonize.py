@@ -217,11 +217,11 @@ def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
                                     _BASS_TENOR_ALTO(candidates[i])))
 
 
-def chain_arrangements(candidates_per_beat, seeds: list[Arrangement]
+def chain_arrangements(candidates_per_beat
                        ) -> list[tuple[list[Arrangement], tuple[int, int] | None]]:
-    """Greedy left-to-right chaining from each first-beat arrangement in
-    seeds, one chain per seed, each step taking `_greedy_step` from the
-    previous arrangement.
+    """Greedy left-to-right chaining: each first-beat arrangement seeds one
+    chain, and each step takes `_greedy_step` from the previous
+    arrangement.
 
     A step depends only on the previous arrangement, so chains that reach
     the same candidate at some beat coincide from there on. Each seed walks
@@ -230,7 +230,7 @@ def chain_arrangements(candidates_per_beat, seeds: list[Arrangement]
     seed, where joined is None or (beat, index of the earlier chain)."""
     reached = {}        # (beat, candidate position) -> first chain there
     chains = []
-    for index, seed in enumerate(seeds):
+    for index, seed in enumerate(candidates_per_beat[0]):
         chain, joined = [seed], None
         for t in range(1, len(candidates_per_beat)):
             candidates = candidates_per_beat[t]
@@ -261,22 +261,18 @@ def score_arrangements(melody: MelodyLine,
 
 
 def harmonize_melody(key_model: HmmModel, chord_model: HmmModel,
-                     melody: MelodyLine, method: str = "viterbi",
-                     max_seeds: int | None = None) -> Harmonization:
+                     melody: MelodyLine, method: str = "viterbi") -> Harmonization:
     """Decode keys and chords, then voice the progression. Every feasible
-    first-beat arrangement, or the first max_seeds of them, seeds one
-    greedy chain; the lowest-penalty chain wins, earlier seeds winning
-    ties."""
+    first-beat arrangement seeds one greedy chain; the lowest-penalty
+    chain wins, earlier seeds winning ties."""
     annotation = decode_key_chord(key_model, chord_model, melody, method)
-    return voice_progression(melody, annotation, max_seeds)
+    return voice_progression(melody, annotation)
 
 
-def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
-                      max_seeds: int | None = None) -> Harmonization:
+def voice_progression(melody: MelodyLine,
+                      annotation: ProgressionAnnotation) -> Harmonization:
     if len(annotation) != len(melody):
         raise MusicError("annotation length does not match melody length")
-    if max_seeds is not None and max_seeds < 1:
-        raise MusicError(f"max_seeds must be positive: {max_seeds}")
     # enumeration depends only on (key, chord, soprano); the candidate
     # lists are never mutated, so equal inputs share one list
     enumerated = {}
@@ -290,8 +286,7 @@ def voice_progression(melody: MelodyLine, annotation: ProgressionAnnotation,
         if not candidates:
             raise InfeasibleHarmonizationError(t, str(chord))
         candidates_per_beat.append(candidates)
-    chains = chain_arrangements(candidates_per_beat,
-                                candidates_per_beat[0][:max_seeds])
+    chains = chain_arrangements(candidates_per_beat)
     # a chain that joins an earlier one is scored only up to the joining
     # beat and takes the earlier chain's later violations, and the weights
     # are ints, so the penalty is exact in any summation order; a chain

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,7 +117,7 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
     observations = tuple(observations)
     if not sequences:
         raise HmmError("empty training set")
-    if not 0 <= alpha < math.inf:
+    if not 0 <= alpha <= sys.float_info.max:
         raise HmmError(f"smoothing alpha must be finite and non-negative: {alpha}")
     s_index = {s: i for i, s in enumerate(states)}
     o_index = {o: i for i, o in enumerate(observations)}
@@ -394,6 +394,8 @@ def _checked_array(doc: dict, layer: str, name: str, shape: tuple,
         value = np.asarray(doc[name], dtype=dtype)
     except (TypeError, ValueError):
         raise HmmError(f"{layer}.{name} is not a numeric array")
+    except OverflowError:
+        raise HmmError(f"{layer}.{name} has a cell too large for a float")
     if value.shape != shape:
         raise HmmError(f"{layer}.{name} has shape {value.shape}, expected {shape}")
     return value
@@ -410,20 +412,25 @@ def _stochastic(doc: dict, layer: str, name: str, shape: tuple) -> np.ndarray:
     return value
 
 
+def _labels(texts, where: str, parse) -> tuple:
+    """The saved labels at `where`, each read with `parse`; two texts that
+    read as one label are duplicates."""
+    try:
+        labels = tuple(map(parse, texts))
+    except MusicError as exc:
+        raise HmmError(f"{where}: {exc}")
+    if len(set(labels)) != len(labels):
+        raise HmmError(f"{where} has duplicate labels")
+    return labels
+
+
 def _states(doc: dict, layer: str, parse) -> tuple:
-    """The saved state labels, each read with `parse`; two texts that read
-    as one label are duplicates."""
+    """The saved state labels, each read with `parse`."""
     labels = doc["states"]
     if (not isinstance(labels, list) or not labels
             or not all(isinstance(x, (str, int)) for x in labels)):
         raise HmmError(f"{layer}.states is not a non-empty list of labels")
-    try:
-        labels = tuple(map(parse, labels))
-    except MusicError as exc:
-        raise HmmError(f"{layer}.states: {exc}")
-    if len(set(labels)) != len(labels):
-        raise HmmError(f"{layer}.states has duplicate labels")
-    return labels
+    return _labels(labels, f"{layer}.states", parse)
 
 
 def _mask(doc: dict, layer: str, S: int) -> np.ndarray:
@@ -451,7 +458,8 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     alpha = doc["smoothing_alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise HmmError(f"{layer}.smoothing_alpha is not a number")
-    if not 0 <= alpha < math.inf:
+    # an int too large for a float is not finite either
+    if not 0 <= alpha <= sys.float_info.max:
         raise HmmError(f"{layer}.smoothing_alpha must be finite and"
                        f" non-negative: {alpha}")
     return HmmModel(
@@ -501,18 +509,14 @@ def _check_bundle_fields(doc: dict):
                        f" accepted: {accepted}")
 
 
-def _chord_counts(counts, states: tuple) -> dict[RomanChord, int]:
+def _chord_counts(counts, states: set) -> dict[RomanChord, int]:
     """The saved chord counts keyed by chord state; each text key must
-    read as a distinct state."""
+    read as a distinct state, and each count must fit 64 bits."""
     if not isinstance(counts, dict) or not all(
-            type(n) is int and n >= 0 for n in counts.values()):
-        raise HmmError("chord_counts is not an object of non-negative integer counts")
-    try:
-        chords = [RomanChord.from_string(text) for text in counts]
-    except MusicError as exc:
-        raise HmmError(f"chord_counts: {exc}")
-    if len(set(chords)) != len(chords):
-        raise HmmError("chord_counts has duplicate labels")
+            type(n) is int and 0 <= n < 2 ** 63 for n in counts.values()):
+        raise HmmError("chord_counts is not an object of non-negative"
+                       " 64-bit integer counts")
+    chords = _labels(counts, "chord_counts", RomanChord.from_string)
     stray = [text for text, chord in zip(counts, chords) if chord not in states]
     if stray:
         raise HmmError(f"chord_counts label {stray[0]!r} is not a chord state")
@@ -533,7 +537,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             key_model=_model_from_dict(doc["key_model"], "key_model",
                                        KeyLabel.from_string),
             chord_model=chord_model,
-            chord_counts=_chord_counts(doc["chord_counts"], chord_model.states),
+            chord_counts=_chord_counts(doc["chord_counts"], set(chord_model.states)),
             ornament_rates=doc.get("ornament_rates"),
         )
     except KeyError as exc:
@@ -555,7 +559,10 @@ def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray
 def read_transition_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Labeled square matrix from a CSV file with a header row and a label
     column, as produced by the matrix export."""
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as exc:
+        raise HmmError(f"{path}: not a CSV matrix: {exc}")
     if not rows:
         raise HmmError(f"{path}: empty matrix file")
     for line, row in enumerate(rows, start=1):

@@ -305,16 +305,15 @@ def _rule_weights(prev, cur, audited) -> list[float]:
     return weights
 
 
-def greedy_voicing(beats, soprano_midis, max_seeds=None):
+def greedy_voicing(beats, soprano_midis):
     """The greedy voicing search with nothing skipped. Each first-beat
-    candidate (or the first max_seeds) seeds a chain; each step scores
-    every candidate by (squared distance, rule hits among alto, tenor and
-    bass, (bass, tenor, alto)) and keeps the least. The chain with the
-    lowest four-voice penalty wins, the earlier seed on equal penalty.
+    candidate seeds a chain; each step scores every candidate by
+    (squared distance, rule hits among alto, tenor and bass,
+    (bass, tenor, alto)) and keeps the least. The chain with the lowest
+    four-voice penalty wins, the earlier seed on equal penalty.
     Returns (arrangements, penalty)."""
-    seeds = beats[0] if max_seeds is None else beats[0][:max_seeds]
     best = None
-    for index, seed in enumerate(seeds):
+    for index in range(len(beats[0])):
         chain = [index]
         for t in range(1, len(beats)):
             prev = beats[t - 1][chain[-1]]

@@ -265,6 +265,19 @@ def test_override_with_blank_row_exits_2(capsys, tmp_path, trained_model):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_override_with_overlong_field_exits_2(capsys, tmp_path, trained_model):
+    # the csv module refuses a field longer than its limit, 131,072 characters
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text("," + "1" * 200_000 + "\n")
+    code = main(["override", "--model", str(trained_model),
+                 "--transitions", str(csv_path), "--layer", "chord",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: not a CSV matrix: field larger")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_harmonize_missing_model_exits_4(tmp_path, data_dir):
     code = main(["harmonize", "--model", str(tmp_path / "nope.json"),
                  "--melody", str(data_dir / "melodies" / "m01.txt")])
@@ -289,50 +302,52 @@ def test_infeasible_melody_exits_3(capsys, tmp_path, trained_model):
     assert "beat 1" in capsys.readouterr().err
 
 
-def test_invalid_run_config_exits_2(tmp_path, trained_model, data_dir):
-    code = main(["harmonize", "--model", str(trained_model),
-                 "--melody", str(data_dir / "melodies" / "m01.txt"),
-                 "--max-seeds", "0"])
-    assert code == 2
+def test_invalid_run_config_exits_2(capsys, trained_model, data_dir):
+    # the voicing seeds from every first-beat arrangement; there is no cap
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonize", "--model", str(trained_model),
+              "--melody", str(data_dir / "melodies" / "m01.txt"),
+              "--max-seeds", "1"])
+    assert exc.value.code == 2
+    assert "--max-seeds" in capsys.readouterr().err
 
 
-
-@pytest.mark.parametrize("document", [
-    {"max_seeds": "3"},          # wrong type
-    {"max_seeds": True},         # a bool is not an int
-    {"rng_seed": 1.5},
-    {"ornaments": "on"},
-    {"p_passing": "0.5"},
-    {"method": 1},
-    {"seed": 5},                 # the flag name, not the field name
-    {"genre": "rock"},           # not a run option
-    [{"rng_seed": 5}],           # not a JSON object
-    "viterbi",
-], ids=["max_seeds-str", "max_seeds-bool", "rng_seed-float", "ornaments-str",
-        "p_passing-str", "method-int", "unknown-seed", "unknown-genre", "list",
-        "string"])
+@pytest.mark.parametrize("document,message", [
+    ({"tempo_bpm": "3"}, "tempo_bpm has the wrong type: '3'"),
+    ({"tempo_bpm": True}, "tempo_bpm has the wrong type: True"),  # not an int
+    ({"rng_seed": 1.5}, "rng_seed has the wrong type: 1.5"),
+    ({"ornaments": "on"}, "ornaments has the wrong type: 'on'"),
+    ({"p_passing": "0.5"}, "p_passing has the wrong type: '0.5'"),
+    ({"method": 1}, "method has the wrong type: 1"),
+    ({"seed": 5}, "unknown config keys ['seed']"),    # the flag name
+    ({"genre": "rock"}, "unknown config keys ['genre']"),  # not a run option
+    ({"max_seeds": 1}, "unknown config keys ['max_seeds']"),  # removed
+    ([{"rng_seed": 5}], "config must be a JSON object"),
+    ("viterbi", "config must be a JSON object"),
+], ids=["tempo_bpm-str", "tempo_bpm-bool", "rng_seed-float", "ornaments-str",
+        "p_passing-str", "method-int", "unknown-seed", "unknown-genre",
+        "unknown-max_seeds", "list", "string"])
 def test_invalid_config_file_exits_2(capsys, tmp_path, trained_model, data_dir,
-                                     document):
+                                     document, message):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(document))
     code = main(["harmonize", "--model", str(trained_model),
                  "--melody", str(data_dir / "melodies" / "m01.txt"),
                  "--config", str(config)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
 
 
 @pytest.mark.parametrize("document,flag", [
-    ({"max_seeds": "3"}, ["--max-seeds", "3"]),
+    ({"tempo_bpm": "120"}, ["--tempo", "120"]),
     ({"method": "foo"}, ["--method", "viterbi"]),
     ({"pattern": "x"}, ["--pattern", "block"]),
-    ({"max_seeds": 0}, ["--max-seeds", "3"]),
     ({"tempo_bpm": 10}, ["--tempo", "120"]),
     ({"p_passing": 5}, ["--p-passing", "0.5"]),
     ({"p_auxiliary": -0.5}, ["--p-auxiliary", "0.5"]),
     ({"p_appoggiatura": 1.5}, ["--p-appoggiatura", "0.5"]),
-], ids=["type", "method", "pattern", "max_seeds", "tempo", "p_passing",
-        "p_auxiliary", "p_appoggiatura"])
+], ids=["type", "method", "pattern", "tempo", "p_passing", "p_auxiliary",
+        "p_appoggiatura"])
 @pytest.mark.parametrize("replaced", [False, True], ids=["alone", "flag-given"])
 def test_bad_config_value_exits_2_naming_the_file(
         capsys, tmp_path, trained_model, data_dir, document, flag, replaced):
@@ -438,9 +453,9 @@ def _set_observations(layer, labels):
     return damage
 
 
-def _set_count(label):
+def _set_count(label, count=1):
     def damage(doc):
-        doc["chord_counts"][label] = 1
+        doc["chord_counts"][label] = count
     return damage
 
 
@@ -505,6 +520,13 @@ def _set_count(label):
     (_set_cell("chord_model", "mask", 0, 1, 0.5), "chord_model.mask has a cell"),
     (_set_cell("chord_model", "mask", 0, 1, 2), "chord_model.mask has a cell"),
     (_set_cell("chord_model", "mask", 0, 1, None), "chord_model.mask has a cell"),
+    # integers too large for a float
+    (_set_cell("chord_model", "transition", 2, 3, 10 ** 400),
+     "chord_model.transition has a cell too large for a float"),
+    (lambda doc: doc["key_model"].update(smoothing_alpha=10 ** 400),
+     "key_model.smoothing_alpha must be finite and non-negative: 1000"),
+    (_set_count("I", 10 ** 400),
+     "chord_counts is not an object of non-negative 64-bit integer counts"),
 ], ids=["key-layer-null", "chord-layer-list", "transition-row-cut",
         "transition-ragged", "emission-column-cut", "initial-short",
         "states-short", "transition-nan", "emission-inf", "transition-negative",
@@ -518,7 +540,8 @@ def _set_count(label):
         "version-float", "version-missing", "genre-int", "mode-unknown",
         "key-state-empty", "key-state-int", "chord-state-not-roman",
         "observations-text", "observations-short", "observations-shifted",
-        "observations-float", "mask-text", "mask-half", "mask-two", "mask-null"])
+        "observations-float", "mask-text", "mask-half", "mask-two", "mask-null",
+        "transition-huge-int", "alpha-huge-int", "chord-count-huge-int"])
 def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
                                  damage, field):
     doc = json.loads(trained_model.read_text())
@@ -1019,7 +1042,7 @@ def fuzz_inputs(tmp_path_factory, trained_model, data_dir):
     work = tmp_path_factory.mktemp("fuzz")
     assert main(["export", "--model", str(trained_model),
                  "--out-dir", str(work)]) == 0
-    config = {"ornaments": True, "p_passing": 0.5, "rng_seed": 3, "max_seeds": 4}
+    config = {"ornaments": True, "p_passing": 0.5, "rng_seed": 3, "tempo_bpm": 90}
     inputs = {
         "melody": (data_dir / "melodies" / "m06.txt").read_bytes(),
         "config": json.dumps(config).encode(),
@@ -1052,7 +1075,7 @@ def _mutated_input(draw, inputs):
         path = paths[draw(st.integers(0, len(paths) - 1))]
         value = draw(st.sampled_from([
             None, True, False, 0, 1, -1, 2, 0.5, 1e308, -1e-300, float("nan"),
-            float("inf"), "", "x", "I", [], [0.5], {}, DELETE]))
+            float("inf"), 10 ** 400, "", "x", "I", [], [0.5], {}, DELETE]))
         if not path:
             return flag, b"" if value is DELETE else json.dumps(value).encode()
         parent = doc

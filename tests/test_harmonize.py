@@ -12,7 +12,6 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
-    MusicError,
     ProgressionAnnotation,
     RomanChord,
     chord_bass_pc,
@@ -173,7 +172,7 @@ def test_chain_picks_zero_distance_candidate():
     seed = arr(64, 55, 48)
     same = arr(64, 55, 48)
     other = arr(72, 64, 55)
-    [(chain, _)] = chain_arrangements([[seed], [other, same]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [other, same]])
     assert chain == [seed, same]
 
 
@@ -181,7 +180,7 @@ def test_chain_hand_computed_distances():
     seed = arr(64, 55, 48)
     near = arr(65, 57, 50)   # squared distance 1+4+4 = 9
     far = arr(60, 52, 43)    # squared distance 16+9+25 = 50
-    [(chain, _)] = chain_arrangements([[seed], [far, near]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [far, near]])
     assert chain[1] == near
 
 
@@ -192,7 +191,7 @@ def test_chain_tie_broken_by_horizontal_violations():
     seed = arr(60, 55, 48)
     parallel = arr(58, 55, 46)   # squared distance 8, parallel octaves
     clean = arr(62, 57, 48)      # squared distance 8, no violations
-    [(chain, _)] = chain_arrangements([[seed], [parallel, clean]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [parallel, clean]])
     assert chain[1] == clean
     # sanity: the violating candidate would win a pure lexicographic tie
     assert ((parallel.bass, parallel.tenor, parallel.alto)
@@ -205,7 +204,7 @@ def test_chain_full_tie_goes_to_least_bass_tenor_alto():
     # (bass, tenor, alto) order lower_bass
     seed = arr(64, 55, 48)
     lower_bass, higher_bass = arr(66, 55, 47), arr(63, 55, 50)
-    [(chain, _)] = chain_arrangements([[seed], [higher_bass, lower_bass]], [seed])
+    [(chain, _)] = chain_arrangements([[seed], [higher_bass, lower_bass]])
     assert chain[1] is lower_bass
     assert greedy_voicing([[seed], [higher_bass, lower_bass]], [76, 76])[0][1] \
         is lower_bass
@@ -214,7 +213,7 @@ def test_chain_full_tie_goes_to_least_bass_tenor_alto():
 def test_chain_raises_on_empty_beat():
     seed = arr(64, 55, 48)
     with pytest.raises(InfeasibleHarmonizationError):
-        chain_arrangements([[seed], []], [seed])
+        chain_arrangements([[seed], []])
 
 
 # --- penalties ----------------------------------------------------------------
@@ -346,14 +345,13 @@ def _concatenated(fixture_melodies) -> MelodyLine:
     return MelodyLine(tuple(map(BeatEvent, notes)))
 
 
-def _assert_matches_greedy_oracle(melody, annotation, max_seeds=None):
-    h = voice_progression(melody, annotation, max_seeds)
+def _assert_matches_greedy_oracle(melody, annotation):
+    h = voice_progression(melody, annotation)
     candidates = [enumerate_arrangements(key, chord, soprano)
                   for key, chord, soprano in zip(annotation.keys,
                                                  annotation.chords,
                                                  melody.representatives())]
-    arrangements, penalty = greedy_voicing(
-        candidates, melody.representatives(), max_seeds)
+    arrangements, penalty = greedy_voicing(candidates, melody.representatives())
     assert h.arrangements == arrangements
     assert h.penalty == penalty
     assert h.violation_log == score_arrangements(h.soprano, h.arrangements)[1]
@@ -425,11 +423,9 @@ def feasible_beats():
 def test_shared_chains_match_greedy_oracle(data, feasible_beats):
     beats = data.draw(st.lists(st.sampled_from(feasible_beats),
                                min_size=1, max_size=30))
-    max_seeds = data.draw(st.one_of(st.none(), st.integers(1, 6)))
     keys, chords, sopranos = zip(*beats)
     melody = MelodyLine(tuple(BeatEvent(((p, PPQ),)) for p in sopranos))
-    _assert_matches_greedy_oracle(melody, ProgressionAnnotation(keys, chords),
-                                  max_seeds)
+    _assert_matches_greedy_oracle(melody, ProgressionAnnotation(keys, chords))
 
 
 def _voice_lattice(monkeypatch, lattice, soprano=76) -> Harmonization:
@@ -452,7 +448,7 @@ def test_chains_that_never_meet(monkeypatch):
     low_step, high_step = arr(65, 57, 50), arr(69, 62, 53)
     lattice = [[low, high], [low_step, high_step], [low, high],
                [low_step, high_step]]
-    assert chain_arrangements(lattice, lattice[0]) == [
+    assert chain_arrangements(lattice) == [
         ([low, low_step, low, low_step], None),
         ([high, high_step, high, high_step], None)]
     _voice_lattice(monkeypatch, lattice)
@@ -466,8 +462,7 @@ def test_chains_that_meet_at_beat_1(monkeypatch):
     meet, far = arr(64, 55, 43), arr(72, 64, 55)
     lattice = [[leaping, smooth], [meet, far], [arr(62, 55, 43), far],
                [arr(60, 52, 56)]]
-    (first, first_joined), (second, joined) = chain_arrangements(
-        lattice, lattice[0])
+    (first, first_joined), (second, joined) = chain_arrangements(lattice)
     assert first[1] is meet and second[1] is meet
     assert first[1:] == second[1:]
     assert first_joined is None and joined == (1, 0)
@@ -495,8 +490,7 @@ def test_each_distinct_chain_step_runs_once_per_call(
         enumerate_arrangements(key, chord, soprano)
         for key, chord, soprano in zip(annotation.keys, annotation.chords,
                                        melody.representatives())]
-    chains, joins = zip(*chain_arrangements(candidates_per_beat,
-                                            candidates_per_beat[0]))
+    chains, joins = zip(*chain_arrangements(candidates_per_beat))
     distinct = {(t, chain[t - 1]) for chain in chains
                 for t in range(1, len(chain))}
     assert len(chains) > 1 and len(distinct) < len(chains) * (len(melody) - 1)
@@ -511,30 +505,12 @@ def test_each_distinct_chain_step_runs_once_per_call(
         assert joins[index] == min(shared, default=None)
 
 
-@pytest.mark.parametrize("max_seeds", [0, -1])
-def test_max_seeds_below_one_is_rejected(max_seeds):
-    melody = melody_from_midi([72, 74])
-    ann = ProgressionAnnotation(
-        (C_MAJOR, C_MAJOR),
-        tuple(RomanChord.from_string(r) for r in ("I", "V")))
-    with pytest.raises(MusicError, match="max_seeds"):
-        voice_progression(melody, ann, max_seeds=max_seeds)
-
-
 def test_harmonize_is_deterministic(major_bundle, fixture_melodies):
     _, melody = fixture_melodies[3]
     h1 = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
     h2 = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
     assert to_score_document(h1) == to_score_document(h2)
     assert h1.arrangements == h2.arrangements
-
-
-def test_max_seeds_cap_changes_only_candidate_set(major_bundle, fixture_melodies):
-    _, melody = fixture_melodies[5]
-    capped = harmonize_melody(major_bundle.key_model, major_bundle.chord_model,
-                              melody, max_seeds=1)
-    free = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
-    assert capped.penalty >= free.penalty
 
 
 def test_all_fixture_harmonizations_satisfy_constraints(major_bundle,

@@ -121,7 +121,9 @@ def test_estimate_unseen_label_errors():
         estimate(["A"], [0], [])
 
 
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1.0])
+# an int too large for a float is not finite either
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1.0,
+                                   pytest.param(10 ** 400, id="huge-int")])
 def test_estimate_rejects_non_finite_or_negative_alpha(alpha):
     with pytest.raises(HmmError, match="smoothing alpha"):
         estimate(["A"], [0], [(["A", "A"], [0, 0])], alpha=alpha)
