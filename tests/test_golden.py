@@ -6,9 +6,11 @@ fixture melodies with both decoders (ornaments on, seed 7), harmonize
 their 191-beat concatenation with both decoders (ornaments on, seeds 7
 and 11), run the rock demo tune through analyze and through harmonize
 (arpeggio with drums, and block without), export the major model and
-override its chord layer with the exported CSV. Stdout is hashed with
-the wall-clock `time:` lines removed and the scratch directory replaced by
-a placeholder. There is no update switch: an intended output change edits
+override its chord layer with the exported CSV. They also train the major
+model with no smoothing, export it, and override its chord layer with
+that CSV's cells scaled by 1.2. Stdout is hashed with the wall-clock
+`time:` lines removed and the scratch directory replaced by a
+placeholder. There is no update switch: an intended output change edits
 golden.json by hand and says why.
 """
 
@@ -109,6 +111,26 @@ def compute_digests(tmp_path: Path, data_dir: Path, capsys) -> dict[str, str]:
         ["override", "--model", major,
          "--transitions", str(matrices / "chord_transition.csv"),
          "--layer", "chord", "--out", str(models / "override.json")])
+
+    # no smoothing, mask on: all-zero key rows share their mass uniformly,
+    # and the masked chord rows are normalized from bare counts; its
+    # exported chord CSV, every cell scaled by 1.2, is renormalized row by
+    # row when it comes back in through override
+    plain = str(models / "chorale-major-alpha0.json")
+    run("train/chorale-major-alpha0",
+        ["train", "--corpus", str(data_dir / "chorales"), "--mode", "major",
+         "--alpha", "0", "--out", plain])
+    plain_matrices = out / "export-alpha0"
+    run("export/chorale-major-alpha0", ["export", "--model", plain,
+                                        "--out-dir", str(plain_matrices)])
+    lines = (plain_matrices / "chord_transition.csv").read_text().splitlines()
+    scaled = tmp_path / "chord_transition-scaled.csv"
+    scaled.write_text("\n".join([lines[0]] + [
+        ",".join([cells[0]] + [repr(float(c) * 1.2) for c in cells[1:]])
+        for cells in (line.split(",") for line in lines[1:])]) + "\n")
+    run("override/chorale-major-alpha0-chord-scaled",
+        ["override", "--model", plain, "--transitions", str(scaled),
+         "--layer", "chord", "--out", str(models / "override-alpha0-scaled.json")])
 
     for path in sorted(out.rglob("*")):
         if path.is_file():
