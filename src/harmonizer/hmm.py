@@ -83,27 +83,27 @@ class HmmModel:
         return {o: i for i, o in enumerate(self.observations)}
 
 
-def _distribute(raw: np.ndarray, mask_row: np.ndarray | None) -> np.ndarray:
-    """Turn non-negative weights into a stochastic row. Masked cells are
-    pinned to MASK_EPSILON and the remaining mass is shared by the allowed
-    cells in proportion to their weights (uniformly when all weights are
-    zero), so masked probabilities never exceed MASK_EPSILON."""
-    n = raw.shape[0]
-    if mask_row is None:
-        mask_row = np.zeros(n, dtype=bool)
-    allowed = ~mask_row
-    n_masked = int(mask_row.sum())
-    if n_masked >= n:
+def _distribute(weights: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Turn non-negative weights, a row or a matrix of rows, into stochastic
+    rows of the same shape. Masked cells are pinned to MASK_EPSILON and each
+    row's allowed cells share the rest in proportion to their weights
+    (uniformly when all are zero), so no masked cell exceeds MASK_EPSILON."""
+    rows = np.atleast_2d(weights)
+    mask = np.zeros(rows.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
+    n_masked = mask.sum(axis=1)
+    if np.any(n_masked >= rows.shape[1]):
         raise HmmError("a row has every transition masked")
     budget = 1.0 - MASK_EPSILON * n_masked
-    out = np.empty(n, dtype=float)
-    out[mask_row] = MASK_EPSILON
-    total = raw[allowed].sum()
-    if total <= 0.0:
-        out[allowed] = budget / allowed.sum()
-    else:
-        out[allowed] = raw[allowed] / total * budget
-    return out
+    # a masked row sums its allowed cells only: zero-filling rounds differently
+    totals = rows.sum(axis=1)
+    for i in np.flatnonzero(n_masked):
+        totals[i] = rows[i, ~mask[i]].sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = rows / totals[:, None] * budget[:, None]
+    empty = totals <= 0.0
+    out[empty] = (budget[empty] / (rows.shape[1] - n_masked[empty]))[:, None]
+    out[mask] = MASK_EPSILON
+    return out.reshape(np.shape(weights))
 
 
 def estimate(states, observations, sequences, mask: np.ndarray | None = None,
@@ -151,12 +151,9 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
     if alpha > (np.finfo(float).max - emit_counts.sum()) / max(S, O):
         raise HmmError(f"smoothing alpha {alpha} is too large:"
                        " a smoothed row total would not be finite")
-    transition = np.vstack([
-        _distribute(trans_counts[i] + alpha, None if mask is None else mask[i])
-        for i in range(S)])
-    emission = np.vstack([
-        _distribute(emit_counts[i] + alpha, None) for i in range(S)])
-    initial = _distribute(init_counts + alpha, None)
+    transition = _distribute(trans_counts + alpha, mask)
+    emission = _distribute(emit_counts + alpha)
+    initial = _distribute(init_counts + alpha)
     return HmmModel(states, observations, transition, emission, initial,
                     mask=mask, smoothing_alpha=alpha)
 
@@ -599,16 +596,17 @@ def apply_override(model: HmmModel, matrix_file: str | Path) -> HmmModel:
         raise HmmError(
             f"override labels do not match model states"
             f" ({len(labels)} labels vs {len(expected)} states)")
-    for i, label in enumerate(labels):
-        row = matrix[i]
-        if np.any(row < 0):
-            raise HmmError(f"override row {label!r} has negative entries")
-        total = row.sum()
-        if not 0.5 <= total <= 1.5:
-            raise HmmError(
-                f"override row {label!r} sums to {total:.6g}, outside [0.5, 1.5]")
-        if abs(total - 1.0) > 1e-9:
-            matrix[i] = row / total
+    totals = matrix.sum(axis=1)
+    negative = np.any(matrix < 0, axis=1)
+    refused = negative | ~((0.5 <= totals) & (totals <= 1.5))
+    if refused.any():
+        i = int(np.argmax(refused))
+        if negative[i]:
+            raise HmmError(f"override row {labels[i]!r} has negative entries")
+        raise HmmError(f"override row {labels[i]!r} sums to {totals[i]:.6g},"
+                       f" outside [0.5, 1.5]")
+    off = np.abs(totals - 1.0) > 1e-9
+    matrix[off] = _distribute(matrix[off])
     return HmmModel(model.states, model.observations, matrix, model.emission,
                     model.initial, mask=None,
                     smoothing_alpha=model.smoothing_alpha)

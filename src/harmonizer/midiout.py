@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BEATS_PER_BAR, PPQ, check_midi_pitch, functional_group
+from .core import (
+    BEATS_PER_BAR,
+    DOMINANT,
+    PPQ,
+    PREDOMINANT,
+    TONIC,
+    check_midi_pitch,
+    functional_group,
+)
 from .harmonize import Harmonization
 from .hmm import HmmModel, _write_labeled_matrix
 from .rock import AccompanimentScore
@@ -24,8 +32,8 @@ CHORALE_TEMPO = 80
 ROCK_TEMPO = 120
 DRUM_CHANNEL = 9
 
-GROUP_ORDER = ("tonic", "predominant", "dominant")
-GROUP_SHORT = {"tonic": "T", "predominant": "PD", "dominant": "D"}
+GROUP_ORDER = (TONIC, PREDOMINANT, DOMINANT)
+GROUP_SHORT = {TONIC: "T", PREDOMINANT: "PD", DOMINANT: "D"}
 
 END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])   # zero delta, then the meta event
 
@@ -170,20 +178,13 @@ def functional_summary(chord_model: HmmModel, chord_counts: dict) -> np.ndarray:
     """3x3 matrix of transition mass between the tonic, predominant and
     dominant chord families. Source chords are weighted by how often they
     occurred in training; rows are renormalized."""
-    groups = [GROUP_ORDER.index(functional_group(chord))
-              for chord in chord_model.states]
+    groups = [GROUP_ORDER.index(functional_group(c)) for c in chord_model.states]
+    weights = np.array([chord_counts.get(c, 0) for c in chord_model.states], dtype=float)
     summary = np.zeros((3, 3))
-    for i, gi in enumerate(groups):
-        weight = float(chord_counts.get(chord_model.states[i], 0))
-        if weight == 0.0:
-            continue
-        for j, gj in enumerate(groups):
-            summary[gi, gj] += weight * chord_model.transition[i, j]
-    for g in range(3):
-        row_sum = summary[g].sum()
-        if row_sum > 0:
-            summary[g] /= row_sum
-    return summary
+    # one addition per chord pair in row-major order, which fixes the rounding
+    np.add.at(summary, np.ix_(groups, groups), weights[:, None] * chord_model.transition)
+    totals = summary.sum(axis=1, keepdims=True)
+    return np.divide(summary, totals, out=summary, where=totals > 0)
 
 
 def export_functional_summary(chord_model: HmmModel, chord_counts: dict,

@@ -1,11 +1,11 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here trades speed for obviousness: estimation that counts one
-cell at a time, exhaustive enumeration over hidden sequences, Viterbi and
-forward-backward as one plain step per position, a full lattice filter for
-chord voicings, the greedy voicing search as a literal loop with every
-tie-break key computed, and an SMF track encoder that spells out every
-event.
+cell at a time and normalizes one row at a time, exhaustive enumeration
+over hidden sequences, Viterbi and forward-backward as one plain step per
+position, a full lattice filter for chord voicings, the greedy voicing
+search as a literal loop with every tie-break key computed, and an SMF
+track encoder that spells out every event.
 """
 
 from __future__ import annotations
@@ -28,16 +28,40 @@ from harmonizer.harmonize import (
     PENALTY_WEIGHTS,
 )
 from harmonizer.hmm import (
+    MASK_EPSILON,
     DecodeInfeasibleError,
     HmmError,
     HmmModel,
-    _distribute,
     _indices,
 )
 
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0 else float("-inf")
+
+
+def distribute_row(raw: np.ndarray, mask_row: np.ndarray | None) -> np.ndarray:
+    """`_distribute` for one row: masked cells are MASK_EPSILON and the
+    allowed cells share the rest of the row's mass in proportion to their
+    weights, or uniformly when those sum to 0. The total sums the allowed
+    cells alone. The whole-matrix normalizer must return the same bytes
+    and raise the same error."""
+    n = raw.shape[0]
+    if mask_row is None:
+        mask_row = np.zeros(n, dtype=bool)
+    allowed = ~mask_row
+    n_masked = int(mask_row.sum())
+    if n_masked >= n:
+        raise HmmError("a row has every transition masked")
+    budget = 1.0 - MASK_EPSILON * n_masked
+    out = np.empty(n, dtype=float)
+    out[mask_row] = MASK_EPSILON
+    total = raw[allowed].sum()
+    if total <= 0.0:
+        out[allowed] = budget / allowed.sum()
+    else:
+        out[allowed] = raw[allowed] / total * budget
+    return out
 
 
 def counting_estimate(states, observations, sequences, mask=None,
@@ -69,11 +93,11 @@ def counting_estimate(states, observations, sequences, mask=None,
             emit_counts[h, o] += 1
     mask = None if mask is None else np.asarray(mask, dtype=bool)
     transition = np.vstack([
-        _distribute(trans_counts[i] + alpha, None if mask is None else mask[i])
+        distribute_row(trans_counts[i] + alpha, None if mask is None else mask[i])
         for i in range(S)])
-    emission = np.vstack([_distribute(emit_counts[i] + alpha, None)
+    emission = np.vstack([distribute_row(emit_counts[i] + alpha, None)
                           for i in range(S)])
-    initial = _distribute(init_counts + alpha, None)
+    initial = distribute_row(init_counts + alpha, None)
     return HmmModel(states, observations, transition, emission, initial,
                     mask=mask, smoothing_alpha=alpha)
 

@@ -22,6 +22,7 @@ from harmonizer.hmm import (
     HmmError,
     HmmModel,
     METHODS,
+    _distribute,
     apply_override,
     build_phrase_mask,
     decode_chords_given_keys,
@@ -42,6 +43,7 @@ from oracles import (
     brute_force_posteriors,
     brute_force_viterbi,
     counting_estimate,
+    distribute_row,
     stepwise_posterior,
     stepwise_viterbi,
 )
@@ -240,6 +242,65 @@ def test_estimate_equals_counting_loop(data):
     slow = counting_estimate(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
     for name in ("transition", "emission", "initial"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+
+def _per_row(weights, mask=None):
+    """`distribute_row` over each row, stacked in the shape of `weights`."""
+    rows = np.atleast_2d(weights)
+    masks = [None] * len(rows) if mask is None else np.atleast_2d(mask)
+    out = np.array([distribute_row(r, m) for r, m in zip(rows, masks)])
+    return out.reshape(np.shape(weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distribute_equals_per_row_reference(data):
+    n_rows = data.draw(st.integers(0, 6))
+    n_cols = data.draw(st.integers(1, 30))
+    one_d = n_rows == 1 and data.draw(st.booleans())
+    shape = (n_cols,) if one_d else (n_rows, n_cols)
+    size = int(np.prod(shape))
+    if data.draw(st.booleans()):     # counts plus a smoothing alpha
+        counts = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        alpha = data.draw(st.sampled_from([0.0, 1e-5, 0.01, 1.0, 3.5]))
+        weights = np.array(counts, dtype=float).reshape(shape) + alpha
+    else:                            # a hand-written row, as an override reads
+        weights = np.array(data.draw(st.lists(
+            st.floats(0.0, 2.0), min_size=size, max_size=size))).reshape(shape)
+    mask = None
+    if data.draw(st.booleans()):
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=size, max_size=size)), dtype=bool).reshape(shape)
+        if data.draw(st.booleans()):     # otherwise a row may be all masked
+            np.atleast_2d(mask)[:, data.draw(st.integers(0, n_cols - 1))] = False
+    try:
+        expected = _per_row(weights, mask)
+    except HmmError as exc:
+        with pytest.raises(HmmError, match=str(exc)):
+            _distribute(weights, mask)
+        return
+    got = _distribute(weights, mask)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_distribute_sums_only_the_allowed_cells():
+    # summing this row with its masked cell zeroed rounds differently, and
+    # would change 8 of its 9 probabilities
+    weights = np.array([3, 5, 5, 1, 1, 3, 2, 4, 1], dtype=float) + 0.01
+    mask = np.zeros(9, dtype=bool)
+    mask[0] = True
+    expected = distribute_row(weights, mask)
+    assert _distribute(weights, mask).tobytes() == expected.tobytes()
+    assert _distribute(weights[None], mask[None]).tobytes() == expected.tobytes()
+
+
+def test_distribute_shares_an_all_zero_row_uniformly():
+    mask = np.array([[False, True, False, False], [False] * 4])
+    got = _distribute(np.zeros((2, 4)), mask)
+    budget = 1.0 - MASK_EPSILON
+    assert got.tolist() == [[budget / 3, MASK_EPSILON, budget / 3, budget / 3],
+                            [0.25] * 4]
 
 
 # --- viterbi ---------------------------------------------------------------
@@ -634,26 +695,6 @@ def test_override_rejects_dimension_mismatch(tmp_path, major_bundle):
         apply_override(major_bundle.key_model, out[0])
 
 
-def test_override_rejects_negative_and_wild_rows(tmp_path, major_bundle):
-    model = major_bundle.chord_model
-    paths = export_matrices(model, tmp_path, prefix="x_")
-    text = paths[0].read_text().splitlines()
-    first_value_row = text[1].split(",")
-    first_value_row[1] = "-0.5"
-    bad = tmp_path / "neg.csv"
-    bad.write_text("\n".join([text[0], ",".join(first_value_row)] + text[2:]) + "\n")
-    with pytest.raises(HmmError):
-        apply_override(model, bad)
-
-    first_value_row = text[1].split(",")
-    first_value_row[1:] = [repr(9.0)] * (len(first_value_row) - 1)
-    wild = tmp_path / "wild.csv"
-    wild.write_text("\n".join([text[0], ",".join(first_value_row)] + text[2:]) + "\n")
-    with pytest.raises(HmmError):
-        apply_override(model, wild)
-
-
-
 def test_override_rejects_non_numeric_cell(tmp_path, major_bundle):
     model = major_bundle.chord_model
     paths = export_matrices(model, tmp_path, prefix="z_")
@@ -667,14 +708,42 @@ def test_override_rejects_non_numeric_cell(tmp_path, major_bundle):
     assert str(bad) in str(err.value)
     assert repr(cells[0]) in str(err.value)
 
+
+def _override_csv(tmp_path, model, rows: dict[int, list[float]]):
+    """The model's exported transition CSV with the given rows replaced."""
+    lines = export_matrices(model, tmp_path, prefix="r_")[0].read_text().splitlines()
+    for i, values in rows.items():
+        label = lines[i + 1].split(",")[0]
+        lines[i + 1] = ",".join([label] + [repr(float(v)) for v in values])
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_override_rejects_negative_and_wild_rows(tmp_path, major_bundle):
+    # the first refused row in row order is named; a row both negative and
+    # out of range is reported as negative
+    model = major_bundle.chord_model
+    S = len(model.states)
+    row = [f"override row {str(s)!r}" for s in model.states]
+    wild = [9.0] * S
+    negative = [-0.5] + [1.5 / (S - 1)] * (S - 1)
+    both = [-0.5] + [9.0] * (S - 1)
+    cases = [({1: wild, 2: negative}, f"{row[1]} sums to {9 * S}, outside"),
+             ({1: negative, 2: wild}, f"{row[1]} has negative entries"),
+             ({2: both}, f"{row[2]} has negative entries")]
+    for rows, message in cases:
+        with pytest.raises(HmmError) as err:
+            apply_override(model, _override_csv(tmp_path, model, rows))
+        assert str(err.value).startswith(message)
+
+
 def test_override_renormalizes_rows_off_by_less_than_half(tmp_path, major_bundle):
     model = major_bundle.chord_model
-    paths = export_matrices(model, tmp_path, prefix="y_")
-    lines = paths[0].read_text().splitlines()
-    cells = lines[1].split(",")
-    scaled = [cells[0]] + [repr(float(v) * 1.2) for v in cells[1:]]
-    bumped = tmp_path / "bumped.csv"
-    bumped.write_text("\n".join([lines[0], ",".join(scaled)] + lines[2:]) + "\n")
-    overridden = apply_override(model, bumped)
-    assert np.allclose(overridden.transition.sum(axis=1), 1.0, atol=1e-9)
-    assert np.allclose(overridden.transition[0], model.transition[0], atol=1e-9)
+    scaled = {i: list(row * f) for i, (row, f) in
+              enumerate(zip(model.transition, np.linspace(0.6, 1.4, 9)))}
+    overridden = apply_override(model, _override_csv(tmp_path, model, scaled))
+    for i, row in enumerate(overridden.transition):
+        source = np.array(scaled[i]) if i in scaled else model.transition[i]
+        expected = source if abs(source.sum() - 1.0) <= 1e-9 else source / source.sum()
+        assert row.tobytes() == expected.tobytes()
