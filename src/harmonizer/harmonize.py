@@ -46,10 +46,9 @@ OCTAVE_LEAP_LIMIT = 12   # semitones, any generated voice
 
 
 class InfeasibleHarmonizationError(ValueError):
-    def __init__(self, beat_index: int, chord: str | None = None):
+    def __init__(self, beat_index: int, chord: str):
         self.beat_index = beat_index
-        detail = f" for chord {chord}" if chord else ""
-        super().__init__(f"no feasible arrangement at beat {beat_index}{detail}")
+        super().__init__(f"no feasible arrangement at beat {beat_index} for chord {chord}")
 
 
 class Violation(NamedTuple):
@@ -219,9 +218,9 @@ def _greedy_step(prev: Arrangement, candidates: list[Arrangement]) -> int:
 
 def chain_arrangements(candidates_per_beat
                        ) -> list[tuple[list[Arrangement], tuple[int, int] | None]]:
-    """Greedy left-to-right chaining: each first-beat arrangement seeds one
-    chain, and each step takes `_greedy_step` from the previous
-    arrangement.
+    """Greedy left-to-right chaining over a lattice with at least one
+    candidate per beat: each first-beat arrangement seeds one chain, and
+    each step takes `_greedy_step` from the previous arrangement.
 
     A step depends only on the previous arrangement, so chains that reach
     the same candidate at some beat coincide from there on. Each seed walks
@@ -234,8 +233,6 @@ def chain_arrangements(candidates_per_beat
         chain, joined = [seed], None
         for t in range(1, len(candidates_per_beat)):
             candidates = candidates_per_beat[t]
-            if not candidates:
-                raise InfeasibleHarmonizationError(t)
             position = _greedy_step(chain[-1], candidates)
             earlier = reached.setdefault((t, position), index)
             if earlier != index:
@@ -269,14 +266,14 @@ def harmonize_melody(key_model: HmmModel, chord_model: HmmModel,
     return voice_progression(melody, annotation)
 
 
-def voice_progression(melody: MelodyLine,
-                      annotation: ProgressionAnnotation) -> Harmonization:
+def _arrangement_lattice(melody: MelodyLine,
+                         annotation: ProgressionAnnotation) -> list[list[Arrangement]]:
+    """Each beat's arrangements, raising for the first beat with none. Equal
+    (key, chord, soprano) inputs share one list, which no caller mutates."""
     if len(annotation) != len(melody):
         raise MusicError("annotation length does not match melody length")
-    # enumeration depends only on (key, chord, soprano); the candidate
-    # lists are never mutated, so equal inputs share one list
     enumerated = {}
-    candidates_per_beat = []
+    lattice = []
     for t, ev in enumerate(melody.events):
         chord = annotation.chords[t]
         inputs = (annotation.keys[t], chord, ev.representative)
@@ -285,8 +282,13 @@ def voice_progression(melody: MelodyLine,
             candidates = enumerated[inputs] = enumerate_arrangements(*inputs)
         if not candidates:
             raise InfeasibleHarmonizationError(t, str(chord))
-        candidates_per_beat.append(candidates)
-    chains = chain_arrangements(candidates_per_beat)
+        lattice.append(candidates)
+    return lattice
+
+
+def voice_progression(melody: MelodyLine,
+                      annotation: ProgressionAnnotation) -> Harmonization:
+    chains = chain_arrangements(_arrangement_lattice(melody, annotation))
     # a chain that joins an earlier one is scored only up to the joining
     # beat and takes the earlier chain's later violations, and the weights
     # are ints, so the penalty is exact in any summation order; a chain

@@ -1063,29 +1063,41 @@ def _json_paths(doc, path=()):
         yield from _json_paths(value, path + (key,))
 
 
+BAD_VALUES = (None, True, False, 0, 1, -1, 2, 0.5, 1e308, -1e-300, float("nan"),
+              float("inf"), 10 ** 400, "", "x", "I", [], [0.5], {}, DELETE)
+
+
+def _with_value(doc, path, value) -> bytes:
+    """The JSON text of doc with the field at path set to value, or
+    deleted; doc is changed in place."""
+    if not path:
+        return b"" if value is DELETE else json.dumps(value).encode()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
 @st.composite
 def _mutated_input(draw, inputs):
     """(flag, bytes): one input file with a few bytes replaced, inserted or
-    deleted, or, for a JSON file, one field replaced or deleted."""
+    deleted, or, for a JSON file, one field replaced or deleted. The field
+    is drawn as a top-level field (or the whole document), then a path
+    within it, so small fields such as a model's chord_counts are reached
+    as often as its matrices."""
     flag = draw(st.sampled_from(sorted(inputs)))
     data = inputs[flag]
     if flag in ("config", "model") and draw(st.booleans()):
         doc = json.loads(data)
-        paths = list(_json_paths(doc))
+        top = draw(st.sampled_from([None, *doc]))
+        paths = ([()] if top is None
+                 else [(top, *path) for path in _json_paths(doc[top])])
         path = paths[draw(st.integers(0, len(paths) - 1))]
-        value = draw(st.sampled_from([
-            None, True, False, 0, 1, -1, 2, 0.5, 1e308, -1e-300, float("nan"),
-            float("inf"), 10 ** 400, "", "x", "I", [], [0.5], {}, DELETE]))
-        if not path:
-            return flag, b"" if value is DELETE else json.dumps(value).encode()
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
-        return flag, json.dumps(doc).encode()
+        return flag, _with_value(doc, path, draw(st.sampled_from(BAD_VALUES)))
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
@@ -1100,11 +1112,10 @@ def _mutated_input(draw, inputs):
     return flag, bytes(data)
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_mutated_input_files_never_crash(data, fuzz_inputs):
+def _check_mutated(fuzz_inputs, flag, mutated):
+    """Run the commands that read the mutated file; each must end with a
+    documented exit code and no traceback."""
     work, inputs, valid = fuzz_inputs
-    flag, mutated = data.draw(_mutated_input(inputs))
     paths = dict(valid, **{flag: work / f"mutated-{flag}"})
     paths[flag].write_bytes(mutated)
     harmonize = ["harmonize", "--model", str(paths["model"]),
@@ -1138,3 +1149,27 @@ def test_mutated_input_files_never_crash(data, fuzz_inputs):
         # export reads fields harmonize never touches, such as chord_counts
         exit_code(["export", "--model", str(paths[flag]),
                    "--out-dir", str(work / "exported")])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_never_crash(data, fuzz_inputs):
+    _check_mutated(fuzz_inputs, *data.draw(_mutated_input(fuzz_inputs[1])))
+
+
+@pytest.mark.parametrize("flag", ["config", "model"])
+def test_every_bad_value_in_each_top_level_field_never_crashes(fuzz_inputs, flag):
+    # every bad value of the fuzz, in each top-level field and in its
+    # first entry, so no small field depends on the fuzz's luck
+    doc = json.loads(fuzz_inputs[1][flag])
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict) and value:
+            paths.append((key, next(iter(value))))
+        elif isinstance(value, list) and value:
+            paths.append((key, 0))
+    for path in paths:
+        for value in BAD_VALUES:
+            mutated = _with_value(json.loads(fuzz_inputs[1][flag]), path, value)
+            _check_mutated(fuzz_inputs, flag, mutated)

@@ -210,10 +210,23 @@ def test_chain_full_tie_goes_to_least_bass_tenor_alto():
         is lower_bass
 
 
-def test_chain_raises_on_empty_beat():
-    seed = arr(64, 55, 48)
-    with pytest.raises(InfeasibleHarmonizationError):
-        chain_arrangements([[seed], []])
+def test_lattice_raises_for_first_empty_beat():
+    # sopranos 45 and 40 lie below every alto pitch; the first is named
+    melody = melody_from_midi([72, 45, 40])
+    ann = ProgressionAnnotation((C_MAJOR,) * 3, (RomanChord.from_string("I"),) * 3)
+    with pytest.raises(InfeasibleHarmonizationError) as err:
+        harmonize._arrangement_lattice(melody, ann)
+    assert err.value.beat_index == 1
+    assert str(err.value) == "no feasible arrangement at beat 1 for chord I"
+
+
+def test_lattice_shares_one_list_per_distinct_input():
+    melody = melody_from_midi([72, 74, 72, 72])
+    chords = tuple(RomanChord.from_string(r) for r in ("I", "V", "I", "IV"))
+    lattice = harmonize._arrangement_lattice(
+        melody, ProgressionAnnotation((C_MAJOR,) * 4, chords))
+    assert lattice[0] is lattice[2] and lattice[0] is not lattice[3]
+    assert lattice[0] == enumerate_arrangements(C_MAJOR, chords[0], 72)
 
 
 # --- penalties ----------------------------------------------------------------
@@ -486,10 +499,7 @@ def test_each_distinct_chain_step_runs_once_per_call(
     melody = _concatenated(fixture_melodies)
     annotation = decode_key_chord(major_bundle.key_model,
                                   major_bundle.chord_model, melody, method)
-    candidates_per_beat = [
-        enumerate_arrangements(key, chord, soprano)
-        for key, chord, soprano in zip(annotation.keys, annotation.chords,
-                                       melody.representatives())]
+    candidates_per_beat = harmonize._arrangement_lattice(melody, annotation)
     chains, joins = zip(*chain_arrangements(candidates_per_beat))
     distinct = {(t, chain[t - 1]) for chain in chains
                 for t in range(1, len(chain))}
@@ -529,7 +539,7 @@ def test_masked_viterbi_decodes_have_no_retrogression(major_bundle,
         h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model,
                              melody, "viterbi")
         chords = h.annotation.chords
-        bad = [(t, chords[t - 1].to_string(), chords[t].to_string())
+        bad = [(t, str(chords[t - 1]), str(chords[t]))
                for t in range(1, len(chords))
                if is_retrogressive(chords[t - 1], chords[t])]
         assert bad == [], f"{name}: {bad}"
@@ -544,7 +554,7 @@ def test_infeasible_beat_is_reported():
     with pytest.raises(InfeasibleHarmonizationError) as err:
         voice_progression(melody, ann)
     assert err.value.beat_index == 1
-    assert "beat 1" in str(err.value)
+    assert "beat 1 for chord I" in str(err.value)
 
 
 def test_score_document_shape(major_bundle, fixture_melodies):
