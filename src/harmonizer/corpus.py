@@ -66,14 +66,18 @@ def read_text(path: str | Path) -> str:
         raise CorpusError(f"not UTF-8 text: {exc}", str(path))
 
 
-def read_json(path: str | Path):
-    """The JSON document in a UTF-8 file; CorpusError naming the file when
-    it is not JSON, nests too deeply or holds an integer too long to read."""
-    text = read_text(path)
+def parse_json(text: str, source: str = ""):
+    """The JSON document in `text`; CorpusError naming `source` when it is
+    not JSON, nests too deeply or holds an integer too long to read."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise CorpusError(f"not valid JSON: {exc}", str(path))
+        raise CorpusError(f"not valid JSON: {exc}", source)
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file, read with `parse_json`."""
+    return parse_json(read_text(path), str(path))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ model file and the CSV matrices.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,8 @@ from .core import (
 )
 from .corpus import (
     GENRES,
-    read_json,
+    CorpusError,
+    parse_json,
     read_text,
     reference_offset,
 )
@@ -66,7 +68,10 @@ class DecodeInfeasibleError(HmmError):
 class HmmModel:
     """Trained model: row-stochastic transition and emission matrices, an
     initial distribution, and optional boolean mask of forbidden
-    transitions. Treated as immutable after construction."""
+    transitions. A model read by `load_bundle` is shared by every load of
+    the same file text, so its four arrays are read-only: writing a cell
+    raises ValueError. To change a matrix, build a new model, as
+    `apply_override` does."""
 
     states: tuple
     observations: tuple
@@ -459,7 +464,7 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     if not 0 <= alpha <= sys.float_info.max:
         raise HmmError(f"{layer}.smoothing_alpha must be finite and"
                        f" non-negative: {alpha}")
-    return HmmModel(
+    model = HmmModel(
         states=states,
         observations=PITCH_CLASSES,
         transition=_stochastic(doc, layer, "transition", (S, S)),
@@ -468,6 +473,10 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
         mask=None if doc.get("mask") is None else _mask(doc, layer, S),
         smoothing_alpha=float(alpha),
     )
+    for array in (model.transition, model.emission, model.initial, model.mask):
+        if array is not None:
+            array.flags.writeable = False
+    return model
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
@@ -521,9 +530,30 @@ def _chord_counts(counts, states: set) -> dict[RomanChord, int]:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    doc = read_json(path)
+    """The model file at `path`. Its text is parsed and checked once per
+    process by `_parse_bundle`, keyed on the whole text, so a file rewritten
+    with other bytes is read again whatever its timestamp. Each call gets a
+    new bundle with its own `chord_counts` and `ornament_rates` over the
+    shared read-only models, and an error names the path of its own call."""
+    text = read_text(path)
+    try:
+        shared = _parse_bundle(text)
+    except CorpusError as exc:
+        raise CorpusError(str(exc), str(path))
+    except HmmError as exc:
+        raise HmmError(f"{path}: {exc}")
+    rates = shared.ornament_rates
+    return replace(shared, chord_counts=dict(shared.chord_counts),
+                   ornament_rates=None if rates is None else dict(rates))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_bundle(text: str) -> ModelBundle:
+    """The checked bundle in a model file's text; its errors do not name the
+    file. The result is cached and shared, so only `load_bundle` calls this."""
+    doc = parse_json(text)
     if not isinstance(doc, dict) or doc.get("format") != "key-chord-models":
-        raise HmmError(f"{path}: not a model file")
+        raise HmmError("not a model file")
     try:
         _check_bundle_fields(doc)
         chord_model = _model_from_dict(doc["chord_model"], "chord_model",
@@ -538,9 +568,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             ornament_rates=doc.get("ornament_rates"),
         )
     except KeyError as exc:
-        raise HmmError(f"{path}: model file lacks field {exc.args[0]!r}")
-    except HmmError as exc:
-        raise HmmError(f"{path}: {exc}")
+        raise HmmError(f"model file lacks field {exc.args[0]!r}")
 
 
 def _write_labeled_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray):

@@ -992,14 +992,15 @@ def test_no_mask_flag_drops_mask(tmp_path, data_dir):
     assert load_bundle(unmasked).chord_model.mask is None
 
 
-def test_boosted_override_changes_a_decode(capsys, tmp_path, trained_model,
-                                           data_dir):
+def _boosted_chord_csv(tmp_path, model) -> Path:
+    """The model's exported chord transitions with the minor and ii chords
+    made likelier, written as a CSV for `override`."""
     import csv
 
     from harmonizer.hmm import read_transition_csv
 
     out_dir = tmp_path / "mx"
-    assert main(["export", "--model", str(trained_model),
+    assert main(["export", "--model", str(model),
                  "--out-dir", str(out_dir)]) == 0
     labels, matrix = read_transition_csv(out_dir / "chord_transition.csv")
     targets = [j for j, label in enumerate(labels)
@@ -1012,6 +1013,12 @@ def test_boosted_override_changes_a_decode(capsys, tmp_path, trained_model,
         writer.writerow([""] + labels)
         for label, row in zip(labels, matrix):
             writer.writerow([label] + [repr(float(v)) for v in row])
+    return boost_path
+
+
+def test_boosted_override_changes_a_decode(capsys, tmp_path, trained_model,
+                                           data_dir):
+    boost_path = _boosted_chord_csv(tmp_path, trained_model)
     boosted_model = tmp_path / "boosted.json"
     assert main(["override", "--model", str(trained_model),
                  "--transitions", str(boost_path), "--layer", "chord",
@@ -1027,6 +1034,37 @@ def test_boosted_override_changes_a_decode(capsys, tmp_path, trained_model,
         after = capsys.readouterr().out
         changed += before != after
     assert changed >= 1
+
+
+def test_override_onto_a_loaded_model_is_read_again(tmp_path, trained_model,
+                                                    data_dir):
+    # one process: harmonize, override the model in place, harmonize again;
+    # the second run must match one made with no model parsed before it
+    from harmonizer.hmm import _parse_bundle
+
+    model = tmp_path / "model.json"
+    model.write_bytes(trained_model.read_bytes())
+    melodies = sorted((data_dir / "melodies").iterdir())
+
+    def harmonize(tag):
+        outputs = []
+        for melody in melodies:
+            midi = tmp_path / f"{tag}-{melody.stem}.mid"
+            score = tmp_path / f"{tag}-{melody.stem}.score"
+            assert main(["harmonize", "--model", str(model), "--melody",
+                         str(melody), "--out-midi", str(midi),
+                         "--out-score", str(score)]) == 0
+            outputs.append((midi.read_bytes(), score.read_bytes()))
+        return outputs
+
+    before = harmonize("before")
+    assert main(["override", "--model", str(model), "--transitions",
+                 str(_boosted_chord_csv(tmp_path, model)), "--layer", "chord",
+                 "--out", str(model)]) == 0
+    after = harmonize("after")
+    _parse_bundle.cache_clear()
+    assert after == harmonize("cold")
+    assert after != before
 
 
 # --- fuzzing the files the CLI reads -----------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from harmonizer.core import (
     RomanChord,
     transposed_degree,
 )
-from harmonizer.corpus import Corpus, reference_offset
+from harmonizer.corpus import Corpus, CorpusError, reference_offset
 from harmonizer.hmm import (
     MASK_EPSILON,
     AlphabetError,
@@ -36,7 +38,7 @@ from harmonizer.hmm import (
     train_key_chord_models,
     viterbi,
 )
-from harmonizer.midiout import export_matrices
+from harmonizer.midiout import export_matrices, functional_summary
 
 from oracles import (
     brute_force_argmax_set,
@@ -747,3 +749,120 @@ def test_override_renormalizes_rows_off_by_less_than_half(tmp_path, major_bundle
         source = np.array(scaled[i]) if i in scaled else model.transition[i]
         expected = source if abs(source.sum() - 1.0) <= 1e-9 else source / source.sum()
         assert row.tobytes() == expected.tobytes()
+
+
+# --- each model text parsed once --------------------------------------------
+
+def test_rewritten_model_is_read_again_under_its_old_size_and_mtime(
+        tmp_path, major_bundle):
+    path = save_bundle(major_bundle, tmp_path / "model.json")
+    before = load_bundle(path)
+    old = path.stat()
+    # two chord rows swapped: other valid bytes of the same length
+    doc = json.loads(path.read_text())
+    rows = doc["chord_model"]["transition"]
+    rows[0], rows[1] = rows[1], rows[0]
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    new = path.stat()
+    assert (new.st_size, new.st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+    after = load_bundle(path).chord_model.transition
+    order = [1, 0] + list(range(2, len(after)))
+    assert np.array_equal(after, before.chord_model.transition[order])
+
+
+def test_each_load_is_its_own_bundle_over_shared_models(tmp_path, major_bundle):
+    rates = {"p_passing": 0.25}
+    path = save_bundle(dataclasses.replace(major_bundle, ornament_rates=rates),
+                       tmp_path / "model.json")
+    first, second = load_bundle(path), load_bundle(path)
+    assert first is not second
+    assert first.chord_model is second.chord_model
+    first.chord_model = first.key_model
+    first.chord_counts.clear()
+    first.ornament_rates["p_passing"] = 1.0
+    third = load_bundle(path)
+    assert third.chord_model is second.chord_model
+    assert third.chord_counts == major_bundle.chord_counts
+    assert third.ornament_rates == rates
+
+
+def test_loaded_matrices_are_read_only(tmp_path, major_bundle):
+    path = save_bundle(major_bundle, tmp_path / "model.json")
+    loaded = load_bundle(path)
+    assert loaded.chord_model.mask is not None
+    for layer in ("key_model", "chord_model"):
+        for name in ("transition", "emission", "initial", "mask"):
+            array = getattr(getattr(loaded, layer), name)
+            if array is None:
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+    again = load_bundle(path)
+    for layer in ("key_model", "chord_model"):
+        assert np.array_equal(getattr(again, layer).transition,
+                              getattr(major_bundle, layer).transition)
+
+
+def test_read_only_models_decode_export_and_override(tmp_path, major_bundle,
+                                                     fixture_melodies):
+    loaded = load_bundle(save_bundle(major_bundle, tmp_path / "model.json"))
+    for method in METHODS:
+        for _, melody in fixture_melodies[:4]:
+            assert (decode_key_chord(loaded.key_model, loaded.chord_model,
+                                     melody, method)
+                    == decode_key_chord(major_bundle.key_model,
+                                        major_bundle.chord_model, melody, method))
+    written = {}
+    for tag, bundle in (("trained", major_bundle), ("loaded", loaded)):
+        paths = export_matrices(bundle.key_model, tmp_path / tag, prefix="key_")
+        paths += export_matrices(bundle.chord_model, tmp_path / tag, prefix="chord_")
+        written[tag] = [p.read_bytes() for p in paths]
+    assert written["loaded"] == written["trained"]
+    assert np.array_equal(functional_summary(loaded.chord_model, loaded.chord_counts),
+                          functional_summary(major_bundle.chord_model,
+                                             major_bundle.chord_counts))
+    csv_path = tmp_path / "loaded" / "chord_transition.csv"
+    overridden = apply_override(loaded.chord_model, csv_path)
+    assert np.array_equal(overridden.transition, loaded.chord_model.transition)
+    assert overridden.emission is loaded.chord_model.emission
+
+
+def _malformed_model(good: str, damage: str) -> bytes:
+    doc = json.loads(good)
+    if damage == "not-utf-8":
+        return b"\xff\xfe" + good.encode()
+    if damage == "not-json":
+        return b"nope"
+    if damage == "not-a-model":
+        return b"[]"
+    if damage == "missing-field":
+        del doc["version"]
+    else:
+        doc["chord_model"]["transition"][0][0] = -1.0
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("damage,error,message", [
+    ("not-utf-8", CorpusError, "not UTF-8 text: 'utf-8' codec can't decode"
+     " byte 0xff in position 0: invalid start byte"),
+    ("not-json", CorpusError,
+     "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("not-a-model", HmmError, "not a model file"),
+    ("missing-field", HmmError, "model file lacks field 'version'"),
+    ("bad-cell", HmmError,
+     "chord_model.transition has a negative or non-finite cell"),
+])
+def test_load_errors_name_their_own_path_and_are_not_kept(
+        tmp_path, major_bundle, damage, error, message):
+    good = save_bundle(major_bundle, tmp_path / "good.json").read_bytes()
+    bad = _malformed_model(good.decode(), damage)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_bytes(bad)
+    for path in paths * 2:
+        with pytest.raises(error) as caught:
+            load_bundle(path)
+        assert str(caught.value) == f"{path}: {message}"
+    paths[0].write_bytes(good)
+    assert load_bundle(paths[0]).chord_counts == major_bundle.chord_counts
