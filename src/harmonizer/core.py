@@ -7,14 +7,16 @@ All pitch arithmetic is pitch-class based (mod 12); enharmonic spelling is
 out of scope. Keys and chords are values from parse to print: `str(label)`
 is their one text form, note names for keys, uppercase for major and
 lowercase for minor ("C", "f#"), Roman numerals with standard inversion
-figures for chords ("I", "ii6", "V65", "viio"). `from_string` reads that
-text and returns one shared object per distinct label.
+figures for chords ("I", "ii6", "V65", "viio"). `from_string` looks the
+text up in a table built from `str()` of every label, so `str()` alone
+defines the grammar: 24 keys, and 588 chords under 756 texts, the figure
+aliases "63" and "2" included. Each label is one shared object.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 from dataclasses import dataclass
 
 PITCH_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
@@ -33,21 +35,14 @@ HARMONIC_MINOR_SCALE = (0, 2, 3, 5, 7, 8, 11)
 
 _NUMERALS = ("I", "II", "III", "IV", "V", "VI", "VII")
 
-_ROMAN_RE = re.compile(
-    r"^(?P<accidental>[b#])?"
-    r"(?P<numeral>VII|VI|V|IV|III|II|I|vii|vi|v|iv|iii|ii|i)"
-    r"(?P<marker>[o+])?"
-    r"(?P<figure>65|64|63|43|42|7|6|2)?$"
-)
-
-# canonical inversion figures by (seventh, inversion), and the form each
-# figure reads as; "63" and "2" are accepted aliases on parse
+# canonical inversion figures by (seventh, inversion), and the alias a
+# figure also reads as
 _FIGURES = {(False, "root"): "", (False, "first"): "6", (False, "second"): "64",
             (True, "root"): "7", (True, "first"): "65", (True, "second"): "43",
             (True, "third"): "42"}
-_FORM_OF_FIGURE = {**{figure: form for form, figure in _FIGURES.items()},
-                   "63": (False, "first"), "2": (True, "third")}
+_FIGURE_ALIASES = {"6": "63", "42": "2"}
 INVERSIONS = ("root", "first", "second", "third")
+QUALITIES = ("major", "minor", "diminished", "augmented")
 
 
 class MusicError(ValueError):
@@ -137,7 +132,7 @@ class RomanChord:
     def __post_init__(self):
         if not 1 <= self.degree <= 7:
             raise MusicError(f"scale degree out of range: {self.degree}")
-        if self.quality not in ("major", "minor", "diminished", "augmented"):
+        if self.quality not in QUALITIES:
             raise MusicError(f"unknown chord quality: {self.quality!r}")
         if self.inversion not in INVERSIONS:
             raise MusicError(f"unknown inversion: {self.inversion!r}")
@@ -158,37 +153,27 @@ class RomanChord:
     def from_string(cls, text: str) -> "RomanChord":
         """The shared chord named by text, surrounding blanks ignored; equal
         chords spelled differently ("I6", "I63") share one object too."""
-        stripped = text.strip() if isinstance(text, str) else None
-        if stripped in _CHORD_BY_TEXT:
-            return _CHORD_BY_TEXT[stripped]
-        m = None if stripped is None else _ROMAN_RE.match(stripped)
-        if m is None:
+        chord = _CHORD_BY_TEXT.get(text.strip()) if isinstance(text, str) else None
+        if chord is None:
             raise MusicError(f"unparseable Roman numeral: {text!r}")
-        numeral = m.group("numeral")
-        marker = m.group("marker")
-        degree = _NUMERALS.index(numeral.upper()) + 1
-        if marker == "o":
-            if numeral.isupper():
-                raise MusicError(f"diminished marker needs lowercase numeral: {text!r}")
-            quality = "diminished"
-        elif marker == "+":
-            if numeral.islower():
-                raise MusicError(f"augmented marker needs uppercase numeral: {text!r}")
-            quality = "augmented"
-        else:
-            quality = "major" if numeral.isupper() else "minor"
-        accidental = {"b": -1, "#": 1, None: 0}[m.group("accidental")]
-        seventh, inversion = _FORM_OF_FIGURE[m.group("figure") or ""]
-        chord = cls(degree=degree, quality=quality, inversion=inversion,
-                    seventh=seventh, accidental=accidental)
-        _CHORD_BY_TEXT[stripped] = chord = _CHORDS.setdefault(chord, chord)
         return chord
 
 
-# stripped text -> its shared chord, and chord -> the shared object; only
-# successful parses are stored, so both stay within the numeral grammar
-_CHORD_BY_TEXT: dict[str, RomanChord] = {}
-_CHORDS: dict[RomanChord, RomanChord] = {}
+def _chord_table() -> dict[str, RomanChord]:
+    """Every valid chord under the text `str()` writes for it and under its
+    figure's alias: 588 chords, 756 texts."""
+    table = {}
+    forms = itertools.product(range(1, 8), QUALITIES, (-1, 0, 1), _FIGURES.items())
+    for degree, quality, accidental, ((seventh, inversion), figure) in forms:
+        chord = RomanChord(degree, quality, inversion, seventh, accidental)
+        text = str(chord)
+        table[text] = chord
+        if figure in _FIGURE_ALIASES:
+            table[text.removesuffix(figure) + _FIGURE_ALIASES[figure]] = chord
+    return table
+
+
+_CHORD_BY_TEXT = _chord_table()
 
 
 def check_midi_pitch(midi: int) -> None:

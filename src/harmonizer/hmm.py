@@ -621,9 +621,11 @@ def apply_override(model: HmmModel, matrix_file: str | Path) -> HmmModel:
     labels, matrix = read_transition_csv(matrix_file)
     expected = [str(s) for s in model.states]
     if labels != expected:
-        raise HmmError(
-            f"override labels do not match model states"
-            f" ({len(labels)} labels vs {len(expected)} states)")
+        detail = f" ({len(labels)} labels vs {len(expected)} states)"
+        if len(labels) == len(expected):
+            label, state = next(p for p in zip(labels, expected) if p[0] != p[1])
+            detail = f": label {label!r} where the model has {state!r}"
+        raise HmmError(f"override labels do not match model states{detail}")
     totals = matrix.sum(axis=1)
     negative = np.any(matrix < 0, axis=1)
     refused = negative | ~((0.5 <= totals) & (totals <= 1.5))

@@ -4,19 +4,22 @@ Everything here trades speed for obviousness: estimation that counts one
 cell at a time and normalizes one row at a time, exhaustive enumeration
 over hidden sequences, Viterbi and forward-backward as one plain step per
 position, a full lattice filter for chord voicings, the greedy voicing
-search as a literal loop with every tie-break key computed, and an SMF
-track encoder that spells out every event.
+search as a literal loop with every tie-break key computed, an SMF
+track encoder that spells out every event, and the Roman-numeral grammar
+as a regular expression with a branch for each marker and case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from harmonizer.core import (
     KeyLabel,
+    MusicError,
     RomanChord,
     chord_bass_pc,
     chord_tone_pcs,
@@ -388,3 +391,51 @@ def smf_note_track(notes, channel: int, velocity: int = 80) -> bytes:
         now = tick
     body += _variable_length(0) + [0xFF, 0x2F, 0x00]
     return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+_NUMERALS = ("I", "II", "III", "IV", "V", "VI", "VII")
+
+_ROMAN_RE = re.compile(
+    r"^(?P<accidental>[b#])?"
+    r"(?P<numeral>VII|VI|V|IV|III|II|I|vii|vi|v|iv|iii|ii|i)"
+    r"(?P<marker>[o+])?"
+    r"(?P<figure>65|64|63|43|42|7|6|2)?$"
+)
+
+# the (seventh, inversion) form each figure reads as; "63" and "2" are
+# aliases of "6" and "42"
+_FORM_OF_FIGURE = {"": (False, "root"), "6": (False, "first"),
+                   "63": (False, "first"), "64": (False, "second"),
+                   "7": (True, "root"), "65": (True, "first"),
+                   "43": (True, "second"), "42": (True, "third"),
+                   "2": (True, "third")}
+
+
+def parse_roman(text) -> RomanChord:
+    """The chord a Roman numeral names, surrounding blanks ignored: an
+    optional accidental, a numeral whose case gives major or minor, an
+    optional marker ("o" diminished on a lowercase numeral, "+" augmented
+    on an uppercase one) and an optional figure. MusicError otherwise.
+    `RomanChord.from_string` must accept exactly these texts and return
+    equal chords."""
+    stripped = text.strip() if isinstance(text, str) else None
+    m = None if stripped is None else _ROMAN_RE.match(stripped)
+    if m is None:
+        raise MusicError(f"unparseable Roman numeral: {text!r}")
+    numeral = m.group("numeral")
+    marker = m.group("marker")
+    degree = _NUMERALS.index(numeral.upper()) + 1
+    if marker == "o":
+        if numeral.isupper():
+            raise MusicError(f"diminished marker needs lowercase numeral: {text!r}")
+        quality = "diminished"
+    elif marker == "+":
+        if numeral.islower():
+            raise MusicError(f"augmented marker needs uppercase numeral: {text!r}")
+        quality = "augmented"
+    else:
+        quality = "major" if numeral.isupper() else "minor"
+    accidental = {"b": -1, "#": 1, None: 0}[m.group("accidental")]
+    seventh, inversion = _FORM_OF_FIGURE[m.group("figure") or ""]
+    return RomanChord(degree=degree, quality=quality, inversion=inversion,
+                      seventh=seventh, accidental=accidental)

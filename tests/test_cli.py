@@ -214,20 +214,40 @@ def test_export_and_identity_override_decode_identical(capsys, tmp_path,
     assert before == after
 
 
-def test_respelled_count_key_reads_as_its_state(tmp_path, trained_model):
-    # a hand-edited model whose I6 state and count key are both spelled I63
+def test_respelled_count_key_reads_as_its_state(capsys, tmp_path, trained_model,
+                                                data_dir):
+    # a hand-edited model whose states and count keys are spelled with the
+    # figure alias wherever one exists: I6 as I63, V42 as V2, and so on
     doc = json.loads(trained_model.read_text())
     states = doc["chord_model"]["states"]
-    states[states.index("I6")] = "I63"
-    doc["chord_counts"]["I63"] = doc["chord_counts"].pop("I6")
+    counts = doc["chord_counts"]
+    for text, alias in (("I6", "I63"), ("IV6", "IV63"), ("V6", "V63"),
+                        ("ii6", "ii63"), ("viio6", "viio63"), ("V42", "V2")):
+        states[states.index(text)] = alias
+        counts[alias] = counts.pop(text)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
+    melody = data_dir / "melodies" / "m02.txt"
+    for method in ("viterbi", "posterior"):
+        runs = []
+        for model in (trained_model, edited):
+            midi, score = tmp_path / "out.mid", tmp_path / "out.score"
+            assert main(["harmonize", "--model", str(model), "--melody",
+                         str(melody), "--method", method, "--out-midi",
+                         str(midi), "--out-score", str(score)]) == 0
+            stdout = [line for line in capsys.readouterr().out.splitlines()
+                      if not line.startswith("harmonization time:")]
+            runs.append((stdout, midi.read_bytes(), score.read_bytes()))
+        assert runs[0] == runs[1]
+        assert b"roman=I6" in runs[0][2] and b"roman=V6" in runs[0][2]
     for model, out_dir in ((trained_model, "plain"), (edited, "edited")):
         assert main(["export", "--model", str(model),
                      "--out-dir", str(tmp_path / out_dir)]) == 0
-    summary = "functional_summary.csv"
-    assert ((tmp_path / "edited" / summary).read_bytes()
-            == (tmp_path / "plain" / summary).read_bytes())
+    exported = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "edited").iterdir()) == exported
+    for name in exported:
+        assert ((tmp_path / "edited" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
     overridden = tmp_path / "overridden.json"
     assert main(["override", "--model", str(edited), "--transitions",
                  str(tmp_path / "plain" / "chord_transition.csv"),

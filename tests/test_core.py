@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer.core import (
@@ -23,6 +23,9 @@ from harmonizer.core import (
     transposed_degree,
     triadic_numeral_for_root,
 )
+from harmonizer.core import _CHORD_BY_TEXT
+
+from oracles import parse_roman
 
 ROMAN_SAMPLES = [
     "I", "I6", "I64", "ii", "ii6", "ii65", "iii", "IV", "IV6", "V", "V6",
@@ -100,9 +103,51 @@ def test_roman_parse_details():
     with pytest.raises(MusicError):
         RomanChord.from_string("VIIIo")
     with pytest.raises(MusicError):
-        RomanChord.from_string("Vo")  # diminished marker needs lowercase
+        RomanChord.from_string("Vo")  # a diminished numeral is lowercase
     with pytest.raises(MusicError):
         RomanChord.from_string("I64x")
+
+
+def _read(reader, text):
+    """What reader returns for text, or MusicError when it refuses it."""
+    try:
+        return reader(text)
+    except MusicError:
+        return MusicError
+
+
+# every accidental, numeral, marker and figure the grammar knows, with
+# near misses of each, inside surrounding blanks; then non-string inputs
+ROMAN_PRODUCT = [
+    lead + accidental + numeral + marker + figure + trail
+    for lead, trail in (("", ""), (" ", ""), ("", "\t"), ("\n ", " \n"))
+    for accidental in ("", "b", "#", "bb", "x")
+    for numeral in ("I", "II", "III", "IV", "V", "VI", "VII", "i", "ii", "iii",
+                    "iv", "v", "vi", "vii", "VIII", "viii", "Vi", "iV", "")
+    for marker in ("", "o", "+", "0")
+    for figure in ("", "6", "63", "64", "7", "65", "43", "42", "2", "4", "642",
+                   "5", "66")
+] + [5, None, b"I", ["I"], {"I": 1}]
+
+
+def test_roman_reader_matches_the_grammar_oracle():
+    for text in ROMAN_PRODUCT:
+        assert _read(RomanChord.from_string, text) == _read(parse_roman, text), text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="IViv b#o+0123456789\t\nx", max_size=10))
+def test_roman_reader_matches_the_grammar_oracle_on_any_text(text):
+    assert _read(RomanChord.from_string, text) == _read(parse_roman, text)
+
+
+def test_roman_table_holds_every_chord_once():
+    # 756 texts name 588 chords, each distinct in value and one object
+    assert len(_CHORD_BY_TEXT) == 756
+    assert len(set(_CHORD_BY_TEXT.values())) == 588
+    assert len(set(map(id, _CHORD_BY_TEXT.values()))) == 588
+    assert all(RomanChord.from_string(text) is chord
+               for text, chord in _CHORD_BY_TEXT.items())
 
 
 def test_third_inversion_requires_seventh():

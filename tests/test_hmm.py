@@ -693,8 +693,38 @@ def test_identity_override_decodes_identically(tmp_path, major_bundle,
 def test_override_rejects_dimension_mismatch(tmp_path, major_bundle):
     # a chord matrix has the wrong shape for the 24-state key model
     out = export_matrices(major_bundle.chord_model, tmp_path, prefix="chord_")
-    with pytest.raises(HmmError):
+    count = len(major_bundle.chord_model.states)
+    with pytest.raises(HmmError, match=rf"\({count} labels vs 24 states\)$"):
         apply_override(major_bundle.key_model, out[0])
+
+
+def _relabeled_csv(tmp_path, model, labels: list[str]):
+    """The model's exported transition CSV under other row and column
+    labels, in the given order."""
+    lines = export_matrices(model, tmp_path, prefix="l_")[0].read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    rows[0][1:] = labels
+    for row, label in zip(rows[1:], labels):
+        row[0] = label
+    path = tmp_path / "labels.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("case", ["respelled", "swapped"])
+def test_override_names_the_first_label_that_differs(tmp_path, major_bundle, case):
+    # as many labels as states, but one spelled otherwise or two swapped
+    model = major_bundle.chord_model
+    names = [str(s) for s in model.states]
+    if case == "respelled":
+        labels = ["I63" if name == "I6" else name for name in names]
+        detail = "label 'I63' where the model has 'I6'"
+    else:
+        labels = [names[1], names[0]] + names[2:]
+        detail = f"label {names[1]!r} where the model has {names[0]!r}"
+    with pytest.raises(HmmError) as err:
+        apply_override(model, _relabeled_csv(tmp_path, model, labels))
+    assert str(err.value) == f"override labels do not match model states: {detail}"
 
 
 def test_override_rejects_non_numeric_cell(tmp_path, major_bundle):
