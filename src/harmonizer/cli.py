@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .core import MODES, MelodyLine, MusicError
+from .core import MODES, MusicError
 from .corpus import (
     GENRES,
     CorpusError,
     format_progression,
     parse_corpus,
     parse_melody_file,
-    parse_rock_melody_file,
     read_json,
 )
 from .harmonize import (
@@ -174,17 +173,11 @@ def _warn_masked_transitions(chord_model, chords) -> None:
         print(f"# warning: masked transition {a} -> {b} at beat {t}")
 
 
-def _read_melody(bundle: ModelBundle, path: str) -> MelodyLine:
-    """The melody file, read with the reader of the model's genre."""
-    parse = parse_rock_melody_file if bundle.genre == "rock" else parse_melody_file
-    return parse(path)
-
-
 def cmd_harmonize(args) -> int:
     cfg = _merge_config(args)
     bundle = load_bundle(args.model)
     started = time.perf_counter()
-    melody = _read_melody(bundle, args.melody)
+    melody = parse_melody_file(args.melody, bundle.genre)
     if bundle.genre == "rock":
         annotation, score = harmonize_rock(bundle.key_model, bundle.chord_model,
                                            melody, cfg.method, cfg.pattern, cfg.drums)
@@ -215,8 +208,9 @@ def cmd_harmonize(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _merge_config(args)
     bundle = load_bundle(args.model)
-    annotation = decode_key_chord(bundle.key_model, bundle.chord_model,
-                                  _read_melody(bundle, args.melody), cfg.method)
+    melody = parse_melody_file(args.melody, bundle.genre)
+    annotation = decode_key_chord(bundle.key_model, bundle.chord_model, melody,
+                                  cfg.method)
     print(format_progression(annotation, bundle.genre), end="")
     _warn_masked_transitions(bundle.chord_model, annotation.chords)
     return EXIT_OK

@@ -310,9 +310,11 @@ def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
                             for lineno, fields in records))
 
 
-def parse_melody_file(path: str | Path) -> MelodyLine:
+def parse_melody_file(path: str | Path, genre: str = "chorale") -> MelodyLine:
+    """A melody file, read with the reader of its genre."""
     p = Path(path)
-    return parse_melody_text(read_text(p), source=str(p))
+    parse = parse_rock_melody_text if genre == "rock" else parse_melody_text
+    return parse(read_text(p), source=str(p))
 
 
 def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
@@ -321,11 +323,6 @@ def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     return MelodyLine(tuple(
         _measure_event(_pitch_class(fields, "melody_degree_pc", source, lineno))
         for lineno, fields in records))
-
-
-def parse_rock_melody_file(path: str | Path) -> MelodyLine:
-    p = Path(path)
-    return parse_rock_melody_text(read_text(p), source=str(p))
 
 
 def reference_offset(chorale: AnnotatedChorale) -> int:

@@ -625,16 +625,17 @@ def apply_override(model: HmmModel, matrix_file: str | Path) -> HmmModel:
         if len(labels) == len(expected):
             label, state = next(p for p in zip(labels, expected) if p[0] != p[1])
             detail = f": label {label!r} where the model has {state!r}"
-        raise HmmError(f"override labels do not match model states{detail}")
+        raise HmmError(f"{matrix_file}: override labels do not match model"
+                       f" states{detail}")
     totals = matrix.sum(axis=1)
     negative = np.any(matrix < 0, axis=1)
     refused = negative | ~((0.5 <= totals) & (totals <= 1.5))
     if refused.any():
         i = int(np.argmax(refused))
         if negative[i]:
-            raise HmmError(f"override row {labels[i]!r} has negative entries")
-        raise HmmError(f"override row {labels[i]!r} sums to {totals[i]:.6g},"
-                       f" outside [0.5, 1.5]")
+            raise HmmError(f"{matrix_file}: override row {labels[i]!r} has negative entries")
+        raise HmmError(f"{matrix_file}: override row {labels[i]!r} sums to"
+                       f" {totals[i]:.6g}, outside [0.5, 1.5]")
     off = np.abs(totals - 1.0) > 1e-9
     matrix[off] = _distribute(matrix[off])
     return HmmModel(model.states, model.observations, matrix, model.emission,

@@ -72,11 +72,15 @@ def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
 
 def _note_events(notes: list[tuple[int, int, int]], channel: int):
     """(onset_tick, duration_tick, pitch) triples to on/off event tuples;
-    ValueError when a duration is not a positive whole number of ticks,
-    and `check_midi_pitch`'s error for a pitch outside 0-127."""
+    ValueError when an onset is not a non-negative whole number of ticks
+    or a duration is not a positive one, and `check_midi_pitch`'s error
+    for a pitch outside 0-127."""
     payloads = {}           # one (on, off) pair per distinct pitch
     events = []
     for onset, duration, pitch in notes:
+        if type(onset) is not int or onset < 0:
+            raise ValueError(f"note onset is not a non-negative whole number"
+                             f" of ticks: {onset!r}")
         if type(duration) is not int or duration < 1:
             raise ValueError(f"note duration is not a positive whole number"
                              f" of ticks: {duration!r}")
@@ -115,28 +119,6 @@ def _harmonization_note_lists(h: Harmonization) -> list[list[tuple[int, int, int
     return out
 
 
-def _accompaniment_note_lists(score: AccompanimentScore) -> list[tuple[int, list]]:
-    """(channel, notes) per instrument track, melody first;
-    ValueError when an onset is not a whole number of ticks inside its
-    measure."""
-    measure_ticks = BEATS_PER_BAR * PPQ
-    tracks = []
-    layout = [(0, score.melody_track), (1, score.bass_track),
-              (2, score.keys_track), (DRUM_CHANNEL, score.drum_track)]
-    for channel, measures in layout:
-        if not measures or all(not m for m in measures):
-            continue
-        notes = []
-        for i, measure in enumerate(measures):
-            for onset, duration, pitch in measure:
-                if type(onset) is not int or not 0 <= onset < measure_ticks:
-                    raise ValueError(f"note onset is not a whole number of ticks"
-                                     f" in [0, {measure_ticks}): {onset!r}")
-                notes.append((i * measure_ticks + onset, duration, pitch))
-        tracks.append((channel, notes))
-    return tracks
-
-
 def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
                tempo_bpm: int | None = None) -> Path:
     """Write a harmonization (4 SATB tracks) or accompaniment score
@@ -148,8 +130,9 @@ def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
                   for channel, notes in enumerate(note_lists)]
     elif isinstance(score, AccompanimentScore):
         tempo = tempo_bpm or ROCK_TEMPO
-        tracks = [_note_events(notes, channel)
-                  for channel, notes in _accompaniment_note_lists(score)]
+        layout = [(0, score.melody_track), (1, score.bass_track),
+                  (2, score.keys_track), (DRUM_CHANNEL, score.drum_track)]
+        tracks = [_note_events(notes, channel) for channel, notes in layout if notes]
     else:
         raise TypeError(f"cannot write {type(score).__name__} as MIDI")
     chunks = [_track_chunk(_meta_track(tempo))]

@@ -51,12 +51,12 @@ def _scale_tone_between(low: int, high: int, pcs: frozenset[int]) -> int | None:
     return min(inside, key=lambda m: (abs(m - midpoint), m))
 
 
-def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int | None:
-    """The first scale tone one to three semitones above pitch, or None."""
+def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int:
+    """The first scale tone one to three semitones above pitch; no step of
+    a major or harmonic-minor scale is wider than three semitones."""
     for m in range(pitch + 1, pitch + 4):
         if m % 12 in pcs:
             return m
-    return None
 
 
 def estimate_ornament_rates(corpus) -> OrnamentConfig:
@@ -137,14 +137,14 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
             # auxiliary tone decorating a repeated pitch
             if nxt is not None and nxt == cur:
                 neighbor = _upper_scale_tone(cur, scales[t])
-                if neighbor is not None and floor <= neighbor <= ceiling:
+                if floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_auxiliary:
                         line[t] = ((cur, half), (neighbor, half))
                         continue
             # appoggiatura leaning onto a strong beat
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
                 neighbor = _upper_scale_tone(cur, scales[t])
-                if neighbor is not None and floor <= neighbor <= ceiling:
+                if floor <= neighbor <= ceiling:
                     if rng.random() < cfg.p_appoggiatura:
                         line[t] = ((neighbor, half), (cur, half))
 

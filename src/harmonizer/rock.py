@@ -3,7 +3,7 @@
 A rock melody is a `MelodyLine` with one beat per measure; `harmonize_rock`
 decodes it with the chorale pipeline's `decode_key_chord`, one key and chord
 per measure, and renders the backing. Note onsets and durations are whole
-ticks, `PPQ` to the beat, onsets counted from the start of their measure.
+ticks, `PPQ` to the beat, onsets counted from the start of the piece.
 Rendering is deterministic: the bass walks root then chord tones, the
 keyboard plays block chords or an eighth-note arpeggio, and an optional
 fixed drum pattern fills out the texture.
@@ -37,18 +37,18 @@ _DRUM_MEASURE = (tuple((k * PPQ, EIGHTH, drum)
                        for k, drum in enumerate((KICK, SNARE, KICK, SNARE)))
                  + tuple((k * EIGHTH, EIGHTH, CLOSED_HAT) for k in range(8)))
 
-# (onset ticks within the measure, duration ticks, midi)
+# (onset ticks from the start of the piece, duration ticks, midi)
 NoteEvent = tuple[int, int, int]
 
 
 @dataclass
 class AccompanimentScore:
-    """Per-measure note events for the melody and the backing tracks."""
+    """Note events for the melody and the backing tracks, in piece ticks."""
 
-    bass_track: list[list[NoteEvent]]
-    keys_track: list[list[NoteEvent]]
-    drum_track: list[list[NoteEvent]]
-    melody_track: list[list[NoteEvent]]
+    bass_track: list[NoteEvent]
+    keys_track: list[NoteEvent]
+    drum_track: list[NoteEvent]
+    melody_track: list[NoteEvent]
 
 
 def harmonize_rock(key_model: HmmModel, chord_model: HmmModel, melody: MelodyLine,
@@ -78,7 +78,9 @@ def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
         raise MusicError(f"melody has {len(melody)} measures but the"
                          f" progression has {len(annotation)}")
     bass_track, keys_track, drum_track, melody_track = [], [], [], []
-    for event, key, chord in zip(melody.events, annotation.keys, annotation.chords):
+    for i, (event, key, chord) in enumerate(zip(melody.events, annotation.keys,
+                                                annotation.chords)):
+        start = i * BEATS_PER_BAR * PPQ
         # the rock format names a key by its tonic alone (`key_pc`), so a
         # minor key is read as the major key on the same tonic
         major = KeyLabel(key.tonic_pc, MAJOR)
@@ -86,15 +88,16 @@ def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
         root = 48 + root_pc
         third = root + (third_pc - root_pc) % 12
         fifth = root + (fifth_pc - root_pc) % 12
-        bass_track.append([(k * PPQ, PPQ, pitch)
-                           for k, pitch in enumerate((root, third, fifth, third))])
+        bass_track += [(start + k * PPQ, PPQ, pitch)
+                       for k, pitch in enumerate((root, third, fifth, third))]
         block = [root + 12, third + 12, fifth + 12]
         if pattern == "block":
-            keys_track.append([(0, 2 * PPQ, p) for p in block]
-                              + [(2 * PPQ, 2 * PPQ, p) for p in block])
+            keys_track += [(start + k * 2 * PPQ, 2 * PPQ, p) for k in (0, 1) for p in block]
         else:
-            keys_track.append([(k * EIGHTH, EIGHTH, block[k % 3]) for k in range(8)])
-        drum_track.append(list(_DRUM_MEASURE) if drums else [])
-        melody_track.append([(0, BEATS_PER_BAR * PPQ, event.representative)])
+            keys_track += [(start + k * EIGHTH, EIGHTH, block[k % 3]) for k in range(8)]
+        if drums:
+            drum_track += [(start + onset, duration, drum)
+                           for onset, duration, drum in _DRUM_MEASURE]
+        melody_track.append((start, BEATS_PER_BAR * PPQ, event.representative))
     return AccompanimentScore(bass_track=bass_track, keys_track=keys_track,
                               drum_track=drum_track, melody_track=melody_track)

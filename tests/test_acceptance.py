@@ -219,11 +219,9 @@ def test_criterion_8_midi_round_trip(major_bundle, rock_bundle,
             parsed = read_midi(path)
             layout = [("melody", score.melody_track), ("bass", score.bass_track),
                       ("keys", score.keys_track), ("drums", score.drum_track)]
-            for track, (label, measures) in zip(parsed.tracks[1:], layout):
-                expected = sorted(
-                    (pitch, i * 4 * PPQ + onset, duration)
-                    for i, measure in enumerate(measures)
-                    for onset, duration, pitch in measure)
+            for track, (label, notes) in zip(parsed.tracks[1:], layout):
+                expected = sorted((pitch, onset, duration)
+                                  for onset, duration, pitch in notes)
                 got = sorted((p, o, d) for p, o, d, _ in track.notes)
                 assert got == expected, label
             files += 1

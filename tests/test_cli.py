@@ -257,14 +257,17 @@ def test_respelled_count_key_reads_as_its_state(capsys, tmp_path, trained_model,
     assert saved["chord_counts"] == json.loads(trained_model.read_text())["chord_counts"]
 
 
-def test_override_dimension_mismatch_exits_2(tmp_path, trained_model):
+def test_override_dimension_mismatch_exits_2(capsys, tmp_path, trained_model):
     out_dir = tmp_path / "m"
     assert main(["export", "--model", str(trained_model),
                  "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    csv_path = out_dir / "chord_transition.csv"
     code = main(["override", "--model", str(trained_model),
-                 "--transitions", str(out_dir / "chord_transition.csv"),
+                 "--transitions", str(csv_path),
                  "--layer", "key", "--out", str(tmp_path / "x.json")])
     assert code == 2
+    assert f"{csv_path}: override labels do not match" in capsys.readouterr().err
 
 
 def test_override_with_blank_row_exits_2(capsys, tmp_path, trained_model):

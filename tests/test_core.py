@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,3 +283,18 @@ def test_annotation_length_mismatch():
     chords = (RomanChord.from_string("I"), RomanChord.from_string("V"))
     with pytest.raises(MusicError):
         ProgressionAnnotation(keys, chords)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KeyLabel(12, MAJOR), "tonic pitch class out of range: 12"),
+    (lambda: KeyLabel(0, "dorian"), "unknown mode: 'dorian'"),
+    (lambda: RomanChord(8, "major"), "scale degree out of range: 8"),
+    (lambda: RomanChord(1, "sus4"), "unknown chord quality: 'sus4'"),
+    (lambda: RomanChord(1, "major", "fourth"), "unknown inversion: 'fourth'"),
+    (lambda: RomanChord(1, "major", accidental=2), "accidental out of range: 2"),
+    (lambda: triadic_numeral_for_root(12), "relative root out of range: 12"),
+], ids=["tonic", "mode", "degree", "quality", "inversion", "accidental",
+        "relative-root"])
+def test_labels_refuse_fields_out_of_range(make, message):
+    with pytest.raises(MusicError, match=f"^{re.escape(message)}$"):
+        make()

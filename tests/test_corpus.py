@@ -273,3 +273,13 @@ def test_piece_needs_one_label_per_beat():
     short = ProgressionAnnotation(ch.annotation.keys[:2], ch.annotation.chords[:2])
     with pytest.raises(MusicError, match="3 beats but 2 labels"):
         AnnotatedChorale(ch.id, ch.mode, ch.events, short)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: AnnotatedChorale("x", "dorian", (), ProgressionAnnotation((), ())),
+     MusicError, "unknown mode: 'dorian'"),
+    (lambda: parse_corpus(".", "jazz"), CorpusError, "unknown genre: 'jazz'"),
+], ids=["chorale-mode", "corpus-genre"])
+def test_unknown_mode_and_genre_are_refused(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

@@ -12,6 +12,7 @@ from harmonizer.core import (
     BeatEvent,
     KeyLabel,
     MelodyLine,
+    MusicError,
     ProgressionAnnotation,
     RomanChord,
     chord_bass_pc,
@@ -578,3 +579,13 @@ def test_random_melodies_all_arrangements_valid(data, major_bundle):
     h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
     for ev, a in zip(melody.events, h.arrangements):
         check_vertical(a, ev.representative)
+
+
+@pytest.mark.parametrize("beats", [1, 3])
+def test_voice_progression_refuses_an_annotation_of_another_length(beats):
+    melody = melody_from_midi([72, 71])
+    annotation = ProgressionAnnotation((KeyLabel(0, MAJOR),) * beats,
+                                       (RomanChord.from_string("I"),) * beats)
+    with pytest.raises(MusicError, match="^annotation length does not match"
+                       " melody length$"):
+        voice_progression(melody, annotation)

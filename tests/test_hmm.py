@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from harmonizer.hmm import (
     _distribute,
     apply_override,
     build_phrase_mask,
+    decode,
     decode_chords_given_keys,
     decode_key_chord,
     estimate,
@@ -722,9 +724,11 @@ def test_override_names_the_first_label_that_differs(tmp_path, major_bundle, cas
     else:
         labels = [names[1], names[0]] + names[2:]
         detail = f"label {names[1]!r} where the model has {names[0]!r}"
+    path = _relabeled_csv(tmp_path, model, labels)
     with pytest.raises(HmmError) as err:
-        apply_override(model, _relabeled_csv(tmp_path, model, labels))
-    assert str(err.value) == f"override labels do not match model states: {detail}"
+        apply_override(model, path)
+    assert str(err.value) == (f"{path}: override labels do not match model"
+                              f" states: {detail}")
 
 
 def test_override_rejects_non_numeric_cell(tmp_path, major_bundle):
@@ -765,9 +769,10 @@ def test_override_rejects_negative_and_wild_rows(tmp_path, major_bundle):
              ({1: negative, 2: wild}, f"{row[1]} has negative entries"),
              ({2: both}, f"{row[2]} has negative entries")]
     for rows, message in cases:
+        path = _override_csv(tmp_path, model, rows)
         with pytest.raises(HmmError) as err:
-            apply_override(model, _override_csv(tmp_path, model, rows))
-        assert str(err.value).startswith(message)
+            apply_override(model, path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
 
 def test_override_renormalizes_rows_off_by_less_than_half(tmp_path, major_bundle):
@@ -896,3 +901,15 @@ def test_load_errors_name_their_own_path_and_are_not_kept(
         assert str(caught.value) == f"{path}: {message}"
     paths[0].write_bytes(good)
     assert load_bundle(paths[0]).chord_counts == major_bundle.chord_counts
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: estimate("ab", "xy", [("ab", "xy")], mask=np.ones((3, 3))),
+     "mask shape (3, 3) does not match 2 states"),
+    (lambda m: viterbi(m, []), "empty observation sequence"),
+    (lambda m: posterior_decode(m, []), "empty observation sequence"),
+    (lambda m: decode(m, m.observations[:2], "beam"), "unknown decode method: 'beam'"),
+], ids=["mask-shape", "viterbi-empty", "posterior-empty", "method"])
+def test_estimate_and_decoders_refuse_malformed_calls(major_bundle, call, message):
+    with pytest.raises(HmmError, match=f"^{re.escape(message)}$"):
+        call(major_bundle.key_model)

@@ -103,13 +103,12 @@ def test_rock_round_trip_and_channels(tmp_path, rock_bundle):
     assert parsed.tracks[0].tempos[0] == (0, 60_000_000 // 120)
     drum_channels = {c for _, _, _, c in parsed.tracks[4].notes}
     assert drum_channels == {9}
-    # bass track round-trips every measure
-    expected = []
-    for i, measure in enumerate(score.bass_track):
-        for onset, duration, pitch in measure:
-            expected.append((pitch, i * 4 * PPQ + onset, duration))
+    # the bass track round-trips every measure
+    assert len(score.bass_track) == 4 * len(melody)
+    expected = sorted((pitch, onset, duration)
+                      for onset, duration, pitch in score.bass_track)
     got = sorted((p, o, d) for p, o, d, _ in parsed.tracks[2].notes)
-    assert got == sorted(expected)
+    assert got == expected
 
 
 def test_write_rejects_bad_pitch(tmp_path):
@@ -117,8 +116,8 @@ def test_write_rejects_bad_pitch(tmp_path):
     h.alto_line = [((64, PPQ),)]
     h.arrangements[0] = Arrangement(64, 55, 48)
     score = tiny_accompaniment()
-    score.bass_track[0] = [(0, PPQ, 400)]
-    with pytest.raises(ValueError):
+    score.bass_track[0] = (0, PPQ, 400)
+    with pytest.raises(ValueError, match="400"):
         write_midi(score, tmp_path / "bad.mid")
 
 
@@ -180,7 +179,7 @@ def test_pitch_check_fires_after_valid_pitches(tmp_path):
         _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
     score = tiny_accompaniment()
-    score.bass_track[0] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
+    score.bass_track[:3] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
     with pytest.raises(ValueError, match="128"):
         write_midi(score, tmp_path / "bad.mid")
 
@@ -208,18 +207,24 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
                            f" ticks: {shown}"):
             write_midi(ornamented, tmp_path / "off-grid.mid")
     score = tiny_accompaniment()
-    score.keys_track[0][-1] = (7 * 240, 240.0, 67)
+    score.keys_track[-1] = (7 * 240, 240.0, 67)
     with pytest.raises(ValueError, match="not a positive whole number of ticks"):
         write_midi(score, tmp_path / "off-grid-rock.mid")
-    # a rock onset is an int tick inside its own measure: not a fraction,
-    # not a whole float, not before the measure and not past its end
+    # an onset, rock or chorale, is a non-negative int tick from the start of
+    # the piece: not a fraction, not a whole float and not before the piece
     score = tiny_accompaniment(2, pattern="block")
-    _, duration, pitch = score.keys_track[1][1]
-    for onset in (240.5, 240.0, -240, 4 * PPQ):
-        score.keys_track[1][1] = (onset, duration, pitch)
-        with pytest.raises(ValueError, match=r"onset is not a whole number of"
-                           rf" ticks in \[0, 1920\): {onset}$"):
+    _, duration, pitch = score.keys_track[7]
+    for onset in (240.5, 240.0, -240):
+        score.keys_track[7] = (onset, duration, pitch)
+        with pytest.raises(ValueError, match="onset is not a non-negative whole"
+                           f" number of ticks: {onset}$"):
             write_midi(score, tmp_path / "off-grid-rock.mid")
+    # tracks have no measures, so a note past the last one is written
+    score.keys_track[7] = (8 * PPQ, duration, pitch)
+    notes = read_midi(write_midi(score, tmp_path / "late.mid")).tracks[3].notes
+    assert (pitch, 8 * PPQ, duration) in [(p, o, d) for p, o, d, _ in notes]
+    with pytest.raises(ValueError, match="onset .* ticks: 0.5$"):
+        _note_events([(0, PPQ, 60), (0.5, PPQ, 62)], 0)
 
 
 # --- matrix exports -------------------------------------------------------------
@@ -269,3 +274,12 @@ def test_functional_summary_single_chord():
     summary = functional_summary(model, {one: 3})
     assert summary[0, 0] == pytest.approx(1.0)
     assert summary[1].sum() == 0 and summary[2].sum() == 0
+
+
+@pytest.mark.parametrize("score", ["C major", None, {"bass_track": []}],
+                         ids=["str", "none", "dict"])
+def test_write_midi_refuses_other_types(tmp_path, score):
+    with pytest.raises(TypeError,
+                       match=f"^cannot write {type(score).__name__} as MIDI$"):
+        write_midi(score, tmp_path / "other.mid")
+    assert not (tmp_path / "other.mid").exists()

@@ -134,6 +134,18 @@ def test_diatonic_helpers():
     assert _upper_scale_tone(64, a_minor) == 65
     # harmonic minor: above G-sharp comes A... above E comes F
     assert _upper_scale_tone(68, a_minor) == 69
+    # harmonic minor's augmented second, F to G-sharp, holds no scale tone
+    assert _scale_tone_between(65, 68, a_minor) is None
+
+
+def test_upper_scale_tone_is_found_in_every_key():
+    # no step of a major or harmonic-minor scale is wider than three semitones
+    for mode in ("major", "minor"):
+        for tonic_pc in range(12):
+            pcs = diatonic_pcs(KeyLabel(tonic_pc, mode))
+            for pitch in range(125):
+                tone = _upper_scale_tone(pitch, pcs)
+                assert 1 <= tone - pitch <= 3 and tone % 12 in pcs
 
 
 # --- rate estimation ----------------------------------------------------------

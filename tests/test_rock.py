@@ -113,8 +113,8 @@ def test_harmonize_rock_decodes_then_renders(rock_bundle, method):
 
 def test_render_bass_measure_for_c_major_tonic():
     score = render_accompaniment(line(0), in_c(I), pattern="block", drums=False)
-    assert score.bass_track[0] == [(0, 480, 48), (480, 480, 52),
-                                   (960, 480, 55), (1440, 480, 52)]
+    assert score.bass_track == [(0, 480, 48), (480, 480, 52),
+                                (960, 480, 55), (1440, 480, 52)]
 
 
 def test_bass_downbeat_always_harmonic_root(rock_bundle):
@@ -122,10 +122,12 @@ def test_bass_downbeat_always_harmonic_root(rock_bundle):
     annotation = decode(rock_bundle, melody)
     score = render_accompaniment(melody, annotation, pattern="arpeggio", drums=True)
     from harmonizer.core import chord_root_pc
-    for key, chord, measure in zip(annotation.keys, annotation.chords,
-                                   score.bass_track):
-        onset, _, pitch = measure[0]
-        assert onset == 0
+    # four bass notes to the measure, the first on its downbeat
+    downbeats = score.bass_track[::4]
+    assert len(downbeats) == len(melody)
+    for i, (key, chord, (onset, _, pitch)) in enumerate(
+            zip(annotation.keys, annotation.chords, downbeats)):
+        assert onset == i * 4 * PPQ
         assert pitch % 12 == chord_root_pc(chord, key)
 
 
@@ -144,13 +146,13 @@ def test_minor_key_renders_as_the_major_key_on_its_tonic(pattern):
 
 def test_drums_flag():
     silent = render_accompaniment(line(0, 7), in_c(I, V), drums=False)
-    assert all(m == [] for m in silent.drum_track)
+    assert silent.drum_track == []
     loud = render_accompaniment(line(0, 7), in_c(I, V), drums=True)
-    assert loud.drum_track[0] == loud.drum_track[1]
-    assert loud.drum_track[0] is not loud.drum_track[1]
-    pitches = {p for _, _, p in loud.drum_track[0]}
+    first, second = loud.drum_track[:12], loud.drum_track[12:]
+    assert second == [(onset + 4 * PPQ, d, p) for onset, d, p in first]
+    pitches = {p for _, _, p in first}
     assert pitches == {36, 38, 42}
-    hats = [e for e in loud.drum_track[0] if e[2] == 42]
+    hats = [e for e in first if e[2] == 42]
     assert len(hats) == 8
 
 
@@ -159,20 +161,20 @@ def test_tracks_hold_whole_ticks_within_the_measure(pattern):
     score = render_accompaniment(line(0, 7), in_c(I, V), pattern, drums=True)
     for track in (score.melody_track, score.bass_track, score.keys_track,
                   score.drum_track):
-        assert len(track) == 2
-        for measure in track:
-            for onset, duration, _ in measure:
-                assert type(onset) is int and type(duration) is int
-                assert 0 <= onset < onset + duration <= 4 * PPQ
+        assert {onset // (4 * PPQ) for onset, _, _ in track} == {0, 1}
+        for onset, duration, _ in track:
+            assert type(onset) is int and type(duration) is int
+            start = onset - onset % (4 * PPQ)
+            assert 0 <= start <= onset < onset + duration <= start + 4 * PPQ
 
 
 def test_block_vs_arpeggio_patterns():
     block = render_accompaniment(line(0), in_c(I), pattern="block")
-    onsets = sorted({onset for onset, _, _ in block.keys_track[0]})
+    onsets = sorted({onset for onset, _, _ in block.keys_track})
     assert onsets == [0, 960]
     arp = render_accompaniment(line(0), in_c(I), pattern="arpeggio")
-    assert len(arp.keys_track[0]) == 8
-    assert [p for _, _, p in arp.keys_track[0]][:3] == [60, 64, 67]
+    assert len(arp.keys_track) == 8
+    assert [p for _, _, p in arp.keys_track][:3] == [60, 64, 67]
 
 
 def test_render_is_deterministic():
