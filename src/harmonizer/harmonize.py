@@ -10,6 +10,7 @@ horizontal rules (parallels, overlaps, leaps).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -272,17 +273,11 @@ def _arrangement_lattice(melody: MelodyLine,
     (key, chord, soprano) inputs share one list, which no caller mutates."""
     if len(annotation) != len(melody):
         raise MusicError("annotation length does not match melody length")
-    enumerated = {}
-    lattice = []
-    for t, ev in enumerate(melody.events):
-        chord = annotation.chords[t]
-        inputs = (annotation.keys[t], chord, ev.representative)
-        candidates = enumerated.get(inputs)
-        if candidates is None:
-            candidates = enumerated[inputs] = enumerate_arrangements(*inputs)
+    lattice = list(map(functools.cache(enumerate_arrangements), annotation.keys,
+                       annotation.chords, melody.representatives()))
+    for t, candidates in enumerate(lattice):
         if not candidates:
-            raise InfeasibleHarmonizationError(t, str(chord))
-        lattice.append(candidates)
+            raise InfeasibleHarmonizationError(t, str(annotation.chords[t]))
     return lattice
 
 
@@ -319,24 +314,16 @@ def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
         by_beat.setdefault(v.beat_index, []).append(v)
     voices = h.voice_lines()
     # each distinct key, chord and beat is formatted once
-    labels = {value: str(value)
-              for value in {*h.annotation.keys, *h.annotation.chords}}
-    note_texts: dict[tuple[tuple[int, int], ...], str] = {}
-
-    def notes(beat) -> str:
-        text = note_texts.get(beat)
-        if text is None:
-            text = note_texts[beat] = _format_note_list(beat)
-        return text
-
+    label = functools.cache(str)
+    notes = functools.cache(_format_note_list)
     records = []
     for t in range(len(h.soprano)):
         fields = [("soprano", notes(voices["soprano"][t])),
                   ("alto", notes(voices["alto"][t])),
                   ("tenor", notes(voices["tenor"][t])),
                   ("bass", notes(voices["bass"][t])),
-                  ("key", labels[h.annotation.keys[t]]),
-                  ("roman", labels[h.annotation.chords[t]])]
+                  ("key", label(h.annotation.keys[t])),
+                  ("roman", label(h.annotation.chords[t]))]
         if t in by_beat:
             fields.append(("violations", ";".join(
                 f"{v.rule}:{v.weight}" for v in by_beat[t])))

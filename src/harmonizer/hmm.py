@@ -44,6 +44,7 @@ from .corpus import (
 )
 
 MASK_EPSILON = 1e-6
+_SMALLEST_NORMAL = np.finfo(float).tiny
 DEFAULT_ALPHA = 0.01
 
 METHODS = ("viterbi", "posterior")
@@ -103,7 +104,7 @@ def _distribute(weights: np.ndarray, mask: np.ndarray | None = None) -> np.ndarr
     totals = rows.sum(axis=1)
     for i in np.flatnonzero(n_masked):
         totals[i] = rows[i, ~mask[i]].sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = rows / totals[:, None] * budget[:, None]
     empty = totals <= 0.0
     out[empty] = (budget[empty] / (rows.shape[1] - n_masked[empty]))[:, None]
@@ -243,7 +244,8 @@ def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     """Per-position argmax of the marginal posterior, plus the full n-by-S
     marginal matrix. Uses the scaled forward-backward recursion over the
     emission rows of the observations, gathered once, writing each step
-    into preallocated rows."""
+    into preallocated rows. A forward scale below the smallest normal float
+    or a backward row that overflows raises DecodeInfeasibleError."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
     obs = _indices(observed, model.observation_index(), "observation")
@@ -253,31 +255,39 @@ def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     alpha = np.empty((n, S))
     scale = np.empty(n)
     np.multiply(model.initial, rows[0], out=alpha[0])
-    scale[0] = alpha[0].sum()
-    if scale[0] == 0.0:
-        raise DecodeInfeasibleError(
-            "no hidden state can generate observation at position 0")
-    alpha[0] /= scale[0]
-    for t in range(1, n):
-        row = np.matmul(alpha[t - 1], transition, out=alpha[t])
-        row *= rows[t]
+    for t in range(n):
+        row = alpha[t]
+        if t:
+            np.matmul(alpha[t - 1], transition, out=row)
+            row *= rows[t]
         total = scale[t] = row.sum()
-        if total == 0.0:
+        if total < _SMALLEST_NORMAL:
             raise DecodeInfeasibleError(
-                f"no hidden state can generate observation at position {t}")
+                f"no hidden state can generate observation at position {t}"
+                if total == 0.0 else _too_improbable(t))
         row /= total
     beta = np.empty((n, S))
     beta[n - 1] = 1.0
     weighted = np.empty(S)
-    for t in range(n - 2, -1, -1):
-        np.multiply(beta[t + 1], rows[t + 1], out=weighted)
-        row = np.matmul(transition, weighted, out=beta[t])
-        row /= scale[t + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n - 2, -1, -1):
+            np.multiply(beta[t + 1], rows[t + 1], out=weighted)
+            row = np.matmul(transition, weighted, out=beta[t])
+            row /= scale[t + 1]
+    # an overflowing row spoils every row before it; name the scale it divided by
+    broken = np.flatnonzero(~np.isfinite(beta).all(axis=1))
+    if broken.size:
+        raise DecodeInfeasibleError(_too_improbable(int(broken[-1]) + 1))
     marginals = alpha
     marginals *= beta
     marginals /= marginals.sum(axis=1, keepdims=True)
     labels = [model.states[i] for i in marginals.argmax(axis=1).tolist()]
     return labels, marginals
+
+
+def _too_improbable(t: int) -> str:
+    return (f"observation at position {t} is too improbable for posterior"
+            " decoding; use --method viterbi")
 
 
 def decode(model: HmmModel, observed, method: str = "viterbi") -> list:

@@ -10,6 +10,7 @@ a fixed seed reproduces output exactly.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 
@@ -104,10 +105,9 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     splits its beat into two eighths."""
     rng = random.Random(cfg.rng_seed)
     n = len(h.soprano)
-    # one scale per distinct key, then per beat
-    scale_of = {key: diatonic_pcs(key) for key in set(h.annotation.keys)}
-    scales = [scale_of[key] for key in h.annotation.keys]
-    passing_tones = {}      # one search per distinct (pitch, next pitch, scale)
+    # one scale per distinct key, one search per distinct (pitch, next, scale)
+    scales = list(map(functools.cache(diatonic_pcs), h.annotation.keys))
+    passing_tone = functools.cache(_scale_tone_between)
     # per beat, the skeleton voices from the top down and a floor of 0: an
     # inserted pitch stays in its voice range, at or below the voice above
     # and at or above the voice below
@@ -126,10 +126,7 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
             nxt = skel[t + 1] if t + 1 < n else None
             # passing tone filling a third on the way to the next beat
             if nxt is not None and abs(nxt - cur) in (3, 4):
-                step = (cur, nxt, scales[t])
-                if step not in passing_tones:
-                    passing_tones[step] = _scale_tone_between(*step)
-                mid = passing_tones[step]
+                mid = passing_tone(cur, nxt, scales[t])
                 if mid is not None and floor <= mid <= ceiling:
                     if rng.random() < cfg.p_passing:
                         line[t] = ((cur, half), (mid, half))

@@ -914,6 +914,40 @@ def test_alpha_too_large_to_sum_exits_2(capsys, tmp_path, data_dir):
     assert not out.exists()
 
 
+def test_subnormal_alpha_over_a_masked_retrogression_trains(capsys, tmp_path):
+    # V -> IV is masked, so its row's allowed cells share a subnormal total
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "piece.txt").write_text(
+        "id: retro\nmode: major\n" + "".join(
+            f"{t} | notes=72:1 | key=C | roman={numeral}\n"
+            for t, numeral in enumerate(("I", "V", "IV", "I"))))
+    out = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--alpha", "1e-320"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["format"] == "key-chord-models"
+
+
+def test_posterior_decode_too_improbable_exits_3(capsys, tmp_path, data_dir):
+    # the key layer's forward scale at beat 1 is subnormal under this alpha
+    model = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(data_dir / "chorales"), "--mode",
+                 "major", "--out", str(model), "--alpha", "1e-320"]) == 0
+    melody = tmp_path / "tune.txt"
+    melody.write_text("0 | notes=72:1\n1 | notes=73:1\n2 | notes=74:1\n"
+                      "3 | notes=72:1\n")
+    analyze = ["analyze", "--model", str(model), "--melody", str(melody)]
+    capsys.readouterr()
+    assert main(analyze + ["--method", "posterior"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: observation at position 1 is too improbable"
+                            " for posterior decoding; use --method viterbi\n")
+    assert main(analyze + ["--method", "viterbi"]) == 0
+    assert capsys.readouterr().out.startswith("0 | key=C | roman=I\n")
+
+
 def test_rejected_command_line_leaves_shared_parser_intact(capsys, trained_model,
                                                           data_dir):
     analyze = ["analyze", "--model", str(trained_model),

@@ -20,7 +20,7 @@ from harmonizer.core import (
     leading_tone_pc,
 )
 from harmonizer import harmonize
-from harmonizer.corpus import parse_melody_text
+from harmonizer.corpus import _format_note_list, parse_melody_text
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -411,6 +411,35 @@ def test_enumeration_runs_once_per_distinct_input_per_call(
     second = voice_progression(melody, annotation)
     assert Counter(calls) == Counter(distinct)
     assert second.arrangements == first.arrangements
+
+
+def test_score_document_formats_once_per_distinct_input_per_call(
+        monkeypatch, major_bundle, fixture_melodies):
+    melody = _concatenated(fixture_melodies)
+    h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
+    expected = to_score_document(h)
+    beats, labels = [], []
+
+    def counting_notes(beat):
+        beats.append(beat)
+        return _format_note_list(beat)
+
+    def counting_str(value):
+        if isinstance(value, (KeyLabel, RomanChord)):
+            labels.append(value)
+        return str(value)
+
+    monkeypatch.setattr(harmonize, "_format_note_list", counting_notes)
+    monkeypatch.setattr(harmonize, "str", counting_str, raising=False)
+    distinct_beats = {beat for line in h.voice_lines().values() for beat in line}
+    distinct_labels = {*h.annotation.keys, *h.annotation.chords}
+    assert len(distinct_beats) < 4 * len(melody)
+    for _ in range(2):
+        beats.clear()
+        labels.clear()
+        assert to_score_document(h) == expected
+        assert Counter(beats) == Counter(distinct_beats)
+        assert Counter(labels) == Counter(distinct_labels)
 
 
 # --- chains grown together ----------------------------------------------------

@@ -299,6 +299,17 @@ def test_distribute_sums_only_the_allowed_cells():
     assert _distribute(weights[None], mask[None]).tobytes() == expected.tobytes()
 
 
+def test_distribute_over_a_subnormal_total_does_not_overflow():
+    # the masked cell 1.0 over the allowed total 2.2e-309 overflows to inf
+    # before it is pinned; under the suite's warning filter that raised
+    weights = np.array([[0, 0, 0, 0, 0], [0, 0, 0, 2.225073858507203e-309, 1.0]])
+    mask = np.zeros((2, 5), dtype=bool)
+    mask[1, 4] = True
+    got = _distribute(weights, mask)
+    assert got.tobytes() == _per_row(weights, mask).tobytes()
+    assert got[1].tolist() == [0.0, 0.0, 0.0, 1.0 - MASK_EPSILON, MASK_EPSILON]
+
+
 def test_distribute_shares_an_all_zero_row_uniformly():
     mask = np.array([[False, True, False, False], [False] * 4])
     got = _distribute(np.zeros((2, 4)), mask)
@@ -418,6 +429,38 @@ def test_posterior_deterministic_model_one_hot():
     labels, marginals = posterior_decode(model, [0, 1, 0, 1])
     assert labels == ["a", "b", "a", "b"] == viterbi(model, [0, 1, 0, 1])
     assert np.allclose(np.sort(marginals, axis=1)[:, -1], 1.0)
+
+
+def test_posterior_refuses_a_subnormal_forward_scale():
+    # the scale at position 1 is 1e-320: the backward step divided by it
+    # overflowed, and position 0's marginals came back NaN
+    transition = np.array([[1.0 - 1e-320, 1e-320], [0.5, 0.5]])
+    model = HmmModel(("a", "b"), (0, 1), transition, np.eye(2),
+                     np.array([1.0, 0.0]))
+    assert brute_force_posteriors(model, [0, 1]).tolist() == [[1, 0], [0, 1]]
+    assert viterbi(model, [0, 1]) == ["a", "b"]
+    with pytest.raises(DecodeInfeasibleError, match=re.escape(
+            "observation at position 1 is too improbable for posterior"
+            " decoding; use --method viterbi")):
+        posterior_decode(model, [0, 1])
+
+
+def test_posterior_refuses_an_overflowing_backward_row():
+    # every forward scale is 1e-160, but state d, which no path reaches,
+    # explains the last two observations about 1e319 times better than the
+    # reachable chain a -> b -> c, so its backward cell at position 0
+    # overflows dividing by the scale of position 1
+    eps = 1e-160
+    transition = np.array([[1 - eps, eps, 0, 0], [0, 1 - eps, eps, 0],
+                           [0, 0, 1, 0], [0, 0, 0, 1]])
+    emission = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3]])
+    model = HmmModel(tuple("abcd"), (0, 1, 2), transition, emission,
+                     np.array([1.0, 0, 0, 0]))
+    expected = brute_force_posteriors(model, [0, 1, 2])
+    assert expected.argmax(axis=1).tolist() == [0, 1, 2]
+    assert viterbi(model, [0, 1, 2]) == ["a", "b", "c"]
+    with pytest.raises(DecodeInfeasibleError, match="position 1 is too improbable"):
+        posterior_decode(model, [0, 1, 2])
 
 
 # --- fast kernels against the stepwise reference ----------------------------

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from harmonizer import midiout
 from harmonizer.core import (
     MAJOR,
     BeatEvent,
@@ -10,6 +13,7 @@ from harmonizer.core import (
     MelodyLine,
     ProgressionAnnotation,
     RomanChord,
+    check_midi_pitch,
 )
 from harmonizer.harmonize import Arrangement, Harmonization, harmonize_melody
 from harmonizer.hmm import read_transition_csv
@@ -182,6 +186,33 @@ def test_pitch_check_fires_after_valid_pitches(tmp_path):
     score.bass_track[:3] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
     with pytest.raises(ValueError, match="128"):
         write_midi(score, tmp_path / "bad.mid")
+
+
+def test_writer_memos_run_once_per_distinct_input_per_call(monkeypatch):
+    encoded, checked = [], []
+    var_len = midiout._var_len
+
+    def counting_var_len(value):
+        encoded.append(value)
+        return var_len(value)
+
+    def counting_check(pitch):
+        checked.append(pitch)
+        return check_midi_pitch(pitch)
+
+    monkeypatch.setattr(midiout, "_var_len", counting_var_len)
+    monkeypatch.setattr(midiout, "check_midi_pitch", counting_check)
+    notes = [(0, 480, 60), (0, 480, 64), (480, 240, 60), (720, 240, 62),
+             (960, 960, 60), (1920, 480, 64)]
+    for channel in (0, 0, 3):
+        encoded.clear()
+        checked.clear()
+        events = _note_events(notes, channel)
+        assert Counter(checked) == Counter({60, 62, 64})
+        ticks = sorted(tick for tick, _, _ in events)
+        chunk = _track_chunk(events)
+        assert Counter(encoded) == Counter({b - a for a, b in zip([0] + ticks, ticks)})
+        assert chunk == smf_note_track(notes, channel)
 
 
 def test_negative_delta_is_rejected():

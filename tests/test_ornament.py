@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,14 @@ from harmonizer.core import (
     RomanChord,
     diatonic_pcs,
 )
+from harmonizer import ornament
 from harmonizer.corpus import parse_chorale_text, Corpus
-from harmonizer.harmonize import Arrangement, Harmonization, to_score_document
+from harmonizer.harmonize import (
+    Arrangement,
+    Harmonization,
+    harmonize_melody,
+    to_score_document,
+)
 from harmonizer.ornament import (
     OrnamentConfig,
     _scale_tone_between,
@@ -121,6 +129,40 @@ def test_out_of_order_insertions_are_skipped():
     assert out.tenor_line[0] == ((64, PPQ),)
     # the alto itself can still take its neighbour (soprano is far above)
     assert out.alto_line[0] == ((64, 240), (65, 240))
+
+
+def test_scales_and_passing_tones_are_found_once_per_distinct_input_per_call(
+        monkeypatch, major_bundle, fixture_melodies):
+    notes = [ev.notes for _, melody in fixture_melodies for ev in melody.events]
+    melody = MelodyLine(tuple(map(BeatEvent, notes)))
+    h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
+    cfg = OrnamentConfig(1.0, 1.0, 1.0, rng_seed=4)
+    expected = insert_ornaments(h, cfg)
+    scales, searches = [], []
+
+    def counting_scale(key):
+        scales.append(key)
+        return diatonic_pcs(key)
+
+    def counting_search(low, high, pcs):
+        searches.append((low, high, pcs))
+        return _scale_tone_between(low, high, pcs)
+
+    monkeypatch.setattr(ornament, "diatonic_pcs", counting_scale)
+    monkeypatch.setattr(ornament, "_scale_tone_between", counting_search)
+    keys = h.annotation.keys
+    thirds = [(cur, nxt, diatonic_pcs(keys[t]))
+              for line in (h.alto_line, h.tenor_line, h.bass_line)
+              for t, ((cur, _),), ((nxt, _),) in zip(range(len(keys)), line, line[1:])
+              if abs(nxt - cur) in (3, 4)]
+    assert len(set(keys)) < len(keys)
+    assert len(set(thirds)) < len(thirds)
+    for _ in range(2):
+        scales.clear()
+        searches.clear()
+        assert insert_ornaments(h, cfg) == expected
+        assert Counter(scales) == Counter(set(keys))
+        assert Counter(searches) == Counter(set(thirds))
 
 
 def test_diatonic_helpers():
