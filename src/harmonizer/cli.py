@@ -137,11 +137,9 @@ def _smoothing_alpha(text: str) -> float:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    corpus = parse_corpus(args.corpus, args.genre)
-    if args.genre == "chorale":
-        corpus = corpus.select_mode(args.mode)
-        if not corpus.chorales:
-            raise CorpusError(f"no {args.mode}-mode chorales in {args.corpus}")
+    corpus = parse_corpus(args.corpus, args.genre).select_mode(args.mode)
+    if not corpus.chorales:
+        raise CorpusError(f"no {args.mode}-mode pieces in {args.corpus}")
     bundle = train_key_chord_models(corpus, alpha=args.alpha,
                                     mask_enabled=False if args.no_mask else None)
     if args.genre == "chorale":

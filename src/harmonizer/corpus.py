@@ -148,8 +148,8 @@ def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
     """Read the record grammar shared by every text file: `name: value`
     header lines, then `index | name=value | ...` records whose indices
     run 0, 1, 2, ...; blank and `#` lines are skipped anywhere. Returns the
-    header and one (line, fields) pair per record, each record holding
-    every field named in `required`."""
+    header and one (line, fields) pair per record, each record naming each
+    field at most once and holding every field named in `required`."""
     header = {}
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,7 +175,10 @@ def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
             if not equals:
                 raise CorpusError(f"expected field=value, got {part.strip()!r}",
                                   source, lineno)
-            fields[name.strip()] = value.strip()
+            name = name.strip()
+            if name in fields:
+                raise CorpusError(f"field named twice: {name!r}", source, lineno)
+            fields[name] = value.strip()
         missing = [name for name in required if name not in fields]
         if missing:
             raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)

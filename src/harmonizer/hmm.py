@@ -1,4 +1,4 @@
-"""First-order hidden Markov models over labeled finite alphabets.
+"""First-order hidden Markov models over labeled hidden states.
 
 Provides masked maximum-likelihood estimation from fully annotated
 sequences, Viterbi decoding in log space, posterior decoding via the
@@ -8,7 +8,9 @@ two-stage key-then-chord decode used for harmonization.
 
 The key and chord models' states are `KeyLabel` and `RomanChord` values,
 which both decoders return as they are; label text exists only in the
-model file and the CSV matrices.
+model file and the CSV matrices. An observation is the index of an
+emission column, so a model observes `range(emission.shape[1])`; the two
+trained layers observe the 12 `PITCH_CLASSES`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ DEFAULT_ALPHA = 0.01
 METHODS = ("viterbi", "posterior")
 
 # what both layers observe: a pitch class, as such or as a degree in its key
-PITCH_CLASSES = tuple(range(12))
+PITCH_CLASSES = range(12)
 
 
 class HmmError(ValueError):
@@ -58,7 +60,8 @@ class HmmError(ValueError):
 
 
 class AlphabetError(HmmError):
-    """A label outside the declared state or observation alphabet."""
+    """A state label outside the model's states, or an observation that
+    is not an emission column index."""
 
 
 class DecodeInfeasibleError(HmmError):
@@ -67,15 +70,15 @@ class DecodeInfeasibleError(HmmError):
 
 @dataclass(frozen=True)
 class HmmModel:
-    """Trained model: row-stochastic transition and emission matrices, an
-    initial distribution, and optional boolean mask of forbidden
-    transitions. A model read by `load_bundle` is shared by every load of
+    """Trained model: hidden state labels, row-stochastic transition and
+    emission matrices, an initial distribution, and optional boolean mask
+    of forbidden transitions. An observation is the index of an emission
+    column. A model read by `load_bundle` is shared by every load of
     the same file text, so its four arrays are read-only: writing a cell
     raises ValueError. To change a matrix, build a new model, as
     `apply_override` does."""
 
     states: tuple
-    observations: tuple
     transition: np.ndarray
     emission: np.ndarray
     initial: np.ndarray
@@ -84,9 +87,6 @@ class HmmModel:
 
     def state_index(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
-
-    def observation_index(self) -> dict:
-        return {o: i for i, o in enumerate(self.observations)}
 
 
 def _distribute(weights: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -112,22 +112,21 @@ def _distribute(weights: np.ndarray, mask: np.ndarray | None = None) -> np.ndarr
     return out.reshape(np.shape(weights))
 
 
-def estimate(states, observations, sequences, mask: np.ndarray | None = None,
+def estimate(states, sequences, mask: np.ndarray | None = None,
              alpha: float = DEFAULT_ALPHA) -> HmmModel:
     """Maximum-likelihood estimation with additive smoothing from paired
-    (hidden labels, observed labels) sequences. The optional boolean mask
-    forbids transitions; forbidden cells end up with probability exactly
-    MASK_EPSILON regardless of their counts.
+    (hidden labels, observed pitch classes) sequences; the emission has one
+    column per pitch class. The optional boolean mask forbids transitions;
+    forbidden cells end up with probability exactly MASK_EPSILON regardless
+    of their counts.
     """
     states = tuple(states)
-    observations = tuple(observations)
     if not sequences:
         raise HmmError("empty training set")
     if not 0 <= alpha <= sys.float_info.max:
         raise HmmError(f"smoothing alpha must be finite and non-negative: {alpha}")
     s_index = {s: i for i, s in enumerate(states)}
-    o_index = {o: i for i, o in enumerate(observations)}
-    S, O = len(states), len(observations)
+    S, O = len(states), len(PITCH_CLASSES)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (S, S):
@@ -141,7 +140,7 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
             raise HmmError("empty sequence in training set")
         starts.append(len(hidden_idx))
         hidden_idx += _indices(hidden, s_index, "hidden label")
-        observed_idx += _indices(observed, o_index, "observed label")
+        observed_idx += _indices(observed, PITCH_CLASSES, "observed label")
     # one flat run of every sequence; a transition ends at each position
     # that does not start a sequence
     h = np.array(hidden_idx, dtype=np.intp)
@@ -160,17 +159,20 @@ def estimate(states, observations, sequences, mask: np.ndarray | None = None,
     transition = _distribute(trans_counts + alpha, mask)
     emission = _distribute(emit_counts + alpha)
     initial = _distribute(init_counts + alpha)
-    return HmmModel(states, observations, transition, emission, initial,
-                    mask=mask, smoothing_alpha=alpha)
+    return HmmModel(states, transition, emission, initial, mask=mask,
+                    smoothing_alpha=alpha)
 
 
-def _indices(labels, index: dict, what: str) -> list[int]:
-    """The alphabet position of every label; AlphabetError naming `what`
-    for the first label outside the alphabet."""
+def _indices(labels, index: dict | range, what: str) -> list[int]:
+    """The position of every label in `index`, a dict from state label to
+    row or a range of emission columns; AlphabetError naming `what` for the
+    first label outside it."""
+    position = index.index if isinstance(index, range) else index.__getitem__
     try:
-        return [index[label] for label in labels]
-    except KeyError as exc:
-        raise AlphabetError(f"{what} not in alphabet: {exc.args[0]!r}")
+        return list(map(position, labels))
+    except (KeyError, ValueError):
+        bad = next(label for label in labels if label not in index)
+        raise AlphabetError(f"{what} not in alphabet: {bad!r}")
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -189,7 +191,7 @@ def viterbi(model: HmmModel, observed) -> list:
     candidate it picked."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
-    obs = _indices(observed, model.observation_index(), "observation")
+    obs = _indices(observed, range(model.emission.shape[1]), "observation")
     log_t_to = _log(model.transition).T.copy()  # [next state, state]
     rows = _log(model.emission.T)[obs]
     n, S = rows.shape
@@ -230,7 +232,7 @@ def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
             f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
     if len(hidden) == 0:
         raise HmmError("empty sequence")
-    obs = _indices(observed, model.observation_index(), "observation")
+    obs = _indices(observed, range(model.emission.shape[1]), "observation")
     hid = _indices(hidden, model.state_index(), "hidden label")
     log_t = _log(model.transition)
     log_e = _log(model.emission)
@@ -248,7 +250,7 @@ def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     or a backward row that overflows raises DecodeInfeasibleError."""
     if len(observed) == 0:
         raise HmmError("empty observation sequence")
-    obs = _indices(observed, model.observation_index(), "observation")
+    obs = _indices(observed, range(model.emission.shape[1]), "observation")
     transition = model.transition
     rows = model.emission.T[obs]
     n, S = rows.shape
@@ -366,9 +368,8 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     chord_states = tuple(sorted(counts, key=str))
     mask = build_phrase_mask(chord_states) if mask_enabled else None
-    key_model = estimate(key_states, PITCH_CLASSES, key_sequences, alpha=alpha)
-    chord_model = estimate(chord_states, PITCH_CLASSES, chord_sequences,
-                           mask=mask, alpha=alpha)
+    key_model = estimate(key_states, key_sequences, alpha=alpha)
+    chord_model = estimate(chord_states, chord_sequences, mask=mask, alpha=alpha)
     modes = {ch.mode for ch in corpus.chorales}
     mode = modes.pop() if len(modes) == 1 else "mixed"
     return ModelBundle(genre=corpus.genre, mode=mode, key_model=key_model,
@@ -391,7 +392,7 @@ class ModelBundle:
 def _model_to_dict(model: HmmModel) -> dict:
     return {
         "states": [str(s) for s in model.states],
-        "observations": list(model.observations),
+        "observations": list(range(model.emission.shape[1])),
         "transition": model.transition.tolist(),
         "emission": model.emission.tolist(),
         "initial": model.initial.tolist(),
@@ -457,8 +458,8 @@ def _mask(doc: dict, layer: str, S: int) -> np.ndarray:
 def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     """The saved form of one model layer, checked here so that a malformed
     file fails at load time, naming the field, not inside a decode. The
-    states are the labels `state_label` reads from their text, and the
-    observations are `PITCH_CLASSES`."""
+    states are the labels `state_label` reads from their text; the file's
+    observations must be the pitch classes 0-11, one per emission column."""
     if not isinstance(doc, dict):
         raise HmmError(f"{layer} is not an object")
     states = _states(doc, layer, state_label)
@@ -476,7 +477,6 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
                        f" non-negative: {alpha}")
     model = HmmModel(
         states=states,
-        observations=PITCH_CLASSES,
         transition=_stochastic(doc, layer, "transition", (S, S)),
         emission=_stochastic(doc, layer, "emission", (S, O)),
         initial=_stochastic(doc, layer, "initial", (S,)),
@@ -648,6 +648,4 @@ def apply_override(model: HmmModel, matrix_file: str | Path) -> HmmModel:
                        f" {totals[i]:.6g}, outside [0.5, 1.5]")
     off = np.abs(totals - 1.0) > 1e-9
     matrix[off] = _distribute(matrix[off])
-    return HmmModel(model.states, model.observations, matrix, model.emission,
-                    model.initial, mask=None,
-                    smoothing_alpha=model.smoothing_alpha)
+    return replace(model, transition=matrix, mask=None)

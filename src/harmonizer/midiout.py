@@ -156,8 +156,8 @@ def export_matrices(model: HmmModel, out_dir: str | Path, prefix: str = "") -> l
     emission_path = directory / f"{prefix}emission.csv"
     _write_labeled_matrix(transition_path, model.states, model.states,
                           model.transition)
-    _write_labeled_matrix(emission_path, model.states, model.observations,
-                          model.emission)
+    _write_labeled_matrix(emission_path, model.states,
+                          range(model.emission.shape[1]), model.emission)
     return [transition_path, emission_path]
 
 

@@ -32,6 +32,7 @@ from harmonizer.harmonize import (
 )
 from harmonizer.hmm import (
     MASK_EPSILON,
+    PITCH_CLASSES,
     DecodeInfeasibleError,
     HmmError,
     HmmModel,
@@ -67,17 +68,16 @@ def distribute_row(raw: np.ndarray, mask_row: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def counting_estimate(states, observations, sequences, mask=None,
+def counting_estimate(states, sequences, mask=None,
                       alpha: float = 0.01) -> HmmModel:
     """`estimate` with a literal counting loop: each sequence is checked
     and indexed in turn, and every initial, transition and emission cell
-    it touches gains 1. The fast estimator must return equal arrays and
-    raise the same errors. Argument checks that come before any counting
-    are not repeated here."""
-    states, observations = tuple(states), tuple(observations)
+    it touches gains 1, one emission column per pitch class. The fast
+    estimator must return equal arrays and raise the same errors. Argument
+    checks that come before any counting are not repeated here."""
+    states = tuple(states)
     s_index = {s: i for i, s in enumerate(states)}
-    o_index = {o: i for i, o in enumerate(observations)}
-    S, O = len(states), len(observations)
+    S, O = len(states), len(PITCH_CLASSES)
     trans_counts = np.zeros((S, S), dtype=float)
     emit_counts = np.zeros((S, O), dtype=float)
     init_counts = np.zeros(S, dtype=float)
@@ -88,7 +88,7 @@ def counting_estimate(states, observations, sequences, mask=None,
         if not hidden:
             raise HmmError("empty sequence in training set")
         h_idx = _indices(hidden, s_index, "hidden label")
-        o_idx = _indices(observed, o_index, "observed label")
+        o_idx = _indices(observed, PITCH_CLASSES, "observed label")
         init_counts[h_idx[0]] += 1
         for a, b in zip(h_idx, h_idx[1:]):
             trans_counts[a, b] += 1
@@ -101,15 +101,14 @@ def counting_estimate(states, observations, sequences, mask=None,
     emission = np.vstack([distribute_row(emit_counts[i] + alpha, None)
                           for i in range(S)])
     initial = distribute_row(init_counts + alpha, None)
-    return HmmModel(states, observations, transition, emission, initial,
-                    mask=mask, smoothing_alpha=alpha)
+    return HmmModel(states, transition, emission, initial, mask=mask,
+                    smoothing_alpha=alpha)
 
 
 def brute_force_viterbi(model: HmmModel, observed) -> tuple[list, float]:
     """Argmax over every hidden sequence by direct enumeration. Returns the
     first maximizer in index order and its joint log probability."""
-    o_index = {o: i for i, o in enumerate(model.observations)}
-    obs = [o_index[o] for o in observed]
+    obs = list(observed)
     S = len(model.states)
     n = len(obs)
     best_seq, best_logp = None, float("-inf")
@@ -130,8 +129,7 @@ def brute_force_argmax_set(model: HmmModel, observed,
     sequences can be exactly tied (permuted products of the same factors),
     so all sequences within tol of the maximum log probability are
     returned."""
-    o_index = {o: i for i, o in enumerate(model.observations)}
-    obs = [o_index[o] for o in observed]
+    obs = list(observed)
     S = len(model.states)
     n = len(obs)
     scored = []
@@ -152,8 +150,7 @@ def brute_force_argmax_set(model: HmmModel, observed,
 def brute_force_posteriors(model: HmmModel, observed) -> np.ndarray:
     """Exact per-position posterior marginals by enumerating every hidden
     sequence and accumulating joint probabilities."""
-    o_index = {o: i for i, o in enumerate(model.observations)}
-    obs = [o_index[o] for o in observed]
+    obs = list(observed)
     S = len(model.states)
     n = len(obs)
     marginals = np.zeros((n, S))
@@ -166,11 +163,6 @@ def brute_force_posteriors(model: HmmModel, observed) -> np.ndarray:
     return marginals / marginals.sum(axis=1, keepdims=True)
 
 
-def _observed_indices(model: HmmModel, observed) -> list[int]:
-    o_index = {o: i for i, o in enumerate(model.observations)}
-    return [o_index[o] for o in observed]
-
-
 def _log_array(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(values)
@@ -181,7 +173,7 @@ def stepwise_viterbi(model: HmmModel, observed) -> list:
     emission column it needs and picks the best predecessor by fancy
     indexing. The fast kernel must return the same labels and raise the
     same errors."""
-    obs = _observed_indices(model, observed)
+    obs = list(observed)
     log_t = _log_array(model.transition)
     log_e = _log_array(model.emission)
     n = len(obs)
@@ -209,7 +201,7 @@ def stepwise_posterior(model: HmmModel, observed) -> tuple[list, np.ndarray]:
     """Scaled forward-backward with one plain step per position, each
     slicing the emission column it needs. The fast kernel must return the
     same labels, bit-identical marginals and the same errors."""
-    obs = _observed_indices(model, observed)
+    obs = list(observed)
     n = len(obs)
     S = len(model.states)
     alpha = np.zeros((n, S))

@@ -48,7 +48,7 @@ def criterion(number, name):
 
 
 def random_model(rng, n_states, n_obs) -> HmmModel:
-    return HmmModel(tuple(range(n_states)), tuple(range(n_obs)),
+    return HmmModel(tuple(range(n_states)),
                     rng.dirichlet(np.ones(n_states), size=n_states),
                     rng.dirichlet(np.ones(n_obs), size=n_states),
                     rng.dirichlet(np.ones(n_states)))

@@ -758,7 +758,12 @@ def _input_error_case(case, tmp_path, model, data_dir):
             (data_dir / "chorales" / "fixture-01.txt").read_bytes())
         return (["train", "--corpus", str(corpus), "--mode", "minor",
                  "--out", str(tmp_path / "m.json")],
-                f"no minor-mode chorales in {corpus}")
+                f"no minor-mode pieces in {corpus}")
+    if case == "rock-lacks-mode":
+        corpus = data_dir / "rock"
+        return (["train", "--corpus", str(corpus), "--genre", "rock",
+                 "--mode", "minor", "--out", str(tmp_path / "m.json")],
+                f"no minor-mode pieces in {corpus}")
     if case == "tempo":
         return [*harmonize, "--tempo", "10"], "tempo out of range: 10"
     config = tmp_path / "run.json"
@@ -770,8 +775,8 @@ def _input_error_case(case, tmp_path, model, data_dir):
 
 @pytest.mark.parametrize("case", [
     "model-list", "override-empty", "melody-header-only", "melody-empty-notes",
-    "melody-short-beat", "corpus-is-a-file", "corpus-lacks-mode", "tempo",
-    "config-method", "config-pattern"])
+    "melody-short-beat", "corpus-is-a-file", "corpus-lacks-mode", "rock-lacks-mode",
+    "tempo", "config-method", "config-pattern"])
 def test_input_error_exits_2_with_its_message(capsys, tmp_path, trained_model,
                                               data_dir, case):
     argv, message = _input_error_case(case, tmp_path, trained_model, data_dir)

@@ -58,7 +58,7 @@ def random_model(rng, n_states, n_obs) -> HmmModel:
     emission = rng.dirichlet(np.ones(n_obs), size=n_states)
     initial = rng.dirichlet(np.ones(n_states))
     return HmmModel(tuple(f"s{i}" for i in range(n_states)),
-                    tuple(range(n_obs)), transition, emission, initial)
+                    transition, emission, initial)
 
 
 def awkward_model(rng, n_states, n_obs) -> HmmModel:
@@ -82,7 +82,7 @@ def awkward_model(rng, n_states, n_obs) -> HmmModel:
     mask = rng.random((n_states, n_states)) < 0.2
     mask[np.arange(n_states), rng.integers(0, n_states, size=n_states)] = False
     return HmmModel(
-        tuple(f"s{i}" for i in range(n_states)), tuple(range(n_obs)),
+        tuple(f"s{i}" for i in range(n_states)),
         stochastic((n_states, n_states), mask),
         stochastic((n_states, n_obs), np.zeros((n_states, n_obs), dtype=bool)),
         stochastic((1, n_states), np.zeros((1, n_states), dtype=bool))[0],
@@ -96,7 +96,7 @@ def melody_from_midi(pitches) -> MelodyLine:
 # --- estimation -----------------------------------------------------------
 
 def test_estimate_single_self_loop():
-    model = estimate(["C"], [0], [(["C", "C", "C"], [0, 0, 0])], alpha=0.0)
+    model = estimate(["C"], [(["C", "C", "C"], [0, 0, 0])], alpha=0.0)
     assert model.transition[0, 0] == pytest.approx(1.0)
     assert model.initial[0] == pytest.approx(1.0)
 
@@ -104,7 +104,7 @@ def test_estimate_single_self_loop():
 def test_estimate_hand_counts():
     # counts: A->A three times, A->B once
     seqs = [(list("AAAAB"), [0] * 5)]
-    model = estimate(["A", "B"], [0], seqs, alpha=0.0)
+    model = estimate(["A", "B"], seqs, alpha=0.0)
     assert model.transition[0].tolist() == pytest.approx([0.75, 0.25])
 
 
@@ -113,18 +113,18 @@ def test_estimate_masked_cell_stays_tiny_despite_counts():
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 1] = True  # forbid V -> IV
     seqs = [(["V", "IV"], [0, 0]), (["V", "IV"], [0, 0]), (["V", "I"], [0, 0])]
-    model = estimate(labels, [0], seqs, mask=mask, alpha=0.0)
+    model = estimate(labels, seqs, mask=mask, alpha=0.0)
     assert model.transition[0, 1] <= 1e-6
     assert model.transition[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimate_unseen_label_errors():
     with pytest.raises(AlphabetError):
-        estimate(["A"], [0], [(["A", "Z"], [0, 0])])
+        estimate(["A"], [(["A", "Z"], [0, 0])])
     with pytest.raises(AlphabetError):
-        estimate(["A"], [0], [(["A"], [5])])
+        estimate(["A"], [(["A"], [12])])
     with pytest.raises(HmmError):
-        estimate(["A"], [0], [])
+        estimate(["A"], [])
 
 
 # an int too large for a float is not finite either
@@ -132,18 +132,22 @@ def test_estimate_unseen_label_errors():
                                    pytest.param(10 ** 400, id="huge-int")])
 def test_estimate_rejects_non_finite_or_negative_alpha(alpha):
     with pytest.raises(HmmError, match="smoothing alpha"):
-        estimate(["A"], [0], [(["A", "A"], [0, 0])], alpha=alpha)
+        estimate(["A"], [(["A", "A"], [0, 0])], alpha=alpha)
 
 
 def test_estimate_rejects_alpha_whose_row_total_overflows():
     pairs = [(["A", "B"], [0, 1])]
     with pytest.raises(HmmError, match="smoothing alpha 1e\\+308 is too large"):
-        estimate(["A", "B"], [0, 1], pairs, alpha=1e308)
-    # a row of one cell totals the alpha itself, which is finite
-    one = estimate(["A"], [0], [(["A"], [0])], alpha=1e308)
+        estimate(["A", "B"], pairs, alpha=1e308)
+    # an emission row has 12 cells even for one state, so 12 alphas overflow
+    with pytest.raises(HmmError, match="smoothing alpha 1e\\+308 is too large"):
+        estimate(["A"], [(["A"], [0])], alpha=1e308)
+    # a transition row of one cell totals the alpha itself, which is finite
+    one = estimate(["A"], [(["A"], [0])], alpha=1e307)
     assert one.transition.tolist() == [[1.0]]
-    assert estimate(["A", "B"], [0, 1], pairs, alpha=1e300).emission.tolist() == \
-        [[0.5, 0.5], [0.5, 0.5]]
+    emission = estimate(["A", "B"], pairs, alpha=1e300).emission
+    assert emission.shape == (2, 12)
+    assert emission.tolist() == [[emission[0, 0]] * 12] * 2
 
 
 @pytest.mark.parametrize("mode", ["major", "minor"])
@@ -173,8 +177,8 @@ def test_training_keeps_rock_keys(rock_corpus, rock_bundle):
 
 def test_estimate_is_deterministic():
     seqs = [(list("ABAB"), [0, 1, 0, 1]), (list("AABB"), [1, 1, 0, 0])]
-    m1 = estimate(["A", "B"], [0, 1], seqs)
-    m2 = estimate(["A", "B"], [0, 1], seqs)
+    m1 = estimate(["A", "B"], seqs)
+    m2 = estimate(["A", "B"], seqs)
     assert np.array_equal(m1.transition, m2.transition)
     assert np.array_equal(m1.emission, m2.emission)
     assert np.array_equal(m1.initial, m2.initial)
@@ -185,7 +189,7 @@ def test_estimate_is_deterministic():
 def test_estimate_rows_stochastic_and_masked_cells_bounded(data):
     n_states = data.draw(st.integers(2, 5))
     labels = [f"s{i}" for i in range(n_states)]
-    n_obs = data.draw(st.integers(1, 4))
+    n_obs = data.draw(st.integers(1, 12))  # the pitch classes drawn from
     seqs = data.draw(st.lists(
         st.lists(st.tuples(st.sampled_from(labels), st.integers(0, n_obs - 1)),
                  min_size=1, max_size=8),
@@ -197,7 +201,7 @@ def test_estimate_rows_stochastic_and_masked_cells_bounded(data):
     for i in range(n_states):  # keep at least one way out of each state
         mask[i, (i + 1) % n_states] = False
     alpha = data.draw(st.sampled_from([0.0, 0.01, 1.0]))
-    model = estimate(labels, list(range(n_obs)), pairs, mask=mask, alpha=alpha)
+    model = estimate(labels, pairs, mask=mask, alpha=alpha)
     assert np.allclose(model.transition.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(model.emission.sum(axis=1), 1.0, atol=1e-9)
     assert model.initial.sum() == pytest.approx(1.0, abs=1e-9)
@@ -219,7 +223,7 @@ _BAD_SEQUENCES = {
 def test_estimate_equals_counting_loop(data):
     n_states = data.draw(st.integers(1, 6))
     labels = [f"s{i}" for i in range(n_states)]
-    n_obs = data.draw(st.integers(1, 5))
+    n_obs = data.draw(st.integers(1, 12))  # the pitch classes drawn from
     seqs = data.draw(st.lists(
         st.lists(st.tuples(st.sampled_from(labels), st.integers(0, n_obs - 1)),
                  min_size=1, max_size=10),
@@ -238,12 +242,12 @@ def test_estimate_equals_counting_loop(data):
         errors = []
         for fit in (estimate, counting_estimate):
             with pytest.raises(HmmError) as caught:
-                fit(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
+                fit(labels, pairs, mask=mask, alpha=alpha)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
         return
-    fast = estimate(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
-    slow = counting_estimate(labels, range(n_obs), pairs, mask=mask, alpha=alpha)
+    fast = estimate(labels, pairs, mask=mask, alpha=alpha)
+    slow = counting_estimate(labels, pairs, mask=mask, alpha=alpha)
     for name in ("transition", "emission", "initial"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
@@ -322,7 +326,7 @@ def test_distribute_shares_an_all_zero_row_uniformly():
 
 def test_viterbi_single_step_peaked_emission():
     emission = np.array([[0.9, 0.1], [0.1, 0.9]])
-    model = HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5), emission,
+    model = HmmModel(("a", "b"), np.full((2, 2), 0.5), emission,
                      np.array([0.5, 0.5]))
     assert viterbi(model, [1]) == ["b"]
 
@@ -331,7 +335,7 @@ def test_viterbi_identity_transitions_force_constant_path():
     transition = np.eye(3)
     emission = np.full((3, 4), 0.25)
     initial = np.array([0.0, 1.0, 0.0])
-    model = HmmModel(("a", "b", "c"), (0, 1, 2, 3), transition, emission, initial)
+    model = HmmModel(("a", "b", "c"), transition, emission, initial)
     assert viterbi(model, [0, 3, 2, 1, 0]) == ["b"] * 5
 
 
@@ -359,7 +363,7 @@ def test_viterbi_beats_random_sequences():
 
 def test_viterbi_infeasible_observation():
     emission = np.array([[1.0, 0.0], [1.0, 0.0]])
-    model = HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5), emission,
+    model = HmmModel(("a", "b"), np.full((2, 2), 0.5), emission,
                      np.array([0.5, 0.5]))
     with pytest.raises(DecodeInfeasibleError):
         viterbi(model, [0, 1, 0])
@@ -380,7 +384,7 @@ def test_infeasible_decode_messages(observed, viterbi_message,
                                     posterior_message):
     # no state emits observation 1
     emission = np.array([[1.0, 0.0], [1.0, 0.0]])
-    model = HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5), emission,
+    model = HmmModel(("a", "b"), np.full((2, 2), 0.5), emission,
                      np.array([0.5, 0.5]))
     with pytest.raises(DecodeInfeasibleError) as viterbi_error:
         viterbi(model, observed)
@@ -392,7 +396,7 @@ def test_infeasible_decode_messages(observed, viterbi_message,
 
 def test_viterbi_tie_breaks_to_lowest_index():
     # both states explain everything equally well
-    model = HmmModel(("a", "b"), (0,), np.full((2, 2), 0.5),
+    model = HmmModel(("a", "b"), np.full((2, 2), 0.5),
                      np.ones((2, 1)), np.array([0.5, 0.5]))
     assert viterbi(model, [0, 0, 0]) == ["a", "a", "a"]
 
@@ -425,7 +429,7 @@ def test_posterior_deterministic_model_one_hot():
     transition = np.array([[0.0, 1.0], [1.0, 0.0]])
     emission = np.array([[1.0, 0.0], [0.0, 1.0]])
     initial = np.array([1.0, 0.0])
-    model = HmmModel(("a", "b"), (0, 1), transition, emission, initial)
+    model = HmmModel(("a", "b"), transition, emission, initial)
     labels, marginals = posterior_decode(model, [0, 1, 0, 1])
     assert labels == ["a", "b", "a", "b"] == viterbi(model, [0, 1, 0, 1])
     assert np.allclose(np.sort(marginals, axis=1)[:, -1], 1.0)
@@ -435,7 +439,7 @@ def test_posterior_refuses_a_subnormal_forward_scale():
     # the scale at position 1 is 1e-320: the backward step divided by it
     # overflowed, and position 0's marginals came back NaN
     transition = np.array([[1.0 - 1e-320, 1e-320], [0.5, 0.5]])
-    model = HmmModel(("a", "b"), (0, 1), transition, np.eye(2),
+    model = HmmModel(("a", "b"), transition, np.eye(2),
                      np.array([1.0, 0.0]))
     assert brute_force_posteriors(model, [0, 1]).tolist() == [[1, 0], [0, 1]]
     assert viterbi(model, [0, 1]) == ["a", "b"]
@@ -454,7 +458,7 @@ def test_posterior_refuses_an_overflowing_backward_row():
     transition = np.array([[1 - eps, eps, 0, 0], [0, 1 - eps, eps, 0],
                            [0, 0, 1, 0], [0, 0, 0, 1]])
     emission = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3]])
-    model = HmmModel(tuple("abcd"), (0, 1, 2), transition, emission,
+    model = HmmModel(tuple("abcd"), transition, emission,
                      np.array([1.0, 0, 0, 0]))
     expected = brute_force_posteriors(model, [0, 1, 2])
     assert expected.argmax(axis=1).tolist() == [0, 1, 2]
@@ -505,7 +509,7 @@ def test_kernels_equal_stepwise_on_awkward_random_models():
 
 def test_kernels_equal_stepwise_on_exact_ties():
     for n_states in (1, 2, 5, 24):
-        model = HmmModel(tuple(range(n_states)), (0, 1),
+        model = HmmModel(tuple(range(n_states)),
                          np.full((n_states, n_states), 1.0 / n_states),
                          np.full((n_states, 2), 0.5),
                          np.full(n_states, 1.0 / n_states))
@@ -539,7 +543,7 @@ def test_build_phrase_mask():
 def test_masked_pairs_reported_not_repaired():
     labels = ["I", "IV", "V"]
     mask = build_phrase_mask(list(map(RomanChord.from_string, labels)))
-    model = estimate(labels, [0], [(["I", "V"], [0, 0])], mask=mask)
+    model = estimate(labels, [(["I", "V"], [0, 0])], mask=mask)
     report = masked_pairs(model, ["I", "V", "IV", "I"])
     assert report == [(2, "V", "IV"), (3, "IV", "I")]
     assert masked_pairs(model, ["I", "V", "I"]) == []
@@ -547,14 +551,14 @@ def test_masked_pairs_reported_not_repaired():
 
 def test_masked_pairs_rejects_unknown_label():
     labels = ["I", "IV", "V"]
-    model = estimate(labels, [0], [(["I", "V"], [0, 0])],
+    model = estimate(labels, [(["I", "V"], [0, 0])],
                      mask=build_phrase_mask(list(map(RomanChord.from_string, labels))))
     with pytest.raises(AlphabetError, match="'ii'"):
         masked_pairs(model, ["I", "ii", "V"])
 
 
 def two_state_model() -> HmmModel:
-    return HmmModel(("a", "b"), (0, 1), np.full((2, 2), 0.5),
+    return HmmModel(("a", "b"), np.full((2, 2), 0.5),
                     np.full((2, 2), 0.5), np.array([0.5, 0.5]))
 
 
@@ -570,15 +574,15 @@ def test_sequence_log_probability_rejects_empty_input():
 
 def _masked_three_chord_model() -> HmmModel:
     labels = ["I", "IV", "V"]
-    return estimate(labels, [0], [(["I", "V"], [0, 0])],
+    return estimate(labels, [(["I", "V"], [0, 0])],
                     mask=build_phrase_mask(list(map(RomanChord.from_string, labels))))
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: estimate(["A"], [0], [(["A", "Z"], [0, 0])]),
+    (lambda: estimate(["A"], [(["A", "Z"], [0, 0])]),
      "hidden label not in alphabet: 'Z'"),
-    (lambda: estimate(["A"], [0], [(["A", "A"], [0, 5])]),
-     "observed label not in alphabet: 5"),
+    (lambda: estimate(["A"], [(["A", "A"], [0, 12])]),
+     "observed label not in alphabet: 12"),
     (lambda: viterbi(two_state_model(), [0, 7]),
      "observation not in alphabet: 7"),
     (lambda: posterior_decode(two_state_model(), [9, 0]),
@@ -600,6 +604,42 @@ def test_sequence_log_probability_rejects_unknown_labels():
         sequence_log_probability(two_state_model(), ["a", "z"], [0, 1])
     with pytest.raises(AlphabetError, match="observation .*7"):
         sequence_log_probability(two_state_model(), ["a", "b"], [0, 7])
+
+
+def three_column_model() -> HmmModel:
+    # uniform moves, so each position goes to the state likelier to emit it
+    return HmmModel(("a", "b"), np.full((2, 2), 0.5),
+                    np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8]]),
+                    np.array([0.5, 0.5]))
+
+
+def test_observations_are_emission_column_indices():
+    model = three_column_model()
+    assert viterbi(model, [0, 2, 1]) == ["a", "b", "a"]
+    labels, marginals = posterior_decode(model, [0, 2, 1])
+    assert labels == ["a", "b", "a"]
+    assert marginals.shape == (3, 2)
+    expected = np.log([0.5, 0.6, 0.5, 0.8, 0.5, 0.4]).sum()
+    assert sequence_log_probability(model, ["a", "b", "a"], [0, 2, 1]) == \
+        pytest.approx(expected)
+
+
+@pytest.mark.parametrize("bad", [3, -1, "a"])
+def test_observations_outside_the_emission_columns_are_refused(bad):
+    model = three_column_model()
+    for call in (lambda: viterbi(model, [0, bad]),
+                 lambda: posterior_decode(model, [bad, 1]),
+                 lambda: sequence_log_probability(model, ["a", "b"], [2, bad])):
+        with pytest.raises(AlphabetError) as exc:
+            call()
+        assert str(exc.value) == f"observation not in alphabet: {bad!r}"
+
+
+def test_estimate_fits_one_emission_column_per_pitch_class():
+    # a pitch class outside 0-11 is refused in test_alphabet_error_messages
+    model = estimate(["A", "B"], [(["A", "B"], [0, 11])], alpha=0.0)
+    assert model.emission.shape == (2, 12)
+    assert model.emission[0, 0] == model.emission[1, 11] == 1.0
 
 
 # --- two-stage decoding ------------------------------------------------------
@@ -947,11 +987,11 @@ def test_load_errors_name_their_own_path_and_are_not_kept(
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda m: estimate("ab", "xy", [("ab", "xy")], mask=np.ones((3, 3))),
+    (lambda m: estimate("ab", [("ab", "xy")], mask=np.ones((3, 3))),
      "mask shape (3, 3) does not match 2 states"),
     (lambda m: viterbi(m, []), "empty observation sequence"),
     (lambda m: posterior_decode(m, []), "empty observation sequence"),
-    (lambda m: decode(m, m.observations[:2], "beam"), "unknown decode method: 'beam'"),
+    (lambda m: decode(m, [0, 1], "beam"), "unknown decode method: 'beam'"),
 ], ids=["mask-shape", "viterbi-empty", "posterior-empty", "method"])
 def test_estimate_and_decoders_refuse_malformed_calls(major_bundle, call, message):
     with pytest.raises(HmmError, match=f"^{re.escape(message)}$"):

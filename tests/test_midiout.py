@@ -301,7 +301,7 @@ def test_functional_summary_dominants_resolve(major_bundle):
 def test_functional_summary_single_chord():
     from harmonizer.hmm import estimate
     one = RomanChord.from_string("I")
-    model = estimate([one], [0], [([one, one, one], [0, 0, 0])], alpha=0.0)
+    model = estimate([one], [([one, one, one], [0, 0, 0])], alpha=0.0)
     summary = functional_summary(model, {one: 3})
     assert summary[0, 0] == pytest.approx(1.0)
     assert summary[1].sum() == 0 and summary[2].sum() == 0

@@ -215,7 +215,7 @@ def test_boosting_columns_makes_rare_chords_reachable(rock_bundle):
     targets = [j for j, s in enumerate(cm.states) if str(s) in ("vi", "bVII")]
     boosted[:, targets] += 0.8
     boosted /= boosted.sum(axis=1, keepdims=True)
-    custom = HmmModel(cm.states, cm.observations, boosted, cm.emission,
+    custom = HmmModel(cm.states, boosted, cm.emission,
                       cm.initial, mask=None, smoothing_alpha=cm.smoothing_alpha)
     after = [str(c) for c in decode(rock_bundle, melody, custom).chords]
     assert set(after) & {"vi", "bVII"}
