@@ -137,7 +137,7 @@ def _smoothing_alpha(text: str) -> float:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    corpus = parse_corpus(args.corpus, args.genre).select_mode(args.mode)
+    corpus = parse_corpus(args.corpus, args.genre, args.mode)
     if not corpus.chorales:
         raise CorpusError(f"no {args.mode}-mode pieces in {args.corpus}")
     bundle = train_key_chord_models(corpus, alpha=args.alpha,

@@ -22,10 +22,15 @@ ticks (`beats_to_ticks`), and ticks are written back as beats with enough
 digits to read back to the same tick. All of these, and the score,
 progression and analysis documents the other modules write, share one
 grammar, read by `_records` and written by `_format_records`.
+
+`parse_corpus` given a mode still reads every file and its header
+(`_header`), but parses the records only of the pieces it keeps: a chorale
+file whose header names the other mode is skipped there.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,10 +117,6 @@ class Corpus:
     chorales: tuple[AnnotatedChorale, ...]
     genre: str
 
-    def select_mode(self, mode: str) -> "Corpus":
-        picked = tuple(ch for ch in self.chorales if ch.mode == mode)
-        return Corpus(picked, self.genre)
-
 
 def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, int], ...]:
     """Comma-separated `pitch:beats` entries as (MIDI number, ticks)
@@ -143,23 +144,34 @@ def _format_note_list(notes) -> str:
                     for midi, ticks in notes)
 
 
+def _header(text: str):
+    """The `name: value` lines that open a file, and a lazy iterator over
+    the (line number, stripped text) pairs of the lines after them; blank
+    and `#` lines are skipped. Nothing past the header is read until the
+    iterator is consumed."""
+    lines = ((lineno, line) for lineno, line in
+             enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and not line.startswith("#"))
+    header = {}
+    for lineno, line in lines:
+        if ":" not in line or "|" in line:
+            return header, itertools.chain([(lineno, line)], lines)
+        name, value = line.split(":", 1)
+        header[name.strip()] = value.strip()
+    return header, lines
+
+
 def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
              ) -> tuple[dict[str, str], list[tuple[int, dict[str, str]]]]:
     """Read the record grammar shared by every text file: `name: value`
-    header lines, then `index | name=value | ...` records whose indices
-    run 0, 1, 2, ...; blank and `#` lines are skipped anywhere. Returns the
-    header and one (line, fields) pair per record, each record naming each
-    field at most once and holding every field named in `required`."""
-    header = {}
+    header lines (`_header`), then `index | name=value | ...` records whose
+    indices run 0, 1, 2, ...; blank and `#` lines are skipped anywhere.
+    Returns the header and one (line, fields) pair per record, each record
+    naming each field at most once and holding every field named in
+    `required`."""
+    header, lines = _header(text)
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not records and ":" in line and "|" not in line:
-            name, value = line.split(":", 1)
-            header[name.strip()] = value.strip()
-            continue
+    for lineno, line in lines:
         head, *parts = line.split("|")
         try:
             index = int(head)  # int() skips the blanks that strip() would
@@ -278,11 +290,17 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         raise CorpusError(str(exc), source)
 
 
-def parse_corpus(path: str | Path, genre: str = "chorale") -> Corpus:
-    """Parse every file in a directory, in lexicographic filename order.
+def parse_corpus(path: str | Path, genre: str = "chorale",
+                 mode: str | None = None) -> Corpus:
+    """Parse the pieces of `mode` (every piece when None) from the files of
+    a directory, in lexicographic filename order.
 
-    Files that fail to parse are all reported together, each with its file
-    and line location.
+    Every file is read, but a chorale file whose header names a valid mode
+    other than `mode` is skipped after its header: its records are not
+    parsed. Any other file is parsed whole, so one with a missing or
+    invalid mode header fails as it would without `mode`. Rock pieces are
+    all major. Files that fail to parse are all reported together, each
+    with its file and line location.
     """
     if genre not in GENRES:
         raise CorpusError(f"unknown genre: {genre!r}")
@@ -297,9 +315,17 @@ def parse_corpus(path: str | Path, genre: str = "chorale") -> Corpus:
     problems = []
     for p in files:
         try:
-            chorales.append(parse(read_text(p), source=str(p)))
+            text = read_text(p)
+            if mode is not None and genre == "chorale":
+                named = _header(text)[0].get("mode")
+                if named in MODES and named != mode:
+                    continue
+            piece = parse(text, source=str(p))
         except CorpusError as exc:
             problems.append(str(exc))
+            continue
+        if mode is None or piece.mode == mode:
+            chorales.append(piece)
     if problems:
         raise CorpusError("corpus parse failed:\n" + "\n".join(problems))
     return Corpus(tuple(chorales), genre)

@@ -28,8 +28,8 @@ def chorale_corpus():
 
 
 @pytest.fixture(scope="session")
-def major_corpus(chorale_corpus):
-    major = chorale_corpus.select_mode("major")
+def major_corpus():
+    major = parse_corpus(DATA / "chorales", "chorale", "major")
     return Corpus(tuple(ch.transpose(reference_offset(ch)) for ch in major.chorales),
                   "chorale")
 

@@ -121,7 +121,7 @@ def test_criterion_3_constraint_satisfaction(major_bundle, fixture_melodies):
 def test_criterion_4_performance(data_dir, fixture_melodies):
     with criterion(4, "training < 60s and harmonization < 5s"):
         started = time.perf_counter()
-        corpus = parse_corpus(data_dir / "chorales", "chorale").select_mode("major")
+        corpus = parse_corpus(data_dir / "chorales", "chorale", "major")
         assert len(corpus.chorales) == 8
         bundle = train_key_chord_models(corpus)
         train_time = time.perf_counter() - started

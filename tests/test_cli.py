@@ -759,6 +759,14 @@ def _input_error_case(case, tmp_path, model, data_dir):
         return (["train", "--corpus", str(corpus), "--mode", "minor",
                  "--out", str(tmp_path / "m.json")],
                 f"no minor-mode pieces in {corpus}")
+    if case == "corpus-lacks-major":
+        corpus = tmp_path / "minor-only"
+        corpus.mkdir()
+        (corpus / "a.txt").write_bytes(
+            (data_dir / "chorales" / "fixture-09.txt").read_bytes())
+        return (["train", "--corpus", str(corpus), "--mode", "major",
+                 "--out", str(tmp_path / "m.json")],
+                f"no major-mode pieces in {corpus}")
     if case == "rock-lacks-mode":
         corpus = data_dir / "rock"
         return (["train", "--corpus", str(corpus), "--genre", "rock",
@@ -775,7 +783,8 @@ def _input_error_case(case, tmp_path, model, data_dir):
 
 @pytest.mark.parametrize("case", [
     "model-list", "override-empty", "melody-header-only", "melody-empty-notes",
-    "melody-short-beat", "corpus-is-a-file", "corpus-lacks-mode", "rock-lacks-mode",
+    "melody-short-beat", "corpus-is-a-file", "corpus-lacks-mode", "corpus-lacks-major",
+    "rock-lacks-mode",
     "tempo", "config-method", "config-pattern"])
 def test_input_error_exits_2_with_its_message(capsys, tmp_path, trained_model,
                                               data_dir, case):
@@ -855,6 +864,56 @@ def test_empty_key_in_corpus_exits_2(capsys, tmp_path):
     _assert_input_error(capsys, main(["train", "--corpus", str(corpus),
                                       "--out", str(tmp_path / "m.json")]),
                         f"{piece}:4: unknown key label")
+
+
+def _corpus(directory, pieces):
+    """A corpus directory holding each (name, text) piece."""
+    directory.mkdir()
+    for name, text in pieces:
+        (directory / name).write_text(text)
+    return directory
+
+
+def test_train_leaves_the_other_modes_records_unparsed(capsys, tmp_path, data_dir):
+    minor_text = (data_dir / "chorales" / "fixture-09.txt").read_text()
+    major_text = (data_dir / "chorales" / "fixture-01.txt").read_text()
+    bad_major = major_text.replace("key=C", "key=Q", 1)
+    assert bad_major != major_text
+    mixed = _corpus(tmp_path / "mixed", [("a.txt", minor_text), ("b.txt", bad_major)])
+    alone = _corpus(tmp_path / "alone", [("a.txt", minor_text)])
+    for corpus in (mixed, alone):
+        assert main(["train", "--corpus", str(corpus), "--mode", "minor",
+                     "--out", str(tmp_path / f"{corpus.name}.json")]) == 0
+    assert ((tmp_path / "mixed.json").read_bytes()
+            == (tmp_path / "alone.json").read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "major.json"
+    _assert_input_error(capsys, main(["train", "--corpus", str(mixed), "--mode",
+                                      "major", "--out", str(out)]),
+                        f"{mixed / 'b.txt'}:3: unknown key label")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["major", "minor"])
+@pytest.mark.parametrize("opening,message", [
+    ("id: x\n", "{piece}: missing or invalid mode header: ''"),
+    ("id: x\nmode: dorian\n", "{piece}: missing or invalid mode header: 'dorian'"),
+    ("mode minor\n", "{piece}:1: record must start with an integer index:"
+                     " 'mode minor'"),
+], ids=["no-header", "invalid-header", "garbage-first-line"])
+def test_corpus_file_without_a_valid_mode_fails_under_each_mode(
+        capsys, tmp_path, data_dir, mode, opening, message):
+    pieces = [(p.name, p.read_text()) for p in (data_dir / "chorales").iterdir()]
+    records = "0 | notes=72:1 | key=C | roman=I\n1 | notes=72:1 | key=C | roman=I\n"
+    corpus = _corpus(tmp_path / "corpus", [*pieces, ("odd.txt", opening + records)])
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--mode", mode,
+                 "--out", str(out)]) == 2
+    piece = corpus / "odd.txt"
+    assert capsys.readouterr().err == (
+        f"error: corpus parse failed:\n{message.format(piece=piece)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("genre,record", [

@@ -1,3 +1,4 @@
+import random
 import string
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from harmonizer.core import (
     MAJOR,
+    MODES,
     PPQ,
     KeyLabel,
     MusicError,
@@ -14,6 +16,7 @@ from harmonizer.core import (
 )
 from harmonizer.corpus import (
     AnnotatedChorale,
+    Corpus,
     CorpusError,
     parse_chorale_text,
     parse_corpus,
@@ -80,6 +83,36 @@ def test_parse_corpus_fixture_counts(data_dir, chorale_corpus):
         assert len(ch.events) == expected[ch.id], ch.id
     # deterministic lexicographic ordering
     assert [ch.id for ch in chorale_corpus.chorales] == sorted(expected)
+
+
+def _shuffled_corpus(directory, data_dir):
+    """Three copies of each fixture chorale under names drawn in a seeded
+    shuffled order, so that name order interleaves the two modes."""
+    sources = sorted((data_dir / "chorales").iterdir()) * 3
+    names = list(range(len(sources)))
+    random.Random(7).shuffle(names)
+    directory.mkdir()
+    for name, source in zip(names, sources):
+        (directory / f"{name:02d}.txt").write_text(source.read_text())
+    return directory
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,genre", [
+    ("chorales", "chorale"), ("rock", "rock"), ("shuffled", "chorale")])
+def test_parse_corpus_keeps_the_pieces_of_its_mode(tmp_path, data_dir, name, genre,
+                                                   mode):
+    if name == "shuffled":
+        directory = _shuffled_corpus(tmp_path / name, data_dir)
+        modes = [ch.mode for ch in parse_corpus(directory, genre).chorales]
+        assert sum(a != b for a, b in zip(modes, modes[1:])) > 2
+    else:
+        directory = data_dir / name
+    kept = parse_corpus(directory, genre, mode)
+    assert kept == Corpus(tuple(ch for ch in parse_corpus(directory, genre).chorales
+                                if ch.mode == mode), genre)
+    # every rock piece is major
+    assert bool(kept.chorales) == (genre == "chorale" or mode == MAJOR)
 
 
 def test_parse_corpus_empty_directory(tmp_path):

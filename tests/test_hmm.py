@@ -17,7 +17,7 @@ from harmonizer.core import (
     RomanChord,
     transposed_degree,
 )
-from harmonizer.corpus import Corpus, CorpusError, reference_offset
+from harmonizer.corpus import Corpus, CorpusError, parse_corpus, reference_offset
 from harmonizer.hmm import (
     MASK_EPSILON,
     AlphabetError,
@@ -151,11 +151,10 @@ def test_estimate_rejects_alpha_whose_row_total_overflows():
 
 
 @pytest.mark.parametrize("mode", ["major", "minor"])
-def test_training_moves_chorales_to_their_reference_keys(tmp_path, chorale_corpus,
-                                                         mode):
+def test_training_moves_chorales_to_their_reference_keys(tmp_path, data_dir, mode):
     # the corpus shifted to every opening tonic, the +-6 tie (broken
     # downward) among them, trains the model of its moved copies
-    raw = chorale_corpus.select_mode(mode)
+    raw = parse_corpus(data_dir / "chorales", "chorale", mode)
     for s in range(-6, 6):
         shifted = Corpus(tuple(ch.transpose(s) for ch in raw.chorales), "chorale")
         moved = Corpus(tuple(ch.transpose(reference_offset(ch))
