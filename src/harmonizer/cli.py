@@ -22,8 +22,9 @@ from .corpus import (
     CorpusError,
     format_progression,
     parse_corpus,
+    parse_json,
     parse_melody_file,
-    read_json,
+    read_text,
 )
 from .harmonize import (
     InfeasibleHarmonizationError,
@@ -102,7 +103,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        file_values = read_json(config_path)
+        file_values = parse_json(read_text(config_path), str(config_path))
         if not isinstance(file_values, dict):
             raise MusicError(f"{config_path}: config must be a JSON object")
         unknown = sorted(file_values.keys() - set(_RUN_CONFIG_TYPES))

@@ -80,11 +80,6 @@ def parse_json(text: str, source: str = ""):
         raise CorpusError(f"not valid JSON: {exc}", source)
 
 
-def read_json(path: str | Path):
-    """The JSON document in a UTF-8 file, read with `parse_json`."""
-    return parse_json(read_text(path), str(path))
-
-
 @dataclass(frozen=True)
 class AnnotatedChorale:
     """A melody, one BeatEvent per beat, with its per-beat key and
@@ -144,10 +139,11 @@ def _format_note_list(notes) -> str:
                     for midi, ticks in notes)
 
 
-def _header(text: str):
+def _header(text: str, source: str):
     """The `name: value` lines that open a file, and a lazy iterator over
     the (line number, stripped text) pairs of the lines after them; blank
-    and `#` lines are skipped. Nothing past the header is read until the
+    and `#` lines are skipped. CorpusError at the line that names a header
+    field a second time. Nothing past the header is read until the
     iterator is consumed."""
     lines = ((lineno, line) for lineno, line in
              enumerate(map(str.strip, text.splitlines()), start=1)
@@ -157,19 +153,22 @@ def _header(text: str):
         if ":" not in line or "|" in line:
             return header, itertools.chain([(lineno, line)], lines)
         name, value = line.split(":", 1)
-        header[name.strip()] = value.strip()
+        name = name.strip()
+        if name in header:
+            raise CorpusError(f"header field named twice: {name!r}", source, lineno)
+        header[name] = value.strip()
     return header, lines
 
 
 def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
              ) -> tuple[dict[str, str], list[tuple[int, dict[str, str]]]]:
     """Read the record grammar shared by every text file: `name: value`
-    header lines (`_header`), then `index | name=value | ...` records whose
-    indices run 0, 1, 2, ...; blank and `#` lines are skipped anywhere.
-    Returns the header and one (line, fields) pair per record, each record
-    naming each field at most once and holding every field named in
-    `required`."""
-    header, lines = _header(text)
+    header lines (`_header`), each name at most once, then
+    `index | name=value | ...` records whose indices run 0, 1, 2, ...;
+    blank and `#` lines are skipped anywhere. Returns the header and one
+    (line, fields) pair per record, each record naming each field at most
+    once and holding every field named in `required`."""
+    header, lines = _header(text, source)
     records = []
     for lineno, line in lines:
         head, *parts = line.split("|")
@@ -298,7 +297,8 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     Every file is read, but a chorale file whose header names a valid mode
     other than `mode` is skipped after its header: its records are not
     parsed. Any other file is parsed whole, so one with a missing or
-    invalid mode header fails as it would without `mode`. Rock pieces are
+    invalid mode header fails as it would without `mode`; one whose header
+    names a field twice fails under every mode. Rock pieces are
     all major. Files that fail to parse are all reported together, each
     with its file and line location.
     """
@@ -317,7 +317,7 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
         try:
             text = read_text(p)
             if mode is not None and genre == "chorale":
-                named = _header(text)[0].get("mode")
+                named = _header(text, str(p))[0].get("mode")
                 if named in MODES and named != mode:
                     continue
             piece = parse(text, source=str(p))

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from .core import (
     BEATS_PER_BAR,
-    MAJOR,
     PPQ,
-    KeyLabel,
     MelodyLine,
     MusicError,
     ProgressionAnnotation,
+    all_keys,
     chord_tone_pcs,
 )
 from .hmm import HmmModel, decode_key_chord
@@ -83,7 +82,7 @@ def render_accompaniment(melody: MelodyLine, annotation: ProgressionAnnotation,
         start = i * BEATS_PER_BAR * PPQ
         # the rock format names a key by its tonic alone (`key_pc`), so a
         # minor key is read as the major key on the same tonic
-        major = KeyLabel(key.tonic_pc, MAJOR)
+        major = all_keys()[key.tonic_pc]  # majors come first
         root_pc, third_pc, fifth_pc = chord_tone_pcs(chord, major)[:3]
         root = 48 + root_pc
         third = root + (third_pc - root_pc) % 12

@@ -167,6 +167,7 @@ def test_written_records_read_back(header, records):
     ("0 || notes=1", "expected field=value, got ''"),
     ("1 | notes=72:1", "beat index 1 out of order, expected 0"),
     ("0 | notes=72:1 | key=C | roman=I | key=G", "field named twice: 'key'"),
+    ("mode: minor", "header field named twice: 'mode'"),
 ])
 def test_record_errors_name_the_stripped_part(line, message):
     with pytest.raises(CorpusError) as caught:

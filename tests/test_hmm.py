@@ -988,10 +988,13 @@ def test_load_errors_name_their_own_path_and_are_not_kept(
 @pytest.mark.parametrize("call, message", [
     (lambda m: estimate("ab", [("ab", "xy")], mask=np.ones((3, 3))),
      "mask shape (3, 3) does not match 2 states"),
+    (lambda m: estimate(["a"], [(["a", "a"], [0, 0])], mask=[[True]]),
+     "a row has every transition masked"),
     (lambda m: viterbi(m, []), "empty observation sequence"),
     (lambda m: posterior_decode(m, []), "empty observation sequence"),
     (lambda m: decode(m, [0, 1], "beam"), "unknown decode method: 'beam'"),
-], ids=["mask-shape", "viterbi-empty", "posterior-empty", "method"])
+], ids=["mask-shape", "mask-full-row", "viterbi-empty", "posterior-empty",
+        "method"])
 def test_estimate_and_decoders_refuse_malformed_calls(major_bundle, call, message):
     with pytest.raises(HmmError, match=f"^{re.escape(message)}$"):
         call(major_bundle.key_model)
