@@ -1,0 +1,133 @@
+"""The standing mutant suite: every deliberate bug below must make the tests
+fail.
+
+Each entry is a file under the repository root, an exact text in it, the
+text that replaces it, and the reason the tests must notice. For each
+entry the script copies the tree into a temporary directory, applies the
+edit there (an old text that is missing or not unique is an error in the
+entry), and runs
+
+    python -m pytest -x -q -p no:cacheprovider tests
+
+in the copy, with the copy's `src` first on PYTHONPATH. A mutant is caught
+when pytest reports a failing test (exit status 1). The script prints each
+entry's time and the first failing test, and exits non-zero if any mutant
+survives or any entry cannot be applied. A caught mutant means something
+only on a tree whose own tests pass, so run it after the test suite.
+
+Usage: python scripts/mutants.py
+
+Never weaken or delete an entry to make the run pass: a survivor means a
+test stopped checking what it once checked.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# what the tests never read: version control, caches and build outputs
+_NOT_COPIED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks",
+    ".perfbench-work", ".perfbench-out", "build", "*.egg-info")
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+MUTANTS = (
+    Mutant("src/harmonizer/hmm.py",
+           'f" {int(dead.argmax())}")',
+           'f" {int(dead.argmax()) + 1}")',
+           "the best-path kernel names the position after the first dead row"),
+    Mutant("src/harmonizer/hmm.py",
+           "score += rows[t]",
+           "score += rows[t - 1]",
+           "the best-path kernel adds the previous position's score row"),
+    Mutant("src/harmonizer/hmm.py",
+           "state = int(scores[-1].argmax())",
+           "state = S - 1 - int(scores[-1][::-1].argmax())",
+           "the best-path kernel breaks a final tie toward the highest index"),
+    Mutant("src/harmonizer/harmonize.py",
+           "_BASS_TENOR_ALTO = itemgetter(2, 1, 0)",
+           "_BASS_TENOR_ALTO = itemgetter(0, 1, 2)",
+           "voicing candidates are ordered alto first instead of bass first"),
+    Mutant("src/harmonizer/hmm.py",
+           "array.flags.writeable = False",
+           "array.flags.writeable = True",
+           "a loaded model's arrays, shared by every load, stay writable"),
+    Mutant("src/harmonizer/core.py",
+           '_FIGURE_ALIASES = {"6": "63", "42": "2"}',
+           '_FIGURE_ALIASES = {"6": "63"}',
+           "the chord table loses the figure alias 2 for 42"),
+    Mutant("src/harmonizer/corpus.py",
+           "if named in MODES and named != mode:",
+           "if named != mode:",
+           "training skips a chorale file whose mode header is invalid"),
+    Mutant("src/harmonizer/corpus.py",
+           "                    continue\n            piece = parse(",
+           "                    pass\n            piece = parse(",
+           "training parses the chorale files of the other mode"),
+)
+
+
+def apply(mutant: Mutant, tree: Path):
+    target = tree / mutant.path
+    text = target.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"{mutant.path}: the old text of '{mutant.reason}'"
+                         f" occurs {count} times, not once")
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> tuple[int, float, str]:
+    """pytest's exit status on the tree with `mutant` applied, the seconds
+    the tests took, and the first failing test or pytest's last line."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_NOT_COPIED)
+        apply(mutant, tree)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "tests"], cwd=tree, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    output = done.stdout + done.stderr
+    failed = _FAILED.search(output)
+    lines = output.strip().splitlines()
+    detail = failed.group(1) if failed else (lines[-1] if lines else "no output")
+    return done.returncode, seconds, detail
+
+
+def main() -> int:
+    caught = 0
+    for mutant in MUTANTS:
+        code, seconds, detail = run(mutant)
+        caught += code == 1
+        # 0: every test passed; anything but 1: pytest could not run the tests
+        verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"ERROR {code}")
+        print(f"{verdict:8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}\n"
+              f"{'':17}{detail}", flush=True)
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

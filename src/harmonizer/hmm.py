@@ -1,7 +1,8 @@
 """First-order hidden Markov models over labeled hidden states.
 
 Provides masked maximum-likelihood estimation from fully annotated
-sequences, Viterbi decoding in log space, posterior decoding via the
+sequences, Viterbi decoding in log space on `_best_path`, the best-path
+kernel over any lattice of log score rows, posterior decoding via the
 scaled forward-backward algorithm, the labeled-CSV matrix format read by
 transition-matrix overrides and written by the matrix export, and the
 two-stage key-then-chord decode used for harmonization.
@@ -180,20 +181,20 @@ def _log(values: np.ndarray) -> np.ndarray:
         return np.log(values)
 
 
-def viterbi(model: HmmModel, observed) -> list:
-    """Most probable hidden label sequence, ties broken toward the lowest
-    state index at every backtrack step.
+def _best_path(first: np.ndarray, log_t_to: np.ndarray, rows: np.ndarray) -> list[int]:
+    """Index path of the highest total score through an n-by-S lattice.
 
-    The log emission rows of the observations are gathered once; each step
-    writes its scores and backpointers into preallocated rows. A step's
-    candidates are laid out one row per next state, so the best predecessor
-    is an argmax along a contiguous row, and its score is taken from the
-    candidate it picked."""
-    if len(observed) == 0:
-        raise HmmError("empty observation sequence")
-    obs = _indices(observed, range(model.emission.shape[1]), "observation")
-    log_t_to = _log(model.transition).T.copy()  # [next state, state]
-    rows = _log(model.emission.T)[obs]
+    `first[s]` scores starting in state s, `log_t_to[next, s]` scores a step
+    from s to next, and `rows[t, s]` scores state s at position t; a path's
+    total is the sum of the cells it uses, and -inf forbids a cell. Ties go
+    to the lowest state index at the last position and at every backtrack
+    step. DecodeInfeasibleError names the first position that leaves no
+    path with a finite total.
+
+    Each step writes its scores and backpointers into preallocated rows. A
+    step's candidates are laid out one row per next state, so the best
+    predecessor is an argmax along a contiguous row, and its score is taken
+    from the candidate it picked."""
     n, S = rows.shape
     scores = np.empty((n, S))
     back = np.empty((n, S), dtype=np.intp)
@@ -201,7 +202,7 @@ def viterbi(model: HmmModel, observed) -> list:
     flat_candidate = candidate.reshape(-1)
     row_starts = np.arange(0, S * S, S)
     picked = np.empty(S, dtype=np.intp)
-    np.add(_log(model.initial), rows[0], out=scores[0])
+    np.add(first, rows[0], out=scores[0])
     for t in range(1, n):
         np.add(scores[t - 1], log_t_to, out=candidate)
         best = candidate.argmax(axis=1, out=back[t])
@@ -222,24 +223,20 @@ def viterbi(model: HmmModel, observed) -> list:
         state = pointers[state]
         path.append(state)
     path.reverse()
-    return [model.states[i] for i in path]
+    return path
 
 
-def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
-    """Joint log probability of a hidden/observed label pair."""
-    if len(hidden) != len(observed):
-        raise HmmError(
-            f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
-    if len(hidden) == 0:
-        raise HmmError("empty sequence")
+def viterbi(model: HmmModel, observed) -> list:
+    """Most probable hidden label sequence. The log emission rows of the
+    observations are gathered once and handed to `_best_path`, which owns
+    the preallocated buffers and the tie rule: the lowest state index at
+    every backtrack step."""
+    if len(observed) == 0:
+        raise HmmError("empty observation sequence")
     obs = _indices(observed, range(model.emission.shape[1]), "observation")
-    hid = _indices(hidden, model.state_index(), "hidden label")
-    log_t = _log(model.transition)
-    log_e = _log(model.emission)
-    total = float(_log(model.initial)[hid[0]] + log_e[hid[0], obs[0]])
-    for t in range(1, len(hid)):
-        total += float(log_t[hid[t - 1], hid[t]] + log_e[hid[t], obs[t]])
-    return total
+    path = _best_path(_log(model.initial), _log(model.transition).T.copy(),
+                      _log(model.emission.T)[obs])
+    return [model.states[i] for i in path]
 
 
 def posterior_decode(model: HmmModel, observed) -> tuple[list, np.ndarray]:

@@ -2,11 +2,13 @@
 
 Everything here trades speed for obviousness: estimation that counts one
 cell at a time and normalizes one row at a time, exhaustive enumeration
-over hidden sequences, Viterbi and forward-backward as one plain step per
-position, a full lattice filter for chord voicings, the greedy voicing
-search as a literal loop with every tie-break key computed, an SMF
-track encoder that spells out every event, and the Roman-numeral grammar
-as a regular expression with a branch for each marker and case.
+over hidden sequences and over the index paths of a score lattice, the
+joint log probability of a hidden/observed pair summed one position at a
+time, Viterbi and forward-backward as one plain step per position, a full
+lattice filter for chord voicings, the greedy voicing search as a literal
+loop with every tie-break key computed, an SMF track encoder that spells
+out every event, and the Roman-numeral grammar as a regular expression
+with a branch for each marker and case.
 """
 
 from __future__ import annotations
@@ -166,6 +168,49 @@ def brute_force_posteriors(model: HmmModel, observed) -> np.ndarray:
 def _log_array(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(values)
+
+
+def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
+    """Joint log probability of a hidden/observed label pair."""
+    if len(hidden) != len(observed):
+        raise HmmError(
+            f"paired sequence lengths differ: {len(hidden)} vs {len(observed)}")
+    if len(hidden) == 0:
+        raise HmmError("empty sequence")
+    obs = _indices(observed, range(model.emission.shape[1]), "observation")
+    hid = _indices(hidden, model.state_index(), "hidden label")
+    log_t = _log_array(model.transition)
+    log_e = _log_array(model.emission)
+    total = float(_log_array(model.initial)[hid[0]] + log_e[hid[0], obs[0]])
+    for t in range(1, len(hid)):
+        total += float(log_t[hid[t - 1], hid[t]] + log_e[hid[t], obs[t]])
+    return total
+
+
+def lattice_path_total(first, log_t_to, rows, path) -> float:
+    """The total of one index path through a score lattice: first[s0] +
+    rows[0][s0], plus log_t_to[s_t][s_(t-1)] + rows[t][s_t] for each later
+    position t."""
+    total = first[path[0]] + rows[0][path[0]]
+    for t in range(1, len(path)):
+        total += log_t_to[path[t]][path[t - 1]] + rows[t][path[t]]
+    return total
+
+
+def brute_force_prefix_best(first, log_t_to, rows) -> list[list[float]]:
+    """For each position t and state s, the best total over every index
+    path through positions 0..t that ends in s, by direct enumeration. The
+    cells should be small integers or -inf, so that every total is exact
+    and a tie is a real tie."""
+    S = len(first)
+    prefix_best = []
+    for t in range(len(rows)):
+        best = [float("-inf")] * S
+        for prefix in itertools.product(range(S), repeat=t + 1):
+            total = lattice_path_total(first, log_t_to, rows, prefix)
+            best[prefix[-1]] = max(best[prefix[-1]], total)
+        prefix_best.append(best)
+    return prefix_best
 
 
 def stepwise_viterbi(model: HmmModel, observed) -> list:

@@ -30,9 +30,11 @@ from harmonizer.midiout import PPQ, export_matrices, functional_summary, write_m
 from harmonizer.ornament import OrnamentConfig, insert_ornaments
 from harmonizer.rock import render_accompaniment
 
-from harmonizer.hmm import sequence_log_probability
-
-from oracles import brute_force_argmax_set, brute_force_posteriors
+from oracles import (
+    brute_force_argmax_set,
+    brute_force_posteriors,
+    sequence_log_probability,
+)
 from smf_reader import read_midi
 
 

@@ -25,6 +25,7 @@ from harmonizer.hmm import (
     HmmError,
     HmmModel,
     METHODS,
+    _best_path,
     _distribute,
     apply_override,
     build_phrase_mask,
@@ -36,7 +37,6 @@ from harmonizer.hmm import (
     masked_pairs,
     posterior_decode,
     save_bundle,
-    sequence_log_probability,
     train_key_chord_models,
     viterbi,
 )
@@ -45,9 +45,12 @@ from harmonizer.midiout import export_matrices, functional_summary
 from oracles import (
     brute_force_argmax_set,
     brute_force_posteriors,
+    brute_force_prefix_best,
     brute_force_viterbi,
     counting_estimate,
     distribute_row,
+    lattice_path_total,
+    sequence_log_probability,
     stepwise_posterior,
     stepwise_viterbi,
 )
@@ -398,6 +401,92 @@ def test_viterbi_tie_breaks_to_lowest_index():
     model = HmmModel(("a", "b"), np.full((2, 2), 0.5),
                      np.ones((2, 1)), np.array([0.5, 0.5]))
     assert viterbi(model, [0, 0, 0]) == ["a", "a", "a"]
+
+
+# --- the best-path kernel ---------------------------------------------------
+
+# small integers and -inf: every path total is exact, so ties are real ties
+_LATTICE_CELLS = st.sampled_from([-np.inf, -3.0, -2.0, -1.0, 0.0])
+
+
+def _lattice(data, cells=_LATTICE_CELLS):
+    """A drawn (first, log_t_to, rows) lattice of 1-4 states and 1-6
+    positions."""
+    S = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(cells, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+    return array(S), array(S, S), array(n, S)
+
+
+def _assert_decodes(first, log_t_to, rows):
+    """`_best_path` returns a best path, chosen by the lowest-index rule at
+    the last position and at every backtrack step, or names the first
+    position that no finite prefix survives. Returns the path, or None for
+    a lattice with no finite path."""
+    prefix_best = brute_force_prefix_best(first, log_t_to, rows)
+    dead = next((t for t, best in enumerate(prefix_best) if max(best) == -np.inf),
+                None)
+    if dead is not None:
+        with pytest.raises(DecodeInfeasibleError) as caught:
+            _best_path(first, log_t_to, rows)
+        assert str(caught.value) == (
+            f"no hidden state can generate observation at position {dead}")
+        return None
+    path = _best_path(first, log_t_to, rows)
+    best = max(prefix_best[-1])
+    assert lattice_path_total(first, log_t_to, rows, path) == best
+    assert path[-1] == prefix_best[-1].index(best)
+    for t in range(len(path) - 1, 0, -1):
+        into = [prefix_best[t - 1][p] + log_t_to[path[t]][p]
+                for p in range(len(first))]
+        assert path[t - 1] == into.index(max(into))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_best_path_matches_brute_force(data):
+    _assert_decodes(*_lattice(data))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_best_path_names_the_first_dead_position(data):
+    first, log_t_to, rows = _lattice(data)
+    rows[data.draw(st.integers(0, len(rows) - 1))] = -np.inf
+    assert _assert_decodes(first, log_t_to, rows) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_best_path_all_equal_scores_give_the_all_zero_path(data):
+    first, log_t_to, rows = _lattice(
+        data, st.just(float(data.draw(st.integers(-3, 0)))))
+    assert _best_path(first, log_t_to, rows) == [0] * len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_best_path_ignores_forbidding_cells_off_its_path(data):
+    # a restricted decode keeps the unrestricted path whenever that path
+    # is allowed: the optimum keeps its score, and every tie set it is in
+    # can only shrink
+    first, log_t_to, rows = _lattice(data)
+    path = _assert_decodes(first, log_t_to, rows)
+    if path is None:
+        return
+    used_steps = set(zip(path[1:], path))
+    for t, s in np.ndindex(rows.shape):
+        if s != path[t] and data.draw(st.booleans()):
+            rows[t, s] = -np.inf
+    for cell in np.ndindex(log_t_to.shape):
+        if cell not in used_steps and data.draw(st.booleans()):
+            log_t_to[cell] = -np.inf
+    assert _best_path(first, log_t_to, rows) == path
 
 
 # --- posterior decoding ----------------------------------------------------
