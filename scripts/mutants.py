@@ -82,6 +82,19 @@ MUTANTS = (
            "                    continue\n            piece = parse(",
            "                    pass\n            piece = parse(",
            "training parses the chorale files of the other mode"),
+    Mutant("src/harmonizer/corpus.py",
+           "beat=functools.cache(_beat))",
+           'beat=lambda text, memo={}: memo.setdefault(text.split(",")[0],'
+           " _beat(text)))",
+           "the corpus beat memo is keyed on a beat's first note entry only"),
+    Mutant("src/harmonizer/corpus.py",
+           "names = sorted(entry.name for entry in entries if entry.is_file())",
+           "names = sorted(entry.name for entry in entries)",
+           "the corpus listing keeps subdirectories and dangling links"),
+    Mutant("src/harmonizer/hmm.py",
+           "type(n) is int and 0 <= n < 2 ** 63 for n in counts.values()",
+           "type(n) is int and 0 <= n for n in counts.values()",
+           "a saved chord count may exceed 64 bits"),
 )
 
 

@@ -85,6 +85,12 @@ class KeyLabel:
             raise MusicError(f"tonic pitch class out of range: {self.tonic_pc}")
         if self.mode not in MODES:
             raise MusicError(f"unknown mode: {self.mode!r}")
+        object.__setattr__(self, "_hash", hash((self.tonic_pc, self.mode)))
+
+    def __hash__(self) -> int:
+        # the generated hash of the fields, computed once: training looks
+        # every beat's labels up in dicts
+        return self._hash
 
     def __str__(self) -> str:
         name = PITCH_NAMES[self.tonic_pc]
@@ -140,6 +146,11 @@ class RomanChord:
             raise MusicError("third inversion requires a seventh chord")
         if self.accidental not in (-1, 0, 1):
             raise MusicError(f"accidental out of range: {self.accidental}")
+        object.__setattr__(self, "_hash", hash((
+            self.degree, self.quality, self.inversion, self.seventh, self.accidental)))
+
+    def __hash__(self) -> int:
+        return self._hash  # as in KeyLabel
 
     def __str__(self) -> str:
         numeral = _NUMERALS[self.degree - 1]

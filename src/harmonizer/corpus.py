@@ -16,22 +16,30 @@ Rock files carry one record per measure, all fields integer pitch classes:
 
 Melody files reuse the chorale record grammar with the key/roman columns
 absent. Rock melody files hold only `melody_degree_pc`; in them, as in
-rock corpus files, each measure is one beat (`_measure_event`). Note
+rock corpus files, each measure is one beat (`_MEASURE_EVENTS`). Note
 durations are written in beats; each is read once into whole 1/480-beat
 ticks (`beats_to_ticks`), and ticks are written back as beats with enough
 digits to read back to the same tick. All of these, and the score,
 progression and analysis documents the other modules write, share one
 grammar, read by `_records` and written by `_format_records`.
 
-`parse_corpus` given a mode still reads every file and its header
-(`_header`), but parses the records only of the pieces it keeps: a chorale
-file whose header names the other mode is skipped there.
+`parse_corpus` reads the regular files of a directory (links to files
+included) in the order of their names compared as strings, each named as
+`str(directory / name)`. Given a mode it still reads every file and its
+header (`_header`), but parses the records only of the pieces it keeps: a
+chorale file whose header names the other mode is skipped there. Each
+parse call, of a corpus or of one melody, parses each distinct `notes`
+text once (a `functools.cache` of `_beat` that lives for the call), so
+equal beats are one shared object. A text that fails is never cached, so
+each file and line that holds it reports its own error.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +74,8 @@ def read_text(path: str | Path) -> str:
     """The text of a UTF-8 file; CorpusError naming the file when its bytes
     are not UTF-8. Every input file is read through here."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise CorpusError(f"not UTF-8 text: {exc}", str(path))
 
@@ -113,9 +122,10 @@ class Corpus:
     genre: str
 
 
-def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, int], ...]:
-    """Comma-separated `pitch:beats` entries as (MIDI number, ticks)
-    pairs; whether the ticks fill the beat is left to BeatEvent."""
+def _beat(text: str) -> BeatEvent:
+    """A `notes` field, comma-separated `pitch:beats` entries, as one beat
+    of (MIDI number, ticks) pairs; MusicError when the entries do not make
+    a beat. The callers memoize it per call and add the file and line."""
     notes = []
     for item in text.split(","):
         item = item.strip()
@@ -125,10 +135,10 @@ def _parse_note_list(text: str, source: str, line: int) -> tuple[tuple[int, int]
             pitch_s, beats_s = item.split(":")
             notes.append((int(pitch_s), beats_to_ticks(float(beats_s))))
         except ValueError as exc:
-            raise CorpusError(f"bad note entry {item!r}: {exc}", source, line)
+            raise MusicError(f"bad note entry {item!r}: {exc}")
     if not notes:
-        raise CorpusError("empty note list", source, line)
-    return tuple(notes)
+        raise MusicError("empty note list")
+    return BeatEvent(tuple(notes))
 
 
 def _format_note_list(notes) -> str:
@@ -234,25 +244,22 @@ def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> i
     return value
 
 
-def _beat(fields: dict[str, str], source: str, line: int) -> BeatEvent:
-    """The `notes` field of a record as one beat; CorpusError at the
-    record's line when the notes do not make a beat."""
-    notes = _parse_note_list(fields["notes"], source, line)
-    try:
-        return BeatEvent(notes)
-    except MusicError as exc:
-        raise CorpusError(str(exc), source, line)
-
-
 def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
+    """One chorale file's text; CorpusError at the first bad line."""
+    return _parse_chorale(text, source, functools.cache(_beat))
+
+
+def _parse_chorale(text: str, source: str, beat) -> AnnotatedChorale:
+    """`parse_chorale_text` with `beat`, a memo of `_beat` that the caller
+    may share between files."""
     header, records = _records(text, source, "beat", ("notes", "key", "roman"))
     mode = header.get("mode", "")
     if mode not in MODES:
         raise CorpusError(f"missing or invalid mode header: {mode!r}", source)
     events, keys, chords = [], [], []
     for lineno, fields in records:
-        events.append(_beat(fields, source, lineno))
         try:
+            events.append(beat(fields["notes"]))
             keys.append(KeyLabel.from_string(fields["key"]))
             chords.append(RomanChord.from_string(fields["roman"]))
         except MusicError as exc:
@@ -264,22 +271,22 @@ def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
         raise CorpusError(str(exc), source)
 
 
-def _measure_event(melody_pc: int) -> BeatEvent:
-    """A rock measure as one beat: its melody pitch class in octave 4."""
-    return BeatEvent(((60 + melody_pc, PPQ),))
+# a rock measure as one beat: its melody pitch class in octave 4, one
+# shared beat per pitch class
+_MEASURE_EVENTS = tuple(BeatEvent(((60 + pc, PPQ),)) for pc in range(12))
 
 
 def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     """Measure-level rock analyses, converted to the same event structure:
     keys become major KeyLabels, chord roots become root-position triads, and
-    each measure becomes one beat (`_measure_event`)."""
+    each measure becomes one beat (`_MEASURE_EVENTS`)."""
     names = ("key_pc", "roman_root_pc", "melody_degree_pc")
     header, records = _records(text, source, "measure", names)
     events, keys, chords = [], [], []
     for lineno, fields in records:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
                                       for name in names)
-        events.append(_measure_event(melody_pc))
+        events.append(_MEASURE_EVENTS[melody_pc])
         keys.append(all_keys()[key_pc])  # majors come first
         chords.append(triadic_numeral_for_root((root_pc - key_pc) % 12))
     try:
@@ -292,7 +299,8 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
 def parse_corpus(path: str | Path, genre: str = "chorale",
                  mode: str | None = None) -> Corpus:
     """Parse the pieces of `mode` (every piece when None) from the files of
-    a directory, in lexicographic filename order.
+    a directory, in name order; subdirectories are skipped. One `_beat` memo
+    serves every file.
 
     Every file is read, but a chorale file whose header names a valid mode
     other than `mode` is skipped after its header: its records are not
@@ -307,20 +315,27 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     directory = Path(path)
     if not directory.is_dir():
         raise CorpusError(f"not a directory: {directory}")
-    files = sorted(p for p in directory.iterdir() if p.is_file())
-    if not files:
+    with os.scandir(directory) as entries:
+        names = sorted(entry.name for entry in entries if entry.is_file())
+    if not names:
         raise CorpusError(f"no corpus files in {directory}")
-    parse = parse_chorale_text if genre == "chorale" else parse_rock_text
+    # prefix + name is str(directory / name): no "./" for ".", one "/"
+    prefix = str(directory / "_")[:-1]
+    if genre == "chorale":
+        parse = functools.partial(_parse_chorale, beat=functools.cache(_beat))
+    else:
+        parse = parse_rock_text
     chorales = []
     problems = []
-    for p in files:
+    for name in names:
+        source = prefix + name
         try:
-            text = read_text(p)
+            text = read_text(source)
             if mode is not None and genre == "chorale":
-                named = _header(text, str(p))[0].get("mode")
+                named = _header(text, source)[0].get("mode")
                 if named in MODES and named != mode:
                     continue
-            piece = parse(text, source=str(p))
+            piece = parse(text, source)
         except CorpusError as exc:
             problems.append(str(exc))
             continue
@@ -335,8 +350,14 @@ def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """Melody-only schema: the chorale record grammar without key/roman.
     Extra annotation columns are tolerated and ignored."""
     _, records = _records(text, source, "beat", ("notes",))
-    return MelodyLine(tuple(_beat(fields, source, lineno)
-                            for lineno, fields in records))
+    beat = functools.cache(_beat)
+    events = []
+    for lineno, fields in records:
+        try:
+            events.append(beat(fields["notes"]))
+        except MusicError as exc:
+            raise CorpusError(str(exc), source, lineno)
+    return MelodyLine(tuple(events))
 
 
 def parse_melody_file(path: str | Path, genre: str = "chorale") -> MelodyLine:
@@ -350,7 +371,7 @@ def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """A rock melody, one beat per measure as in `parse_rock_text`."""
     _, records = _records(text, source, "measure", ("melody_degree_pc",))
     return MelodyLine(tuple(
-        _measure_event(_pitch_class(fields, "melody_degree_pc", source, lineno))
+        _MEASURE_EVENTS[_pitch_class(fields, "melody_degree_pc", source, lineno)]
         for lineno, fields in records))
 
 

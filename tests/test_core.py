@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -77,6 +78,17 @@ def test_from_string_shares_one_object_per_label():
     assert RomanChord.from_string("V7") is RomanChord.from_string("V7")
     assert RomanChord.from_string("I6") is RomanChord.from_string(" I63")
     assert RomanChord.from_string("V2") is RomanChord.from_string("V42")
+
+
+def test_labels_hash_as_the_tuple_of_their_fields():
+    # the hash is computed once, but is the value the generated __hash__
+    # gives, so no dict or set order moves
+    labels = [*all_keys(), *set(_CHORD_BY_TEXT.values())]
+    assert len(labels) == 24 + 588
+    for label in labels:
+        values = tuple(getattr(label, field.name) for field in dataclasses.fields(label))
+        assert hash(label) == hash(values), label
+        assert hash(type(label)(*values)) == hash(label)
 
 
 @pytest.mark.parametrize("cls", [KeyLabel, RomanChord])

@@ -1,5 +1,7 @@
 import random
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,9 @@ from harmonizer.corpus import (
     parse_melody_text,
     parse_rock_text,
     reference_offset,
+    _beat,
     _format_note_list,
     _format_records,
-    _parse_note_list,
     _records,
 )
 
@@ -128,10 +130,141 @@ def test_parse_corpus_collects_file_diagnostics(tmp_path):
     assert "b.txt:3" in str(err.value)
 
 
+# --- one beat memo per parse call ----------------------------------------
+
+# splits of one beat into 1-3 notes; with three pitches, beat texts repeat
+# across and within files, and distinct texts share a first entry
+_SPLITS = (("1",), ("0.5", "0.5"), ("0.25", "0.75"), ("0.75", "0.25"),
+           ("0.5", "0.25", "0.25"), ("0.3333333333",) * 3)
+
+
+@st.composite
+def _beat_texts(draw):
+    split = draw(st.sampled_from(_SPLITS))
+    pitches = draw(st.lists(st.sampled_from((60, 62, 64)), min_size=len(split),
+                            max_size=len(split)))
+    # the same beat under two spellings is two memo entries
+    comma = draw(st.sampled_from((",", ", ")))
+    return comma.join(f"{p}:{d}" for p, d in zip(pitches, split))
+
+
+def _chorale_file(piece_id, mode, beats):
+    key = "C" if mode == MAJOR else "a"
+    return _format_records([("id", piece_id), ("mode", mode)],
+                           [[("notes", b), ("key", key), ("roman", "I")]
+                            for b in beats])
+
+
+_CORPORA = st.lists(st.tuples(st.sampled_from(MODES),
+                              st.lists(_beat_texts(), min_size=2, max_size=6)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pieces=_CORPORA, mode=st.sampled_from((None, *MODES)))
+def test_corpus_parse_equals_the_parse_of_each_file(pieces, mode):
+    # two texts share a first entry in the first file
+    pieces = [(MAJOR, ["60:0.5,62:0.5", "60:0.5,64:0.5"]), *pieces]
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        for index, (piece_mode, beats) in enumerate(pieces):
+            text = _chorale_file(f"p{index}", piece_mode, beats)
+            (directory / f"{index:02d}.txt").write_text(text)
+        got = parse_corpus(directory, "chorale", mode).chorales
+        want = [parse_chorale_text(path.read_text(), str(path))
+                for path in sorted(directory.iterdir())]
+    assert got == tuple(ch for ch in want if mode in (None, ch.mode))
+    # one object per distinct beat text across the files of one call
+    beats = {}
+    for (_, texts), piece in zip((p for p in pieces if mode in (None, p[0])), got):
+        for text, beat in zip(texts, piece.events):
+            assert beats.setdefault(text.strip(), beat) is beat
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("72:0.5,74:0.4", "beat durations sum to 432 ticks (0.9 beats), expected 480"),
+    ("72:0.5,74:x", "bad note entry '74:x': could not convert string to float: 'x'"),
+    ("72:0.5,128:0.5", "MIDI pitch out of range 0-127: 128"),
+    (" , ", "empty note list"),
+])
+def test_a_bad_beat_is_reported_at_each_files_first_line(tmp_path, bad, message):
+    good = "72:0.5,74:0.5"
+    texts = {"a.txt": _chorale_file("a", MAJOR, [good, bad, good, bad]),
+             "b.txt": _chorale_file("b", MAJOR, [bad, good, bad])}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    # records start on line 3: a's first bad beat is on line 4, b's on 3
+    first = {"a.txt": 4, "b.txt": 3}
+    expected = [f"{tmp_path / name}:{line}: {message}" for name, line in first.items()]
+    for name, text in texts.items():
+        with pytest.raises(CorpusError) as caught:
+            parse_chorale_text(text, str(tmp_path / name))
+        assert str(caught.value) in expected
+    with pytest.raises(CorpusError) as caught:
+        parse_corpus(tmp_path, "chorale")
+    assert str(caught.value) == "\n".join(["corpus parse failed:", *expected])
+
+
+def test_melody_parse_shares_beats_and_reports_each_bad_line():
+    melody = parse_melody_text("0 | notes=72:0.5,74:0.5\n1 | notes=72:1\n"
+                               "2 | notes=72:0.5,74:0.5\n", "m.txt")
+    assert melody.events[0] is melody.events[2]
+    for text, line in [("0 | notes=72:1\n1 | notes=72:2\n", 2),
+                       ("0 | notes=72:2\n1 | notes=72:2\n", 1)]:
+        with pytest.raises(CorpusError, match=f"^m.txt:{line}: beat durations sum"):
+            parse_melody_text(text, "m.txt")
+
+
+# --- listing the corpus directory ----------------------------------------
+
+def test_corpus_lists_files_and_file_links_only(tmp_path):
+    (tmp_path / "a.txt").write_text(VALID_CHORALE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.txt").write_text(VALID_CHORALE)
+    (tmp_path / "link.txt").symlink_to(tmp_path / "a.txt")
+    (tmp_path / "sub-link").symlink_to(tmp_path / "sub")
+    (tmp_path / "dangling.txt").symlink_to(tmp_path / "missing.txt")
+    piece = parse_chorale_text(VALID_CHORALE)
+    assert parse_corpus(tmp_path, "chorale") == Corpus((piece, piece), "chorale")
+    (tmp_path / "a.txt").write_text(VALID_CHORALE.replace("key=C", "key=Q", 1))
+    with pytest.raises(CorpusError) as caught:
+        parse_corpus(tmp_path, "chorale")
+    assert str(caught.value) == "\n".join([
+        "corpus parse failed:", f"{tmp_path / 'a.txt'}:3: unknown key label: 'Q'",
+        f"{tmp_path / 'link.txt'}:3: unknown key label: 'Q'"])
+
+
+def test_corpus_pieces_come_in_name_order(tmp_path):
+    names = ["b.txt", "B.txt", "a.txt", "a0.txt", "a.TXT", "_x", "10.txt",
+             "9.txt", "\u00e9.txt", "z", "-1", "a b.txt"]
+    for name in names:
+        (tmp_path / name).write_text(VALID_CHORALE.replace("id: tiny", f"id: {name}"))
+    assert [ch.id for ch in parse_corpus(tmp_path, "chorale").chorales] == sorted(names)
+    assert sorted(names) == [p.name for p in sorted(tmp_path.iterdir())]
+
+
+@pytest.mark.parametrize("arg, cwd, shown", [
+    (".", "x", "b.txt"), ("./x", "", "x/b.txt"), ("x/", "", "x/b.txt"),
+    ("x//", "", "x/b.txt"), ("./x/.", "", "x/b.txt"), ("", "", None)])
+def test_corpus_errors_name_the_file_as_the_path_joins_it(tmp_path, monkeypatch,
+                                                         arg, cwd, shown):
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / "b.txt").write_text(VALID_CHORALE.replace("key=C", "key=Q", 1))
+    monkeypatch.chdir(tmp_path / cwd)
+    if shown is None:  # absolute
+        arg, shown = f"{tmp_path}/x", f"{tmp_path}/x/b.txt"
+    assert shown == str(Path(arg) / "b.txt")
+    with pytest.raises(CorpusError) as caught:
+        parse_corpus(arg, "chorale")
+    assert str(caught.value) == ("corpus parse failed:\n"
+                                 f"{shown}:3: unknown key label: 'Q'")
+
+
 def test_every_written_tick_count_reads_back():
     for ticks in range(1, PPQ + 1):
-        text = _format_note_list([(60, ticks)])
-        assert _parse_note_list(text, "t.txt", 1) == ((60, ticks),), text
+        notes = ((60, ticks), (62, PPQ - ticks))[:1 + (ticks < PPQ)]
+        text = _format_note_list(notes)
+        assert _beat(text).notes == notes, text
 
 
 def test_triplet_chorale_survives_serialize_and_parse():
