@@ -75,17 +75,17 @@ MUTANTS = (
            '_FIGURE_ALIASES = {"6": "63"}',
            "the chord table loses the figure alias 2 for 42"),
     Mutant("src/harmonizer/corpus.py",
-           "if named in MODES and named != mode:",
-           "if named != mode:",
+           "if mode is not None and named in MODES and named != mode:",
+           "if mode is not None and named != mode:",
            "training skips a chorale file whose mode header is invalid"),
     Mutant("src/harmonizer/corpus.py",
-           "                    continue\n            piece = parse(",
-           "                    pass\n            piece = parse(",
+           "        return None\n    records = _records(",
+           "        pass\n    records = _records(",
            "training parses the chorale files of the other mode"),
     Mutant("src/harmonizer/corpus.py",
-           "beat=functools.cache(_beat))",
+           "beat=functools.cache(_beat),",
            'beat=lambda text, memo={}: memo.setdefault(text.split(",")[0],'
-           " _beat(text)))",
+           " _beat(text)),",
            "the corpus beat memo is keyed on a beat's first note entry only"),
     Mutant("src/harmonizer/corpus.py",
            "names = sorted(entry.name for entry in entries if entry.is_file())",
@@ -95,6 +95,34 @@ MUTANTS = (
            "type(n) is int and 0 <= n < 2 ** 63 for n in counts.values()",
            "type(n) is int and 0 <= n for n in counts.values()",
            "a saved chord count may exceed 64 bits"),
+    Mutant("src/harmonizer/harmonize.py",
+           "if tenor < bass:",
+           "if False:",
+           "a voicing may put the tenor below the bass"),
+    Mutant("src/harmonizer/harmonize.py",
+           "soprano - MAX_SPACING <= a <= soprano",
+           "a <= soprano",
+           "a voicing may put the alto more than an octave below the soprano"),
+    Mutant("src/harmonizer/harmonize.py",
+           "tenor <= alto <= tenor + MAX_SPACING",
+           "tenor <= alto",
+           "a voicing may put the tenor more than an octave below the alto"),
+    Mutant("src/harmonizer/harmonize.py",
+           "    bass_pc = chord_bass_pc(chord, key)\n    basses",
+           "    bass_pc = chord_tone_pcs(chord, key)[0]\n    basses",
+           "a voicing puts the chord root in the bass whatever the inversion"),
+    Mutant("src/harmonizer/harmonize.py",
+           "if soprano_pc == lt:",
+           "if False:",
+           "the upper voices double the leading tone the soprano sounds"),
+    Mutant("src/harmonizer/harmonize.py",
+           "min(range(len(chains)),",
+           "min(reversed(range(len(chains))),",
+           "a tie between chains goes to the last minimal seed"),
+    Mutant("src/harmonizer/harmonize.py",
+           "return _total_weight(self.violation_log)",
+           "return _total_weight(self.violation_log[1:])",
+           "the penalty sums the violation log one violation short"),
 )
 
 

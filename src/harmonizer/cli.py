@@ -126,13 +126,16 @@ def _on_off(text: str) -> bool:
 
 
 def _smoothing_alpha(text: str) -> float:
+    """0 or a finite normal float: a subnormal alpha trains a model whose
+    posterior decoding fails on ordinary melodies."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 <= value < math.inf:
+    if not (value == 0 or sys.float_info.min <= value < math.inf):
         raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, got {text!r}")
+            f"expected a finite non-negative number, 0 or at least"
+            f" {sys.float_info.min!r}, got {text!r}")
     return value
 
 

@@ -11,6 +11,9 @@ figures for chords ("I", "ii6", "V65", "viio"). `from_string` looks the
 text up in a table built from `str()` of every label, so `str()` alone
 defines the grammar: 24 keys, and 588 chords under 756 texts, the figure
 aliases "63" and "2" included. Each label is one shared object.
+
+Only a key moves (`KeyLabel.transpose`): training counts a piece as moved
+to its reference key without copying its beats, melody or annotation.
 """
 
 from __future__ import annotations
@@ -224,9 +227,6 @@ class BeatEvent:
     def representative(self) -> int:
         return self.notes[0][0]
 
-    def transpose(self, semitones: int) -> "BeatEvent":
-        return BeatEvent(tuple((midi + semitones, ticks) for midi, ticks in self.notes))
-
 
 @dataclass(frozen=True)
 class MelodyLine:
@@ -244,9 +244,6 @@ class MelodyLine:
     def representatives(self) -> list[int]:
         return [ev.representative for ev in self.events]
 
-    def transpose(self, semitones: int) -> "MelodyLine":
-        return MelodyLine(tuple(ev.transpose(semitones) for ev in self.events))
-
 
 @dataclass(frozen=True)
 class ProgressionAnnotation:
@@ -262,12 +259,6 @@ class ProgressionAnnotation:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def transpose(self, semitones: int) -> "ProgressionAnnotation":
-        """Every key moved by `semitones`; the chords, being relative to
-        their key, stay as they are."""
-        return ProgressionAnnotation(
-            tuple(key.transpose(semitones) for key in self.keys), self.chords)
 
 
 def transposed_degree(pitch: int, key: KeyLabel) -> int:

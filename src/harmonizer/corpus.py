@@ -1,5 +1,6 @@
 """Corpus ingestion: structured-text chorale and rock files, melody files,
-and the offset that moves a piece to its reference key.
+and the offset that moves a piece to its reference key. The offset is all
+there is of the move: no moved copy of a piece is built.
 
 Chorale files carry one record per beat:
 
@@ -21,14 +22,15 @@ durations are written in beats; each is read once into whole 1/480-beat
 ticks (`beats_to_ticks`), and ticks are written back as beats with enough
 digits to read back to the same tick. All of these, and the score,
 progression and analysis documents the other modules write, share one
-grammar, read by `_records` and written by `_format_records`.
+grammar, read by `_header` and `_records` and written by
+`_format_records`.
 
 `parse_corpus` reads the regular files of a directory (links to files
 included) in the order of their names compared as strings, each named as
 `str(directory / name)`. Given a mode it still reads every file and its
-header (`_header`), but parses the records only of the pieces it keeps: a
-chorale file whose header names the other mode is skipped there. Each
-parse call, of a corpus or of one melody, parses each distinct `notes`
+header, once, but the chorale reader parses the records only of the
+pieces it keeps: a file whose header names the other mode ends there.
+Each parse call, of a corpus or of one melody, parses each distinct `notes`
 text once (a `functools.cache` of `_beat` that lives for the call), so
 equal beats are one shared object. A text that fails is never cached, so
 each file and line that holds it reports its own error.
@@ -108,13 +110,6 @@ class AnnotatedChorale:
             raise MusicError(f"piece {self.id!r} has {len(self.events)} beats"
                              f" but {len(self.annotation)} labels")
 
-    def transpose(self, semitones: int) -> "AnnotatedChorale":
-        """The whole piece moved by `semitones`: notes and keys move, the
-        key-relative chords stay."""
-        events = tuple(beat.transpose(semitones) for beat in self.events)
-        return AnnotatedChorale(self.id, self.mode, events,
-                                self.annotation.transpose(semitones))
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -170,15 +165,13 @@ def _header(text: str, source: str):
     return header, lines
 
 
-def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
-             ) -> tuple[dict[str, str], list[tuple[int, dict[str, str]]]]:
-    """Read the record grammar shared by every text file: `name: value`
-    header lines (`_header`), each name at most once, then
-    `index | name=value | ...` records whose indices run 0, 1, 2, ...;
-    blank and `#` lines are skipped anywhere. Returns the header and one
-    (line, fields) pair per record, each record naming each field at most
-    once and holding every field named in `required`."""
-    header, lines = _header(text, source)
+def _records(lines, source: str, unit: str, required: tuple[str, ...] = ()
+             ) -> list[tuple[int, dict[str, str]]]:
+    """Read the record grammar shared by every text file from the lines
+    that `_header` leaves after a file's `name: value` header lines:
+    `index | name=value | ...` records whose indices run 0, 1, 2, ...
+    Returns one (line, fields) pair per record, each record naming each
+    field at most once and holding every field named in `required`."""
     records = []
     for lineno, line in lines:
         head, *parts = line.split("|")
@@ -206,12 +199,13 @@ def _records(text: str, source: str, unit: str, required: tuple[str, ...] = ()
         records.append((lineno, fields))
     if not records:
         raise CorpusError("file has no records", source)
-    return header, records
+    return records
 
 
 def _format_records(header, records) -> str:
-    """Inverse of _records: `header` is (name, value) pairs and each record
-    a sequence of (name, value) string pairs; records are numbered from 0."""
+    """Inverse of `_header` and `_records`: `header` is (name, value) pairs
+    and each record a sequence of (name, value) string pairs; records are
+    numbered from 0."""
     lines = [f"{name}: {value}" for name, value in header]
     lines += [" | ".join([str(index), *map("=".join, fields)])
               for index, fields in enumerate(records)]
@@ -246,16 +240,22 @@ def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> i
 
 def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     """One chorale file's text; CorpusError at the first bad line."""
-    return _parse_chorale(text, source, functools.cache(_beat))
+    return _parse_chorale(text, source, functools.cache(_beat), None)
 
 
-def _parse_chorale(text: str, source: str, beat) -> AnnotatedChorale:
+def _parse_chorale(text: str, source: str, beat,
+                   mode: str | None) -> AnnotatedChorale | None:
     """`parse_chorale_text` with `beat`, a memo of `_beat` that the caller
-    may share between files."""
-    header, records = _records(text, source, "beat", ("notes", "key", "roman"))
-    mode = header.get("mode", "")
-    if mode not in MODES:
-        raise CorpusError(f"missing or invalid mode header: {mode!r}", source)
+    may share between files. None, before any record is read, when the
+    header names a valid mode other than a `mode` that is not None; an
+    invalid mode header is reported after the records."""
+    header, lines = _header(text, source)
+    named = header.get("mode", "")
+    if mode is not None and named in MODES and named != mode:
+        return None
+    records = _records(lines, source, "beat", ("notes", "key", "roman"))
+    if named not in MODES:
+        raise CorpusError(f"missing or invalid mode header: {named!r}", source)
     events, keys, chords = [], [], []
     for lineno, fields in records:
         try:
@@ -265,7 +265,7 @@ def _parse_chorale(text: str, source: str, beat) -> AnnotatedChorale:
         except MusicError as exc:
             raise CorpusError(str(exc), source, lineno)
     try:
-        return AnnotatedChorale(header.get("id", source), mode, tuple(events),
+        return AnnotatedChorale(header.get("id", source), named, tuple(events),
                                 ProgressionAnnotation(tuple(keys), tuple(chords)))
     except MusicError as exc:
         raise CorpusError(str(exc), source)
@@ -281,7 +281,8 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     keys become major KeyLabels, chord roots become root-position triads, and
     each measure becomes one beat (`_MEASURE_EVENTS`)."""
     names = ("key_pc", "roman_root_pc", "melody_degree_pc")
-    header, records = _records(text, source, "measure", names)
+    header, lines = _header(text, source)
+    records = _records(lines, source, "measure", names)
     events, keys, chords = [], [], []
     for lineno, fields in records:
         key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
@@ -302,11 +303,11 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     a directory, in name order; subdirectories are skipped. One `_beat` memo
     serves every file.
 
-    Every file is read, but a chorale file whose header names a valid mode
-    other than `mode` is skipped after its header: its records are not
-    parsed. Any other file is parsed whole, so one with a missing or
-    invalid mode header fails as it would without `mode`; one whose header
-    names a field twice fails under every mode. Rock pieces are
+    Every file is read, but the chorale reader skips a file whose header
+    names a valid mode other than `mode` after that header: its records
+    are not parsed. Any other file is parsed whole, so one with a missing
+    or invalid mode header fails as it would without `mode`; one whose
+    header names a field twice fails under every mode. Rock pieces are
     all major. Files that fail to parse are all reported together, each
     with its file and line location.
     """
@@ -322,7 +323,8 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     # prefix + name is str(directory / name): no "./" for ".", one "/"
     prefix = str(directory / "_")[:-1]
     if genre == "chorale":
-        parse = functools.partial(_parse_chorale, beat=functools.cache(_beat))
+        parse = functools.partial(_parse_chorale, beat=functools.cache(_beat),
+                                  mode=mode)
     else:
         parse = parse_rock_text
     chorales = []
@@ -330,16 +332,11 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     for name in names:
         source = prefix + name
         try:
-            text = read_text(source)
-            if mode is not None and genre == "chorale":
-                named = _header(text, source)[0].get("mode")
-                if named in MODES and named != mode:
-                    continue
-            piece = parse(text, source)
+            piece = parse(read_text(source), source)
         except CorpusError as exc:
             problems.append(str(exc))
             continue
-        if mode is None or piece.mode == mode:
+        if piece is not None and mode in (None, piece.mode):
             chorales.append(piece)
     if problems:
         raise CorpusError("corpus parse failed:\n" + "\n".join(problems))
@@ -349,7 +346,7 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
 def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """Melody-only schema: the chorale record grammar without key/roman.
     Extra annotation columns are tolerated and ignored."""
-    _, records = _records(text, source, "beat", ("notes",))
+    records = _records(_header(text, source)[1], source, "beat", ("notes",))
     beat = functools.cache(_beat)
     events = []
     for lineno, fields in records:
@@ -369,7 +366,8 @@ def parse_melody_file(path: str | Path, genre: str = "chorale") -> MelodyLine:
 
 def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """A rock melody, one beat per measure as in `parse_rock_text`."""
-    _, records = _records(text, source, "measure", ("melody_degree_pc",))
+    records = _records(_header(text, source)[1], source, "measure",
+                       ("melody_degree_pc",))
     return MelodyLine(tuple(
         _MEASURE_EVENTS[_pitch_class(fields, "melody_degree_pc", source, lineno)]
         for lineno, fields in records))

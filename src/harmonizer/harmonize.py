@@ -86,7 +86,6 @@ class Harmonization:
     soprano: MelodyLine
     arrangements: list[Arrangement]
     annotation: ProgressionAnnotation
-    penalty: int
     violation_log: list[Violation]
     alto_line: VoiceLine = field(default_factory=list)
     tenor_line: VoiceLine = field(default_factory=list)
@@ -100,10 +99,19 @@ class Harmonization:
         if not self.bass_line:
             self.bass_line = [((a.bass, PPQ),) for a in self.arrangements]
 
+    @property
+    def penalty(self) -> int:
+        """The total weight of the violation log."""
+        return _total_weight(self.violation_log)
+
     def voice_lines(self) -> dict[str, VoiceLine]:
         soprano = [ev.notes for ev in self.soprano.events]
         return {"soprano": soprano, "alto": self.alto_line,
                 "tenor": self.tenor_line, "bass": self.bass_line}
+
+
+def _total_weight(log: list[Violation]) -> int:
+    return sum(v.weight for v in log)
 
 
 def _pitches_in_range(pc: int, lo: int, hi: int) -> list[int]:
@@ -153,7 +161,7 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
     """Every arrangement satisfying the vertical constraints, sorted
     lexicographically by (bass, tenor, alto). May be empty."""
     bass_pc = chord_bass_pc(chord, key)
-    basses = [b for b in _pitches_in_range(bass_pc, *BASS_RANGE) if b <= soprano]
+    basses = _pitches_in_range(bass_pc, *BASS_RANGE)
     for first, second in _upper_spellings(chord, key, soprano % 12):
         found = []
         for alto_pc, tenor_pc in {(first, second), (second, first)}:
@@ -162,6 +170,8 @@ def enumerate_arrangements(key: KeyLabel, chord: RomanChord,
                      if soprano - MAX_SPACING <= a <= soprano]
             for bass in basses:
                 for tenor in tenors:
+                    # with tenor <= alto <= soprano below, this keeps the
+                    # bass under the soprano too
                     if tenor < bass:
                         continue
                     for alto in altos:
@@ -245,9 +255,8 @@ def chain_arrangements(candidates_per_beat
     return chains
 
 
-def score_arrangements(melody: MelodyLine,
-                       arrangements) -> tuple[int, list[Violation]]:
-    """Scan consecutive beats over all four voices and total the weighted
+def score_arrangements(melody: MelodyLine, arrangements) -> list[Violation]:
+    """Scan consecutive beats over all four voices and log the weighted
     rule violations. Violations are logged at the arrival beat."""
     stacks = [(ev.representative, *arr)
               for ev, arr in zip(melody.events, arrangements)]
@@ -255,7 +264,7 @@ def score_arrangements(melody: MelodyLine,
     for t in range(1, len(stacks)):
         for rule in _pair_rule_hits(stacks[t - 1], stacks[t]):
             log.append(Violation(t, rule, PENALTY_WEIGHTS[rule]))
-    return sum(v.weight for v in log), log
+    return log
 
 
 def harmonize_melody(key_model: HmmModel, chord_model: HmmModel,
@@ -285,25 +294,19 @@ def voice_progression(melody: MelodyLine,
                       annotation: ProgressionAnnotation) -> Harmonization:
     chains = chain_arrangements(_arrangement_lattice(melody, annotation))
     # a chain that joins an earlier one is scored only up to the joining
-    # beat and takes the earlier chain's later violations, and the weights
-    # are ints, so the penalty is exact in any summation order; a chain
-    # that never joins is scored to its last beat
+    # beat and takes the earlier chain's later violations; a chain that
+    # never joins is scored to its last beat
     logs = []
-    best = None
     for chain, joined in chains:
         beat, earlier = joined or (len(chain) - 1, None)
-        penalty, log = score_arrangements(melody, chain[:beat + 1])
+        log = score_arrangements(melody, chain[:beat + 1])
         if earlier is not None:
-            shared = [v for v in logs[earlier] if v.beat_index > beat]
-            log += shared
-            penalty += sum(v.weight for v in shared)
+            log += [v for v in logs[earlier] if v.beat_index > beat]
         logs.append(log)
-        if best is None or penalty < best[0]:
-            best = (penalty, chain, log)
-    penalty, chain, log = best
-    return Harmonization(soprano=melody, arrangements=chain,
-                         annotation=annotation, penalty=penalty,
-                         violation_log=log)
+    # min keeps the first of equal totals: ties go to the earliest seed
+    best = min(range(len(chains)), key=lambda i: _total_weight(logs[i]))
+    return Harmonization(soprano=melody, arrangements=chains[best][0],
+                         annotation=annotation, violation_log=logs[best])
 
 
 def to_score_document(h: Harmonization, title: str = "harmonization") -> str:

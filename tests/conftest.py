@@ -12,6 +12,7 @@ from harmonizer.corpus import (
     reference_offset,
 )
 from harmonizer.hmm import train_key_chord_models
+from oracles import shifted
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -30,7 +31,7 @@ def chorale_corpus():
 @pytest.fixture(scope="session")
 def major_corpus():
     major = parse_corpus(DATA / "chorales", "chorale", "major")
-    return Corpus(tuple(ch.transpose(reference_offset(ch)) for ch in major.chorales),
+    return Corpus(tuple(shifted(ch, reference_offset(ch)) for ch in major.chorales),
                   "chorale")
 
 

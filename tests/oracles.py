@@ -7,8 +7,9 @@ joint log probability of a hidden/observed pair summed one position at a
 time, Viterbi and forward-backward as one plain step per position, a full
 lattice filter for chord voicings, the greedy voicing search as a literal
 loop with every tie-break key computed, an SMF track encoder that spells
-out every event, and the Roman-numeral grammar as a regular expression
-with a branch for each marker and case.
+out every event, the Roman-numeral grammar as a regular expression
+with a branch for each marker and case, and a piece moved by some
+semitones note by note, its keys rebuilt from their tonics.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ import re
 import numpy as np
 
 from harmonizer.core import (
+    BeatEvent,
     KeyLabel,
+    MelodyLine,
     MusicError,
+    ProgressionAnnotation,
     RomanChord,
     chord_bass_pc,
     chord_tone_pcs,
     leading_tone_pc,
 )
+from harmonizer.corpus import AnnotatedChorale
 from harmonizer.harmonize import (
     INNER_LEAP_LIMIT,
     OCTAVE_LEAP_LIMIT,
@@ -44,6 +49,26 @@ from harmonizer.hmm import (
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0 else float("-inf")
+
+
+def shifted(value, semitones: int):
+    """A key, beat, melody, annotation or annotated piece moved by
+    `semitones`. Each note is rebuilt through `BeatEvent`, so a pitch moved
+    out of 0-127 raises its MusicError; a key is rebuilt from its tonic
+    pitch class, not through `KeyLabel.transpose`; chords, relative to
+    their key, stay as they are."""
+    if isinstance(value, KeyLabel):
+        return KeyLabel((value.tonic_pc + semitones) % 12, value.mode)
+    if isinstance(value, BeatEvent):
+        return BeatEvent(tuple((midi + semitones, ticks) for midi, ticks in value.notes))
+    if isinstance(value, MelodyLine):
+        return MelodyLine(tuple(shifted(beat, semitones) for beat in value.events))
+    if isinstance(value, ProgressionAnnotation):
+        return ProgressionAnnotation(
+            tuple(shifted(key, semitones) for key in value.keys), value.chords)
+    return AnnotatedChorale(value.id, value.mode,
+                            tuple(shifted(beat, semitones) for beat in value.events),
+                            shifted(value.annotation, semitones))
 
 
 def distribute_row(raw: np.ndarray, mask_row: np.ndarray | None) -> np.ndarray:

@@ -34,6 +34,7 @@ from oracles import (
     brute_force_argmax_set,
     brute_force_posteriors,
     sequence_log_probability,
+    shifted,
 )
 from smf_reader import read_midi
 
@@ -161,8 +162,8 @@ def test_criterion_6_transposition_equivariance(major_bundle, fixture_melodies):
                                     major_bundle.chord_model, melody, "viterbi")
             for shift in range(1, 12):
                 chords = decode_chords_given_keys(major_bundle.chord_model,
-                                                  melody.transpose(shift),
-                                                  base.transpose(shift).keys,
+                                                  shifted(melody, shift),
+                                                  shifted(base, shift).keys,
                                                   "viterbi")
                 assert chords == list(base.chords), (name, shift)
 

@@ -109,9 +109,9 @@ def test_harmonize_prints_large_penalties_exactly(capsys, monkeypatch,
     real = cli.harmonize_melody
 
     def heavy(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), penalty=1234567,
-                                   violation_log=[Violation(0, "parallel fifths",
-                                                            1000000)])
+        return dataclasses.replace(real(*args, **kwargs), violation_log=[
+            Violation(0, "parallel fifths", 1000000),
+            Violation(1, "voice overlap", 234567)])
 
     monkeypatch.setattr(cli, "harmonize_melody", heavy)
     assert main(["harmonize", "--model", str(trained_model),
@@ -119,6 +119,7 @@ def test_harmonize_prints_large_penalties_exactly(capsys, monkeypatch,
     out = capsys.readouterr().out
     assert "penalty: 1234567\n" in out
     assert "  beat 0: parallel fifths (weight 1000000)\n" in out
+    assert "  beat 1: voice overlap (weight 234567)\n" in out
 
 
 def test_analyze_matches_harmonize_annotation(capsys, tmp_path, trained_model,
@@ -958,7 +959,7 @@ def test_alpha_flag_changes_model(tmp_path, data_dir):
     assert a.read_bytes() != b.read_bytes()
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "x"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "x", "1e-320", "5e-324"])
 def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
     out = tmp_path / "m.json"
     with pytest.raises(SystemExit) as exc:
@@ -978,8 +979,9 @@ def test_alpha_too_large_to_sum_exits_2(capsys, tmp_path, data_dir):
     assert not out.exists()
 
 
-def test_subnormal_alpha_over_a_masked_retrogression_trains(capsys, tmp_path):
-    # V -> IV is masked, so its row's allowed cells share a subnormal total
+def test_subnormal_alpha_over_a_masked_retrogression_exits_2(capsys, tmp_path):
+    # V -> IV is masked, so under this alpha its row's allowed cells would
+    # share a subnormal total; the flag refuses the alpha before training
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "piece.txt").write_text(
@@ -987,17 +989,27 @@ def test_subnormal_alpha_over_a_masked_retrogression_trains(capsys, tmp_path):
             f"{t} | notes=72:1 | key=C | roman={numeral}\n"
             for t, numeral in enumerate(("I", "V", "IV", "I"))))
     out = tmp_path / "m.json"
-    assert main(["train", "--corpus", str(corpus), "--out", str(out),
-                 "--alpha", "1e-320"]) == 0
-    assert capsys.readouterr().err == ""
-    assert json.loads(out.read_text())["format"] == "key-chord-models"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(corpus), "--out", str(out),
+              "--alpha", "1e-320"])
+    assert exc.value.code == 2
+    assert (f"argument --alpha: expected a finite non-negative number, 0 or at"
+            f" least {sys.float_info.min!r}, got '1e-320'") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_posterior_decode_too_improbable_exits_3(capsys, tmp_path, data_dir):
-    # the key layer's forward scale at beat 1 is subnormal under this alpha
+    # every key state emits pitch class 1 with the subnormal 1e-320, the
+    # rest of each row rescaled to sum to 1: the key layer's forward scale
+    # at beat 1 is subnormal
     model = tmp_path / "m.json"
     assert main(["train", "--corpus", str(data_dir / "chorales"), "--mode",
-                 "major", "--out", str(model), "--alpha", "1e-320"]) == 0
+                 "major", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    for row in doc["key_model"]["emission"]:
+        rest = sum(row) - row[1]
+        row[:] = [1e-320 if pc == 1 else p / rest for pc, p in enumerate(row)]
+    model.write_text(json.dumps(doc))
     melody = tmp_path / "tune.txt"
     melody.write_text("0 | notes=72:1\n1 | notes=73:1\n2 | notes=74:1\n"
                       "3 | notes=72:1\n")

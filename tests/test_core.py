@@ -28,7 +28,7 @@ from harmonizer.core import (
 )
 from harmonizer.core import _CHORD_BY_TEXT
 
-from oracles import parse_roman
+from oracles import parse_roman, shifted
 
 ROMAN_SAMPLES = [
     "I", "I6", "I64", "ii", "ii6", "ii65", "iii", "IV", "IV6", "V", "V6",
@@ -48,7 +48,7 @@ def test_pitch_bounds():
         BeatEvent(((72, 240), (130, 240)))
     line = MelodyLine((BeatEvent(((120, PPQ),)),))
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: 128"):
-        line.transpose(8)
+        shifted(line, 8)
 
 
 def test_exactly_24_keys():
@@ -69,6 +69,14 @@ def test_key_string_grammar():
     assert str(KeyLabel(10, MAJOR)) == "A#"
     with pytest.raises(MusicError):
         KeyLabel.from_string("H")
+
+
+@pytest.mark.parametrize("key", all_keys())
+def test_oracle_key_shift_is_key_transpose(key):
+    # the test oracle moves keys without `KeyLabel.transpose`; once, here,
+    # the two are checked against each other
+    for s in range(-12, 13):
+        assert shifted(key, s) == key.transpose(s), s
 
 
 def test_from_string_shares_one_object_per_label():

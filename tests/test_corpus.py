@@ -16,6 +16,7 @@ from harmonizer.core import (
     ProgressionAnnotation,
     transposed_degree,
 )
+from harmonizer import corpus
 from harmonizer.corpus import (
     AnnotatedChorale,
     Corpus,
@@ -28,8 +29,11 @@ from harmonizer.corpus import (
     _beat,
     _format_note_list,
     _format_records,
+    _header,
     _records,
 )
+
+from oracles import shifted
 
 VALID_CHORALE = """\
 id: tiny
@@ -115,6 +119,19 @@ def test_parse_corpus_keeps_the_pieces_of_its_mode(tmp_path, data_dir, name, gen
                                 if ch.mode == mode), genre)
     # every rock piece is major
     assert bool(kept.chorales) == (genre == "chorale" or mode == MAJOR)
+
+
+@pytest.mark.parametrize("mode", (None, *MODES))
+@pytest.mark.parametrize("name,genre", [("chorales", "chorale"), ("rock", "rock")])
+def test_parse_corpus_reads_each_header_once(monkeypatch, data_dir, name, genre,
+                                             mode):
+    # the mode skip and the records share one read of the header
+    sources = []
+    real = corpus._header
+    monkeypatch.setattr(corpus, "_header",
+                        lambda text, source: sources.append(source) or real(text, source))
+    parse_corpus(data_dir / name, genre, mode)
+    assert sources == sorted(str(p) for p in (data_dir / name).iterdir())
 
 
 def test_parse_corpus_empty_directory(tmp_path):
@@ -286,7 +303,8 @@ _VALUES = st.text(string.ascii_letters + string.digits + " #:=.,;-",
                         min_size=1, max_size=5))
 def test_written_records_read_back(header, records):
     text = _format_records(header.items(), [fields.items() for fields in records])
-    got_header, got = _records(text, "t.txt", "beat")
+    got_header, lines = _header(text, "t.txt")
+    got = _records(lines, "t.txt", "beat")
     assert got_header == header
     assert [fields for _, fields in got] == records
 
@@ -304,12 +322,13 @@ def test_written_records_read_back(header, records):
 ])
 def test_record_errors_name_the_stripped_part(line, message):
     with pytest.raises(CorpusError) as caught:
-        _records(f"mode: major\n{line}\n", "f.txt", "beat")
+        _records(_header(f"mode: major\n{line}\n", "f.txt")[1], "f.txt", "beat")
     assert str(caught.value) == f"f.txt:2: {message}"
 
 
 def test_record_fields_split_at_the_first_equals_sign():
-    _, records = _records(" 0  |  a  = b=c | d = |= 5\n", "f.txt", "beat")
+    records = _records(_header(" 0  |  a  = b=c | d = |= 5\n", "f.txt")[1],
+                       "f.txt", "beat")
     assert records == [(1, {"a": "b=c", "d": "", "": "5"})]
 
 
@@ -342,7 +361,7 @@ mode: major
 
 def transpose_to_reference(ch):
     """The piece moved by its reference offset, as training counts it."""
-    return ch.transpose(reference_offset(ch))
+    return shifted(ch, reference_offset(ch))
 
 
 def test_transpose_d_major_down_two(chorale_corpus):
@@ -408,7 +427,7 @@ def test_reference_move_out_of_range_names_the_first_note():
         reference_offset(ch)
     assert str(exc.value) == message
     with pytest.raises(MusicError, match="MIDI pitch out of range 0-127: -2$"):
-        ch.transpose(-6)
+        shifted(ch, -6)
 
 
 @settings(max_examples=50)
@@ -424,14 +443,14 @@ def test_transpose_offset_is_smallest(tonic):
     assert (70 + offset) % 12 == (70 - tonic) % 12
 
 
-def test_piece_transpose_round_trips_and_keeps_chords(chorale_corpus, rock_corpus):
+def test_shifted_piece_round_trips_and_keeps_chords(chorale_corpus, rock_corpus):
     for ch in chorale_corpus.chorales + rock_corpus.chorales:
-        for s in range(1, 12):
-            moved = ch.transpose(s)
-            assert moved.transpose(-s) == ch, (ch.id, s)
+        for s in range(-11, 12):
+            moved = shifted(ch, s)
+            assert shifted(moved, -s) == ch, (ch.id, s)
             assert moved.annotation.chords == ch.annotation.chords
-            assert moved.annotation.keys == tuple(k.transpose(s)
-                                                  for k in ch.annotation.keys)
+            assert [k.tonic_pc for k in moved.annotation.keys] == [
+                (k.tonic_pc + s) % 12 for k in ch.annotation.keys]
             assert [b.representative for b in moved.events] == \
                 [b.representative + s for b in ch.events]
 

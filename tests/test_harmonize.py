@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from harmonizer.harmonize import (
     Arrangement,
     Harmonization,
     InfeasibleHarmonizationError,
+    Violation,
     chain_arrangements,
     enumerate_arrangements,
     harmonize_melody,
@@ -235,14 +237,13 @@ def test_lattice_shares_one_list_per_distinct_input():
 def test_no_motion_no_penalty():
     melody = melody_from_midi([72, 72, 72])
     chains = [arr(64, 55, 48) for _ in range(3)]
-    penalty, log = score_arrangements(melody, chains)
-    assert penalty == 0 and log == []
+    assert score_arrangements(melody, chains) == []
 
 
 def test_parallel_octave_between_soprano_and_bass():
     melody = melody_from_midi([72, 74])
     chains = [arr(67, 64, 60), arr(67, 64, 62)]
-    penalty, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     rules = [v.rule for v in log]
     assert "parallel_octaves" in rules
     entry = next(v for v in log if v.rule == "parallel_octaves")
@@ -253,17 +254,17 @@ def test_parallel_octave_between_soprano_and_bass():
 def test_parallel_fifths_detected():
     melody = melody_from_midi([76, 77])
     chains = [arr(67, 60, 48), arr(69, 62, 50)]  # tenor-bass fifths move up
-    _, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     assert any(v.rule == "parallel_fifths" for v in log)
 
 
 def test_bass_leap_over_octave():
     melody = melody_from_midi([72, 72])
     chains = [arr(64, 55, 48), arr(64, 55, 60)]  # bass jumps 12 -> fine
-    penalty, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     assert all(v.rule != "leap_over_octave" for v in log)
     chains = [arr(64, 55, 46), arr(64, 55, 60)]  # bass jumps 14
-    _, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     leap = [v for v in log if v.rule == "leap_over_octave"]
     assert len(leap) == 1 and leap[0].weight == 3.0
 
@@ -271,7 +272,7 @@ def test_bass_leap_over_octave():
 def test_inner_voice_leap_graded():
     melody = melody_from_midi([72, 72])
     chains = [arr(62, 54, 48), arr(70, 54, 48)]  # alto leaps 8
-    _, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     assert any(v.rule == "inner_voice_leap" and v.weight == 1.0 for v in log)
 
 
@@ -279,20 +280,32 @@ def test_voice_overlap_detected():
     melody = melody_from_midi([72, 72])
     # tenor at beat 1 rises above the alto's previous pitch
     chains = [arr(60, 55, 48), arr(64, 62, 48)]
-    _, log = score_arrangements(melody, chains)
+    log = score_arrangements(melody, chains)
     assert any(v.rule == "voice_overlap" for v in log)
 
 
 def test_penalty_equals_sum_of_log_weights(major_bundle, fixture_melodies):
     _, melody = fixture_melodies[4]
     h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model, melody)
-    assert h.penalty == pytest.approx(sum(v.weight for v in h.violation_log))
     assert h.violation_log
+    assert h.penalty == sum(v.weight for v in h.violation_log)
     assert type(h.penalty) is int
     assert all(type(v.weight) is int for v in h.violation_log)
-    penalty, log = score_arrangements(h.soprano, h.arrangements)
-    assert penalty == h.penalty and type(penalty) is int
-    assert log == h.violation_log
+    assert score_arrangements(h.soprano, h.arrangements) == h.violation_log
+
+
+def test_penalty_is_read_from_the_log_alone():
+    # the penalty is no field of its own: it follows the log and cannot be set
+    assert "penalty" not in {f.name for f in dataclasses.fields(Harmonization)}
+    melody = melody_from_midi([72, 72])
+    h = Harmonization(melody, [arr(64, 55, 48)] * 2, ProgressionAnnotation(
+        (C_MAJOR,) * 2, (RomanChord.from_string("I"),) * 2), [])
+    assert h.penalty == 0
+    h.violation_log.extend([Violation(1, "voice_overlap", 2),
+                            Violation(1, "inner_voice_leap", 1)])
+    assert h.penalty == 3
+    with pytest.raises(AttributeError):
+        h.penalty = 0
 
 
 # --- full harmonization ---------------------------------------------------------
@@ -348,7 +361,7 @@ def test_harmonize_penalty_is_minimum_over_seeds(major_bundle, fixture_melodies)
                 sopranos = [ev.representative
                             for ev in melody.events[t - 1:t + 1]]
                 chain.append(greedy_voicing([[prev], ties], sopranos)[0][1])
-        penalty, _ = score_arrangements(melody, chain)
+        penalty = sum(v.weight for v in score_arrangements(melody, chain))
         if best is None or penalty < best:
             best = penalty
     assert h.penalty == best
@@ -368,7 +381,7 @@ def _assert_matches_greedy_oracle(melody, annotation):
     arrangements, penalty = greedy_voicing(candidates, melody.representatives())
     assert h.arrangements == arrangements
     assert h.penalty == penalty
-    assert h.violation_log == score_arrangements(h.soprano, h.arrangements)[1]
+    assert h.violation_log == score_arrangements(h.soprano, h.arrangements)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -482,7 +495,7 @@ def _voice_lattice(monkeypatch, lattice, soprano=76) -> Harmonization:
     h = voice_progression(melody, ProgressionAnnotation(
         (C_MAJOR,) * n, tuple(RomanChord(t + 1, "major") for t in range(n))))
     assert (h.arrangements, h.penalty) == greedy_voicing(lattice, [soprano] * n)
-    assert h.violation_log == score_arrangements(melody, h.arrangements)[1]
+    assert h.violation_log == score_arrangements(melody, h.arrangements)
     return h
 
 

@@ -51,6 +51,7 @@ from oracles import (
     distribute_row,
     lattice_path_total,
     sequence_log_probability,
+    shifted,
     stepwise_posterior,
     stepwise_viterbi,
 )
@@ -159,13 +160,13 @@ def test_training_moves_chorales_to_their_reference_keys(tmp_path, data_dir, mod
     # downward) among them, trains the model of its moved copies
     raw = parse_corpus(data_dir / "chorales", "chorale", mode)
     for s in range(-6, 6):
-        shifted = Corpus(tuple(ch.transpose(s) for ch in raw.chorales), "chorale")
-        moved = Corpus(tuple(ch.transpose(reference_offset(ch))
-                             for ch in shifted.chorales), "chorale")
-        assert moved != shifted
+        away = Corpus(tuple(shifted(ch, s) for ch in raw.chorales), "chorale")
+        moved = Corpus(tuple(shifted(ch, reference_offset(ch))
+                             for ch in away.chorales), "chorale")
+        assert moved != away
         texts = [save_bundle(train_key_chord_models(corpus),
                              tmp_path / f"{name}.json").read_text()
-                 for name, corpus in (("shifted", shifted), ("moved", moved))]
+                 for name, corpus in (("shifted", away), ("moved", moved))]
         assert texts[0] == texts[1], s
 
 
@@ -767,9 +768,9 @@ def test_chord_stage_shift_invariance(major_bundle, fixture_melodies):
     ann = decode_key_chord(major_bundle.key_model, major_bundle.chord_model,
                            melody, "viterbi")
     for shift in (2, 7):
-        shifted_melody = melody.transpose(shift)
-        chords = decode_chords_given_keys(major_bundle.chord_model, shifted_melody,
-                                          ann.transpose(shift).keys, "viterbi")
+        chords = decode_chords_given_keys(major_bundle.chord_model,
+                                          shifted(melody, shift),
+                                          shifted(ann, shift).keys, "viterbi")
         assert chords == list(ann.chords)
 
 

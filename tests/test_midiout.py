@@ -44,7 +44,7 @@ def tiny_harmonization(n=1) -> Harmonization:
     chords = tuple([RomanChord.from_string("I")] * n)
     return Harmonization(soprano=melody, arrangements=arrangements,
                          annotation=ProgressionAnnotation(keys, chords),
-                         penalty=0.0, violation_log=[])
+                         violation_log=[])
 
 
 def tiny_accompaniment(n=1, pattern="arpeggio"):

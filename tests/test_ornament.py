@@ -44,7 +44,7 @@ def plain_harmonization(soprano, triples) -> Harmonization:
     chords = tuple([RomanChord.from_string("I")] * len(soprano))
     return Harmonization(soprano=melody, arrangements=arrangements,
                          annotation=ProgressionAnnotation(keys, chords),
-                         penalty=0.0, violation_log=[])
+                         violation_log=[])
 
 
 def test_config_validates_probabilities():

@@ -20,7 +20,7 @@ from harmonizer.corpus import (
 from harmonizer.hmm import METHODS, decode_key_chord
 from harmonizer.rock import PATTERNS, harmonize_rock, render_accompaniment
 
-from oracles import brute_force_viterbi
+from oracles import brute_force_viterbi, shifted
 
 I, IV, V = map(RomanChord.from_string, ("I", "IV", "V"))
 C = KeyLabel.from_string("C")
@@ -95,9 +95,8 @@ def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
     melody = line(0, 4, 7, 5, 9, 0)
     annotation = decode(rock_bundle, melody)
     shift = 5
-    forced = [key.transpose(shift) for key in annotation.keys]
-    chords = decode_chords_given_keys(rock_bundle.chord_model,
-                                      melody.transpose(shift), forced, "viterbi")
+    chords = decode_chords_given_keys(rock_bundle.chord_model, shifted(melody, shift),
+                                      shifted(annotation, shift).keys, "viterbi")
     assert tuple(chords) == annotation.chords
 
 
@@ -137,7 +136,7 @@ def test_minor_key_renders_as_the_major_key_on_its_tonic(pattern):
     chords = tuple(map(RomanChord.from_string, ("I", "vi", "IV", "V", "bVII")))
     melody = line(0, 9, 5, 7, 10)
     for tonic_pc in (0, 7):
-        major = in_c(*chords).transpose(tonic_pc)
+        major = shifted(in_c(*chords), tonic_pc)
         minor = ProgressionAnnotation((KeyLabel(tonic_pc, MINOR),) * len(chords),
                                       chords)
         assert (render_accompaniment(melody, minor, pattern)
