@@ -123,6 +123,50 @@ MUTANTS = (
            "return _total_weight(self.violation_log)",
            "return _total_weight(self.violation_log[1:])",
            "the penalty sums the violation log one violation short"),
+    Mutant("src/harmonizer/ornament.py",
+           "abs(nxt - cur) in (3, 4):\n                mid = passing_tone",
+           "abs(nxt - cur) in (4,):\n                mid = passing_tone",
+           "a passing tone fills only a major third"),
+    Mutant("src/harmonizer/ornament.py",
+           "if floor <= neighbor <= ceiling:",
+           "if True:",
+           "an upper neighbour may leave the voice's range and order"),
+    Mutant("src/harmonizer/ornament.py",
+           "notes = ((neighbor, half), (cur, half))",
+           "notes = ((cur, half), (neighbor, half))",
+           "an appoggiatura is written as an auxiliary"),
+    Mutant("src/harmonizer/ornament.py",
+           "if notes is None and (nxt == cur or strong):",
+           "if nxt == cur or strong:",
+           "a beat with a passing tone draws again for a neighbour"),
+    Mutant("src/harmonizer/ornament.py",
+           "STRONG_BEAT_POSITIONS = (0, 2)",
+           "STRONG_BEAT_POSITIONS = (0,)",
+           "only the downbeat is a strong beat"),
+    Mutant("src/harmonizer/ornament.py",
+           "1 <= cur - extra[0] <= 2",
+           "1 <= cur - extra[0] <= 3",
+           "the rate estimate counts a step of 3 semitones as an appoggiatura"),
+    Mutant("src/harmonizer/ornament.py",
+           "abs(m - cur) <= 2",
+           "abs(m - cur) <= 3",
+           "the rate estimate counts a note 3 semitones off as an auxiliary"),
+    Mutant("src/harmonizer/ornament.py",
+           "any(lo < m < hi for m in extra)",
+           "any(lo <= m < hi for m in extra)",
+           "the rate estimate counts the lower end of a third as passing"),
+    Mutant("src/harmonizer/ornament.py",
+           "found / sites if sites else 0.0 for",
+           "sites and found / sites for",
+           "an ornament with no eligible site gets the int rate 0"),
+    Mutant("src/harmonizer/corpus.py",
+           '"bVI", "vi", "bVII", "viio"',
+           '"bVI", "vi", "VII", "viio"',
+           "a rock chord a whole tone below the tonic reads as VII"),
+    Mutant("src/harmonizer/cli.py",
+           "return value + 0.0",
+           "return value",
+           "train --alpha -0.0 writes a model other than --alpha 0's"),
 )
 
 

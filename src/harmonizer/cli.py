@@ -126,8 +126,8 @@ def _on_off(text: str) -> bool:
 
 
 def _smoothing_alpha(text: str) -> float:
-    """0 or a finite normal float: a subnormal alpha trains a model whose
-    posterior decoding fails on ordinary melodies."""
+    """0.0, never -0.0, or a finite normal float: a subnormal alpha trains a
+    model whose posterior decoding fails on ordinary melodies."""
     try:
         value = float(text)
     except ValueError:
@@ -136,7 +136,7 @@ def _smoothing_alpha(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a finite non-negative number, 0 or at least"
             f" {sys.float_info.min!r}, got {text!r}")
-    return value
+    return value + 0.0
 
 
 def cmd_train(args) -> int:

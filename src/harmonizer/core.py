@@ -344,17 +344,3 @@ def diatonic_pcs(key: KeyLabel) -> frozenset[int]:
     scale = MAJOR_SCALE if key.mode == MAJOR else HARMONIC_MINOR_SCALE
     return frozenset((key.tonic_pc + step) % 12 for step in scale)
 
-
-# Root-position triadic numerals addressed by root pitch class relative to a
-# major tonic; chromatic roots use flat spellings and default to major quality.
-_TRIADIC_BY_REL_ROOT = tuple(map(RomanChord.from_string, (
-    "I", "bII", "ii", "bIII", "iii", "IV", "bV", "V", "bVI", "vi", "bVII", "viio")))
-
-
-def triadic_numeral_for_root(rel_root_pc: int) -> RomanChord:
-    """Root-position triad whose root sits rel_root_pc semitones above a
-    major tonic. Used by measure-level corpora that label chords by root."""
-    if not 0 <= rel_root_pc <= 11:
-        raise MusicError(f"relative root out of range: {rel_root_pc}")
-    return _TRIADIC_BY_REL_ROOT[rel_root_pc]
-

@@ -58,7 +58,6 @@ from .core import (
     all_keys,
     beats_to_ticks,
     check_midi_pitch,
-    triadic_numeral_for_root,
 )
 
 GENRES = ("chorale", "rock")
@@ -274,6 +273,10 @@ def _parse_chorale(text: str, source: str, beat,
 # a rock measure as one beat: its melody pitch class in octave 4, one
 # shared beat per pitch class
 _MEASURE_EVENTS = tuple(BeatEvent(((60 + pc, PPQ),)) for pc in range(12))
+# a rock chord by its root's pitch class above the major tonic: a
+# root-position triad, chromatic roots spelled flat and major
+_ROCK_CHORDS = tuple(map(RomanChord.from_string, (
+    "I", "bII", "ii", "bIII", "iii", "IV", "bV", "V", "bVI", "vi", "bVII", "viio")))
 
 
 def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
@@ -289,7 +292,7 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
                                       for name in names)
         events.append(_MEASURE_EVENTS[melody_pc])
         keys.append(all_keys()[key_pc])  # majors come first
-        chords.append(triadic_numeral_for_root((root_pc - key_pc) % 12))
+        chords.append(_ROCK_CHORDS[(root_pc - key_pc) % 12])
     try:
         return AnnotatedChorale(header.get("id", source), "major", tuple(events),
                                 ProgressionAnnotation(tuple(keys), tuple(chords)))

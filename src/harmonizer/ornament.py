@@ -2,10 +2,11 @@
 
 Three ornament types are supported: passing notes filling a third between
 consecutive pitches, auxiliary notes decorating a repeated pitch, and
-appoggiaturas leaning on strong beats. Each fires independently per beat
-with its configured probability, at most one ornament per voice per beat,
-and the soprano is never touched. All randomness comes from the seed, so
-a fixed seed reproduces output exactly.
+appoggiaturas leaning on strong beats. A voice's beat takes at most one
+ornament: the first of these, in that order, whose site allows it and
+whose draw against its configured probability succeeds. The soprano is
+never touched. All randomness comes from the seed, so a fixed seed
+reproduces output exactly.
 """
 
 from __future__ import annotations
@@ -63,46 +64,33 @@ def _upper_scale_tone(pitch: int, pcs: frozenset[int]) -> int:
 def estimate_ornament_rates(corpus) -> OrnamentConfig:
     """Empirical ornament rates from a corpus: for each type, the fraction
     of eligible sites in the melodies that exhibit its pattern. A type with
-    no eligible sites gets rate 0. Every count is of an interval, an
+    no eligible sites gets rate 0.0. Every count is of an interval, an
     equality or a beat position, so the rates do not depend on the key a
     piece is written in."""
-    eligible = {"passing": 0, "auxiliary": 0, "appoggiatura": 0}
-    exhibited = {"passing": 0, "auxiliary": 0, "appoggiatura": 0}
+    # [eligible, exhibited] per ornament, in OrnamentConfig's field order
+    passing, auxiliary, appoggiatura = counts = [[0, 0], [0, 0], [0, 0]]
     for ch in corpus.chorales:
-        beats = ch.events
-        reps = [ev.representative for ev in beats]
-        for t in range(len(beats)):
-            extra = [m for m, _ in beats[t].notes[1:]]
-            if t + 1 < len(beats):
-                gap = abs(reps[t + 1] - reps[t])
-                if gap in (3, 4):
-                    eligible["passing"] += 1
-                    lo, hi = sorted((reps[t], reps[t + 1]))
-                    if any(lo < m < hi for m in extra):
-                        exhibited["passing"] += 1
-                if reps[t + 1] == reps[t]:
-                    eligible["auxiliary"] += 1
-                    if any(m != reps[t] and abs(m - reps[t]) <= 2 for m in extra):
-                        exhibited["auxiliary"] += 1
+        reps = [ev.representative for ev in ch.events]
+        for t, (cur, nxt) in enumerate(zip(reps, reps[1:] + [None])):
+            extra = [m for m, _ in ch.events[t].notes[1:]]
+            if nxt is not None and abs(nxt - cur) in (3, 4):
+                lo, hi = sorted((cur, nxt))
+                passing[0] += 1
+                passing[1] += any(lo < m < hi for m in extra)
+            if nxt == cur:
+                auxiliary[0] += 1
+                auxiliary[1] += any(m != cur and abs(m - cur) <= 2 for m in extra)
             if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
-                eligible["appoggiatura"] += 1
-                first = beats[t].notes[0][0]
-                if len(beats[t].notes) >= 2:
-                    second = beats[t].notes[1][0]
-                    if 1 <= first - second <= 2:
-                        exhibited["appoggiatura"] += 1
-    def rate(name):
-        return exhibited[name] / eligible[name] if eligible[name] else 0.0
-    return OrnamentConfig(p_passing=rate("passing"),
-                          p_auxiliary=rate("auxiliary"),
-                          p_appoggiatura=rate("appoggiatura"))
+                appoggiatura[0] += 1
+                appoggiatura[1] += bool(extra) and 1 <= cur - extra[0] <= 2
+    return OrnamentConfig(*(found / sites if sites else 0.0 for sites, found in counts))
 
 
 def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
     """A copy of h with ornaments in its alto, tenor and bass lines. Sites
     whose inserted pitch would leave the voice range or break the vertical
-    order against neighbouring voices are skipped silently. An ornament
-    splits its beat into two eighths."""
+    order against neighbouring voices are skipped silently, without a draw.
+    An ornament splits its beat into two eighths."""
     rng = random.Random(cfg.rng_seed)
     n = len(h.soprano)
     # one scale per distinct key, one search per distinct (pitch, next, scale)
@@ -124,26 +112,25 @@ def insert_ornaments(h: Harmonization, cfg: OrnamentConfig) -> Harmonization:
         for t in range(n):
             cur, ceiling, floor = skel[t], ceilings[t], floors[t]
             nxt = skel[t + 1] if t + 1 < n else None
+            notes = None
             # passing tone filling a third on the way to the next beat
             if nxt is not None and abs(nxt - cur) in (3, 4):
                 mid = passing_tone(cur, nxt, scales[t])
-                if mid is not None and floor <= mid <= ceiling:
-                    if rng.random() < cfg.p_passing:
-                        line[t] = ((cur, half), (mid, half))
-                        continue
-            # auxiliary tone decorating a repeated pitch
-            if nxt is not None and nxt == cur:
+                if (mid is not None and floor <= mid <= ceiling
+                        and rng.random() < cfg.p_passing):
+                    notes = ((cur, half), (mid, half))
+            # else an upper neighbour decorating a repeated pitch (auxiliary)
+            # or leaning onto a strong beat (appoggiatura)
+            strong = t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS
+            if notes is None and (nxt == cur or strong):
                 neighbor = _upper_scale_tone(cur, scales[t])
                 if floor <= neighbor <= ceiling:
-                    if rng.random() < cfg.p_auxiliary:
-                        line[t] = ((cur, half), (neighbor, half))
-                        continue
-            # appoggiatura leaning onto a strong beat
-            if t % BEATS_PER_BAR in STRONG_BEAT_POSITIONS:
-                neighbor = _upper_scale_tone(cur, scales[t])
-                if floor <= neighbor <= ceiling:
-                    if rng.random() < cfg.p_appoggiatura:
-                        line[t] = ((neighbor, half), (cur, half))
+                    if nxt == cur and rng.random() < cfg.p_auxiliary:
+                        notes = ((cur, half), (neighbor, half))
+                    elif strong and rng.random() < cfg.p_appoggiatura:
+                        notes = ((neighbor, half), (cur, half))
+            if notes is not None:
+                line[t] = notes
 
     alto, tenor, bass = lines
     return replace(h, alto_line=alto, tenor_line=tenor, bass_line=bass)

@@ -8,19 +8,24 @@ time, Viterbi and forward-backward as one plain step per position, a full
 lattice filter for chord voicings, the greedy voicing search as a literal
 loop with every tie-break key computed, an SMF track encoder that spells
 out every event, the Roman-numeral grammar as a regular expression
-with a branch for each marker and case, and a piece moved by some
-semitones note by note, its keys rebuilt from their tonics.
+with a branch for each marker and case, a piece moved by some
+semitones note by note, its keys rebuilt from their tonics, ornament
+insertion as one branch and one write per ornament type, and the
+ornament rates as a list of yes/no sites per type.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 
 import numpy as np
 
 from harmonizer.core import (
+    BEATS_PER_BAR,
+    PPQ,
     BeatEvent,
     KeyLabel,
     MelodyLine,
@@ -29,13 +34,17 @@ from harmonizer.core import (
     RomanChord,
     chord_bass_pc,
     chord_tone_pcs,
+    diatonic_pcs,
     leading_tone_pc,
 )
 from harmonizer.corpus import AnnotatedChorale
 from harmonizer.harmonize import (
+    ALTO_RANGE,
+    BASS_RANGE,
     INNER_LEAP_LIMIT,
     OCTAVE_LEAP_LIMIT,
     PENALTY_WEIGHTS,
+    TENOR_RANGE,
 )
 from harmonizer.hmm import (
     MASK_EPSILON,
@@ -45,6 +54,7 @@ from harmonizer.hmm import (
     HmmModel,
     _indices,
 )
+from harmonizer.ornament import _scale_tone_between, _upper_scale_tone
 
 
 def _log(x: float) -> float:
@@ -422,6 +432,79 @@ def greedy_voicing(beats, soprano_midis):
             best = (penalty, index, chain)
     penalty, _, chain = best
     return [beats[t][j] for t, j in enumerate(chain)], penalty
+
+
+def ornament_reference(h, cfg) -> tuple[list, list, list]:
+    """The alto, tenor and bass lines of `h` ornamented beat by beat, one
+    RNG draw per allowed site, with nothing cached. Each voice tries a
+    passing tone, then an auxiliary, then an appoggiatura; each type writes
+    its own notes and moves on to the next beat, so a beat takes at most
+    one ornament. A site whose inserted pitch leaves the voice range, rises
+    above the skeleton voice above or falls below the one under it takes no
+    draw."""
+    rng = random.Random(cfg.rng_seed)
+    half = PPQ // 2
+    sopranos = [ev.notes[0][0] for ev in h.soprano.events]
+    skeleton = [list(a) for a in h.arrangements]
+    lines = [list(line) for line in (h.alto_line, h.tenor_line, h.bass_line)]
+    for v, (low, high) in enumerate((ALTO_RANGE, TENOR_RANGE, BASS_RANGE)):
+        for t in range(len(sopranos)):
+            stack = [sopranos[t]] + skeleton[t]
+            cur = stack[v + 1]
+            above = stack[v]
+            below = stack[v + 2] if v < 2 else low
+
+            def fits(pitch):
+                return max(low, below) <= pitch <= min(high, above)
+
+            pcs = diatonic_pcs(h.annotation.keys[t])
+            nxt = skeleton[t + 1][v] if t + 1 < len(sopranos) else None
+            if nxt is not None and abs(nxt - cur) in (3, 4):
+                mid = _scale_tone_between(cur, nxt, pcs)
+                if mid is not None and fits(mid):
+                    if rng.random() < cfg.p_passing:
+                        lines[v][t] = ((cur, half), (mid, half))
+                        continue
+            if nxt is not None and nxt == cur:
+                neighbour = _upper_scale_tone(cur, pcs)
+                if fits(neighbour):
+                    if rng.random() < cfg.p_auxiliary:
+                        lines[v][t] = ((cur, half), (neighbour, half))
+                        continue
+            if t % BEATS_PER_BAR in (0, 2):
+                neighbour = _upper_scale_tone(cur, pcs)
+                if fits(neighbour):
+                    if rng.random() < cfg.p_appoggiatura:
+                        lines[v][t] = ((neighbour, half), (cur, half))
+    return lines
+
+
+def ornament_rate_reference(pieces) -> dict[str, float]:
+    """The ornament rates of pieces given as lists of beats, each beat the
+    MIDI pitches of its notes in onset order. A passing site is a beat
+    whose first pitch is a third (3 or 4 semitones) from the next beat's;
+    it is filled when a later note of the beat lies strictly inside the
+    third. An auxiliary site is a beat whose first pitch the next beat
+    repeats; it is filled when a later note lies one or two semitones from
+    it. An appoggiatura site is a strong beat (0 or 2 of the bar); it is
+    filled when the second note lies one or two semitones below the first.
+    Each rate is filled sites over sites, 0.0 without sites."""
+    sites = {"p_passing": [], "p_auxiliary": [], "p_appoggiatura": []}
+    for beats in pieces:
+        for t, (first, *later) in enumerate(beats):
+            if t + 1 < len(beats):
+                after = beats[t + 1][0]
+                if abs(after - first) in (3, 4):
+                    inside = range(min(first, after) + 1, max(first, after))
+                    sites["p_passing"].append(any(m in inside for m in later))
+                if after == first:
+                    sites["p_auxiliary"].append(
+                        any(abs(m - first) in (1, 2) for m in later))
+            if t % 4 in (0, 2):
+                sites["p_appoggiatura"].append(
+                    len(later) > 0 and later[0] in (first - 1, first - 2))
+    return {name: sum(filled) / len(filled) if filled else 0.0
+            for name, filled in sites.items()}
 
 
 def _variable_length(value: int) -> list[int]:

@@ -959,6 +959,14 @@ def test_alpha_flag_changes_model(tmp_path, data_dir):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_negative_zero_alpha_trains_the_zero_alpha_model(tmp_path, data_dir):
+    models = [tmp_path / "zero.json", tmp_path / "negative-zero.json"]
+    for alpha, out in zip(("0", "-0.0"), models):
+        assert main(["train", "--corpus", str(data_dir / "chorales"), "--mode",
+                     "major", "--alpha", alpha, "--no-mask", "--out", str(out)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "x", "1e-320", "5e-324"])
 def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
     out = tmp_path / "m.json"

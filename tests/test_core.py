@@ -24,7 +24,6 @@ from harmonizer.core import (
     is_retrogressive,
     leading_tone_pc,
     transposed_degree,
-    triadic_numeral_for_root,
 )
 from harmonizer.core import _CHORD_BY_TEXT
 
@@ -256,13 +255,6 @@ def test_leading_tone():
     assert leading_tone_pc(KeyLabel(9, MINOR)) == 8
 
 
-def test_triadic_numerals_cover_every_root():
-    for pc in range(12):
-        chord = triadic_numeral_for_root(pc)
-        assert chord.inversion == "root" and not chord.seventh
-        assert chord_root_pc(chord, KeyLabel(0, MAJOR)) == pc
-
-
 def test_beat_event_invariants():
     with pytest.raises(MusicError, match="^beat has no notes$"):
         BeatEvent(())
@@ -312,9 +304,7 @@ def test_annotation_length_mismatch():
     (lambda: RomanChord(1, "sus4"), "unknown chord quality: 'sus4'"),
     (lambda: RomanChord(1, "major", "fourth"), "unknown inversion: 'fourth'"),
     (lambda: RomanChord(1, "major", accidental=2), "accidental out of range: 2"),
-    (lambda: triadic_numeral_for_root(12), "relative root out of range: 12"),
-], ids=["tonic", "mode", "degree", "quality", "inversion", "accidental",
-        "relative-root"])
+], ids=["tonic", "mode", "degree", "quality", "inversion", "accidental"])
 def test_labels_refuse_fields_out_of_range(make, message):
     with pytest.raises(MusicError, match=f"^{re.escape(message)}$"):
         make()

@@ -14,6 +14,7 @@ from harmonizer.core import (
     KeyLabel,
     MusicError,
     ProgressionAnnotation,
+    chord_root_pc,
     transposed_degree,
 )
 from harmonizer import corpus
@@ -355,6 +356,23 @@ mode: major
         parse_rock_text(text.replace("melody_degree_pc=9", "melody_degree_pc=12"),
                         "r.txt")
     assert "r.txt:3" in str(err.value)
+
+
+def test_rock_chords_are_root_position_triads_on_every_root():
+    # every root above every key: the chord is read from the root's
+    # distance above the tonic, wrapping past the octave
+    pairs = [(k, r) for k in range(12) for r in range(12)]
+    records = [f"{i} | key_pc={k} | roman_root_pc={(k + r) % 12} | melody_degree_pc=0"
+               for i, (k, r) in enumerate(pairs)]
+    song = parse_rock_text("id: r\nmode: major\n" + "\n".join(records) + "\n")
+    assert len(song.events) == len(pairs)
+    for (k, r), key, chord in zip(pairs, song.annotation.keys, song.annotation.chords):
+        assert key == KeyLabel(k, MAJOR)
+        assert chord.inversion == "root" and not chord.seventh
+        assert chord_root_pc(chord, key) == (k + r) % 12
+        # the diatonic triads of the major key; a chromatic root is major
+        assert chord.quality == {2: "minor", 4: "minor", 9: "minor",
+                                 11: "diminished"}.get(r, "major")
 
 
 # --- transposition -------------------------------------------------------

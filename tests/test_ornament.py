@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -14,8 +17,8 @@ from harmonizer.core import (
     RomanChord,
     diatonic_pcs,
 )
-from harmonizer import ornament
-from harmonizer.corpus import parse_chorale_text, Corpus
+from harmonizer import hmm, ornament
+from harmonizer.corpus import AnnotatedChorale, Corpus, parse_chorale_text
 from harmonizer.harmonize import (
     Arrangement,
     Harmonization,
@@ -29,6 +32,7 @@ from harmonizer.ornament import (
     estimate_ornament_rates,
     insert_ornaments,
 )
+from oracles import ornament_rate_reference, ornament_reference
 
 C = KeyLabel(0, MAJOR)
 
@@ -131,6 +135,39 @@ def test_out_of_order_insertions_are_skipped():
     assert out.alto_line[0] == ((64, 240), (65, 240))
 
 
+@pytest.fixture(scope="module")
+def fixture_harmonizations(major_bundle, fixture_melodies):
+    return [harmonize_melody(major_bundle.key_model, major_bundle.chord_model,
+                             melody, method)
+            for _, melody in fixture_melodies for method in ("viterbi", "posterior")]
+
+
+def _window(h: Harmonization, start: int, stop: int) -> Harmonization:
+    keys, chords = h.annotation.keys, h.annotation.chords
+    return Harmonization(MelodyLine(h.soprano.events[start:stop]),
+                         h.arrangements[start:stop],
+                         ProgressionAnnotation(keys[start:stop], chords[start:stop]),
+                         [])
+
+
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rates=st.tuples(_RATE, _RATE, _RATE),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_insertion_equals_the_one_branch_per_type_reference(
+        fixture_harmonizations, data, rates, seed):
+    # a window of a fixture skeleton, so that any beat may be the first,
+    # the last or a strong one
+    h = data.draw(st.sampled_from(fixture_harmonizations))
+    start = data.draw(st.integers(0, len(h.soprano) - 1))
+    h = _window(h, start, data.draw(st.integers(start + 1, len(h.soprano))))
+    cfg = OrnamentConfig(*rates, rng_seed=seed)
+    out = insert_ornaments(h, cfg)
+    assert [out.alto_line, out.tenor_line, out.bass_line] == ornament_reference(h, cfg)
+
+
 def test_scales_and_passing_tones_are_found_once_per_distinct_input_per_call(
         monkeypatch, major_bundle, fixture_melodies):
     notes = [ev.notes for _, melody in fixture_melodies for ev in melody.events]
@@ -219,6 +256,71 @@ def test_passing_rate_counts_filled_thirds():
     cfg = estimate_ornament_rates(corpus)
     # pairs: (0,1) filled, (1,2), (2,3), (3,4), (4,5), (5,6) all eligible thirds
     assert cfg.p_passing == pytest.approx(1 / 6)
+
+
+def _rate_piece(beats) -> AnnotatedChorale:
+    """A C major piece of beats given as lists of 1-3 MIDI pitches, each
+    note an equal share of the beat."""
+    events = tuple(BeatEvent(tuple((m, PPQ // len(beat)) for m in beat))
+                   for beat in beats)
+    labels = ProgressionAnnotation((C,) * len(beats),
+                                   (RomanChord.from_string("I"),) * len(beats))
+    return AnnotatedChorale("rates", MAJOR, events, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.lists(st.integers(60, 67), min_size=1, max_size=3),
+                         min_size=2, max_size=9), min_size=1, max_size=3))
+def test_rates_equal_the_site_list_reference(pieces):
+    rates = estimate_ornament_rates(
+        Corpus(tuple(map(_rate_piece, pieces)), "chorale")).as_dict()
+    assert rates == ornament_rate_reference(pieces)
+    assert all(type(rate) is float for rate in rates.values())
+
+
+@pytest.mark.parametrize("name, beats, rate", [
+    # an appoggiatura steps down one or two semitones onto the beat's note
+    ("p_appoggiatura", ["74:0.5,73:0.5", "60:1"], 1.0),
+    ("p_appoggiatura", ["74:0.5,72:0.5", "60:1"], 1.0),
+    ("p_appoggiatura", ["74:0.5,71:0.5", "60:1"], 0.0),
+    # an auxiliary leaves a repeated pitch by one or two semitones
+    ("p_auxiliary", ["72:0.5,73:0.5", "72:1"], 1.0),
+    ("p_auxiliary", ["72:0.5,70:0.5", "72:1"], 1.0),
+    ("p_auxiliary", ["72:0.5,75:0.5", "72:1"], 0.0),
+    ("p_auxiliary", ["72:0.5,69:0.5", "72:1"], 0.0),
+    # a passing tone lies strictly inside the third
+    ("p_passing", ["72:0.5,74:0.5", "76:1"], 1.0),
+    ("p_passing", ["72:0.5,72:0.5", "76:1"], 0.0),
+    ("p_passing", ["72:0.5,76:0.5", "76:1"], 0.0),
+    ("p_passing", ["76:0.5,72:0.5", "72:1"], 0.0),
+    ("p_passing", ["76:0.5,76:0.5", "72:1"], 0.0),
+], ids=["appoggiatura-1", "appoggiatura-2", "appoggiatura-3", "auxiliary-1",
+        "auxiliary-2", "auxiliary-3", "auxiliary-3-below", "passing-inside",
+        "passing-low-start", "passing-high-end", "passing-low-end",
+        "passing-high-start"])
+def test_each_rate_rule_at_its_boundary(name, beats, rate):
+    assert getattr(estimate_ornament_rates(build_rate_corpus(beats)), name) == rate
+
+
+def test_a_rate_without_sites_is_saved_as_the_float_zero(tmp_path, major_bundle):
+    # no beat repeats the pitch before it: no auxiliary site
+    cfg = estimate_ornament_rates(build_rate_corpus(["72:1", "76:1", "74:1"]))
+    assert type(cfg.p_auxiliary) is float
+    path = hmm.save_bundle(dataclasses.replace(
+        major_bundle, ornament_rates=cfg.as_dict()), tmp_path / "model.json")
+    assert '"p_auxiliary": 0.0,' in path.read_text()
+    assert type(json.loads(path.read_text())["ornament_rates"]["p_auxiliary"]) is float
+
+
+def test_a_model_accepts_the_rate_names_of_the_ornament_config():
+    # hmm cannot import ornament (ornament imports harmonize, which imports
+    # hmm), so its list of rate names is kept in step here
+    doc = {"version": 1, "genre": "chorale", "mode": MAJOR,
+           "ornament_rates": {"p_stray": 0.5}}
+    with pytest.raises(hmm.HmmError, match="unknown key 'p_stray'") as err:
+        hmm._check_bundle_fields(doc)
+    accepted = ast.literal_eval(str(err.value).split("accepted: ", 1)[1])
+    assert accepted == list(OrnamentConfig().as_dict())
 
 
 def test_rates_always_in_unit_interval(major_corpus):
