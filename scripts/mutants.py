@@ -167,6 +167,34 @@ MUTANTS = (
            "return value + 0.0",
            "return value",
            "train --alpha -0.0 writes a model other than --alpha 0's"),
+    Mutant("src/harmonizer/midiout.py",
+           "            if type(duration) is not int or duration < 1:\n"
+           "                raise ValueError(f\"note duration is not a positive"
+           " whole number\"\n"
+           "                                 f\" of ticks: {duration!r}\")\n"
+           "            total += duration\n"
+           "            part = encoded.get(note)\n"
+           "            if part is None:\n",
+           "            total += duration\n"
+           "            part = encoded.get(note)\n"
+           "            if part is None:\n"
+           "                if type(duration) is not int or duration < 1:\n"
+           "                    raise ValueError(f\"note duration is not a"
+           " positive whole number\"\n"
+           "                                     f\" of ticks: {duration!r}\")\n",
+           "an SATB note's duration is checked only on a memo miss"),
+    Mutant("src/harmonizer/midiout.py",
+           "if total != PPQ:",
+           "if False:",
+           "an SATB beat that is not one beat long is written"),
+    Mutant("src/harmonizer/midiout.py",
+           "bytes([0, on, pitch, VELOCITY])",
+           "bytes([1, on, pitch, VELOCITY])",
+           "an SATB note-on comes one tick after the note before it ends"),
+    Mutant("src/harmonizer/harmonize.py",
+           "        if t in by_beat:\n            record +=",
+           "        if False:\n            record +=",
+           "the score record leaves out its violations field"),
 )
 
 

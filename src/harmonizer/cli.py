@@ -175,9 +175,27 @@ def _warn_masked_transitions(chord_model, chords) -> None:
         print(f"# warning: masked transition {a} -> {b} at beat {t}")
 
 
+def _refuse_unread_flags(args, genre: str) -> None:
+    """MusicError for a flag on the command line that `genre`'s harmonizer
+    never reads. Config-file values are not checked: one file may serve
+    both genres."""
+    if genre == "rock":
+        unread = {"--ornaments on": args.ornaments or None,
+                  "--p-passing": args.p_passing,
+                  "--p-auxiliary": args.p_auxiliary,
+                  "--p-appoggiatura": args.p_appoggiatura,
+                  "--seed": args.rng_seed}
+    else:
+        unread = {"--pattern": args.pattern, "--drums": args.drums}
+    for flag, value in unread.items():
+        if value is not None:
+            raise MusicError(f"{flag} is not read by a {genre} model")
+
+
 def cmd_harmonize(args) -> int:
     cfg = _merge_config(args)
     bundle = load_bundle(args.model)
+    _refuse_unread_flags(args, bundle.genre)
     started = time.perf_counter()
     melody = parse_melody_file(args.melody, bundle.genre)
     if bundle.genre == "rock":

@@ -23,7 +23,8 @@ ticks (`beats_to_ticks`), and ticks are written back as beats with enough
 digits to read back to the same tick. All of these, and the score,
 progression and analysis documents the other modules write, share one
 grammar, read by `_header` and `_records` and written by
-`_format_records`.
+`_format_records`, or for the score, record by record in one string each
+(`harmonize.to_score_document`).
 
 `parse_corpus` reads the regular files of a directory (links to files
 included) in the order of their names compared as strings, each named as

@@ -26,7 +26,7 @@ from .core import (
     chord_tone_pcs,
     leading_tone_pc,
 )
-from .corpus import _format_note_list, _format_records
+from .corpus import _format_note_list
 from .hmm import HmmModel, decode_key_chord
 
 ALTO_RANGE = (53, 74)    # F3-D5
@@ -311,25 +311,23 @@ def voice_progression(melody: MelodyLine,
 
 def to_score_document(h: Harmonization, title: str = "harmonization") -> str:
     """Structured-text score: per beat, the four voices, the decoded key and
-    numeral, and any violations charged at that beat."""
+    numeral, and any violations charged at that beat. Each record is
+    written as one string, in the grammar `corpus._records` reads."""
     by_beat: dict[int, list[Violation]] = {}
     for v in h.violation_log:
         by_beat.setdefault(v.beat_index, []).append(v)
-    voices = h.voice_lines()
+    soprano, alto, tenor, bass = h.voice_lines().values()
+    keys, chords = h.annotation.keys, h.annotation.chords
     # each distinct key, chord and beat is formatted once
     label = functools.cache(str)
     notes = functools.cache(_format_note_list)
-    records = []
+    lines = [f"id: {title}", f"penalty: {h.penalty}"]
     for t in range(len(h.soprano)):
-        fields = [("soprano", notes(voices["soprano"][t])),
-                  ("alto", notes(voices["alto"][t])),
-                  ("tenor", notes(voices["tenor"][t])),
-                  ("bass", notes(voices["bass"][t])),
-                  ("key", label(h.annotation.keys[t])),
-                  ("roman", label(h.annotation.chords[t]))]
+        record = (f"{t} | soprano={notes(soprano[t])} | alto={notes(alto[t])}"
+                  f" | tenor={notes(tenor[t])} | bass={notes(bass[t])}"
+                  f" | key={label(keys[t])} | roman={label(chords[t])}")
         if t in by_beat:
-            fields.append(("violations", ";".join(
-                f"{v.rule}:{v.weight}" for v in by_beat[t])))
-        records.append(fields)
-    return _format_records(
-        (("id", title), ("penalty", str(h.penalty))), records)
+            record += " | violations=" + ";".join(
+                f"{v.rule}:{v.weight}" for v in by_beat[t])
+        lines.append(record)
+    return "\n".join(lines) + "\n"

@@ -10,12 +10,15 @@ loop with every tie-break key computed, an SMF track encoder that spells
 out every event, the Roman-numeral grammar as a regular expression
 with a branch for each marker and case, a piece moved by some
 semitones note by note, its keys rebuilt from their tonics, ornament
-insertion as one branch and one write per ornament type, and the
-ornament rates as a list of yes/no sites per type.
+insertion as one branch and one write per ornament type, the
+ornament rates as a list of yes/no sites per type, and the score
+document as (name, value) fields per record joined by the shared record
+writer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -37,7 +40,7 @@ from harmonizer.core import (
     diatonic_pcs,
     leading_tone_pc,
 )
-from harmonizer.corpus import AnnotatedChorale
+from harmonizer.corpus import AnnotatedChorale, _format_note_list, _format_records
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -505,6 +508,32 @@ def ornament_rate_reference(pieces) -> dict[str, float]:
                     len(later) > 0 and later[0] in (first - 1, first - 2))
     return {name: sum(filled) / len(filled) if filled else 0.0
             for name, filled in sites.items()}
+
+
+def score_document_reference(h, title: str = "harmonization") -> str:
+    """`harmonize.to_score_document` as a list of (name, value) fields per
+    beat, handed to `corpus._format_records` for the joining."""
+    by_beat = {}
+    for v in h.violation_log:
+        by_beat.setdefault(v.beat_index, []).append(v)
+    voices = h.voice_lines()
+    # each distinct key, chord and beat is formatted once
+    label = functools.cache(str)
+    notes = functools.cache(_format_note_list)
+    records = []
+    for t in range(len(h.soprano)):
+        fields = [("soprano", notes(voices["soprano"][t])),
+                  ("alto", notes(voices["alto"][t])),
+                  ("tenor", notes(voices["tenor"][t])),
+                  ("bass", notes(voices["bass"][t])),
+                  ("key", label(h.annotation.keys[t])),
+                  ("roman", label(h.annotation.chords[t]))]
+        if t in by_beat:
+            fields.append(("violations", ";".join(
+                f"{v.rule}:{v.weight}" for v in by_beat[t])))
+        records.append(fields)
+    return _format_records(
+        (("id", title), ("penalty", str(h.penalty))), records)
 
 
 def _variable_length(value: int) -> list[int]:

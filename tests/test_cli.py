@@ -191,6 +191,51 @@ def test_rock_harmonize_writes_tracks(tmp_path, trained_rock_model):
     assert "key_pc=" in score.read_text()
 
 
+@pytest.mark.parametrize("genre,flags,named", [
+    ("rock", ["--ornaments", "on"], "--ornaments on"),
+    ("rock", ["--p-passing", "1"], "--p-passing"),
+    ("rock", ["--p-auxiliary", "0"], "--p-auxiliary"),
+    ("rock", ["--p-appoggiatura", "0.5"], "--p-appoggiatura"),
+    ("rock", ["--seed", "3"], "--seed"),
+    ("rock", ["--ornaments", "on", "--p-passing", "1"], "--ornaments on"),
+    ("chorale", ["--pattern", "arpeggio"], "--pattern"),
+    ("chorale", ["--drums", "on"], "--drums"),
+    ("chorale", ["--drums", "off"], "--drums"),
+])
+def test_flag_the_genre_never_reads_exits_2(capsys, tmp_path, trained_model,
+                                            trained_rock_model, data_dir,
+                                            genre, flags, named):
+    if genre == "rock":
+        model, melody = trained_rock_model, tmp_path / "tune.txt"
+        melody.write_text("id: tune\n0 | melody_degree_pc=0\n")
+    else:
+        model, melody = trained_model, data_dir / "melodies" / "m01.txt"
+    out = tmp_path / "unread.mid"
+    code = main(["harmonize", "--model", str(model), "--melody", str(melody),
+                 *flags, "--out-midi", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {named} is not read by a {genre} model\n"
+    assert not out.exists()
+
+
+def test_config_values_the_genre_never_reads_are_accepted(
+        tmp_path, trained_model, trained_rock_model, data_dir):
+    # one config file may serve both genres; `--ornaments off` is what a
+    # rock model does anyway
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"ornaments": True, "p_passing": 1.0,
+                                  "rng_seed": 3, "pattern": "block",
+                                  "drums": False}))
+    tune = tmp_path / "tune.txt"
+    tune.write_text("id: tune\n0 | melody_degree_pc=0\n1 | melody_degree_pc=7\n")
+    for model, melody, extra in (
+            (trained_rock_model, tune, ["--ornaments", "off"]),
+            (trained_model, data_dir / "melodies" / "m01.txt", [])):
+        assert main(["harmonize", "--model", str(model), "--melody", str(melody),
+                     "--config", str(config), *extra,
+                     "--out-midi", str(tmp_path / "ok.mid")]) == 0
+
+
 def test_export_and_identity_override_decode_identical(capsys, tmp_path,
                                                        trained_model, data_dir):
     out_dir = tmp_path / "matrices"

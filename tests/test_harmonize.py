@@ -40,8 +40,9 @@ from harmonizer.harmonize import (
     voice_progression,
 )
 from harmonizer.hmm import METHODS, decode_key_chord
+from harmonizer.ornament import OrnamentConfig, insert_ornaments
 
-from oracles import greedy_voicing, lattice_arrangements
+from oracles import greedy_voicing, lattice_arrangements, score_document_reference
 
 C_MAJOR = KeyLabel(0, MAJOR)
 
@@ -608,6 +609,26 @@ def test_score_document_shape(major_bundle, fixture_melodies):
     assert lines[0] == f"id: {name}"
     assert len([l for l in lines if " | " in l]) == len(melody)
     assert "soprano=" in lines[2] and "roman=" in lines[2]
+
+
+@pytest.mark.parametrize("ornaments", [False, True], ids=["plain", "ornamented"])
+def test_score_document_equals_the_field_list_reference(major_bundle,
+                                                         fixture_melodies,
+                                                         ornaments):
+    with_violations = with_two_notes = 0
+    for index, (name, melody) in enumerate(fixture_melodies):
+        for method in METHODS:
+            h = harmonize_melody(major_bundle.key_model, major_bundle.chord_model,
+                                 melody, method)
+            if ornaments:
+                h = insert_ornaments(h, OrnamentConfig(0.5, 0.5, 0.5,
+                                                       rng_seed=index))
+            title = f"{name} by {method} decoding"
+            assert to_score_document(h, title) == score_document_reference(h, title)
+            with_violations += bool(h.violation_log)
+            with_two_notes += any(len(beat) > 1 for beat in h.alto_line)
+    assert with_violations > 0
+    assert (with_two_notes > 0) == ornaments
 
 
 # --- property: random diatonic melodies stay feasible and legal ----------------

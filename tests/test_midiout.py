@@ -19,6 +19,7 @@ from harmonizer.harmonize import Arrangement, Harmonization, harmonize_melody
 from harmonizer.hmm import read_transition_csv
 from harmonizer.midiout import (
     PPQ,
+    _line_chunk,
     _note_events,
     _track_chunk,
     export_functional_summary,
@@ -161,6 +162,18 @@ def test_track_bytes_match_literal_encoder(notes, channel):
     assert _track_chunk(_note_events(notes, channel)) == smf_note_track(notes, channel)
 
 
+def _laid_out(line) -> list[tuple[int, int, int]]:
+    """A voice line's (onset_tick, duration_tick, pitch) notes, beat t
+    starting at t * PPQ and each note where the one before it ends."""
+    notes = []
+    for beat_index, beat in enumerate(line):
+        cursor = beat_index * PPQ
+        for pitch, ticks in beat:
+            notes.append((cursor, ticks, pitch))
+            cursor += ticks
+    return notes
+
+
 def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
                                                       fixture_melodies):
     _, melody = fixture_melodies[5]
@@ -169,13 +182,78 @@ def test_ornamented_file_tracks_match_literal_encoder(tmp_path, major_bundle,
     tracks = _chunks(write_midi(ornamented, tmp_path / "orn.mid").read_bytes())
     voices = ornamented.voice_lines()
     for channel, name in enumerate(("soprano", "alto", "tenor", "bass")):
-        notes = []
-        for beat_index, beat in enumerate(voices[name]):
-            cursor = beat_index * PPQ
-            for pitch, ticks in beat:
-                notes.append((cursor, ticks, pitch))
-                cursor += ticks
+        notes = _laid_out(voices[name])
         assert tracks[1 + channel] == smf_note_track(notes, channel)
+
+
+def _split_beat(cuts, pitches):
+    """One beat of len(pitches) notes, split at the lowest len(pitches) - 1
+    of the distinct cut ticks."""
+    bounds = [0, *sorted(cuts)[:len(pitches) - 1], PPQ]
+    return tuple(zip(pitches, (b - a for a, b in zip(bounds, bounds[1:]))))
+
+
+# 1-3 notes per beat whose ticks add up to one beat; common cuts and
+# pitches make repeated notes, and so memo hits, likely
+_SATB_BEAT = st.builds(
+    _split_beat,
+    st.lists(st.one_of(st.sampled_from([120, 240, 360]), st.integers(1, PPQ - 1)),
+             min_size=2, max_size=2, unique=True),
+    st.lists(st.one_of(st.sampled_from([60, 64]), st.integers(0, 127)),
+             min_size=1, max_size=3))
+_SATB_LINES = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(_SATB_BEAT, min_size=n, max_size=n), min_size=4, max_size=4))
+
+
+def _harmonization_of(lines) -> Harmonization:
+    h = tiny_harmonization(len(lines[0]))
+    h.soprano = MelodyLine(tuple(map(BeatEvent, lines[0])))
+    h.alto_line, h.tenor_line, h.bass_line = lines[1:]
+    return h
+
+
+@given(lines=_SATB_LINES)
+# a pitch held across a beat line, a repeated eighth and a 1-tick note
+@example(lines=[[((60, 480),), ((60, 240), (60, 240))],
+                [((55, 1), (57, 479)), ((55, 480),)],
+                [((48, 480),), ((48, 240), (50, 240))],
+                [((36, 480),), ((36, 480),)]])
+def test_satb_tracks_match_literal_encoder(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("satb") / "satb.mid"
+    tracks = _chunks(write_midi(_harmonization_of(lines), path).read_bytes())
+    assert len(tracks) == 5
+    for channel, line in enumerate(lines):
+        expected = smf_note_track(_laid_out(line), channel)
+        assert tracks[1 + channel] == expected
+        assert _line_chunk(line, channel) == expected
+
+
+def test_float_duration_raises_after_its_int_twin(tmp_path):
+    # (64, 240.0) == (64, 240) and both hash alike, so a memo that the
+    # check came after would let the float through
+    h = tiny_harmonization(2)
+    h.alto_line = [((64, 240), (64, 240)), ((64, 240.0), (64, 240.0))]
+    with pytest.raises(ValueError, match="^note duration is not a positive whole"
+                       " number of ticks: 240.0$"):
+        write_midi(h, tmp_path / "float.mid")
+
+
+@pytest.mark.parametrize("beat,voice,total", [
+    (((55, 240), (57, 480)), "tenor", 720),
+    (((55, 240),), "tenor", 240),
+    ((), "tenor", 0),
+    (((64, 479),), "alto", 479),
+])
+def test_chorale_beat_not_one_beat_long_raises(tmp_path, beat, voice, total):
+    # written note after note, such a beat would overlap the next one or
+    # leave a gap before it
+    h = tiny_harmonization(3)
+    getattr(h, f"{voice}_line")[1] = beat
+    out = tmp_path / "long.mid"
+    with pytest.raises(ValueError, match=f"^{voice} beat 1 lasts {total} ticks,"
+                       f" not {PPQ}$"):
+        write_midi(h, out)
+    assert not out.exists()
 
 
 def test_pitch_check_fires_after_valid_pitches(tmp_path):
@@ -213,6 +291,16 @@ def test_writer_memos_run_once_per_distinct_input_per_call(monkeypatch):
         chunk = _track_chunk(events)
         assert Counter(encoded) == Counter({b - a for a, b in zip([0] + ticks, ticks)})
         assert chunk == smf_note_track(notes, channel)
+    # an SATB line encodes each distinct (pitch, ticks) note once per track
+    line = [((60, 480),), ((60, 240), (62, 240)), ((60, 240), (62, 240)),
+            ((62, 240), (60, 240)), ((64, 480),), ((60, 480),)]
+    for channel in (0, 0, 3):
+        encoded.clear()
+        checked.clear()
+        chunk = _line_chunk(line, channel)
+        assert Counter(encoded) == Counter({480: 2, 240: 2})
+        assert Counter(checked) == Counter({60: 2, 62: 1, 64: 1})
+        assert chunk == smf_note_track(_laid_out(line), channel)
 
 
 def test_negative_delta_is_rejected():
