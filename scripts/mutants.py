@@ -191,6 +191,26 @@ MUTANTS = (
            "bytes([0, on, pitch, VELOCITY])",
            "bytes([1, on, pitch, VELOCITY])",
            "an SATB note-on comes one tick after the note before it ends"),
+    Mutant("src/harmonizer/midiout.py",
+           "            pitch, duration = note\n            if type(pitch) is not int:",
+           "            pitch, duration = note\n            if False:",
+           "an SATB note's float pitch is written when it follows its int twin"),
+    Mutant("src/harmonizer/midiout.py",
+           "\n        if type(pitch) is not int:",
+           "\n        if False:",
+           "a rock note's float pitch is written when it follows its int twin"),
+    Mutant("src/harmonizer/midiout.py",
+           "sorted(events, key=itemgetter(0, 1))",
+           "sorted(events, key=itemgetter(0))",
+           "a rock note-on may come before a note-off at the same tick"),
+    Mutant("src/harmonizer/midiout.py",
+           "_chunk([time_signature, tempo])",
+           "_chunk([tempo, time_signature])",
+           "the meta track writes the tempo before the time signature"),
+    Mutant("src/harmonizer/corpus.py",
+           "key_pc={key.tonic_pc}",
+           "key_pc={key}",
+           "the progression document writes a rock key by name"),
     Mutant("src/harmonizer/harmonize.py",
            "        if t in by_beat:\n            record +=",
            "        if False:\n            record +=",

@@ -22,9 +22,9 @@ durations are written in beats; each is read once into whole 1/480-beat
 ticks (`beats_to_ticks`), and ticks are written back as beats with enough
 digits to read back to the same tick. All of these, and the score,
 progression and analysis documents the other modules write, share one
-grammar, read by `_header` and `_records` and written by
-`_format_records`, or for the score, record by record in one string each
-(`harmonize.to_score_document`).
+grammar, read by `_header` and `_records`. The writers,
+`format_progression` and `harmonize.to_score_document`, build each
+record as one string.
 
 `parse_corpus` reads the regular files of a directory (links to files
 included) in the order of their names compared as strings, each named as
@@ -202,29 +202,20 @@ def _records(lines, source: str, unit: str, required: tuple[str, ...] = ()
     return records
 
 
-def _format_records(header, records) -> str:
-    """Inverse of `_header` and `_records`: `header` is (name, value) pairs
-    and each record a sequence of (name, value) string pairs; records are
-    numbered from 0."""
-    lines = [f"{name}: {value}" for name, value in header]
-    lines += [" | ".join([str(index), *map("=".join, fields)])
-              for index, fields in enumerate(records)]
-    return "\n".join(lines) + "\n"
-
-
 def format_progression(annotation: ProgressionAnnotation, genre: str,
                        header=()) -> str:
-    """One record per label, the key written as the genre's files write
-    it: a chorale key by name (`key=`), a rock key by its tonic pitch
-    class alone (`key_pc=`)."""
-    records = []
-    for key, chord in zip(annotation.keys, annotation.chords):
-        if genre == "rock":
-            key_field = ("key_pc", str(key.tonic_pc))
-        else:
-            key_field = ("key", str(key))
-        records.append((key_field, ("roman", str(chord))))
-    return _format_records(header, records)
+    """One record per label, after the `name: value` lines of `header`'s
+    (name, value) pairs, the key written as the genre's files write it: a
+    chorale key by name (`key=`), a rock key by its tonic pitch class
+    alone (`key_pc=`)."""
+    lines = [f"{name}: {value}" for name, value in header]
+    labels = enumerate(zip(annotation.keys, annotation.chords))
+    if genre == "rock":
+        lines += [f"{t} | key_pc={key.tonic_pc} | roman={chord}"
+                  for t, (key, chord) in labels]
+    else:
+        lines += [f"{t} | key={key} | roman={chord}" for t, (key, chord) in labels]
+    return "\n".join(lines) + "\n"
 
 
 def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> int:
@@ -238,17 +229,13 @@ def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> i
     return value
 
 
-def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
-    """One chorale file's text; CorpusError at the first bad line."""
-    return _parse_chorale(text, source, functools.cache(_beat), None)
-
-
 def _parse_chorale(text: str, source: str, beat,
                    mode: str | None) -> AnnotatedChorale | None:
-    """`parse_chorale_text` with `beat`, a memo of `_beat` that the caller
-    may share between files. None, before any record is read, when the
-    header names a valid mode other than a `mode` that is not None; an
-    invalid mode header is reported after the records."""
+    """One chorale file's text, its beats read by `beat`, a memo of `_beat`
+    that the caller may share between files; CorpusError at the first bad
+    line. None, before any record is read, when the header names a valid
+    mode other than a `mode` that is not None; an invalid mode header is
+    reported after the records."""
     header, lines = _header(text, source)
     named = header.get("mode", "")
     if mode is not None and named in MODES and named != mode:

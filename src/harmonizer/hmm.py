@@ -318,19 +318,11 @@ def build_phrase_mask(chords) -> np.ndarray:
 def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
                      melody: MelodyLine, method: str = "viterbi") -> ProgressionAnnotation:
     """Two-stage decode: keys from the melody pitch classes, then chords
-    from the melody transposed against the decoded keys."""
-    melody_pcs = [midi % 12 for midi in melody.representatives()]
-    keys = tuple(decode(key_model, melody_pcs, method))
-    chords = decode_chords_given_keys(chord_model, melody, keys, method)
-    return ProgressionAnnotation(keys, tuple(chords))
-
-
-def decode_chords_given_keys(chord_model: HmmModel, melody: MelodyLine,
-                             keys, method: str = "viterbi") -> list[RomanChord]:
-    """Chord stage alone, with the key sequence supplied by the caller."""
-    deltas = [transposed_degree(p, k)
-              for p, k in zip(melody.representatives(), keys)]
-    return decode(chord_model, deltas, method)
+    from the melody's degrees in the decoded keys."""
+    pitches = melody.representatives()
+    keys = tuple(decode(key_model, [p % 12 for p in pitches], method))
+    degrees = [transposed_degree(p, k) for p, k in zip(pitches, keys)]
+    return ProgressionAnnotation(keys, tuple(decode(chord_model, degrees, method)))
 
 
 def train_key_chord_models(corpus, mask_enabled: bool | None = None,

@@ -8,7 +8,7 @@ the identical event list.
 An SATB voice line tiles its beats, each beat's notes filling exactly one
 beat, so its events already come in tick order: `_line_chunk` writes it
 note by note. Rock tracks hold chords and a drum pattern out of onset
-order, so they pass through `_note_events` and the sorting `_track_chunk`.
+order, so `_notes_chunk` sorts their events. `_chunk` frames every track.
 """
 
 from __future__ import annotations
@@ -56,14 +56,45 @@ def _var_len(value: int) -> bytes:
     return bytes(reversed(chunks))
 
 
-def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
-    """Serialize (tick, order, payload) events into an MTrk chunk with an
-    end-of-track marker. Events are sorted by tick, then by the order key
-    so note-offs precede note-ons at the same tick; the sort is stable, so
-    events with equal (tick, order) keep their list order."""
+def _chunk(parts: list[bytes]) -> bytes:
+    """The MTrk chunk of a track's encoded events, `parts`, closed by the
+    end-of-track marker."""
+    parts.append(END_OF_TRACK)
+    body = b"".join(parts)
+    return b"MTrk" + struct.pack(">I", len(body)) + body
+
+
+def _notes_chunk(notes: list[tuple[int, int, int]], channel: int) -> bytes:
+    """The MTrk chunk of (onset_tick, duration_tick, pitch) triples on
+    `channel`. Its events are sorted by tick, note-offs before note-ons at
+    the same tick; the sort is stable, so the note-ons of one tick keep
+    their list order. ValueError when an onset is not a non-negative whole
+    number of ticks, a duration is not a positive one or a pitch is not an
+    int, and `check_midi_pitch`'s error for a pitch outside 0-127."""
+    # one (on, off) pair per distinct pitch; a `functools.cache` of a
+    # per-pitch function was 7% slower (4.70 vs 4.40 ms to write the four
+    # tracks of a 300-measure arpeggio accompaniment, 7,500 notes, Python 3.11)
+    payloads = {}
+    events = []
+    for onset, duration, pitch in notes:
+        if type(onset) is not int or onset < 0:
+            raise ValueError(f"note onset is not a non-negative whole number"
+                             f" of ticks: {onset!r}")
+        if type(duration) is not int or duration < 1:
+            raise ValueError(f"note duration is not a positive whole number"
+                             f" of ticks: {duration!r}")
+        # checked before the memo: 48.0 finds 48's entry
+        if type(pitch) is not int:
+            raise ValueError(f"note pitch is not a whole MIDI number: {pitch!r}")
+        pair = payloads.get(pitch)
+        if pair is None:
+            check_midi_pitch(pitch)
+            pair = payloads[pitch] = (bytes([0x90 | channel, pitch, VELOCITY]),
+                                      bytes([0x80 | channel, pitch, 0]))
+        events.append((onset, 1, pair[0]))
+        events.append((onset + duration, 0, pair[1]))
     # one encoding per distinct delta; `functools.cache(_var_len)` was 11%
-    # slower (4.91 vs 4.40 ms to write the four tracks of a 300-measure
-    # arpeggio accompaniment, 7,500 notes, Python 3.11)
+    # slower (4.91 vs 4.40 ms, the same input)
     deltas = {}
     parts = []
     last_tick = 0
@@ -74,61 +105,33 @@ def _track_chunk(events: list[tuple[int, int, bytes]]) -> bytes:
             encoded = deltas[delta] = _var_len(delta)
         parts += (encoded, payload)
         last_tick = tick
-    parts.append(END_OF_TRACK)
-    body = b"".join(parts)
-    return b"MTrk" + struct.pack(">I", len(body)) + body
-
-
-def _note_events(notes: list[tuple[int, int, int]], channel: int):
-    """(onset_tick, duration_tick, pitch) triples to on/off event tuples;
-    ValueError when an onset is not a non-negative whole number of ticks
-    or a duration is not a positive one, and `check_midi_pitch`'s error
-    for a pitch outside 0-127."""
-    # one (on, off) pair per distinct pitch; a `functools.cache` of a
-    # per-pitch function was 7% slower (4.70 vs 4.40 ms, the input timed
-    # at `_track_chunk`)
-    payloads = {}
-    events = []
-    for onset, duration, pitch in notes:
-        if type(onset) is not int or onset < 0:
-            raise ValueError(f"note onset is not a non-negative whole number"
-                             f" of ticks: {onset!r}")
-        if type(duration) is not int or duration < 1:
-            raise ValueError(f"note duration is not a positive whole number"
-                             f" of ticks: {duration!r}")
-        pair = payloads.get(pitch)
-        if pair is None:
-            check_midi_pitch(pitch)
-            pair = payloads[pitch] = (bytes([0x90 | channel, pitch, VELOCITY]),
-                                      bytes([0x80 | channel, pitch, 0]))
-        events.append((onset, 1, pair[0]))
-        events.append((onset + duration, 0, pair[1]))
-    return events
+    return _chunk(parts)
 
 
 def _line_chunk(line, channel: int) -> bytes:
     """The MTrk chunk of one SATB voice line on `channel`, its notes in
     line order. Every note is `00`, its note-on, its duration as a delta
     and its note-off: in a line whose beats each last one beat this is
-    the sorted event list that `_track_chunk` writes. ValueError when a
-    duration is not a positive whole number of ticks or a beat's ticks do
-    not add up to one beat, and `check_midi_pitch`'s error for a pitch
-    outside 0-127."""
+    what `_notes_chunk` writes for the line's notes. ValueError when a
+    pitch is not an int, a duration is not a positive whole number of
+    ticks or a beat's ticks do not add up to one beat, and
+    `check_midi_pitch`'s error for a pitch outside 0-127."""
     on, off = 0x90 | channel, 0x80 | channel
     encoded = {}   # (pitch, ticks) -> its note's bytes
     parts = []
     for t, beat in enumerate(line):
         total = 0
         for note in beat:
-            # checked before the memo: (60, 240.0) finds (60, 240)'s entry
-            duration = note[1]
+            # checked first: (60.0, 240) and (60, 240.0) find (60, 240)'s memo entry
+            pitch, duration = note
+            if type(pitch) is not int:
+                raise ValueError(f"note pitch is not a whole MIDI number: {pitch!r}")
             if type(duration) is not int or duration < 1:
                 raise ValueError(f"note duration is not a positive whole number"
                                  f" of ticks: {duration!r}")
             total += duration
             part = encoded.get(note)
             if part is None:
-                pitch = note[0]
                 check_midi_pitch(pitch)
                 part = encoded[note] = (bytes([0, on, pitch, VELOCITY])
                                         + _var_len(duration)
@@ -137,19 +140,16 @@ def _line_chunk(line, channel: int) -> bytes:
         if total != PPQ:
             raise ValueError(f"{SATB[channel]} beat {t} lasts {total} ticks,"
                              f" not {PPQ}")
-    parts.append(END_OF_TRACK)
-    body = b"".join(parts)
-    return b"MTrk" + struct.pack(">I", len(body)) + body
+    return _chunk(parts)
 
 
-def _meta_track(tempo_bpm: int) -> list[tuple[int, int, bytes]]:
-    usec_per_quarter = 60_000_000 // tempo_bpm
-    tempo = struct.pack(">I", usec_per_quarter)[1:]
-    return [
-        # time signature BEATS_PER_BAR/4
-        (0, 0, bytes([0xFF, 0x58, 0x04, BEATS_PER_BAR, 0x02, 0x18, 0x08])),
-        (0, 0, bytes([0xFF, 0x51, 0x03]) + tempo),
-    ]
+def _meta_chunk(tempo_bpm: int) -> bytes:
+    """The first track: at tick 0, the time signature BEATS_PER_BAR/4 and
+    then the tempo."""
+    time_signature = bytes([0, 0xFF, 0x58, 0x04, BEATS_PER_BAR, 0x02, 0x18, 0x08])
+    usec_per_quarter = struct.pack(">I", 60_000_000 // tempo_bpm)[1:]
+    tempo = bytes([0, 0xFF, 0x51, 0x03]) + usec_per_quarter
+    return _chunk([time_signature, tempo])
 
 
 def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
@@ -165,11 +165,11 @@ def write_midi(score: Harmonization | AccompanimentScore, path: str | Path,
         tempo = tempo_bpm or ROCK_TEMPO
         layout = [(0, score.melody_track), (1, score.bass_track),
                   (2, score.keys_track), (DRUM_CHANNEL, score.drum_track)]
-        tracks = [_track_chunk(_note_events(notes, channel))
+        tracks = [_notes_chunk(notes, channel)
                   for channel, notes in layout if notes]
     else:
         raise TypeError(f"cannot write {type(score).__name__} as MIDI")
-    chunks = [_track_chunk(_meta_track(tempo)), *tracks]
+    chunks = [_meta_chunk(tempo), *tracks]
     header = b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), PPQ)
     out = Path(path)
     out.write_bytes(header + b"".join(chunks))

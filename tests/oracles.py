@@ -11,9 +11,10 @@ out every event, the Roman-numeral grammar as a regular expression
 with a branch for each marker and case, a piece moved by some
 semitones note by note, its keys rebuilt from their tonics, ornament
 insertion as one branch and one write per ornament type, the
-ornament rates as a list of yes/no sites per type, and the score
-document as (name, value) fields per record joined by the shared record
-writer.
+ornament rates as a list of yes/no sites per type, the score and
+progression documents as (name, value) fields per record joined by one
+record writer, the chord stage of the two-stage decode given the keys,
+and a chorale file parsed alone.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from harmonizer.core import (
     chord_tone_pcs,
     diatonic_pcs,
     leading_tone_pc,
+    transposed_degree,
 )
-from harmonizer.corpus import AnnotatedChorale, _format_note_list, _format_records
+from harmonizer.corpus import AnnotatedChorale, _beat, _format_note_list, _parse_chorale
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -56,6 +58,7 @@ from harmonizer.hmm import (
     HmmError,
     HmmModel,
     _indices,
+    decode,
 )
 from harmonizer.ornament import _scale_tone_between, _upper_scale_tone
 
@@ -206,6 +209,15 @@ def brute_force_posteriors(model: HmmModel, observed) -> np.ndarray:
 def _log_array(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(values)
+
+
+def decode_chords_given_keys(chord_model: HmmModel, melody: MelodyLine,
+                             keys, method: str = "viterbi") -> list[RomanChord]:
+    """The chord stage of `hmm.decode_key_chord` alone, with the key
+    sequence supplied by the caller."""
+    return decode(chord_model, [transposed_degree(p, k)
+                                for p, k in zip(melody.representatives(), keys)],
+                  method)
 
 
 def sequence_log_probability(model: HmmModel, hidden, observed) -> float:
@@ -510,9 +522,25 @@ def ornament_rate_reference(pieces) -> dict[str, float]:
             for name, filled in sites.items()}
 
 
+def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
+    """One chorale file's text; CorpusError at the first bad line."""
+    return _parse_chorale(text, source, functools.cache(_beat), None)
+
+
+def _format_records(header, records) -> str:
+    """Inverse of `corpus._header` and `corpus._records`: `header` is
+    (name, value) pairs and each record a sequence of (name, value) string
+    pairs; records are numbered from 0. The reference for both text
+    writers, `corpus.format_progression` and `harmonize.to_score_document`."""
+    lines = [f"{name}: {value}" for name, value in header]
+    lines += [" | ".join([str(index), *map("=".join, fields)])
+              for index, fields in enumerate(records)]
+    return "\n".join(lines) + "\n"
+
+
 def score_document_reference(h, title: str = "harmonization") -> str:
     """`harmonize.to_score_document` as a list of (name, value) fields per
-    beat, handed to `corpus._format_records` for the joining."""
+    beat, handed to `_format_records` for the joining."""
     by_beat = {}
     for v in h.violation_log:
         by_beat.setdefault(v.beat_index, []).append(v)

@@ -20,7 +20,6 @@ from harmonizer.harmonize import (
 from harmonizer.hmm import (
     HmmModel,
     apply_override,
-    decode_chords_given_keys,
     decode_key_chord,
     train_key_chord_models,
     viterbi,
@@ -33,6 +32,7 @@ from harmonizer.rock import render_accompaniment
 from oracles import (
     brute_force_argmax_set,
     brute_force_posteriors,
+    decode_chords_given_keys,
     sequence_log_probability,
     shifted,
 )

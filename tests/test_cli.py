@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from harmonizer import cli
 from harmonizer.cli import main
-from harmonizer.corpus import _format_note_list, _format_records
+from harmonizer.corpus import _format_note_list
 from harmonizer.harmonize import Violation
 
+from oracles import _format_records
 from smf_reader import read_midi
 from test_harmonize import _concatenated
 

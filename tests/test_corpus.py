@@ -14,6 +14,8 @@ from harmonizer.core import (
     KeyLabel,
     MusicError,
     ProgressionAnnotation,
+    RomanChord,
+    all_keys,
     chord_root_pc,
     transposed_degree,
 )
@@ -22,19 +24,17 @@ from harmonizer.corpus import (
     AnnotatedChorale,
     Corpus,
     CorpusError,
-    parse_chorale_text,
     parse_corpus,
     parse_melody_text,
     parse_rock_text,
     reference_offset,
     _beat,
     _format_note_list,
-    _format_records,
     _header,
     _records,
 )
 
-from oracles import shifted
+from oracles import _format_records, parse_chorale_text, shifted
 
 VALID_CHORALE = """\
 id: tiny
@@ -308,6 +308,27 @@ def test_written_records_read_back(header, records):
     got = _records(lines, "t.txt", "beat")
     assert got_header == header
     assert [fields for _, fields in got] == records
+
+
+_CHORDS = tuple(map(RomanChord.from_string, (
+    "I", "ii6", "V7", "V65", "viio6", "bVII", "bIII", "IV64", "vi", "V42")))
+
+
+@given(genre=st.sampled_from(corpus.GENRES),
+       header=st.lists(st.tuples(_NAMES, _VALUES), max_size=3),
+       labels=st.lists(st.tuples(st.sampled_from(all_keys()),
+                                 st.sampled_from(_CHORDS)), max_size=8))
+def test_progression_document_matches_record_writer(genre, header, labels):
+    keys, chords = zip(*labels) if labels else ((), ())
+    if genre == "rock":
+        fields = [(("key_pc", str(key.tonic_pc)), ("roman", str(chord)))
+                  for key, chord in labels]
+    else:
+        fields = [(("key", str(key)), ("roman", str(chord)))
+                  for key, chord in labels]
+    document = corpus.format_progression(ProgressionAnnotation(keys, chords),
+                                         genre, header)
+    assert document == _format_records(header, fields)
 
 
 @pytest.mark.parametrize("line, message", [

@@ -30,7 +30,6 @@ from harmonizer.hmm import (
     apply_override,
     build_phrase_mask,
     decode,
-    decode_chords_given_keys,
     decode_key_chord,
     estimate,
     load_bundle,
@@ -48,6 +47,7 @@ from oracles import (
     brute_force_prefix_best,
     brute_force_viterbi,
     counting_estimate,
+    decode_chords_given_keys,
     distribute_row,
     lattice_path_total,
     sequence_log_probability,

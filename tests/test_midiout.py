@@ -20,8 +20,7 @@ from harmonizer.hmm import read_transition_csv
 from harmonizer.midiout import (
     PPQ,
     _line_chunk,
-    _note_events,
-    _track_chunk,
+    _notes_chunk,
     export_functional_summary,
     export_matrices,
     functional_summary,
@@ -159,7 +158,7 @@ _NOTES = st.lists(st.tuples(_TICKS, _DURATIONS, st.integers(0, 127)), max_size=4
 @example(notes=[(0, 480, 60), (0, 480, 64), (240, 480, 67), (480, 240, 60),
                 (480, 240, 64), (720 + 2 ** 14, 480, 72)], channel=2)
 def test_track_bytes_match_literal_encoder(notes, channel):
-    assert _track_chunk(_note_events(notes, channel)) == smf_note_track(notes, channel)
+    assert _notes_chunk(notes, channel) == smf_note_track(notes, channel)
 
 
 def _laid_out(line) -> list[tuple[int, int, int]]:
@@ -238,6 +237,22 @@ def test_float_duration_raises_after_its_int_twin(tmp_path):
         write_midi(h, tmp_path / "float.mid")
 
 
+@pytest.mark.parametrize("first,second", [(64, 64.0), (64.0, 64)])
+def test_float_pitch_raises_in_either_order(tmp_path, first, second):
+    # 64.0 == 64 and both hash alike, so a pitch memo that the check came
+    # after would write the float when it follows its int twin
+    h = tiny_harmonization(2)
+    h.alto_line = [((first, 480),), ((second, 480),)]
+    with pytest.raises(ValueError, match="^note pitch is not a whole MIDI"
+                       " number: 64.0$"):
+        write_midi(h, tmp_path / "float.mid")
+    score = tiny_accompaniment()
+    score.bass_track[:2] = [(0, 480, first - 16), (480, 480, second - 16)]
+    with pytest.raises(ValueError, match="^note pitch is not a whole MIDI"
+                       " number: 48.0$"):
+        write_midi(score, tmp_path / "float-rock.mid")
+
+
 @pytest.mark.parametrize("beat,voice,total", [
     (((55, 240), (57, 480)), "tenor", 720),
     (((55, 240),), "tenor", 240),
@@ -258,7 +273,7 @@ def test_chorale_beat_not_one_beat_long_raises(tmp_path, beat, voice, total):
 
 def test_pitch_check_fires_after_valid_pitches(tmp_path):
     with pytest.raises(ValueError, match="^MIDI pitch out of range 0-127: 128$"):
-        _note_events([(0, 480, 60), (480, 480, 127), (960, 480, 60),
+        _notes_chunk([(0, 480, 60), (480, 480, 127), (960, 480, 60),
                       (1440, 480, 128)], 0)
     score = tiny_accompaniment()
     score.bass_track[:3] = [(0, 240, 48), (240, 240, 48), (480, 480, 128)]
@@ -285,10 +300,9 @@ def test_writer_memos_run_once_per_distinct_input_per_call(monkeypatch):
     for channel in (0, 0, 3):
         encoded.clear()
         checked.clear()
-        events = _note_events(notes, channel)
+        chunk = _notes_chunk(notes, channel)
         assert Counter(checked) == Counter({60, 62, 64})
-        ticks = sorted(tick for tick, _, _ in events)
-        chunk = _track_chunk(events)
+        ticks = sorted([on for on, _, _ in notes] + [on + d for on, d, _ in notes])
         assert Counter(encoded) == Counter({b - a for a, b in zip([0] + ticks, ticks)})
         assert chunk == smf_note_track(notes, channel)
     # an SATB line encodes each distinct (pitch, ticks) note once per track
@@ -305,7 +319,7 @@ def test_writer_memos_run_once_per_distinct_input_per_call(monkeypatch):
 
 def test_negative_delta_is_rejected():
     with pytest.raises(ValueError, match="negative delta time"):
-        _track_chunk([(-1, 0, bytes([0x80, 60, 0]))])
+        midiout._var_len(-1)
 
 
 def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
@@ -343,7 +357,7 @@ def test_off_grid_fraction_after_ornaments_raises(tmp_path, major_bundle,
     notes = read_midi(write_midi(score, tmp_path / "late.mid")).tracks[3].notes
     assert (pitch, 8 * PPQ, duration) in [(p, o, d) for p, o, d, _ in notes]
     with pytest.raises(ValueError, match="onset .* ticks: 0.5$"):
-        _note_events([(0, PPQ, 60), (0.5, PPQ, 62)], 0)
+        _notes_chunk([(0, PPQ, 60), (0.5, PPQ, 62)], 0)
 
 
 # --- matrix exports -------------------------------------------------------------

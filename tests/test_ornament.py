@@ -18,7 +18,7 @@ from harmonizer.core import (
     diatonic_pcs,
 )
 from harmonizer import hmm, ornament
-from harmonizer.corpus import AnnotatedChorale, Corpus, parse_chorale_text
+from harmonizer.corpus import AnnotatedChorale, Corpus
 from harmonizer.harmonize import (
     Arrangement,
     Harmonization,
@@ -32,7 +32,7 @@ from harmonizer.ornament import (
     estimate_ornament_rates,
     insert_ornaments,
 )
-from oracles import ornament_rate_reference, ornament_reference
+from oracles import ornament_rate_reference, ornament_reference, parse_chorale_text
 
 C = KeyLabel(0, MAJOR)
 

@@ -20,7 +20,7 @@ from harmonizer.corpus import (
 from harmonizer.hmm import METHODS, decode_key_chord
 from harmonizer.rock import PATTERNS, harmonize_rock, render_accompaniment
 
-from oracles import brute_force_viterbi, shifted
+from oracles import brute_force_viterbi, decode_chords_given_keys, shifted
 
 I, IV, V = map(RomanChord.from_string, ("I", "IV", "V"))
 C = KeyLabel.from_string("C")
@@ -90,8 +90,6 @@ def test_single_measure_matches_brute_force(rock_bundle):
 
 
 def test_transposed_melody_with_forced_keys_same_numerals(rock_bundle):
-    from harmonizer.hmm import decode_chords_given_keys
-
     melody = line(0, 4, 7, 5, 9, 0)
     annotation = decode(rock_bundle, melody)
     shift = 5
