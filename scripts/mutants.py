@@ -215,6 +215,45 @@ MUTANTS = (
            "        if t in by_beat:\n            record +=",
            "        if False:\n            record +=",
            "the score record leaves out its violations field"),
+    Mutant("src/harmonizer/corpus.py",
+           "        value = values.get(record)\n"
+           "        if value is None:\n"
+           "            key_pc, root_pc, melody_pc = (_pitch_class(fields, name,"
+           " source, lineno)\n"
+           "                                          for name in _ROCK_FIELDS)\n",
+           "        value = values.get(record)\n"
+           "        if isinstance(value, CorpusError):\n"
+           "            raise value\n"
+           "        if value is None:\n"
+           "            try:\n"
+           "                key_pc, root_pc, melody_pc = (_pitch_class(fields, name,"
+           " source, lineno)\n"
+           "                                              for name in _ROCK_FIELDS)\n"
+           "            except CorpusError as exc:\n"
+           "                values[record] = exc\n"
+           "                raise\n",
+           "a rock record whose value fails is stored with its first location"),
+    Mutant("src/harmonizer/corpus.py",
+           "parse = functools.partial(_parse_chorale, memo={},",
+           "parse = functools.partial(_parse_chorale,"
+           ' memo=_parse_chorale.__dict__.setdefault("memo", {}),',
+           "the chorale record memo is kept at module level and outlives the call"),
+    Mutant("src/harmonizer/corpus.py",
+           "        if not bar:\n            text = None\n",
+           "",
+           "a record with no | is keyed the same as one ending in |"),
+    Mutant("src/harmonizer/hmm.py",
+           "    text = read_text(path)\n"
+           "    try:\n"
+           "        shared = _parse_bundle(text)\n",
+           "    text = read_text(path)\n"
+           "    stat = Path(path).stat()\n"
+           '    memo = load_bundle.__dict__.setdefault("memo", {})\n'
+           "    key = (str(path), stat.st_size, stat.st_mtime_ns)\n"
+           "    try:\n"
+           "        shared = memo[key] if key in memo else"
+           " memo.setdefault(key, _parse_bundle(text))\n",
+           "a model file is read once per path, size and mtime, not per text"),
 )
 
 

@@ -31,10 +31,16 @@ included) in the order of their names compared as strings, each named as
 `str(directory / name)`. Given a mode it still reads every file and its
 header, once, but the chorale reader parses the records only of the
 pieces it keeps: a file whose header names the other mode ends there.
-Each parse call, of a corpus or of one melody, parses each distinct `notes`
-text once (a `functools.cache` of `_beat` that lives for the call), so
-equal beats are one shared object. A text that fails is never cached, so
-each file and line that holds it reports its own error.
+Each parse call, of a corpus or of one melody, reads each distinct record
+text once: one dict that lives for the call maps the text after a record's
+index to its checked fields, so records written the same way in any file
+share one fields dict. The index and order checks run on every line. The
+call also parses each distinct `notes` text once (a `functools.cache` of
+`_beat`), so equal beats are one shared object, and a rock corpus reads
+each distinct record text's (event, key, chord) once. All records of a
+file are checked against the grammar before any value is read. A text that
+fails is never stored, so each file and line that holds it reports its own
+error. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -73,10 +79,11 @@ class CorpusError(ValueError):
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; CorpusError naming the file when its bytes
-    are not UTF-8. Every input file is read through here."""
+    """The text of a UTF-8 file, less a byte-order mark at its start;
+    CorpusError naming the file when its bytes are not UTF-8. Every input
+    file is read through here."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise CorpusError(f"not UTF-8 text: {exc}", str(path))
@@ -165,16 +172,24 @@ def _header(text: str, source: str):
     return header, lines
 
 
-def _records(lines, source: str, unit: str, required: tuple[str, ...] = ()
-             ) -> list[tuple[int, dict[str, str]]]:
+def _records(lines, source: str, unit: str, required: set[str] | frozenset[str],
+             memo: dict[str | None, dict[str, str]]
+             ) -> list[tuple[int, str | None, dict[str, str]]]:
     """Read the record grammar shared by every text file from the lines
     that `_header` leaves after a file's `name: value` header lines:
     `index | name=value | ...` records whose indices run 0, 1, 2, ...
-    Returns one (line, fields) pair per record, each record naming each
-    field at most once and holding every field named in `required`."""
+    Returns one (line, text, fields) triple per record, each record naming
+    each field at most once and holding every field named in `required`.
+    `text` is the record after its first `|`, or None for a record with no
+    `|` and so no fields (the empty text is a record ending in `|`).
+
+    `memo` maps each text already read to its checked fields. The caller
+    keeps it for one read call, with one `required`, so equal texts share
+    one fields dict, which no caller changes. A text that fails is never stored, so each
+    line that holds it reports its own error."""
     records = []
     for lineno, line in lines:
-        head, *parts = line.split("|")
+        head, bar, text = line.partition("|")
         try:
             index = int(head)  # int() skips the blanks that strip() would
         except ValueError:
@@ -183,20 +198,25 @@ def _records(lines, source: str, unit: str, required: tuple[str, ...] = ()
         if index != len(records):
             raise CorpusError(f"{unit} index {index} out of order,"
                               f" expected {len(records)}", source, lineno)
-        fields = {}
-        for part in parts:
-            name, equals, value = part.partition("=")
-            if not equals:
-                raise CorpusError(f"expected field=value, got {part.strip()!r}",
-                                  source, lineno)
-            name = name.strip()
-            if name in fields:
-                raise CorpusError(f"field named twice: {name!r}", source, lineno)
-            fields[name] = value.strip()
-        missing = [name for name in required if name not in fields]
-        if missing:
-            raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
-        records.append((lineno, fields))
+        if not bar:
+            text = None
+        fields = memo.get(text)
+        if fields is None:
+            fields = {}
+            for part in text.split("|") if bar else ():
+                name, equals, value = part.partition("=")
+                if not equals:
+                    raise CorpusError(f"expected field=value, got {part.strip()!r}",
+                                      source, lineno)
+                name = name.strip()
+                if name in fields:
+                    raise CorpusError(f"field named twice: {name!r}", source, lineno)
+                fields[name] = value.strip()
+            if not fields.keys() >= required:
+                missing = sorted(required.difference(fields))
+                raise CorpusError(f"missing fields: {missing}", source, lineno)
+            memo[text] = fields
+        records.append((lineno, text, fields))
     if not records:
         raise CorpusError("file has no records", source)
     return records
@@ -229,22 +249,23 @@ def _pitch_class(fields: dict[str, str], name: str, source: str, line: int) -> i
     return value
 
 
-def _parse_chorale(text: str, source: str, beat,
+def _parse_chorale(text: str, source: str, memo, beat,
                    mode: str | None) -> AnnotatedChorale | None:
-    """One chorale file's text, its beats read by `beat`, a memo of `_beat`
-    that the caller may share between files; CorpusError at the first bad
-    line. None, before any record is read, when the header names a valid
-    mode other than a `mode` that is not None; an invalid mode header is
+    """One chorale file's text, its records read through `memo` (see
+    `_records`) and its beats by `beat`, a memo of `_beat`, both of which
+    the caller may share between files; CorpusError at the first bad line.
+    None, before any record is read, when the header names a valid mode
+    other than a `mode` that is not None; an invalid mode header is
     reported after the records."""
     header, lines = _header(text, source)
     named = header.get("mode", "")
     if mode is not None and named in MODES and named != mode:
         return None
-    records = _records(lines, source, "beat", ("notes", "key", "roman"))
+    records = _records(lines, source, "beat", {"notes", "key", "roman"}, memo)
     if named not in MODES:
         raise CorpusError(f"missing or invalid mode header: {named!r}", source)
     events, keys, chords = [], [], []
-    for lineno, fields in records:
+    for lineno, _, fields in records:
         try:
             events.append(beat(fields["notes"]))
             keys.append(KeyLabel.from_string(fields["key"]))
@@ -267,20 +288,32 @@ _ROCK_CHORDS = tuple(map(RomanChord.from_string, (
     "I", "bII", "ii", "bIII", "iii", "IV", "bV", "V", "bVI", "vi", "bVII", "viio")))
 
 
-def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
-    """Measure-level rock analyses, converted to the same event structure:
-    keys become major KeyLabels, chord roots become root-position triads, and
-    each measure becomes one beat (`_MEASURE_EVENTS`)."""
-    names = ("key_pc", "roman_root_pc", "melody_degree_pc")
+_ROCK_FIELDS = ("key_pc", "roman_root_pc", "melody_degree_pc")
+
+
+def _parse_rock(text: str, source: str, memo, values) -> AnnotatedChorale:
+    """One rock file's measure-level analysis, converted to the chorale
+    event structure: keys become major KeyLabels, chord roots become
+    root-position triads, and each measure becomes one beat
+    (`_MEASURE_EVENTS`). Its records are read through `memo` (see
+    `_records`), and `values` maps each record text already read to its
+    (event, key, chord); the caller may share both between files. A text
+    whose value fails is never stored."""
     header, lines = _header(text, source)
-    records = _records(lines, source, "measure", names)
+    records = _records(lines, source, "measure", set(_ROCK_FIELDS), memo)
     events, keys, chords = [], [], []
-    for lineno, fields in records:
-        key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
-                                      for name in names)
-        events.append(_MEASURE_EVENTS[melody_pc])
-        keys.append(all_keys()[key_pc])  # majors come first
-        chords.append(_ROCK_CHORDS[(root_pc - key_pc) % 12])
+    for lineno, record, fields in records:
+        value = values.get(record)
+        if value is None:
+            key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
+                                          for name in _ROCK_FIELDS)
+            value = values[record] = (_MEASURE_EVENTS[melody_pc],
+                                      all_keys()[key_pc],  # majors come first
+                                      _ROCK_CHORDS[(root_pc - key_pc) % 12])
+        event, key, chord = value
+        events.append(event)
+        keys.append(key)
+        chords.append(chord)
     try:
         return AnnotatedChorale(header.get("id", source), "major", tuple(events),
                                 ProgressionAnnotation(tuple(keys), tuple(chords)))
@@ -291,8 +324,8 @@ def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
 def parse_corpus(path: str | Path, genre: str = "chorale",
                  mode: str | None = None) -> Corpus:
     """Parse the pieces of `mode` (every piece when None) from the files of
-    a directory, in name order; subdirectories are skipped. One `_beat` memo
-    serves every file.
+    a directory, in name order; subdirectories are skipped. One record
+    memo, and one `_beat` memo or rock value memo, serve every file.
 
     Every file is read, but the chorale reader skips a file whose header
     names a valid mode other than `mode` after that header: its records
@@ -314,10 +347,10 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
     # prefix + name is str(directory / name): no "./" for ".", one "/"
     prefix = str(directory / "_")[:-1]
     if genre == "chorale":
-        parse = functools.partial(_parse_chorale, beat=functools.cache(_beat),
-                                  mode=mode)
+        parse = functools.partial(_parse_chorale, memo={},
+                                  beat=functools.cache(_beat), mode=mode)
     else:
-        parse = parse_rock_text
+        parse = functools.partial(_parse_rock, memo={}, values={})
     chorales = []
     problems = []
     for name in names:
@@ -337,10 +370,10 @@ def parse_corpus(path: str | Path, genre: str = "chorale",
 def parse_melody_text(text: str, source: str = "<text>") -> MelodyLine:
     """Melody-only schema: the chorale record grammar without key/roman.
     Extra annotation columns are tolerated and ignored."""
-    records = _records(_header(text, source)[1], source, "beat", ("notes",))
+    records = _records(_header(text, source)[1], source, "beat", {"notes"}, {})
     beat = functools.cache(_beat)
     events = []
-    for lineno, fields in records:
+    for lineno, _, fields in records:
         try:
             events.append(beat(fields["notes"]))
         except MusicError as exc:
@@ -356,12 +389,12 @@ def parse_melody_file(path: str | Path, genre: str = "chorale") -> MelodyLine:
 
 
 def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
-    """A rock melody, one beat per measure as in `parse_rock_text`."""
+    """A rock melody, one beat per measure as in a rock corpus file."""
     records = _records(_header(text, source)[1], source, "measure",
-                       ("melody_degree_pc",))
+                       {"melody_degree_pc"}, {})
     return MelodyLine(tuple(
         _MEASURE_EVENTS[_pitch_class(fields, "melody_degree_pc", source, lineno)]
-        for lineno, fields in records))
+        for lineno, _, fields in records))
 
 
 def reference_offset(chorale: AnnotatedChorale) -> int:

@@ -14,7 +14,8 @@ insertion as one branch and one write per ornament type, the
 ornament rates as a list of yes/no sites per type, the score and
 progression documents as (name, value) fields per record joined by one
 record writer, the chord stage of the two-stage decode given the keys,
-and a chorale file parsed alone.
+a chorale or rock file parsed alone, and the text readers with no memo, each
+record read from its own line.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 
 from harmonizer.core import (
     BEATS_PER_BAR,
+    MAJOR,
+    MODES,
     PPQ,
     BeatEvent,
     KeyLabel,
@@ -42,7 +46,20 @@ from harmonizer.core import (
     leading_tone_pc,
     transposed_degree,
 )
-from harmonizer.corpus import AnnotatedChorale, _beat, _format_note_list, _parse_chorale
+from harmonizer.corpus import (
+    _MEASURE_EVENTS,
+    _ROCK_CHORDS,
+    AnnotatedChorale,
+    Corpus,
+    CorpusError,
+    _beat,
+    _format_note_list,
+    _header,
+    _parse_chorale,
+    _parse_rock,
+    _pitch_class,
+    read_text,
+)
 from harmonizer.harmonize import (
     ALTO_RANGE,
     BASS_RANGE,
@@ -524,7 +541,135 @@ def ornament_rate_reference(pieces) -> dict[str, float]:
 
 def parse_chorale_text(text: str, source: str = "<text>") -> AnnotatedChorale:
     """One chorale file's text; CorpusError at the first bad line."""
-    return _parse_chorale(text, source, functools.cache(_beat), None)
+    return _parse_chorale(text, source, {}, functools.cache(_beat), None)
+
+
+def parse_rock_text(text: str, source: str = "<text>") -> AnnotatedChorale:
+    """One rock file's text; CorpusError at the first bad line."""
+    return _parse_rock(text, source, {}, {})
+
+
+# --- the text readers with no memo ----------------------------------------
+
+def reference_records(lines, source: str, unit: str, required: tuple[str, ...] = ()
+             ) -> list[tuple[int, dict[str, str]]]:
+    """Read the record grammar shared by every text file from the lines
+    that `_header` leaves after a file's `name: value` header lines:
+    `index | name=value | ...` records whose indices run 0, 1, 2, ...
+    Returns one (line, fields) pair per record, each record naming each
+    field at most once and holding every field named in `required`."""
+    records = []
+    for lineno, line in lines:
+        head, *parts = line.split("|")
+        try:
+            index = int(head)  # int() skips the blanks that strip() would
+        except ValueError:
+            raise CorpusError(f"record must start with an integer index:"
+                              f" {head.strip()!r}", source, lineno)
+        if index != len(records):
+            raise CorpusError(f"{unit} index {index} out of order,"
+                              f" expected {len(records)}", source, lineno)
+        fields = {}
+        for part in parts:
+            name, equals, value = part.partition("=")
+            if not equals:
+                raise CorpusError(f"expected field=value, got {part.strip()!r}",
+                                  source, lineno)
+            name = name.strip()
+            if name in fields:
+                raise CorpusError(f"field named twice: {name!r}", source, lineno)
+            fields[name] = value.strip()
+        missing = [name for name in required if name not in fields]
+        if missing:
+            raise CorpusError(f"missing fields: {sorted(missing)}", source, lineno)
+        records.append((lineno, fields))
+    if not records:
+        raise CorpusError("file has no records", source)
+    return records
+
+
+def reference_chorale(text: str, source: str, mode=None):
+    """`corpus._parse_chorale` with no memo: each record's grammar, notes,
+    key and chord are read from its own line."""
+    header, lines = _header(text, source)
+    named = header.get("mode", "")
+    if mode is not None and named in MODES and named != mode:
+        return None
+    records = reference_records(lines, source, "beat", ("notes", "key", "roman"))
+    if named not in MODES:
+        raise CorpusError(f"missing or invalid mode header: {named!r}", source)
+    events, keys, chords = [], [], []
+    for lineno, fields in records:
+        try:
+            events.append(_beat(fields["notes"]))
+            keys.append(KeyLabel.from_string(fields["key"]))
+            chords.append(RomanChord.from_string(fields["roman"]))
+        except MusicError as exc:
+            raise CorpusError(str(exc), source, lineno)
+    try:
+        return AnnotatedChorale(header.get("id", source), named, tuple(events),
+                                ProgressionAnnotation(tuple(keys), tuple(chords)))
+    except MusicError as exc:
+        raise CorpusError(str(exc), source)
+
+
+def reference_rock(text: str, source: str = "<text>"):
+    """`corpus.parse_rock_text` with no memo."""
+    names = ("key_pc", "roman_root_pc", "melody_degree_pc")
+    header, lines = _header(text, source)
+    records = reference_records(lines, source, "measure", names)
+    events, keys, chords = [], [], []
+    for lineno, fields in records:
+        key_pc, root_pc, melody_pc = (_pitch_class(fields, name, source, lineno)
+                                      for name in names)
+        events.append(_MEASURE_EVENTS[melody_pc])
+        keys.append(KeyLabel(key_pc, MAJOR))
+        chords.append(_ROCK_CHORDS[(root_pc - key_pc) % 12])
+    try:
+        return AnnotatedChorale(header.get("id", source), "major", tuple(events),
+                                ProgressionAnnotation(tuple(keys), tuple(chords)))
+    except MusicError as exc:
+        raise CorpusError(str(exc), source)
+
+
+def reference_corpus(directory, genre: str, mode=None) -> Corpus:
+    """`corpus.parse_corpus` of a directory that holds only files, each
+    read alone by `reference_chorale` or `reference_rock`."""
+    pieces, problems = [], []
+    for path in sorted(map(str, Path(directory).iterdir())):
+        try:
+            text = read_text(path)
+            piece = (reference_chorale(text, path, mode) if genre == "chorale"
+                     else reference_rock(text, path))
+        except CorpusError as exc:
+            problems.append(str(exc))
+            continue
+        if piece is not None and mode in (None, piece.mode):
+            pieces.append(piece)
+    if problems:
+        raise CorpusError("corpus parse failed:\n" + "\n".join(problems))
+    return Corpus(tuple(pieces), genre)
+
+
+def reference_melody(text: str, source: str = "<text>") -> MelodyLine:
+    """`corpus.parse_melody_text` with no memo."""
+    records = reference_records(_header(text, source)[1], source, "beat", ("notes",))
+    events = []
+    for lineno, fields in records:
+        try:
+            events.append(_beat(fields["notes"]))
+        except MusicError as exc:
+            raise CorpusError(str(exc), source, lineno)
+    return MelodyLine(tuple(events))
+
+
+def reference_rock_melody(text: str, source: str = "<text>") -> MelodyLine:
+    """`corpus.parse_rock_melody_text` with no memo."""
+    records = reference_records(_header(text, source)[1], source, "measure",
+                                ("melody_degree_pc",))
+    return MelodyLine(tuple(
+        _MEASURE_EVENTS[_pitch_class(fields, "melody_degree_pc", source, lineno)]
+        for lineno, fields in records))
 
 
 def _format_records(header, records) -> str:

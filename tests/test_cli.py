@@ -687,6 +687,58 @@ def test_undecodable_text_file_exits_2(capsys, tmp_path, trained_model,
         assert f"{bad.parent / 'b.txt'}: missing or invalid mode" in err
 
 
+def test_inputs_with_a_byte_order_mark_read_as_without_one(tmp_path, trained_model,
+                                                           trained_rock_model,
+                                                           data_dir):
+    def marked(path, directory=tmp_path / "marked"):
+        """A copy of the file under the same name, a UTF-8 BOM before it."""
+        directory.mkdir(exist_ok=True)
+        copy = directory / path.name
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def harmonize(tag, *inputs):
+        model, melody, config = map(str, inputs)
+        midi, score = tmp_path / f"{tag}.mid", tmp_path / f"{tag}.txt"
+        assert main(["harmonize", "--model", model, "--melody", melody,
+                     "--config", config, "--out-midi", str(midi),
+                     "--out-score", str(score)]) == 0
+        return midi.read_bytes(), score.read_bytes()
+
+    config = tmp_path / "run.json"
+    config.write_text('{"method": "posterior", "ornaments": true, "rng_seed": 7}')
+    rock_config = tmp_path / "rock-run.json"
+    rock_config.write_text('{"method": "posterior"}')
+    melody = data_dir / "melodies" / "m01.txt"
+    tune = tmp_path / "tune.txt"
+    tune.write_text("0 | melody_degree_pc=0\n1 | melody_degree_pc=7\n")
+    for inputs in [(trained_model, melody, config),
+                   (trained_rock_model, tune, rock_config)]:
+        assert harmonize("plain", *inputs) == harmonize("marked", *map(marked, inputs))
+    # a corpus whose files open with the mode header trains the same model
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in sorted((data_dir / "chorales").iterdir()):
+        lines = path.read_text().splitlines(keepends=True)
+        (corpus / path.name).write_text("".join([lines[1], lines[0], *lines[2:]]))
+        assert lines[1].startswith("mode: ")
+        marked(corpus / path.name, tmp_path / "marked-corpus")
+    retrained = tmp_path / "retrained.json"
+    assert main(["train", "--corpus", str(tmp_path / "marked-corpus"), "--mode", "major",
+                 "--out", str(retrained)]) == 0
+    assert retrained.read_bytes() == trained_model.read_bytes()
+    assert main(["export", "--model", str(trained_model),
+                 "--out-dir", str(tmp_path / "reports")]) == 0
+    csv = tmp_path / "reports" / "chord_transition.csv"
+    overridden = []
+    for transitions in (csv, marked(csv)):
+        out = tmp_path / f"override-{len(overridden)}.json"
+        assert main(["override", "--model", str(trained_model), "--transitions",
+                     str(transitions), "--layer", "chord", "--out", str(out)]) == 0
+        overridden.append(out.read_bytes())
+    assert overridden[0] == overridden[1]
+
+
 @pytest.mark.parametrize("text,problem", [
     ("[" * 100_000, "maximum recursion depth"),
     ("9" * 5_000, "Exceeds the limit"),

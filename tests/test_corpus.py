@@ -12,6 +12,7 @@ from harmonizer.core import (
     MODES,
     PPQ,
     KeyLabel,
+    MelodyLine,
     MusicError,
     ProgressionAnnotation,
     RomanChord,
@@ -25,8 +26,9 @@ from harmonizer.corpus import (
     Corpus,
     CorpusError,
     parse_corpus,
+    parse_melody_file,
     parse_melody_text,
-    parse_rock_text,
+    parse_rock_melody_text,
     reference_offset,
     _beat,
     _format_note_list,
@@ -34,7 +36,15 @@ from harmonizer.corpus import (
     _records,
 )
 
-from oracles import _format_records, parse_chorale_text, shifted
+from oracles import (
+    _format_records,
+    parse_chorale_text,
+    parse_rock_text,
+    reference_corpus,
+    reference_melody,
+    reference_rock_melody,
+    shifted,
+)
 
 VALID_CHORALE = """\
 id: tiny
@@ -233,6 +243,201 @@ def test_melody_parse_shares_beats_and_reports_each_bad_line():
             parse_melody_text(text, "m.txt")
 
 
+# --- one record memo per read call --------------------------------------
+
+# record texts after the index: good ones, one of them under three
+# spellings, then each grammar fault, then each value fault
+_GOOD_CHORALE = (" | notes=72:1 | key=C | roman=I", " |  notes=72:1 |key=C|roman=I",
+                 "|notes=72:1|key=C|roman=I", " | notes=74:0.5,76:0.5 | key=G | roman=V",
+                 " | notes=69:1 | key=a | roman=i | extra=x")
+_BAD_CHORALE = {
+    " | notes | key=C | roman=I": "expected field=value, got 'notes'",
+    " | notes=72:1 | key=C | roman=I | key=G": "field named twice: 'key'",
+    " | notes=72:1 | key=C": "missing fields: ['roman']",
+    "": "missing fields: ['key', 'notes', 'roman']",
+    " |": "expected field=value, got ''",
+    " | notes=72:x | key=C | roman=I":
+        "bad note entry '72:x': could not convert string to float: 'x'",
+    " | notes=72:1 | key=Q | roman=I": "unknown key label: 'Q'",
+    " | notes=72:1 | key=C | roman=V99": "unparseable Roman numeral: 'V99'",
+}
+_GOOD_ROCK = (" | key_pc=0 | roman_root_pc=7 | melody_degree_pc=4",
+              "|key_pc=0|roman_root_pc=7|melody_degree_pc=4",
+              " | key_pc=2 | roman_root_pc=2 | melody_degree_pc=11 | extra=1",
+              " | key_pc=9 | roman_root_pc=5 | melody_degree_pc=0")
+_BAD_ROCK = {
+    " | key_pc=0 | roman_root_pc | melody_degree_pc=4":
+        "expected field=value, got 'roman_root_pc'",
+    " | key_pc=0 | key_pc=1 | roman_root_pc=7 | melody_degree_pc=4":
+        "field named twice: 'key_pc'",
+    " | key_pc=0 | melody_degree_pc=4": "missing fields: ['roman_root_pc']",
+    " |": "expected field=value, got ''",
+    " | key_pc=12 | roman_root_pc=7 | melody_degree_pc=4": "key_pc out of range 0-11: 12",
+    " | key_pc=0 | roman_root_pc=7 | melody_degree_pc=x":
+        "melody_degree_pc must be an integer: 'x'",
+}
+_POOLS = {"chorale": (_GOOD_CHORALE, tuple(_BAD_CHORALE)),
+          "rock": (_GOOD_ROCK, tuple(_BAD_ROCK))}
+# each genre's melody reader and its memo-free reference
+_MELODY_READERS = {"chorale": (parse_melody_text, reference_melody),
+                   "rock": (parse_rock_melody_text, reference_rock_melody)}
+
+
+def _record_lines(texts, skip=None):
+    """Numbered records, the one at `skip` numbered one too high."""
+    return "".join(f"{i + (i == skip)}{text}\n" for i, text in enumerate(texts))
+
+
+@st.composite
+def _record_files(draw, genre):
+    good, bad = _POOLS[genre]
+    # mostly good texts, so that some files read, drawn from a pool of a
+    # few, so that texts repeat within and across files
+    texts = st.sampled_from(draw(st.lists(
+        st.one_of(st.sampled_from(good), st.sampled_from(good),
+                  st.sampled_from(good), st.sampled_from(bad)),
+        min_size=1, max_size=4)))
+    files = []
+    for index in range(draw(st.integers(1, 4))):
+        mode = draw(st.sampled_from(MODES + ("dorian", None)) if genre == "chorale"
+                    else st.just(MAJOR))
+        header = f"id: p{index}\n" + ("" if mode is None else f"mode: {mode}\n")
+        records = draw(st.lists(texts, min_size=1, max_size=6))
+        skip = draw(st.sampled_from((None,) * 7 + tuple(range(len(records)))))
+        files.append(header + _record_lines(records, skip))
+    return files
+
+
+def _outcome(read, *args):
+    """What `read` returns, or the text of the error it raises."""
+    try:
+        return read(*args)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), genre=st.sampled_from(corpus.GENRES),
+       mode=st.sampled_from((None, *MODES)))
+def test_readers_equal_the_readers_with_no_memo(data, genre, mode):
+    files = data.draw(_record_files(genre))
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, text in enumerate(files):
+            (Path(scratch) / f"{index:02d}.txt").write_text(text)
+        assert _outcome(parse_corpus, scratch, genre, mode) == \
+            _outcome(reference_corpus, scratch, genre, mode)
+    melody, reference = _MELODY_READERS[genre]
+    for text in [*files, "".join(files)]:
+        assert _outcome(melody, text, "m.txt") == _outcome(reference, text, "m.txt")
+
+
+@pytest.mark.parametrize("genre, bad", [
+    *(("chorale", text) for text in _BAD_CHORALE),
+    *(("rock", text) for text in _BAD_ROCK)])
+def test_a_bad_record_is_reported_at_each_files_own_line(tmp_path, genre, bad):
+    good = _POOLS[genre][0][0]
+    message = {**_BAD_CHORALE, **_BAD_ROCK}[bad]
+    # twice in a, once at its first record in b: a fails on its line 4, b on 3
+    head = "id: x\nmode: major\n"
+    (tmp_path / "a.txt").write_text(head + _record_lines([good, bad, good, bad]))
+    (tmp_path / "b.txt").write_text(head + _record_lines([bad, good]))
+    with pytest.raises(CorpusError) as caught:
+        parse_corpus(tmp_path, genre)
+    assert str(caught.value) == "\n".join([
+        "corpus parse failed:", f"{tmp_path / 'a.txt'}:4: {message}",
+        f"{tmp_path / 'b.txt'}:3: {message}"])
+    # each melody read reports its own first bad line, where the melody
+    # reader finds a fault: it reads no key or chord
+    melody, reference = _MELODY_READERS[genre]
+    for texts, line in ([good, bad, good, bad], 2), ([bad, good], 1):
+        got = _outcome(melody, _record_lines(texts), "m.txt")
+        assert got == _outcome(reference, _record_lines(texts), "m.txt")
+        assert isinstance(got, MelodyLine) or got.startswith(f"CorpusError: m.txt:{line}: ")
+
+
+def test_a_record_with_no_bar_is_not_the_record_ending_in_one():
+    # both hold no field, but only the record ending in "|" names an empty one
+    with pytest.raises(CorpusError) as caught:
+        _records(_header("0\n1 |\n", "f.txt")[1], "f.txt", "beat", set(), {})
+    assert str(caught.value) == "f.txt:2: expected field=value, got ''"
+    records = _records(_header("0\n1\n", "f.txt")[1], "f.txt", "beat", set(), {})
+    assert [fields for _, _, fields in records] == [{}, {}]
+
+
+@pytest.mark.parametrize("genre", corpus.GENRES)
+def test_equal_record_texts_share_one_fields_dict_within_a_call_only(
+        monkeypatch, tmp_path, genre):
+    read = []
+    real = corpus._records
+
+    def spy(lines, source, unit, required, memo):
+        records = real(lines, source, unit, required, memo)
+        read.append((memo, records))
+        return records
+
+    monkeypatch.setattr(corpus, "_records", spy)
+    one, spaced = _POOLS[genre][0][:2]
+    other = _POOLS[genre][0][3]
+    head = "id: x\nmode: major\n"
+    (tmp_path / "a.txt").write_text(head + _record_lines([one, other, one, spaced]))
+    (tmp_path / "b.txt").write_text(head + _record_lines([other, one]))
+
+    def fields_by_text():
+        """The fields each record text read as in the calls since the
+        last, each text with one dict, and the memo the calls shared."""
+        memos = {id(memo) for memo, _ in read}
+        assert len(memos) == 1
+        texts = {}
+        for _, records in read:
+            for _, text, fields in records:
+                assert texts.setdefault(text, fields) is fields
+        memo = read[0][0]
+        read.clear()
+        return texts, memo
+
+    parse_corpus(tmp_path, genre)
+    first, first_memo = fields_by_text()
+    # keyed on the text after the first "|": two spellings, two dicts
+    one_key, spaced_key = (text.partition("|")[2] for text in (one, spaced))
+    assert len(first) == 3 and first[one_key] == first[spaced_key]
+    assert first[one_key] is not first[spaced_key]
+    parse_corpus(tmp_path, genre)
+    second, second_memo = fields_by_text()
+    assert second_memo is not first_memo
+    assert all(second[text] is not fields for text, fields in first.items())
+    melody = _MELODY_READERS[genre][0]
+    text = _record_lines([one, other, one])
+    melody(text)
+    once, _ = fields_by_text()
+    melody(text)
+    again, _ = fields_by_text()
+    assert all(again[text] is not fields for text, fields in once.items())
+
+
+def test_a_byte_order_mark_reads_as_if_absent(tmp_path, data_dir):
+    for name in ("chorales", "rock"):
+        plain, marked = tmp_path / f"{name}-plain", tmp_path / f"{name}-marked"
+        plain.mkdir()
+        marked.mkdir()
+        for path in sorted((data_dir / name).iterdir()):
+            # the mode header first, where the mark once hid it
+            lines = path.read_text().splitlines(keepends=True)
+            text = "".join(sorted(lines[:2], reverse=True) + lines[2:])
+            assert text.startswith("mode: ")
+            (plain / path.name).write_text(text)
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        genre = "chorale" if name == "chorales" else "rock"
+        for mode in (None, *MODES):
+            assert parse_corpus(marked, genre, mode) == \
+                Corpus(tuple(ch for ch in parse_corpus(plain, genre, mode).chorales), genre)
+    melody = tmp_path / "m.txt"
+    melody.write_bytes(b"\xef\xbb\xbf0 | notes=72:1\n1 | notes=74:1\n")
+    assert parse_melody_file(melody) == parse_melody_text("0 | notes=72:1\n1 | notes=74:1\n")
+    melody.write_bytes(b"\xef\xbb\xbf0 | melody_degree_pc=7\n")
+    assert parse_melody_file(melody, "rock") == \
+        parse_rock_melody_text("0 | melody_degree_pc=7\n")
+
+
 # --- listing the corpus directory ----------------------------------------
 
 def test_corpus_lists_files_and_file_links_only(tmp_path):
@@ -305,9 +510,9 @@ _VALUES = st.text(string.ascii_letters + string.digits + " #:=.,;-",
 def test_written_records_read_back(header, records):
     text = _format_records(header.items(), [fields.items() for fields in records])
     got_header, lines = _header(text, "t.txt")
-    got = _records(lines, "t.txt", "beat")
+    got = _records(lines, "t.txt", "beat", set(), {})
     assert got_header == header
-    assert [fields for _, fields in got] == records
+    assert [fields for _, _, fields in got] == records
 
 
 _CHORDS = tuple(map(RomanChord.from_string, (
@@ -344,14 +549,15 @@ def test_progression_document_matches_record_writer(genre, header, labels):
 ])
 def test_record_errors_name_the_stripped_part(line, message):
     with pytest.raises(CorpusError) as caught:
-        _records(_header(f"mode: major\n{line}\n", "f.txt")[1], "f.txt", "beat")
+        _records(_header(f"mode: major\n{line}\n", "f.txt")[1], "f.txt", "beat",
+                 set(), {})
     assert str(caught.value) == f"f.txt:2: {message}"
 
 
 def test_record_fields_split_at_the_first_equals_sign():
     records = _records(_header(" 0  |  a  = b=c | d = |= 5\n", "f.txt")[1],
-                       "f.txt", "beat")
-    assert records == [(1, {"a": "b=c", "d": "", "": "5"})]
+                       "f.txt", "beat", set(), {})
+    assert records == [(1, "  a  = b=c | d = |= 5", {"a": "b=c", "d": "", "": "5"})]
 
 
 def test_melody_schema_ignores_annotation_columns():

@@ -15,12 +15,16 @@ from harmonizer.corpus import (
     CorpusError,
     format_progression,
     parse_rock_melody_text,
-    parse_rock_text,
 )
 from harmonizer.hmm import METHODS, decode_key_chord
 from harmonizer.rock import PATTERNS, harmonize_rock, render_accompaniment
 
-from oracles import brute_force_viterbi, decode_chords_given_keys, shifted
+from oracles import (
+    brute_force_viterbi,
+    decode_chords_given_keys,
+    parse_rock_text,
+    shifted,
+)
 
 I, IV, V = map(RomanChord.from_string, ("I", "IV", "V"))
 C = KeyLabel.from_string("C")
