@@ -254,6 +254,16 @@ MUTANTS = (
            "        shared = memo[key] if key in memo else"
            " memo.setdefault(key, _parse_bundle(text))\n",
            "a model file is read once per path, size and mtime, not per text"),
+    Mutant("src/harmonizer/hmm.py",
+           "- keys[0].tonic_pc",
+           "- keys[-1].tonic_pc",
+           "training moves a chorale by its closing key, not its opening key"),
+    Mutant("src/harmonizer/corpus.py",
+           "            if not (head.isascii() and head.isdigit()):",
+           "            try:\n"
+           "                int(head)\n"
+           "            except ValueError:",
+           "a record index is read by int(), which takes +0, 0_0 and non-ASCII digits"),
 )
 
 

@@ -12,8 +12,9 @@ text up in a table built from `str()` of every label, so `str()` alone
 defines the grammar: 24 keys, and 588 chords under 756 texts, the figure
 aliases "63" and "2" included. Each label is one shared object.
 
-Only a key moves (`KeyLabel.transpose`): training counts a piece as moved
-to its reference key without copying its beats, melody or annotation.
+Only a key moves (`KeyLabel.transpose`, mod 12): training counts a piece
+as moved to its reference key by moving its keys and pitch classes, never
+its notes, so no beat, melody or annotation is copied.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Corpus ingestion: structured-text chorale and rock files, melody files,
-and the offset that moves a piece to its reference key. The offset is all
-there is of the move: no moved copy of a piece is built.
+"""Corpus ingestion: structured-text chorale and rock files and melody
+files.
 
 Chorale files carry one record per beat:
 
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
-    MAJOR,
     MODES,
     PPQ,
     BeatEvent,
@@ -64,7 +62,6 @@ from .core import (
     RomanChord,
     all_keys,
     beats_to_ticks,
-    check_midi_pitch,
 )
 
 GENRES = ("chorale", "rock")
@@ -177,7 +174,8 @@ def _records(lines, source: str, unit: str, required: set[str] | frozenset[str],
              ) -> list[tuple[int, str | None, dict[str, str]]]:
     """Read the record grammar shared by every text file from the lines
     that `_header` leaves after a file's `name: value` header lines:
-    `index | name=value | ...` records whose indices run 0, 1, 2, ...
+    `index | name=value | ...` records whose indices, ASCII decimal
+    digits, run 0, 1, 2, ...
     Returns one (line, text, fields) triple per record, each record naming
     each field at most once and holding every field named in `required`.
     `text` is the record after its first `|`, or None for a record with no
@@ -190,14 +188,14 @@ def _records(lines, source: str, unit: str, required: set[str] | frozenset[str],
     records = []
     for lineno, line in lines:
         head, bar, text = line.partition("|")
-        try:
-            index = int(head)  # int() skips the blanks that strip() would
-        except ValueError:
-            raise CorpusError(f"record must start with an integer index:"
-                              f" {head.strip()!r}", source, lineno)
-        if index != len(records):
-            raise CorpusError(f"{unit} index {index} out of order,"
-                              f" expected {len(records)}", source, lineno)
+        head = head.strip()
+        if head != str(len(records)):  # not the next index as the writers spell it
+            if not (head.isascii() and head.isdigit()):  # int() takes "+0", "0_0"
+                raise CorpusError(f"record must start with an integer index:"
+                                  f" {head!r}", source, lineno)
+            if int(head) != len(records):
+                raise CorpusError(f"{unit} index {int(head)} out of order,"
+                                  f" expected {len(records)}", source, lineno)
         if not bar:
             text = None
         fields = memo.get(text)
@@ -396,21 +394,3 @@ def parse_rock_melody_text(text: str, source: str = "<text>") -> MelodyLine:
         _MEASURE_EVENTS[_pitch_class(fields, "melody_degree_pc", source, lineno)]
         for lineno, _, fields in records))
 
-
-def reference_offset(chorale: AnnotatedChorale) -> int:
-    """The semitones that move the chorale's opening key tonic to C (major)
-    or A (minor): the smallest offset, ties broken downward, so -6..+5.
-    CorpusError naming the piece when the move would take a note out of
-    the MIDI range, for the first such note in beat order."""
-    target = 0 if chorale.mode == MAJOR else 9
-    delta = (target - chorale.annotation.keys[0].tonic_pc) % 12
-    offset = delta if delta < 6 else delta - 12
-    try:
-        if offset:
-            for beat in chorale.events:
-                for midi, _ in beat.notes:
-                    check_midi_pitch(midi + offset)
-    except MusicError as exc:
-        raise CorpusError(f"piece {chorale.id!r} transposed by {offset:+d}"
-                          f" semitones to its reference key: {exc}")
-    return offset

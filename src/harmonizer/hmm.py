@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MAJOR,
     MODES,
     KeyLabel,
     MelodyLine,
@@ -43,7 +44,6 @@ from .corpus import (
     CorpusError,
     parse_json,
     read_text,
-    reference_offset,
 )
 
 MASK_EPSILON = 1e-6
@@ -332,11 +332,12 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     Each layer observes what it does in `decode_key_chord`: the key layer
     each beat's melody pitch class, the chord layer that pitch against the
     beat's key. Chorale pieces are counted as if moved to their reference
-    keys without copying them: the key layer sees every pitch class and key
-    moved by the piece's `reference_offset`, and the chord layer the piece
-    as written, since a common shift leaves each pitch's degree in its key
-    unchanged. A piece that the move would take out of the MIDI range
-    raises `reference_offset`'s error. Rock pieces are taken as they are.
+    keys, C major or A minor, without copying them: the key layer sees
+    every pitch class and key moved by the semitones from the piece's
+    opening tonic to its reference tonic, mod 12, and the chord layer the
+    piece as written, since a common shift leaves each pitch's degree in
+    its key unchanged. No note is moved, so none can leave the MIDI range.
+    Rock pieces are taken as they are.
     The retrogression mask defaults to on for chorale corpora and off for
     rock. Key states are the full 24-key alphabet; chord states are the
     chords observed in the corpus, sorted by their text.
@@ -350,7 +351,8 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
         keys, chords = ch.annotation.keys, ch.annotation.chords
         chord_sequences.append((chords, [transposed_degree(p, k)
                                          for p, k in zip(pitches, keys)]))
-        shift = reference_offset(ch) if corpus.genre == "chorale" else 0
+        shift = ((0 if ch.mode == MAJOR else 9) - keys[0].tonic_pc
+                 if corpus.genre == "chorale" else 0)
         if shift:
             keys = [key.transpose(shift) for key in keys]
         key_sequences.append((keys, [(p + shift) % 12 for p in pitches]))

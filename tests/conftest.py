@@ -5,14 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from harmonizer.corpus import (
-    Corpus,
-    parse_corpus,
-    parse_melody_file,
-    reference_offset,
-)
+from harmonizer.corpus import Corpus, parse_corpus, parse_melody_file
 from harmonizer.hmm import train_key_chord_models
-from oracles import shifted
+from oracles import reference_offset, shifted
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"

@@ -9,7 +9,8 @@ lattice filter for chord voicings, the greedy voicing search as a literal
 loop with every tie-break key computed, an SMF track encoder that spells
 out every event, the Roman-numeral grammar as a regular expression
 with a branch for each marker and case, a piece moved by some
-semitones note by note, its keys rebuilt from their tonics, ornament
+semitones note by note, its keys rebuilt from their tonics, and the
+smallest such move to its reference key, ornament
 insertion as one branch and one write per ornament type, the
 ornament rates as a list of yes/no sites per type, the score and
 progression documents as (name, value) fields per record joined by one
@@ -102,6 +103,16 @@ def shifted(value, semitones: int):
     return AnnotatedChorale(value.id, value.mode,
                             tuple(shifted(beat, semitones) for beat in value.events),
                             shifted(value.annotation, semitones))
+
+
+def reference_offset(chorale: AnnotatedChorale) -> int:
+    """The semitones that move the chorale's opening key tonic to C (major)
+    or A (minor): the smallest offset, ties broken downward, so -6..+5.
+    Training moves only keys and pitch classes, mod 12, so any offset that
+    reaches the reference tonic trains the same model."""
+    target = 0 if chorale.mode == MAJOR else 9
+    delta = (target - chorale.annotation.keys[0].tonic_pc) % 12
+    return delta if delta < 6 else delta - 12
 
 
 def distribute_row(raw: np.ndarray, mask_row: np.ndarray | None) -> np.ndarray:
@@ -555,17 +566,18 @@ def reference_records(lines, source: str, unit: str, required: tuple[str, ...] =
              ) -> list[tuple[int, dict[str, str]]]:
     """Read the record grammar shared by every text file from the lines
     that `_header` leaves after a file's `name: value` header lines:
-    `index | name=value | ...` records whose indices run 0, 1, 2, ...
+    `index | name=value | ...` records whose indices, ASCII decimal
+    digits, run 0, 1, 2, ...
     Returns one (line, fields) pair per record, each record naming each
     field at most once and holding every field named in `required`."""
     records = []
     for lineno, line in lines:
         head, *parts = line.split("|")
-        try:
-            index = int(head)  # int() skips the blanks that strip() would
-        except ValueError:
+        head = head.strip()
+        if not re.fullmatch(r"[0-9]+", head):
             raise CorpusError(f"record must start with an integer index:"
-                              f" {head.strip()!r}", source, lineno)
+                              f" {head!r}", source, lineno)
+        index = int(head)
         if index != len(records):
             raise CorpusError(f"{unit} index {index} out of order,"
                               f" expected {len(records)}", source, lineno)

@@ -912,33 +912,25 @@ def test_blank_and_comment_lines_in_a_melody_are_skipped(tmp_path, trained_model
     assert outputs[0] == outputs[1]
 
 
-def test_transposition_past_127_exits_2(capsys, tmp_path):
-    # B major moves up a semitone to C, lifting the opening 127 to 128
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "piece.txt").write_text(
-        "id: high\nmode: major\n0 | notes=127:1 | key=B | roman=I\n"
-        "1 | notes=123:1 | key=B | roman=I\n")
-    code = main(["train", "--corpus", str(corpus), "--out",
-                 str(tmp_path / "m.json")])
-    _assert_input_error(capsys, code, "piece 'high' transposed by +1 semitones"
-                        " to its reference key: MIDI pitch out of range 0-127: 128")
-    assert not (tmp_path / "m.json").exists()
-
-
-def test_transposition_below_0_exits_2(capsys, tmp_path):
-    # F# major moves down six semitones to C (the tie is broken downward),
-    # taking the second note of the opening beat from 3 to -3
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "piece.txt").write_text(
-        "id: low\nmode: major\n0 | notes=66:0.5,3:0.5 | key=F# | roman=I\n"
-        "1 | notes=66:1 | key=F# | roman=I\n")
-    code = main(["train", "--corpus", str(corpus), "--out",
-                 str(tmp_path / "m.json")])
-    _assert_input_error(capsys, code, "piece 'low' transposed by -6 semitones"
-                        " to its reference key: MIDI pitch out of range 0-127: -3")
-    assert not (tmp_path / "m.json").exists()
+@pytest.mark.parametrize("edge, twin", [
+    ("0 | notes=127:1 | key=B | roman=I\n1 | notes=123:1 | key=B | roman=I\n",
+     "0 | notes=115:1 | key=B | roman=I\n1 | notes=111:1 | key=B | roman=I\n"),
+    ("0 | notes=66:0.5,3:0.5 | key=F# | roman=I\n1 | notes=66:1 | key=F# | roman=I\n",
+     "0 | notes=78:0.5,15:0.5 | key=F# | roman=I\n1 | notes=78:1 | key=F# | roman=I\n"),
+], ids=("past-127", "below-0"))
+def test_a_move_past_the_midi_range_trains_as_its_octave_twin(tmp_path, edge, twin):
+    # moving B major up to C would lift the opening 127 to 128, and F#
+    # major down to C would take 3 to -3; training moves only keys and
+    # pitch classes, so each trains, as the piece an octave inside does
+    models = []
+    for name, records in (("edge", edge), ("twin", twin)):
+        corpus = tmp_path / name
+        corpus.mkdir()
+        (corpus / "piece.txt").write_text(f"id: piece\nmode: major\n{records}")
+        model = tmp_path / f"{name}.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(model)]) == 0
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_one_tick_duration_is_written(tmp_path, trained_model):

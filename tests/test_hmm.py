@@ -15,9 +15,10 @@ from harmonizer.core import (
     KeyLabel,
     MelodyLine,
     RomanChord,
+    all_keys,
     transposed_degree,
 )
-from harmonizer.corpus import Corpus, CorpusError, parse_corpus, reference_offset
+from harmonizer.corpus import Corpus, CorpusError, parse_corpus
 from harmonizer.hmm import (
     MASK_EPSILON,
     AlphabetError,
@@ -50,6 +51,8 @@ from oracles import (
     decode_chords_given_keys,
     distribute_row,
     lattice_path_total,
+    parse_chorale_text,
+    reference_offset,
     sequence_log_probability,
     shifted,
     stepwise_posterior,
@@ -168,6 +171,29 @@ def test_training_moves_chorales_to_their_reference_keys(tmp_path, data_dir, mod
                              tmp_path / f"{name}.json").read_text()
                  for name, corpus in (("shifted", away), ("moved", moved))]
         assert texts[0] == texts[1], s
+
+
+@pytest.mark.parametrize("mode, opening, closing", [("major", "D", "A"),
+                                                    ("minor", "e", "G")])
+def test_training_moves_a_modulating_chorale_by_its_opening_key(mode, opening,
+                                                                 closing):
+    # every fixture chorale closes in the key it opens in; this one does
+    # not, so only the opening key can name the move
+    tonic = "i" if mode == "minor" else "I"
+    piece = parse_chorale_text(
+        f"id: away\nmode: {mode}\n0 | notes=74:1 | key={opening} | roman={tonic}\n"
+        f"1 | notes=73:0.5,71:0.5 | key={opening} | roman=V\n"
+        f"2 | notes=76:1 | key={closing} | roman=V\n"
+        f"3 | notes=67:1 | key={closing} | roman=I\n", "away.txt")
+    away = Corpus(tuple(shifted(piece, s) for s in range(-6, 6)), "chorale")
+    moved = [shifted(ch, reference_offset(ch)) for ch in away.chorales]
+    # the key layer counts the moved copies' keys and pitch classes as such
+    counted = counting_estimate(all_keys(), [
+        (ch.annotation.keys, [beat.representative % 12 for beat in ch.events])
+        for ch in moved])
+    trained = train_key_chord_models(away).key_model
+    for name in ("transition", "emission", "initial"):
+        assert np.array_equal(getattr(trained, name), getattr(counted, name)), name
 
 
 def test_training_keeps_rock_keys(rock_corpus, rock_bundle):
