@@ -163,9 +163,9 @@ MUTANTS = (
            '"bVI", "vi", "bVII", "viio"',
            '"bVI", "vi", "VII", "viio"',
            "a rock chord a whole tone below the tonic reads as VII"),
-    Mutant("src/harmonizer/cli.py",
-           "return value + 0.0",
-           "return value",
+    Mutant("src/harmonizer/hmm.py",
+           "smoothing_alpha=alpha + 0.0)",
+           "smoothing_alpha=alpha)",
            "train --alpha -0.0 writes a model other than --alpha 0's"),
     Mutant("src/harmonizer/midiout.py",
            "            if type(duration) is not int or duration < 1:\n"
@@ -264,6 +264,22 @@ MUTANTS = (
            "                int(head)\n"
            "            except ValueError:",
            "a record index is read by int(), which takes +0, 0_0 and non-ASCII digits"),
+    Mutant("src/harmonizer/hmm.py",
+           "alpha == 0 or sys.float_info.min <= alpha <= sys.float_info.max",
+           "0 <= alpha <= sys.float_info.max",
+           "estimate accepts a subnormal alpha"),
+    Mutant("src/harmonizer/hmm.py",
+           'if mask_enabled and corpus.genre == "chorale" else None)',
+           "if mask_enabled else None)",
+           "a rock corpus is trained with the chorale mask when the mask is on"),
+    Mutant("src/harmonizer/cli.py",
+           'if args.out_score and (not title.isprintable() or "|" in title):',
+           "if False:",
+           "a melody file name that cannot title the score is written as its id: line"),
+    Mutant("src/harmonizer/corpus.py",
+           '.replace("\\r", "\\n")',
+           "",
+           "read_text leaves a lone carriage return as it is"),
 )
 
 

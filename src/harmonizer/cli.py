@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -125,27 +124,13 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
-def _smoothing_alpha(text: str) -> float:
-    """0.0, never -0.0, or a finite normal float: a subnormal alpha trains a
-    model whose posterior decoding fails on ordinary melodies."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (value == 0 or sys.float_info.min <= value < math.inf):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, 0 or at least"
-            f" {sys.float_info.min!r}, got {text!r}")
-    return value + 0.0
-
-
 def cmd_train(args) -> int:
     started = time.perf_counter()
     corpus = parse_corpus(args.corpus, args.genre, args.mode)
     if not corpus.chorales:
         raise CorpusError(f"no {args.mode}-mode pieces in {args.corpus}")
-    bundle = train_key_chord_models(corpus, alpha=args.alpha,
-                                    mask_enabled=False if args.no_mask else None)
+    bundle = train_key_chord_models(corpus, mask_enabled=not args.no_mask,
+                                    alpha=args.alpha)
     if args.genre == "chorale":
         bundle.ornament_rates = estimate_ornament_rates(corpus).as_dict()
     save_bundle(bundle, args.out)
@@ -205,6 +190,11 @@ def cmd_harmonize(args) -> int:
         score_text = functools.partial(format_progression, annotation, "rock",
                                        (("id", "rock-harmonization"),))
     else:
+        # the stem titles the score's `id:` line, read as a record if it holds `|`
+        title = Path(args.melody).stem
+        if args.out_score and (not title.isprintable() or "|" in title):
+            raise MusicError(f"melody file {args.melody!r} cannot title the score: its"
+                             " name must be one line of printable text with no '|'")
         score = harmonize_melody(bundle.key_model, bundle.chord_model, melody, cfg.method)
         if cfg.ornaments:
             score = insert_ornaments(score, _ornament_config(cfg, bundle))
@@ -212,12 +202,13 @@ def cmd_harmonize(args) -> int:
         report = [f"penalty: {score.penalty}"]
         report += [f"  beat {v.beat_index}: {v.rule} (weight {v.weight})"
                    for v in score.violation_log] or ["  no violations"]
-        score_text = functools.partial(to_score_document, score,
-                                       title=Path(args.melody).stem)
+        score_text = functools.partial(to_score_document, score, title=title)
+    # built before either file is written, so a failure leaves neither
+    text = score_text() if args.out_score else None
     if args.out_midi:
         write_midi(score, args.out_midi, tempo_bpm=cfg.tempo_bpm)
-    if args.out_score:
-        Path(args.out_score).write_text(score_text())
+    if text is not None:
+        Path(args.out_score).write_text(text)
     elapsed = time.perf_counter() - started
     print("\n".join(report))
     _warn_masked_transitions(bundle.chord_model, annotation.chords)
@@ -273,7 +264,7 @@ def _new_parser() -> argparse.ArgumentParser:
     p.add_argument("--genre", choices=GENRES, default="chorale")
     p.add_argument("--mode", choices=MODES, default="major")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--alpha", type=_smoothing_alpha, default=DEFAULT_ALPHA,
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="smoothing strength")
     p.add_argument("--no-mask", action="store_true",
                    help="disable the retrogression mask")

@@ -76,14 +76,19 @@ class CorpusError(ValueError):
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, less a byte-order mark at its start;
+    """The text of a UTF-8 file, less a byte-order mark at its start, with
+    each `\r\n` and lone `\r` read as `\n`, as text mode reads them;
     CorpusError naming the file when its bytes are not UTF-8. Every input
     file is read through here."""
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        with open(path, encoding="utf-8-sig") as file:
-            return file.read()
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"not UTF-8 text: {exc}", str(path))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def parse_json(text: str, source: str = ""):

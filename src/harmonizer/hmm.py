@@ -119,13 +119,16 @@ def estimate(states, sequences, mask: np.ndarray | None = None,
     (hidden labels, observed pitch classes) sequences; the emission has one
     column per pitch class. The optional boolean mask forbids transitions;
     forbidden cells end up with probability exactly MASK_EPSILON regardless
-    of their counts.
+    of their counts. `alpha` must be 0 or a finite normal float (a subnormal
+    one trains a model whose posterior decoding fails on ordinary melodies);
+    it is stored as `alpha + 0.0`, so -0.0 as 0.0 and an int as a float.
     """
     states = tuple(states)
     if not sequences:
         raise HmmError("empty training set")
-    if not 0 <= alpha <= sys.float_info.max:
-        raise HmmError(f"smoothing alpha must be finite and non-negative: {alpha}")
+    if not (alpha == 0 or sys.float_info.min <= alpha <= sys.float_info.max):
+        raise HmmError("smoothing alpha must be 0 or a finite number of at least"
+                       f" {sys.float_info.min!r}: {alpha}")
     s_index = {s: i for i, s in enumerate(states)}
     S, O = len(states), len(PITCH_CLASSES)
     if mask is not None:
@@ -161,7 +164,7 @@ def estimate(states, sequences, mask: np.ndarray | None = None,
     emission = _distribute(emit_counts + alpha)
     initial = _distribute(init_counts + alpha)
     return HmmModel(states, transition, emission, initial, mask=mask,
-                    smoothing_alpha=alpha)
+                    smoothing_alpha=alpha + 0.0)
 
 
 def _indices(labels, index: dict | range, what: str) -> list[int]:
@@ -325,7 +328,7 @@ def decode_key_chord(key_model: HmmModel, chord_model: HmmModel,
     return ProgressionAnnotation(keys, tuple(decode(chord_model, degrees, method)))
 
 
-def train_key_chord_models(corpus, mask_enabled: bool | None = None,
+def train_key_chord_models(corpus, mask_enabled: bool = True,
                            alpha: float = DEFAULT_ALPHA) -> "ModelBundle":
     """Estimate the paired key and chord models from an annotated corpus.
 
@@ -338,12 +341,11 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
     piece as written, since a common shift leaves each pitch's degree in
     its key unchanged. No note is moved, so none can leave the MIDI range.
     Rock pieces are taken as they are.
-    The retrogression mask defaults to on for chorale corpora and off for
-    rock. Key states are the full 24-key alphabet; chord states are the
+    The retrogression mask is built for a chorale corpus with `mask_enabled`
+    set, never for rock: it forbids IV -> I, the plagal move rock uses all
+    the time. Key states are the full 24-key alphabet; chord states are the
     chords observed in the corpus, sorted by their text.
     """
-    if mask_enabled is None:
-        mask_enabled = corpus.genre == "chorale"
     key_states = all_keys()
     key_sequences, chord_sequences = [], []
     for ch in corpus.chorales:
@@ -358,7 +360,8 @@ def train_key_chord_models(corpus, mask_enabled: bool | None = None,
         key_sequences.append((keys, [(p + shift) % 12 for p in pitches]))
     counts = Counter(chord for hidden, _ in chord_sequences for chord in hidden)
     chord_states = tuple(sorted(counts, key=str))
-    mask = build_phrase_mask(chord_states) if mask_enabled else None
+    mask = (build_phrase_mask(chord_states)
+            if mask_enabled and corpus.genre == "chorale" else None)
     key_model = estimate(key_states, key_sequences, alpha=alpha)
     chord_model = estimate(chord_states, chord_sequences, mask=mask, alpha=alpha)
     modes = {ch.mode for ch in corpus.chorales}

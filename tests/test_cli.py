@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from harmonizer import cli
 from harmonizer.cli import main
-from harmonizer.corpus import _format_note_list
+from harmonizer.corpus import _format_note_list, parse_corpus
 from harmonizer.harmonize import Violation
+from harmonizer.hmm import save_bundle, train_key_chord_models
+from harmonizer.ornament import estimate_ornament_rates
 
 from oracles import _format_records
 from smf_reader import read_midi
@@ -346,6 +348,27 @@ def test_override_with_overlong_field_exits_2(capsys, tmp_path, trained_model):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {csv_path}: not a CSV matrix: field larger")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("stem", ["m\udcff", "a|b", "a\nb"],
+                         ids=["surrogate", "bar", "line-break"])
+def test_melody_name_that_cannot_title_the_score_exits_2(capsys, tmp_path,
+                                                         trained_model, data_dir, stem):
+    # the stem titles the score's `id:` line: a byte that is not UTF-8 could
+    # not be written, and `|` or a line break would not read back as a header
+    melody = tmp_path / f"{stem}.txt"
+    melody.write_bytes((data_dir / "melodies" / "m01.txt").read_bytes())
+    midi, score = tmp_path / "out.mid", tmp_path / "out.txt"
+    code = main(["harmonize", "--model", str(trained_model), "--melody", str(melody),
+                 "--out-midi", str(midi), "--out-score", str(score)])
+    _assert_input_error(capsys, code, f"error: melody file {str(melody)!r} cannot"
+                        " title the score: its name must be one line of printable"
+                        " text with no '|'\n")
+    assert not midi.exists() and not score.exists()
+    # with no score to write, the name titles nothing
+    assert main(["harmonize", "--model", str(trained_model), "--melody", str(melody),
+                 "--out-midi", str(midi)]) == 0
+    assert midi.exists()
 
 
 def test_harmonize_missing_model_exits_4(tmp_path, data_dir):
@@ -1055,17 +1078,30 @@ def test_negative_zero_alpha_trains_the_zero_alpha_model(tmp_path, data_dir):
         assert main(["train", "--corpus", str(data_dir / "chorales"), "--mode",
                      "major", "--alpha", alpha, "--no-mask", "--out", str(out)]) == 0
     assert models[0].read_bytes() == models[1].read_bytes()
+    # the library stores the same positive zero as the command
+    corpus = parse_corpus(data_dir / "chorales", "chorale", "major")
+    bundle = train_key_chord_models(corpus, mask_enabled=False, alpha=-0.0)
+    bundle.ornament_rates = estimate_ornament_rates(corpus).as_dict()
+    save_bundle(bundle, tmp_path / "library.json")
+    assert (tmp_path / "library.json").read_bytes() == models[0].read_bytes()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "x", "1e-320", "5e-324"])
 def test_bad_alpha_flag_exits_2(capsys, tmp_path, data_dir, alpha):
+    # training refuses a number, after the corpus is read; argparse refuses
+    # a text that is not one
     out = tmp_path / "m.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--corpus", str(data_dir / "chorales"), "--out", str(out),
-              "--alpha", alpha])
-    assert exc.value.code == 2
-    assert "argument --alpha: expected a finite non-negative number" in (
-        capsys.readouterr().err)
+    argv = ["train", "--corpus", str(data_dir / "chorales"), "--out", str(out),
+            "--alpha", alpha]
+    if alpha == "x":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --alpha: invalid float value: 'x'" in capsys.readouterr().err
+    else:
+        _assert_input_error(capsys, main(argv), "error: smoothing alpha must be 0 or a"
+                            f" finite number of at least {sys.float_info.min!r}:"
+                            f" {float(alpha)}\n")
     assert not out.exists()
 
 
@@ -1079,7 +1115,7 @@ def test_alpha_too_large_to_sum_exits_2(capsys, tmp_path, data_dir):
 
 def test_subnormal_alpha_over_a_masked_retrogression_exits_2(capsys, tmp_path):
     # V -> IV is masked, so under this alpha its row's allowed cells would
-    # share a subnormal total; the flag refuses the alpha before training
+    # share a subnormal total; training refuses the alpha
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "piece.txt").write_text(
@@ -1087,12 +1123,10 @@ def test_subnormal_alpha_over_a_masked_retrogression_exits_2(capsys, tmp_path):
             f"{t} | notes=72:1 | key=C | roman={numeral}\n"
             for t, numeral in enumerate(("I", "V", "IV", "I"))))
     out = tmp_path / "m.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--corpus", str(corpus), "--out", str(out),
-              "--alpha", "1e-320"])
-    assert exc.value.code == 2
-    assert (f"argument --alpha: expected a finite non-negative number, 0 or at"
-            f" least {sys.float_info.min!r}, got '1e-320'") in capsys.readouterr().err
+    code = main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--alpha", "1e-320"])
+    _assert_input_error(capsys, code, "error: smoothing alpha must be 0 or a finite"
+                        f" number of at least {sys.float_info.min!r}: 1e-320\n")
     assert not out.exists()
 
 
@@ -1130,7 +1164,7 @@ def test_rejected_command_line_leaves_shared_parser_intact(capsys, trained_model
     before = capsys.readouterr().out
     for bad in ([], ["nosuch"], analyze[:3], analyze + ["--method", "nope"],
                 ["harmonize", "--model", "m", "--melody", "x", "--ornaments", "maybe"],
-                ["train", "--corpus", "c", "--out", "o", "--alpha", "-1"]):
+                ["train", "--corpus", "c", "--out", "o", "--alpha", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2

@@ -27,6 +27,7 @@ from harmonizer.corpus import (
     CorpusError,
     parse_corpus,
     parse_melody_file,
+    parse_json,
     parse_melody_text,
     parse_rock_melody_text,
     _beat,
@@ -438,6 +439,50 @@ def test_a_byte_order_mark_reads_as_if_absent(tmp_path, data_dir):
         parse_rock_melody_text("0 | melody_degree_pc=7\n")
 
 
+_LINE_END_INPUTS = {
+    "melody": "id: m\n0 | notes=72:1\n\n1 | notes=74:0.5,76:0.5\n",
+    "model-with-json-fault": '{"genre": "chorale",\n  "mode": }\n',
+    "override-csv": ",I,V\nI,0.5,0.5\nV,1,0\n",
+    "mixed": "a\r\r\nb\n\rc\r\n\n",
+}
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", _LINE_END_INPUTS)
+def test_read_text_reads_line_ends_as_text_mode_does(tmp_path, kind, line_end):
+    # each "\r\n" and lone "\r" is read as "\n", with or without a mark
+    path = tmp_path / "input.txt"
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + _LINE_END_INPUTS[kind].replace("\n", line_end).encode())
+        with open(path, encoding="utf-8-sig") as file:
+            expected = file.read()
+        assert corpus.read_text(path) == expected
+    if kind == "melody":
+        assert parse_melody_file(path) == parse_melody_text(expected)
+    if kind == "model-with-json-fault":
+        with pytest.raises(CorpusError) as err:
+            parse_json(corpus.read_text(path), "m.json")
+        assert str(err.value) == ("m.json: not valid JSON: Expecting value:"
+                                  " line 2 column 11 (char 31)")
+
+
+# a byte's position is counted from after a mark, and "\r\n" counts two
+@pytest.mark.parametrize("data, position", [
+    (b"ab\xffc", 2), (b"\xef\xbb\xbfab\xff", 2), (b"a\r\nb\xfe", 4)],
+    ids=["bad-byte", "after-mark", "after-crlf"])
+def test_read_text_names_a_byte_that_is_not_utf8_as_text_mode_does(tmp_path, data,
+                                                                  position):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as text_mode:
+        with open(path, encoding="utf-8-sig") as file:
+            file.read()
+    with pytest.raises(CorpusError) as err:
+        corpus.read_text(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: {text_mode.value}"
+    assert f"in position {position}:" in str(err.value)
+
+
 # --- listing the corpus directory ----------------------------------------
 
 def test_corpus_lists_files_and_file_links_only(tmp_path):
@@ -677,17 +722,20 @@ def test_reference_move_out_of_range_names_the_first_note():
         shifted(ch, -6)
 
 
-@settings(max_examples=50)
-@given(tonic=st.integers(min_value=0, max_value=11))
-def test_transpose_offset_is_smallest(tonic):
-    text = (f"id: x\nmode: major\n"
-            f"0 | notes=70:1 | key={KeyLabel(tonic, MAJOR)} | roman=I\n"
-            f"1 | notes=72:1 | key={KeyLabel(tonic, MAJOR)} | roman=V\n")
-    moved = transpose_to_reference(parse_chorale_text(text, "x"))
-    offset = moved.events[0].representative - 70
-    assert moved.annotation.keys[0].tonic_pc == 0
-    assert -6 <= offset <= 5    # the +-6 tie is broken downward
-    assert (70 + offset) % 12 == (70 - tonic) % 12
+def test_transpose_offset_is_smallest():
+    # every major tonic, in place of a random draw of one
+    offsets = []
+    for tonic in range(12):
+        text = (f"id: x\nmode: major\n"
+                f"0 | notes=70:1 | key={KeyLabel(tonic, MAJOR)} | roman=I\n"
+                f"1 | notes=72:1 | key={KeyLabel(tonic, MAJOR)} | roman=V\n")
+        moved = transpose_to_reference(parse_chorale_text(text, "x"))
+        offset = moved.events[0].representative - 70
+        assert moved.annotation.keys[0].tonic_pc == 0
+        assert -6 <= offset <= 5    # the +-6 tie is broken downward
+        assert (70 + offset) % 12 == (70 - tonic) % 12
+        offsets.append(offset)
+    assert offsets == [0, -1, -2, -3, -4, -5, -6, 5, 4, 3, 2, 1]
 
 
 def test_shifted_piece_round_trips_and_keeps_chords(chorale_corpus, rock_corpus):

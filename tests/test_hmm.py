@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,36 @@ def test_estimate_rejects_alpha_whose_row_total_overflows():
     emission = estimate(["A", "B"], pairs, alpha=1e300).emission
     assert emission.shape == (2, 12)
     assert emission.tolist() == [[emission[0, 0]] * 12] * 2
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+def test_estimate_refuses_a_subnormal_alpha(alpha):
+    # a subnormal alpha trains a model whose posterior decoding fails on
+    # ordinary melodies; the smallest normal float is accepted
+    with pytest.raises(HmmError, match=re.escape(
+            "smoothing alpha must be 0 or a finite number of at least"
+            f" {sys.float_info.min!r}: {alpha!r}")):
+        estimate(["A"], [(["A", "A"], [0, 0])], alpha=alpha)
+    smallest = estimate(["A"], [(["A", "A"], [0, 0])], alpha=sys.float_info.min)
+    assert smallest.smoothing_alpha == sys.float_info.min
+
+
+def test_estimate_stores_alpha_as_a_positive_float():
+    pairs = [(["A", "B"], [0, 1])]
+    zero = estimate(["A", "B"], pairs, alpha=0.0)
+    negative_zero = estimate(["A", "B"], pairs, alpha=-0.0)
+    assert math.copysign(1.0, negative_zero.smoothing_alpha) == 1.0
+    assert negative_zero.transition.tobytes() == zero.transition.tobytes()
+    one = estimate(["A", "B"], pairs, alpha=1)
+    assert type(one.smoothing_alpha) is float and one.smoothing_alpha == 1.0
+
+
+def test_mask_is_built_for_a_chorale_corpus_only(major_corpus, rock_corpus):
+    # the chorale mask forbids IV -> I, the plagal move rock uses all the time
+    assert train_key_chord_models(rock_corpus, mask_enabled=True).chord_model.mask is None
+    masked = train_key_chord_models(major_corpus, mask_enabled=True).chord_model
+    assert masked.mask is not None and masked.mask.any()
+    assert train_key_chord_models(major_corpus, mask_enabled=False).chord_model.mask is None
 
 
 @pytest.mark.parametrize("mode", ["major", "minor"])
