@@ -92,8 +92,8 @@ MUTANTS = (
            "names = sorted(entry.name for entry in entries)",
            "the corpus listing keeps subdirectories and dangling links"),
     Mutant("src/harmonizer/hmm.py",
-           "type(n) is int and 0 <= n < 2 ** 63 for n in counts.values()",
-           "type(n) is int and 0 <= n for n in counts.values()",
+           "type(n) is int and 0 < n < 2 ** 63 for n in counts.values()",
+           "type(n) is int and 0 < n for n in counts.values()",
            "a saved chord count may exceed 64 bits"),
     Mutant("src/harmonizer/harmonize.py",
            "if tenor < bass:",
@@ -267,7 +267,23 @@ MUTANTS = (
     Mutant("src/harmonizer/hmm.py",
            "alpha == 0 or sys.float_info.min <= alpha <= sys.float_info.max",
            "0 <= alpha <= sys.float_info.max",
-           "estimate accepts a subnormal alpha"),
+           "the shared alpha rule accepts a subnormal alpha"),
+    Mutant("src/harmonizer/hmm.py",
+           '    _check_alpha(alpha, f"{layer}.smoothing_alpha")\n',
+           "",
+           "the model loader skips training's alpha rule"),
+    Mutant("src/harmonizer/hmm.py",
+           "smoothing_alpha=alpha + 0.0,",
+           "smoothing_alpha=alpha,",
+           "the model loader stores a -0.0 alpha as -0.0, so override writes it back"),
+    Mutant("src/harmonizer/hmm.py",
+           "if set(chords) != states:",
+           "if not set(chords) <= states:",
+           "a model's chord_counts may leave out a chord state"),
+    Mutant("src/harmonizer/hmm.py",
+           "0 < n < 2 ** 63",
+           "0 <= n < 2 ** 63",
+           "a model's chord_counts may hold a count of 0"),
     Mutant("src/harmonizer/hmm.py",
            'if mask_enabled and corpus.genre == "chorale" else None)',
            "if mask_enabled else None)",

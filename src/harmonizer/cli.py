@@ -232,10 +232,8 @@ def cmd_export(args) -> int:
     out_dir = Path(args.out_dir)
     paths = export_matrices(bundle.key_model, out_dir, prefix="key_")
     paths += export_matrices(bundle.chord_model, out_dir, prefix="chord_")
-    if bundle.chord_counts:
-        paths.append(export_functional_summary(
-            bundle.chord_model, bundle.chord_counts,
-            out_dir / "functional_summary.csv"))
+    paths.append(export_functional_summary(bundle.chord_model, bundle.chord_counts,
+                                           out_dir / "functional_summary.csv"))
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK

@@ -113,22 +113,26 @@ def _distribute(weights: np.ndarray, mask: np.ndarray | None = None) -> np.ndarr
     return out.reshape(np.shape(weights))
 
 
+def _check_alpha(alpha, name: str):
+    """Training's and loading's one smoothing-alpha rule: 0 or a finite normal
+    float, since a subnormal one fails posterior decoding on ordinary melodies."""
+    if not (alpha == 0 or sys.float_info.min <= alpha <= sys.float_info.max):
+        raise HmmError(f"{name} must be 0 or a finite number of at least"
+                       f" {sys.float_info.min!r}: {alpha}")
+
+
 def estimate(states, sequences, mask: np.ndarray | None = None,
              alpha: float = DEFAULT_ALPHA) -> HmmModel:
     """Maximum-likelihood estimation with additive smoothing from paired
     (hidden labels, observed pitch classes) sequences; the emission has one
     column per pitch class. The optional boolean mask forbids transitions;
     forbidden cells end up with probability exactly MASK_EPSILON regardless
-    of their counts. `alpha` must be 0 or a finite normal float (a subnormal
-    one trains a model whose posterior decoding fails on ordinary melodies);
-    it is stored as `alpha + 0.0`, so -0.0 as 0.0 and an int as a float.
-    """
+    of their counts. `alpha` must pass `_check_alpha` and is stored as
+    `alpha + 0.0`, so -0.0 as 0.0 and an int as a float."""
     states = tuple(states)
     if not sequences:
         raise HmmError("empty training set")
-    if not (alpha == 0 or sys.float_info.min <= alpha <= sys.float_info.max):
-        raise HmmError("smoothing alpha must be 0 or a finite number of at least"
-                       f" {sys.float_info.min!r}: {alpha}")
+    _check_alpha(alpha, "smoothing alpha")
     s_index = {s: i for i, s in enumerate(states)}
     S, O = len(states), len(PITCH_CLASSES)
     if mask is not None:
@@ -450,10 +454,10 @@ def _mask(doc: dict, layer: str, S: int) -> np.ndarray:
 
 
 def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
-    """The saved form of one model layer, checked here so that a malformed
-    file fails at load time, naming the field, not inside a decode. The
-    states are the labels `state_label` reads from their text; the file's
-    observations must be the pitch classes 0-11, one per emission column."""
+    """One saved model layer, checked so that a malformed file fails at load
+    time, naming the field, not inside a decode: states as `state_label`
+    reads them, observations the pitch classes 0-11 in order, and an alpha
+    that passes training's `_check_alpha`, stored as training stores it."""
     if not isinstance(doc, dict):
         raise HmmError(f"{layer} is not an object")
     states = _states(doc, layer, state_label)
@@ -465,17 +469,14 @@ def _model_from_dict(doc, layer: str, state_label) -> HmmModel:
     alpha = doc["smoothing_alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise HmmError(f"{layer}.smoothing_alpha is not a number")
-    # an int too large for a float is not finite either
-    if not 0 <= alpha <= sys.float_info.max:
-        raise HmmError(f"{layer}.smoothing_alpha must be finite and"
-                       f" non-negative: {alpha}")
+    _check_alpha(alpha, f"{layer}.smoothing_alpha")
     model = HmmModel(
         states=states,
         transition=_stochastic(doc, layer, "transition", (S, S)),
         emission=_stochastic(doc, layer, "emission", (S, O)),
         initial=_stochastic(doc, layer, "initial", (S,)),
         mask=None if doc.get("mask") is None else _mask(doc, layer, S),
-        smoothing_alpha=float(alpha),
+        smoothing_alpha=alpha + 0.0,
     )
     for array in (model.transition, model.emission, model.initial, model.mask):
         if array is not None:
@@ -520,16 +521,16 @@ def _check_bundle_fields(doc: dict):
 
 
 def _chord_counts(counts, states: set) -> dict[RomanChord, int]:
-    """The saved chord counts keyed by chord state; each text key must
-    read as a distinct state, and each count must fit 64 bits."""
+    """The saved chord counts, as training writes them: one positive count
+    below 2**63 for each of `states`, keyed by a text that reads as it."""
     if not isinstance(counts, dict) or not all(
-            type(n) is int and 0 <= n < 2 ** 63 for n in counts.values()):
-        raise HmmError("chord_counts is not an object of non-negative"
-                       " 64-bit integer counts")
+            type(n) is int and 0 < n < 2 ** 63 for n in counts.values()):
+        raise HmmError("chord_counts is not an object of positive counts below 2**63")
     chords = _labels(counts, "chord_counts", RomanChord.from_string)
-    stray = [text for text, chord in zip(counts, chords) if chord not in states]
-    if stray:
-        raise HmmError(f"chord_counts label {stray[0]!r} is not a chord state")
+    if set(chords) != states:
+        odd = min(set(chords) ^ states, key=str)
+        raise HmmError("chord_counts keys must be the chord states, one each:"
+                       f" {'extra' if odd in chords else 'missing'} {str(odd)!r}")
     return dict(zip(chords, counts.values()))
 
 

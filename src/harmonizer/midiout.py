@@ -192,10 +192,10 @@ def export_matrices(model: HmmModel, out_dir: str | Path, prefix: str = "") -> l
 
 def functional_summary(chord_model: HmmModel, chord_counts: dict) -> np.ndarray:
     """3x3 matrix of transition mass between the tonic, predominant and
-    dominant chord families. Source chords are weighted by how often they
-    occurred in training; rows are renormalized."""
+    dominant chord families. Each source chord is weighted by its training
+    count, which `chord_counts` holds for each chord state; rows are renormalized."""
     groups = [GROUP_ORDER.index(functional_group(c)) for c in chord_model.states]
-    weights = np.array([chord_counts.get(c, 0) for c in chord_model.states], dtype=float)
+    weights = np.array([chord_counts[c] for c in chord_model.states], dtype=float)
     summary = np.zeros((3, 3))
     # one addition per chord pair in row-major order, which fixes the rounding
     np.add.at(summary, np.ix_(groups, groups), weights[:, None] * chord_model.transition)

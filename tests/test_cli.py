@@ -552,6 +552,10 @@ def _set_count(label, count=1):
     return damage
 
 
+_ALPHA_RULE = f"must be 0 or a finite number of at least {sys.float_info.min!r}"
+_KEYS_RULE = "chord_counts keys must be the chord states, one each"
+
+
 @pytest.mark.parametrize("damage,field", [
     (lambda doc: doc.update(key_model=None), "key_model is not an object"),
     (lambda doc: doc.update(chord_model=[1, 2]), "chord_model is not an object"),
@@ -576,15 +580,15 @@ def _set_count(label, count=1):
     (lambda doc: doc["key_model"].update(smoothing_alpha=None),
      "key_model.smoothing_alpha"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=float("nan")),
-     "key_model.smoothing_alpha must be finite and non-negative: nan"),
+     f"key_model.smoothing_alpha {_ALPHA_RULE}: nan"),
     (lambda doc: doc["chord_model"].update(smoothing_alpha=float("inf")),
-     "chord_model.smoothing_alpha must be finite and non-negative: inf"),
+     f"chord_model.smoothing_alpha {_ALPHA_RULE}: inf"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=-5),
-     "key_model.smoothing_alpha must be finite and non-negative: -5"),
+     f"key_model.smoothing_alpha {_ALPHA_RULE}: -5"),
     (lambda doc: doc.update(chord_counts=5), "chord_counts"),
     (_set_count("X"), "chord_counts: unparseable Roman numeral: 'X'"),
     (_set_count("I63"), "chord_counts has duplicate labels"),
-    (_set_count("bVII"), "chord_counts label 'bVII' is not a chord state"),
+    (_set_count("bVII"), f"{_KEYS_RULE}: extra 'bVII'"),
     (lambda doc: doc.update(ornament_rates=5), "ornament_rates"),
     (lambda doc: doc.update(ornament_rates={"p_passing": "x"}), "ornament_rates"),
     (lambda doc: doc.update(ornament_rates={"p_pasing": 1.0}),
@@ -617,9 +621,9 @@ def _set_count(label, count=1):
     (_set_cell("chord_model", "transition", 2, 3, 10 ** 400),
      "chord_model.transition has a cell too large for a float"),
     (lambda doc: doc["key_model"].update(smoothing_alpha=10 ** 400),
-     "key_model.smoothing_alpha must be finite and non-negative: 1000"),
+     f"key_model.smoothing_alpha {_ALPHA_RULE}: 1000"),
     (_set_count("I", 10 ** 400),
-     "chord_counts is not an object of non-negative 64-bit integer counts"),
+     "chord_counts is not an object of positive counts below 2**63"),
 ], ids=["key-layer-null", "chord-layer-list", "transition-row-cut",
         "transition-ragged", "emission-column-cut", "initial-short",
         "states-short", "transition-nan", "emission-inf", "transition-negative",
@@ -646,6 +650,65 @@ def test_malformed_model_exits_2(capsys, tmp_path, trained_model, data_dir,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken}: ") and field in err
+
+
+def _drop_count(label):
+    def damage(doc):
+        del doc["chord_counts"][label]
+    return damage
+
+
+# what training never writes: a subnormal alpha, and chord counts that are
+# not one positive count for each chord state
+@pytest.mark.parametrize("damage,field", [
+    (lambda doc: doc["key_model"].update(smoothing_alpha=1e-320),
+     f"key_model.smoothing_alpha {_ALPHA_RULE}: 1e-320"),
+    (_drop_count("I"), f"{_KEYS_RULE}: missing 'I'"),
+    (lambda doc: doc.update(chord_counts={}), f"{_KEYS_RULE}: missing 'I'"),
+    (_set_count("V", 0),
+     "chord_counts is not an object of positive counts below 2**63"),
+], ids=["alpha-subnormal", "chord-counts-without-I", "chord-counts-empty",
+        "chord-count-zero"])
+def test_model_outside_training_rules_exits_2(capsys, tmp_path, trained_model,
+                                              data_dir, damage, field):
+    doc = json.loads(trained_model.read_text())
+    damage(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    melody = str(data_dir / "melodies" / "m01.txt")
+    model = ["--model", str(broken)]
+    assert main(["export", "--model", str(trained_model),
+                 "--out-dir", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+    for argv in (["harmonize", *model, "--melody", melody,
+                  "--out-midi", str(tmp_path / "out.mid"),
+                  "--out-score", str(tmp_path / "out.score")],
+                 ["analyze", *model, "--melody", melody],
+                 ["export", *model, "--out-dir", str(tmp_path / "reports")],
+                 ["override", *model, "--transitions",
+                  str(tmp_path / "good" / "key_transition.csv"), "--layer", "key",
+                  "--out", str(tmp_path / "out.json")]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"error: {broken}: {field}\n", argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json", "good"]
+
+
+def test_negative_zero_alpha_model_overrides_to_the_zero_alpha_model(tmp_path,
+                                                                    trained_model):
+    assert main(["export", "--model", str(trained_model), "--out-dir", str(tmp_path)]) == 0
+    outputs = []
+    for alpha in (0.0, -0.0):
+        doc = json.loads(trained_model.read_text())
+        doc["key_model"]["smoothing_alpha"] = alpha
+        model = tmp_path / f"{alpha}.json"
+        model.write_text(json.dumps(doc))
+        outputs.append(tmp_path / f"{alpha}-override.json")
+        assert main(["override", "--model", str(model), "--transitions",
+                     str(tmp_path / "chord_transition.csv"), "--layer", "chord",
+                     "--out", str(outputs[-1])]) == 0
+    assert b'"smoothing_alpha": -0.0' in (tmp_path / "-0.0.json").read_bytes()
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def _reader_inputs(tmp_path, trained_model, trained_rock_model, data_dir):

@@ -898,8 +898,8 @@ def test_bundle_round_trip(tmp_path, major_bundle):
                           major_bundle.chord_model.emission)
     assert np.array_equal(loaded.chord_model.mask, major_bundle.chord_model.mask)
     assert loaded.chord_counts == major_bundle.chord_counts
-    # counts are keyed by the chord states themselves, not their text
-    assert set(loaded.chord_counts) <= set(loaded.chord_model.states)
+    # counts are keyed by the chord states themselves, not their text, one each
+    assert set(loaded.chord_counts) == set(loaded.chord_model.states)
     assert all(isinstance(c, RomanChord) for c in loaded.chord_counts)
 
 
